@@ -11,15 +11,15 @@ from .regions import CropBox, crop_resize, roi_align, sample_grid, weighted_regi
 from .losses import (DistillBatchInputs, LossReport, batch_losses, content_cos_loss,
                      context_loss, rcc_loss, total_loss)
 from .config import RunConfig, parse_config
-from .trainer import AdamW, Distiller, DistillConfig, distill_run, resolution_pair
+from .trainer import AdamW, Distiller, distill_run, resolution_pair
 from .evalsuite import (ClassEmbeddings, SegResult, ablation_coupled_vs_decoupled,
                         miou, region_classify, segment_training_free, top1_macc)
 from .container import read_tensor, write_tensor
 
 __all__ = [
     "AdamW", "AffinityMatrix", "ClassEmbeddings", "CropBox", "DecoupledOutput",
-    "DenseFeatures", "Distiller", "DistillBatchInputs", "DistillConfig",
-    "LossReport", "RunConfig", "SdAttentionStack", "SegResult", "Tensor",
+    "DenseFeatures", "Distiller", "DistillBatchInputs", "LossReport", "RunConfig",
+    "SdAttentionStack", "SegResult", "Tensor",
     "VitParams", "ablation_coupled_vs_decoupled", "backward", "batch_losses",
     "complete_affinity", "content_cos_loss", "context_loss", "cosine_matrix",
     "crop_resize", "distill_run", "encode_cls", "encode_dense",

@@ -1,7 +1,7 @@
 """Command-line surface tying the modules into runnable workflows.
 
-Subcommands: distill, eval-seg, eval-region, dump-attn, gradcheck, ablate,
-selftest. Exit codes: 0 success, 1 validation failure, 2 I/O error.
+Subcommands: distill, eval-seg, eval-region, dump-attn, gradcheck, ablate.
+Exit codes: 0 success, 1 validation failure, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def _build_parser():
     p = sub.add_parser("ablate", help="coupled-vs-decoupled comparison on the synthetic suite")
     p.add_argument("--config", required=True)
 
-    sub.add_parser("selftest", help="run the built-in example assertions")
     return parser
 
 
@@ -80,41 +79,34 @@ def _cmd_distill(args):
     return 0
 
 
-def _load_eval_inputs(args):
+def _eval_records(args):
+    """The class embeddings, and per manifest record the image, its segment
+    map and the checkpoint student's decoupled dense features."""
     from .evalsuite import load_class_embeddings
     from .trainer import load_student, read_manifest
+    from .vit import encode_dense
 
     student, _ = load_student(args.checkpoint)
     records = read_manifest(args.manifest)
     classes = load_class_embeddings(args.classes)
-    return student, records, classes
 
+    def encoded():
+        for rec in records:
+            image = read_tensor(rec.image_path)["image"]
+            segments = read_tensor(rec.segments_path)["labels"]
+            yield image, segments, encode_dense(image, student, "decoupled")
 
-def _expanded_gt(segments, side, out_side):
-    if segments.shape == (out_side, out_side):
-        return segments
-    if segments.shape == (side, side):
-        return np.kron(segments, np.ones((out_side // side, out_side // side),
-                                         dtype=segments.dtype))
-    raise ShapeError(f"segment map {segments.shape} fits neither the token grid "
-                     f"({side}) nor the image ({out_side})")
+    return classes, encoded()
 
 
 def _cmd_eval_seg(args):
-    from .evalsuite import confusion_matrix, miou_from_confusion, segment_training_free
-    from .vit import encode_dense
+    from .evalsuite import add_confusion, miou_from_confusion
 
-    student, records, classes = _load_eval_inputs(args)
+    classes, encoded = _eval_records(args)
     k = classes.vectors.shape[0]
     cm = np.zeros((k, k), dtype=np.int64)
-    for rec in records:
-        image = read_tensor(rec.image_path)["image"]
-        segments = read_tensor(rec.segments_path)["labels"]
-        enc = encode_dense(image, student, "decoupled")
-        out_res = image.shape[-1]
-        seg = segment_training_free(enc, classes, out_res=out_res)
-        gt = _expanded_gt(segments, student.grid_side, out_res)
-        cm += confusion_matrix(seg.upsampled, gt, k)
+    for image, segments, enc in encoded:
+        cm = add_confusion(cm, enc, classes, segments, out_res=image.shape[-1])
     score, table = miou_from_confusion(cm)
     print("class                     iou")
     for c, iou in sorted(table.items()):
@@ -126,28 +118,17 @@ def _cmd_eval_seg(args):
 
 
 def _cmd_eval_region(args):
-    from .evalsuite import macc_tally, merge_tallies, region_classify, regions_from_labels
-    from .vit import encode_dense
+    from .evalsuite import add_region_tally, macc_from_tally, regions_from_labels
 
-    student, records, classes = _load_eval_inputs(args)
+    classes, encoded = _eval_records(args)
     tally = {}
-    for rec in records:
-        image = read_tensor(rec.image_path)["image"]
-        segments = read_tensor(rec.segments_path)["labels"]
-        if segments.shape != (student.grid_side, student.grid_side):
+    for _, segments, enc in encoded:
+        if segments.shape != enc.grid:
             raise ShapeError(f"segment map {segments.shape} does not match the "
-                             f"token grid ({student.grid_side})")
-        enc = encode_dense(image, student, "decoupled")
+                             f"token grid {enc.grid}")
         annotated = regions_from_labels(segments)
-        gt = [lab for _, lab in annotated]
-        if args.regions == "boxes":
-            regions = [box for box, _ in annotated]
-        else:
-            regions = [(segments == lab) & _component_mask(segments, box, student.grid_side)
-                       for box, lab in annotated]
-        pred = region_classify(enc, regions, classes)
-        tally = merge_tallies(tally, macc_tally(pred, gt))
-    macc = sum(c / t for c, t in tally.values()) / len(tally)
+        regions = [box if args.regions == "boxes" else mask for box, _, mask in annotated]
+        tally = add_region_tally(tally, enc, classes, regions, [lab for _, lab, _ in annotated])
     print("class                     acc      n")
     for c in sorted(tally):
         correct, total = tally[c]
@@ -155,16 +136,8 @@ def _cmd_eval_region(args):
     for c in sorted(tally):
         correct, total = tally[c]
         print(f"acc.{classes.names[c]}={correct / total:.6f}")
-    print(f"macc={macc:.6f}")
+    print(f"macc={macc_from_tally(tally):.6f}")
     return 0
-
-
-def _component_mask(segments, box, side):
-    mask = np.zeros_like(segments, dtype=bool)
-    y0, y1 = round(box.y0 * side), round(box.y1 * side)
-    x0, x1 = round(box.x0 * side), round(box.x1 * side)
-    mask[y0:y1, x0:x1] = True
-    return mask
 
 
 def _cmd_dump_attn(args):
@@ -202,12 +175,6 @@ def _cmd_ablate(args):
     return 0
 
 
-def _cmd_selftest(args):
-    from .selftest import run_selftest
-
-    return 0 if run_selftest() else 1
-
-
 _COMMANDS = {
     "distill": _cmd_distill,
     "eval-seg": _cmd_eval_seg,
@@ -215,7 +182,6 @@ _COMMANDS = {
     "dump-attn": _cmd_dump_attn,
     "gradcheck": _cmd_gradcheck,
     "ablate": _cmd_ablate,
-    "selftest": _cmd_selftest,
 }
 
 

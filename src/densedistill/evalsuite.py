@@ -18,7 +18,7 @@ from .regions import CropBox, resize_bilinear, roi_align
 from .affinity import synth_sd_attention
 from .synthdata import make_suite, pure_canvas
 from .tensor import Tensor
-from .trainer import Distiller, PreparedRecord, provider_tokens
+from .trainer import STREAM_SD, Distiller, PreparedRecord, provider_tokens, train
 from .config import RunConfig
 from .vit import encode_cls, encode_dense
 
@@ -144,8 +144,8 @@ def region_classify(dense, regions, classes, n=4):
 
 
 def regions_from_labels(labels):
-    """Connected components (4-neighbor) of a label map as normalized
-    bounding boxes with their labels: the dataset-annotation stand-in."""
+    """Connected components (4-neighbor) of a label map, the dataset-annotation
+    stand-in: (normalized bounding box, label, pixel mask) per component."""
     labels = np.asarray(labels)
     h, w = labels.shape
     seen = np.zeros((h, w), dtype=bool)
@@ -155,19 +155,20 @@ def regions_from_labels(labels):
             if seen[sy, sx]:
                 continue
             lab = int(labels[sy, sx])
+            mask = np.zeros((h, w), dtype=bool)
+            seen[sy, sx] = mask[sy, sx] = True
             stack = [(sy, sx)]
-            seen[sy, sx] = True
-            y0, x0, y1, x1 = sy, sx, sy, sx
             while stack:
                 y, x = stack.pop()
-                y0, x0 = min(y0, y), min(x0, x)
-                y1, x1 = max(y1, y), max(x1, x)
                 for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
                     if 0 <= ny < h and 0 <= nx < w and not seen[ny, nx] \
                             and labels[ny, nx] == lab:
-                        seen[ny, nx] = True
+                        seen[ny, nx] = mask[ny, nx] = True
                         stack.append((ny, nx))
-            out.append((CropBox(x0 / w, y0 / h, (x1 + 1) / w, (y1 + 1) / h), lab))
+            ys, xs = np.nonzero(mask)
+            box = CropBox(int(xs.min()) / w, int(ys.min()) / h,
+                          (int(xs.max()) + 1) / w, (int(ys.max()) + 1) / h)
+            out.append((box, lab, mask))
     return out
 
 
@@ -188,13 +189,42 @@ def merge_tallies(a, b):
     return out
 
 
+def macc_from_tally(tally):
+    """Mean over the tallied classes of per-class accuracy."""
+    return sum(c / t for c, t in tally.values()) / len(tally)
+
+
 def top1_macc(pred, gt):
     """Mean over classes present in the ground truth of per-class accuracy."""
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.size == 0 or pred.shape != gt.shape:
         raise ParameterError("need equal-length, nonempty label lists")
-    tally = macc_tally(pred, gt)
-    return sum(c / t for c, t in tally.values()) / len(tally)
+    return macc_from_tally(macc_tally(pred, gt))
+
+
+def _expanded_labels(segments, grid, out_res):
+    if segments.shape == (out_res, out_res):
+        return segments
+    if segments.shape == grid:
+        return np.kron(segments, np.ones((out_res // grid[0], out_res // grid[1]),
+                                         dtype=segments.dtype))
+    raise ShapeError(f"segment map {segments.shape} fits neither the token grid "
+                     f"{grid} nor the image ({out_res})")
+
+
+def add_confusion(cm, dense, classes, segments, out_res):
+    """``cm`` plus one image's segmentation confusion counts: predictions
+    upsampled to out_res, ground truth given at token-grid or image
+    resolution."""
+    seg = segment_training_free(dense, classes, out_res=out_res)
+    gt = _expanded_labels(np.asarray(segments), dense.grid, out_res)
+    return cm + confusion_matrix(seg.upsampled, gt, cm.shape[0])
+
+
+def add_region_tally(tally, dense, classes, regions, labels, n=4):
+    """``tally`` merged with one image's region-classification counts."""
+    return merge_tallies(tally, macc_tally(region_classify(dense, regions, classes, n=n),
+                                           labels))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +270,7 @@ def prepare_suite(suite, distiller, cfg):
     for i, sample in enumerate(suite.samples):
         vfm_tokens = provider_tokens(distiller.vfm, sample.image, cfg)
         sd = synth_sd_attention(sample.segments, cfg.sd_sharpness,
-                                np.random.default_rng([cfg.seed, 2, i]),
+                                np.random.default_rng([cfg.seed, STREAM_SD, i]),
                                 num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
         records.append(PreparedRecord(image=sample.image, segments=sample.segments,
                                       vfm_tokens=vfm_tokens, sd_stack=sd))
@@ -256,28 +286,16 @@ def evaluate_on_suite(student, suite, classes, cfg, mode="decoupled"):
     tally = {}
     for sample in suite.samples:
         enc = encode_dense(sample.image, student, mode)
-        seg = segment_training_free(enc, classes, out_res=suite.res)
-        gt = np.kron(sample.segments,
-                     np.ones((suite.patch, suite.patch), dtype=np.int32))
-        cm += confusion_matrix(seg.upsampled, gt, k)
-        boxes = [b for b, _ in sample.boxes]
-        labels = [lab for _, lab in sample.boxes]
-        pred = region_classify(enc, boxes, classes, n=cfg.roi_n)
-        tally = merge_tallies(tally, macc_tally(pred, labels))
-    macc = sum(c / t for c, t in tally.values()) / len(tally)
-    return VariantMetrics(macc=macc, miou=miou_from_confusion(cm)[0])
+        cm = add_confusion(cm, enc, classes, sample.segments, suite.res)
+        tally = add_region_tally(tally, enc, classes, [b for b, _ in sample.boxes],
+                                 [lab for _, lab in sample.boxes], n=cfg.roi_n)
+    return VariantMetrics(macc=macc_from_tally(tally), miou=miou_from_confusion(cm)[0])
 
 
-def train_variant(cfg, suite, variant, classes=None):
+def train_variant(cfg, suite, variant):
     """Fresh distiller trained on the suite with the given objective wiring."""
     distiller = Distiller(cfg)
-    prepared = prepare_suite(suite, distiller, cfg)
-    step = 0
-    for _ in range(cfg.epochs):
-        for lo in range(0, len(prepared), cfg.batch_size):
-            rng = np.random.default_rng([cfg.seed, 3, step])
-            distiller.step_batch(prepared[lo:lo + cfg.batch_size], rng, variant=variant)
-            step += 1
+    train(distiller, prepare_suite(suite, distiller, cfg), cfg.epochs, variant)
     return distiller
 
 
@@ -313,23 +331,3 @@ def ablation_coupled_vs_decoupled(cfg, suite=None):
         coupled=evaluate_on_suite(coupled.student, suite, classes, cfg, "standard"),
         decoupled=evaluate_on_suite(decoupled.student, suite, classes, cfg, "decoupled"),
     )
-
-
-def completion_benefit(cfg, suite=None):
-    """mIoU after training with the completed affinity teacher vs the raw
-    provider affinity; everything else identical."""
-    from dataclasses import replace
-
-    if suite is None:
-        suite = make_suite(seed=cfg.seed, n_images=8,
-                           side=cfg.student_res // cfg.student_patch,
-                           patch=cfg.student_patch)
-    probe = Distiller(cfg)
-    classes = class_prototypes(probe.teacher, suite.colors)
-    with_sd = replace(cfg, use_sd_completion=True)
-    without_sd = replace(cfg, use_sd_completion=False)
-    m_with = evaluate_on_suite(train_variant(with_sd, suite, "decoupled").student,
-                               suite, classes, with_sd, "decoupled")
-    m_without = evaluate_on_suite(train_variant(without_sd, suite, "decoupled").student,
-                                  suite, classes, without_sd, "decoupled")
-    return m_with.miou, m_without.miou

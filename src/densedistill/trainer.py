@@ -3,9 +3,10 @@ to the trainable student, AdamW with decoupled weight decay, checkpointing,
 and the manifest-driven training loop.
 
 Determinism contract: data order follows the manifest, per-step randomness
-comes from ``default_rng([seed, STEP_STREAM, step])``, and resuming needs
+comes from ``default_rng([seed, STREAM_STEP, step])``, and resuming needs
 only the step counter, so same-seed runs (resumed or not) are bitwise
-reproducible.
+reproducible. ``train`` is the one training loop; every caller goes
+through it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import SdAttentionStack, complete_affinity, fuse_sd_attention, synth_sd_attention, vfm_affinity
-from .config import RunConfig, echo_config
+from .config import echo_config
 from .container import atomic_write_text, read_tensor, write_tensor
 from .errors import ConfigError, ParameterError, ShapeError
 from .losses import (DistillBatchInputs, LossReport, batch_losses, content_cos_loss,
@@ -27,13 +28,11 @@ from . import tensor as T
 from .tensor import Tensor
 from .vit import VitParams, encode_cls, encode_dense
 
-DistillConfig = RunConfig  # paths ride along; the trainer only reads hyperparameters
-
 # seed-stream tags (second entry of the rng seed sequence)
-_STREAM_STUDENT = 0
-_STREAM_PROVIDER = 1
-_STREAM_SD = 2
-_STREAM_STEP = 3
+STREAM_STUDENT = 0
+STREAM_PROVIDER = 1
+STREAM_SD = 2
+STREAM_STEP = 3
 
 CHECKPOINT_NAME = "checkpoint.dten"
 METRICS_NAME = "metrics.log"
@@ -91,7 +90,7 @@ def build_models(cfg):
         patch_size=cfg.student_patch, depth=cfg.student_depth, width=cfg.student_width,
         heads=cfg.student_heads, input_res=cfg.student_res,
         embed_dim=cfg.embed_dim or None, pixel_mean=cfg.student_pixel_mean,
-        pixel_std=cfg.student_pixel_std, seed=[cfg.seed, _STREAM_STUDENT], dtype=dtype)
+        pixel_std=cfg.student_pixel_std, seed=[cfg.seed, STREAM_STUDENT], dtype=dtype)
     teacher = student.clone().freeze()
     if cfg.trainable_layers != -1:
         student.set_trainable_layers(cfg.trainable_layers)
@@ -99,7 +98,7 @@ def build_models(cfg):
         patch_size=cfg.vfm_patch, depth=cfg.vfm_depth, width=cfg.vfm_width,
         heads=cfg.vfm_heads, input_res=cfg.vfm_res, embed_dim=None,
         pixel_mean=cfg.vfm_pixel_mean, pixel_std=cfg.vfm_pixel_std,
-        seed=[cfg.seed, _STREAM_PROVIDER], dtype=dtype).freeze()
+        seed=[cfg.seed, STREAM_PROVIDER], dtype=dtype).freeze()
     return student, teacher, vfm
 
 
@@ -225,7 +224,7 @@ def prepare_record(rec, vfm, cfg, index):
     else:
         sd_stack = synth_sd_attention(
             segments, cfg.sd_sharpness,
-            np.random.default_rng([cfg.seed, _STREAM_SD, index]),
+            np.random.default_rng([cfg.seed, STREAM_SD, index]),
             num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
     return PreparedRecord(image=image, segments=segments, vfm_tokens=vfm_tokens,
                           sd_stack=sd_stack)
@@ -246,17 +245,6 @@ class Distiller:
         return distill_forward(self.student, self.teacher, prepared.vfm_tokens,
                                prepared.sd_stack, prepared.image, self.cfg, rng,
                                variant=variant)
-
-    def step(self, prepared, rng=None, variant="decoupled"):
-        """Single-image update: forward, backward, one optimizer step."""
-        if rng is None:
-            rng = np.random.default_rng([self.cfg.seed, _STREAM_STEP, self.step_count])
-        self.optimizer.zero_grad()
-        total, report = self.loss_for(prepared, rng, variant)
-        T.backward(total)
-        self.optimizer.step()
-        self.step_count += 1
-        return report
 
     def step_batch(self, prepared_list, rng, variant="decoupled"):
         """Gradient accumulation over a batch, then one optimizer step;
@@ -317,10 +305,23 @@ def load_student(path):
 
 
 def restore_into(distiller, path):
-    student, sections = load_student(path)
-    for (name, p), (_, q) in zip(distiller.student.named_parameters(),
-                                 student.named_parameters()):
-        p.data = q.data
+    """Load a checkpoint's parameters, optimizer moments and step counter into
+    a distiller; parameters are matched by name and must agree in shape."""
+    sections = read_tensor(path)
+    params = dict(distiller.student.named_parameters())
+    stored = {key[len("param."):] for key in sections if key.startswith("param.")}
+    unmatched = sorted(stored ^ params.keys())
+    if unmatched:
+        name = unmatched[0]
+        where = "the model" if name in stored else "the checkpoint"
+        raise ConfigError(f"{path}: parameter {name!r} is missing from {where}")
+    for name, p in params.items():
+        shape = sections[f"param.{name}"].shape
+        if shape != p.data.shape:
+            raise ConfigError(f"{path}: parameter {name!r} has shape {shape} in the "
+                              f"checkpoint, {p.data.shape} in the model")
+    for name, p in params.items():
+        p.data = sections[f"param.{name}"].astype(p.data.dtype)
     opt = distiller.optimizer
     for name, p in opt.params:
         if f"adam.m.{name}" in sections:
@@ -329,6 +330,22 @@ def restore_into(distiller, path):
     distiller.step_count = int(sections["step"][0])
     opt.t = distiller.step_count
     return distiller
+
+
+def train(distiller, prepared, epochs, variant="decoupled"):
+    """The training loop: ``epochs`` passes over ``prepared`` in record order,
+    one optimizer step per ``cfg.batch_size`` records. Steps before
+    ``distiller.step_count`` are skipped, so resuming is ``restore_into``
+    then ``train``. Returns the reports of the steps run."""
+    cfg = distiller.cfg
+    per_epoch = -(-len(prepared) // cfg.batch_size)
+    reports = []
+    for idx in range(distiller.step_count, epochs * per_epoch):
+        lo = idx % per_epoch * cfg.batch_size
+        rng = np.random.default_rng([cfg.seed, STREAM_STEP, idx])
+        reports.append(distiller.step_batch(prepared[lo:lo + cfg.batch_size], rng,
+                                            variant=variant))
+    return reports
 
 
 @dataclass
@@ -345,23 +362,11 @@ def distill_run(cfg, manifest_path=None):
     distiller = Distiller(cfg)
     prepared = [prepare_record(rec, distiller.vfm, cfg, i)
                 for i, rec in enumerate(records)]
-    start_step = 0
     if cfg.resume:
         restore_into(distiller, cfg.resume)
-        start_step = distiller.step_count
-    batches = []
-    for _ in range(cfg.epochs):
-        for lo in range(0, len(prepared), cfg.batch_size):
-            batches.append(prepared[lo:lo + cfg.batch_size])
-    reports = []
-    lines = []
-    for idx, batch in enumerate(batches):
-        if idx < start_step:
-            continue
-        rng = np.random.default_rng([cfg.seed, _STREAM_STEP, idx])
-        report = distiller.step_batch(batch, rng)
-        reports.append(report)
-        lines.append(report.line(idx))
+    start_step = distiller.step_count
+    reports = train(distiller, prepared, cfg.epochs)
+    lines = [report.line(idx) for idx, report in enumerate(reports, start=start_step)]
     os.makedirs(cfg.report_dir, exist_ok=True)
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.report_dir, METRICS_NAME)

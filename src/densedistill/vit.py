@@ -98,14 +98,6 @@ class VitParams:
         ]
         self.w_vl = w(c, embed_dim) if embed_dim else None
 
-    @property
-    def head_dim(self):
-        return self.width // self.heads
-
-    @property
-    def out_dim(self):
-        return self.embed_dim if self.embed_dim else self.width
-
     def named_parameters(self):
         out = [("patch.w", self.w_patch), ("patch.b", self.b_patch),
                ("cls", self.cls_token), ("pos", self.pos_embed)]

@@ -20,8 +20,8 @@ from densedistill.gradcheck import run_gradcheck_suite
 from densedistill.regions import CropBox, roi_align, weighted_region_pool
 from densedistill.synthdata import make_suite, write_suite
 from densedistill.tensor import Tensor
-from densedistill.trainer import (Distiller, distill_run, load_student, resolution_pair,
-                                  save_checkpoint)
+from densedistill.trainer import (Distiller, distill_run, resolution_pair, restore_into,
+                                  save_checkpoint, train)
 from densedistill.vit import VitParams, capture_attention, decoupled_block, patch_embed
 
 
@@ -240,13 +240,9 @@ def test_criterion_5_overfit_convergence():
     cfg = overfit_config()
     suite = make_suite(seed=0, n_images=8, side=8, patch=8)
     distiller = Distiller(cfg)
-    prepared = prepare_suite(suite, distiller, cfg)
-    totals = []
-    last = None
-    for step in range(200):
-        rng = np.random.default_rng([cfg.seed, 3, step])
-        last = distiller.step_batch(prepared, rng)
-        totals.append(last.l_total)
+    reports = train(distiller, prepare_suite(suite, distiller, cfg), 200)
+    totals = [r.l_total for r in reports]
+    last = reports[-1]
     elapsed = time.time() - start
     smoothed = np.convolve(totals, np.ones(10) / 10, mode="valid")
     worst_rise = max(float(b - a) for a, b in zip(smoothed, smoothed[1:]))
@@ -325,16 +321,9 @@ def test_criterion_8_determinism_roundtrips(tmp_path):
     write_tensor(p2, read_tensor(p1))
     container_bitwise = open(p1, "rb").read() == open(p2, "rb").read()
 
-    student, sections = load_student(run_a.checkpoint_path)
     resave = str(tmp_path / "resave.dten")
-    rebuilt = Distiller(cfg)
-    for (name, p), (_, q) in zip(rebuilt.student.named_parameters(),
-                                 student.named_parameters()):
-        p.data = q.data
-    for name, _ in rebuilt.optimizer.params:
-        rebuilt.optimizer.m[name] = sections[f"adam.m.{name}"]
-        rebuilt.optimizer.v[name] = sections[f"adam.v.{name}"]
-    save_checkpoint(resave, rebuilt.student, rebuilt.optimizer, int(sections["step"][0]))
+    rebuilt = restore_into(Distiller(cfg), run_a.checkpoint_path)
+    save_checkpoint(resave, rebuilt.student, rebuilt.optimizer, rebuilt.step_count)
     checkpoint_roundtrip = (open(run_a.checkpoint_path, "rb").read()
                             == open(resave, "rb").read())
 
@@ -357,10 +346,7 @@ def test_criterion_9_frozen_integrity():
     distiller = Distiller(cfg)
     teacher_before = distiller.teacher.state_bytes()
     vfm_before = distiller.vfm.state_bytes()
-    prepared = prepare_suite(suite, distiller, cfg)
-    for step in range(6):
-        rng = np.random.default_rng([cfg.seed, 3, step])
-        distiller.step_batch(prepared[:2], rng)
+    train(distiller, prepare_suite(suite, distiller, cfg)[:2], 6)
     ok = (distiller.teacher.state_bytes() == teacher_before
           and distiller.vfm.state_bytes() == vfm_before)
     report(9, "frozen-integrity", ok, "(teacher and provider bytes identical)")

@@ -33,12 +33,6 @@ def trained(tmp_path):
     return cfg, suite, result, classes_path
 
 
-def test_selftest_exit_zero(capsys):
-    assert run_cli(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-
-
 def test_gradcheck_deterministic(capsys):
     assert run_cli(["gradcheck", "--seed", "7"]) == 0
     first = capsys.readouterr().out

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from densedistill.config import RunConfig
-from densedistill.errors import DegenerateInputError, ParameterError
+from densedistill.errors import DegenerateInputError, ParameterError, ShapeError
 from densedistill.evalsuite import (
     ClassEmbeddings,
     ablation_coupled_vs_decoupled,
+    add_confusion,
     class_prototypes,
     confusion_matrix,
     load_class_embeddings,
@@ -15,6 +16,7 @@ from densedistill.evalsuite import (
     macc_tally,
     miou,
     region_classify,
+    regions_from_labels,
     save_class_embeddings,
     segment_training_free,
     top1_macc,
@@ -200,6 +202,25 @@ def test_region_empty_mask_rejected():
         region_classify(dense, [np.zeros((2, 2), dtype=bool)], classes)
 
 
+def test_region_masks_are_connected_components():
+    # a ring of label 1 around label-0 cells with an isolated label-1 centre
+    seg = np.ones((5, 5), dtype=np.int32)
+    seg[1:4, 1:4] = 0
+    seg[2, 2] = 1
+    regions = regions_from_labels(seg)
+    assert [(lab, int(mask.sum())) for _, lab, mask in regions] == [(1, 16), (0, 8), (1, 1)]
+    ring_box, _, ring = regions[0]
+    assert ring_box == FULL_BOX and not ring[2, 2]
+    assert (sum(mask.astype(int) for _, _, mask in regions) == 1).all()
+    # the ring's features say class 0; the centre's, far larger, say class 1
+    vectors = np.eye(3)
+    feats = np.where(seg.reshape(-1, 1) == 1, vectors[0], vectors[2])
+    feats[12] = 100.0 * vectors[1]
+    classes = ClassEmbeddings(names=list("abc"), vectors=vectors, source="ingested")
+    labels = region_classify(dense_of(feats, (5, 5)), [m for _, _, m in regions], classes)
+    assert labels.tolist() == [0, 2, 1]
+
+
 # --- top1_macc -------------------------------------------------------------------------
 
 def test_macc_all_correct():
@@ -238,6 +259,21 @@ def test_macc_order_invariance():
 def test_macc_empty_rejected():
     with pytest.raises(ParameterError):
         top1_macc([], [])
+
+
+def test_add_confusion_takes_grid_or_image_labels():
+    rng = np.random.default_rng(13)
+    vectors = unit_rows(rng, 3, 4)
+    dense = dense_of(rng.standard_normal((9, 4)), (3, 3))
+    classes = ClassEmbeddings(names=list("abc"), vectors=vectors, source="ingested")
+    seg = rng.integers(0, 3, (3, 3))
+    cm = np.zeros((3, 3), dtype=np.int64)
+    by_grid = add_confusion(cm, dense, classes, seg, out_res=6)
+    by_image = add_confusion(cm, dense, classes, np.kron(seg, np.ones((2, 2), int)), out_res=6)
+    np.testing.assert_array_equal(by_grid, by_image)
+    assert by_grid.sum() == 36 and cm.sum() == 0
+    with pytest.raises(ShapeError):
+        add_confusion(cm, dense, classes, seg[:2], out_res=6)
 
 
 def test_merge_tallies():

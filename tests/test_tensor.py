@@ -197,9 +197,10 @@ def test_backward_linear():
 
 
 def test_backward_quadratic():
-    x = T.Tensor([[1.0, 2.0]], requires_grad=True)
-    T.backward(T.sum_all(T.mul(x, x)))
-    np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
+    for value in ([[1.0, 2.0]], [1.0, 2.0]):
+        x = T.Tensor(value, requires_grad=True)
+        T.backward(T.sum_all(T.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, 2.0 * np.asarray(value))
 
 
 def test_backward_requires_scalar():

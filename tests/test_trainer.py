@@ -7,6 +7,8 @@ import pytest
 
 from densedistill import tensor as T
 from densedistill.config import RunConfig
+from densedistill.errors import ConfigError
+from densedistill.evalsuite import train_variant
 from densedistill.losses import content_cos_loss, rcc_loss, total_loss
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
 from densedistill.tensor import Tensor
@@ -19,7 +21,9 @@ from densedistill.trainer import (
     prepare_record,
     read_manifest,
     resolution_pair,
+    restore_into,
     save_checkpoint,
+    train,
 )
 from densedistill.synthdata import make_suite, write_suite
 from densedistill.vit import encode_cls, encode_dense
@@ -147,14 +151,15 @@ def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
 
 
 def test_same_seed_runs_bitwise_identical(tmp_path):
-    cfg = desk_cfg(tmp_path)
+    cfg = desk_cfg(tmp_path, batch_size=1)
     suite, manifest = desk_suite(tmp_path, cfg)
     records = read_manifest(manifest)
 
     def run():
         distiller = Distiller(cfg)
         prepared = [prepare_record(r, distiller.vfm, cfg, i) for i, r in enumerate(records)]
-        reports = [distiller.step(prepared[i % len(prepared)]) for i in range(4)]
+        reports = train(distiller, prepared, 1)
+        assert len(reports) == 4
         return reports, distiller.student.state_bytes()
 
     r1, bytes1 = run()
@@ -165,7 +170,7 @@ def test_same_seed_runs_bitwise_identical(tmp_path):
 
 
 def test_provider_and_teacher_frozen_through_training(tmp_path):
-    cfg = desk_cfg(tmp_path, epochs=1)
+    cfg = desk_cfg(tmp_path, batch_size=1)
     suite, manifest = desk_suite(tmp_path, cfg)
     distiller = Distiller(cfg)
     teacher_before = distiller.teacher.state_bytes()
@@ -173,8 +178,7 @@ def test_provider_and_teacher_frozen_through_training(tmp_path):
     student_before = distiller.student.state_bytes()
     prepared = [prepare_record(r, distiller.vfm, cfg, i)
                 for i, r in enumerate(read_manifest(manifest))]
-    for i in range(3):
-        distiller.step(prepared[i % len(prepared)])
+    train(distiller, prepared[:3], 1)
     assert distiller.teacher.state_bytes() == teacher_before
     assert distiller.vfm.state_bytes() == vfm_before
     assert distiller.student.state_bytes() != student_before
@@ -185,7 +189,7 @@ def test_losses_finite_and_consistent(tmp_path):
     suite, manifest = desk_suite(tmp_path, cfg)
     distiller = Distiller(cfg)
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
-    report = distiller.step(prepared)
+    report, = train(distiller, [prepared], 1)
     assert np.isfinite([report.l_context, report.l_content_cos, report.l_rcc, report.l_total]).all()
     assert abs(report.l_total - (report.l_content_cos + report.l_rcc + cfg.lam * report.l_context)) < 1e-9
 
@@ -240,15 +244,59 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     p1 = str(tmp_path / "a.dten")
     p2 = str(tmp_path / "b.dten")
     save_checkpoint(p1, distiller.student, distiller.optimizer, 5)
-    student, sections = load_student(p1)
-    rebuilt = Distiller(cfg)
-    for (name, p), (_, q) in zip(rebuilt.student.named_parameters(), student.named_parameters()):
-        p.data = q.data
-    for name, _ in rebuilt.optimizer.params:
-        rebuilt.optimizer.m[name] = sections[f"adam.m.{name}"]
-        rebuilt.optimizer.v[name] = sections[f"adam.v.{name}"]
-    save_checkpoint(p2, rebuilt.student, rebuilt.optimizer, int(sections["step"][0]))
+    rebuilt = restore_into(Distiller(cfg), p1)
+    assert rebuilt.step_count == 5
+    save_checkpoint(p2, rebuilt.student, rebuilt.optimizer, rebuilt.step_count)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("over,name", [(dict(student_depth=3), "'block2."),
+                                       (dict(student_width=32), "'patch.w'")])
+def test_restore_rejects_checkpoint_of_other_architecture(tmp_path, over, name):
+    path = str(tmp_path / "ckpt.dten")
+    source = Distiller(desk_cfg(tmp_path))
+    save_checkpoint(path, source.student, source.optimizer, 3)
+    target = Distiller(desk_cfg(tmp_path, **over))
+    before = target.student.state_bytes()
+    with pytest.raises(ConfigError, match=name):
+        restore_into(target, path)
+    assert target.student.state_bytes() == before
+    assert target.step_count == 0
+
+
+def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
+    path = str(tmp_path / "ckpt.dten")
+    save_checkpoint(path, Distiller(desk_cfg(tmp_path)).student)
+    with pytest.raises(ConfigError, match="'proj'"):
+        restore_into(Distiller(desk_cfg(tmp_path, embed_dim=0)), path)
+
+
+def test_train_continues_from_step_count(tmp_path):
+    cfg = desk_cfg(tmp_path, epochs=2)
+    suite, manifest = desk_suite(tmp_path, cfg)
+    records = read_manifest(manifest)
+
+    def fresh():
+        distiller = Distiller(cfg)
+        return distiller, [prepare_record(r, distiller.vfm, cfg, i)
+                           for i, r in enumerate(records)]
+
+    full, prepared = fresh()
+    all_reports = train(full, prepared, 2)
+    split, prepared = fresh()
+    first = train(split, prepared, 1)
+    rest = train(split, prepared, 2)
+    assert first + rest == all_reports
+    assert train(split, prepared, 2) == []
+    assert split.student.state_bytes() == full.student.state_bytes()
+
+
+def test_manifest_and_in_memory_suites_train_identically(tmp_path):
+    cfg = desk_cfg(tmp_path, epochs=2)
+    suite, manifest = desk_suite(tmp_path, cfg)
+    from_manifest, _ = load_student(distill_run(cfg, manifest).checkpoint_path)
+    in_memory = train_variant(cfg, suite, "decoupled").student
+    assert from_manifest.state_bytes() == in_memory.state_bytes()
 
 
 def test_float32_training_path(tmp_path):
@@ -257,7 +305,7 @@ def test_float32_training_path(tmp_path):
     distiller = Distiller(cfg)
     assert distiller.student.dtype == np.float32
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
-    report = distiller.step(prepared)
+    report, = train(distiller, [prepared], 1)
     assert np.isfinite([report.l_context, report.l_content_cos, report.l_total]).all()
 
 
@@ -267,7 +315,7 @@ def test_no_projection_path(tmp_path):
     distiller = Distiller(cfg)
     assert distiller.student.w_vl is None
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
-    report = distiller.step(prepared)
+    report, = train(distiller, [prepared], 1)
     assert np.isfinite(report.l_total)
 
 
