@@ -163,4 +163,15 @@ def run_gradcheck_suite(seed=0):
         return total
 
     check("l_total_two_token_toy", toy_total, [t(2, 5), t(2, 5)])
+
+    check("softmax_rows_tau1", lambda a: T.sum_all(T.mul(T.softmax_rows(a), T.softmax_rows(a))),
+          [t(3, 5)])
+    # heads = 2 over width 4; m = n (self-attention) and m = 1 (a CLS-only query)
+    for m in (3, 1):
+        mix_w = t(m, 4)
+        check(f"head_scores_m{m}",
+              lambda q, k: T.sum_all(T.mul(T.head_scores(q, k, 2), T.head_scores(q, k, 2))),
+              [t(m, 4), t(3, 4)])
+        check(f"head_mix_m{m}", lambda p, v, w=mix_w: T.sum_all(T.mul(T.head_mix(p, v, 2), w)),
+              [t(2 * m, 3), t(3, 4)])
     return reports

@@ -112,7 +112,11 @@ def crop_resize(image, box, out_res):
         raise DegenerateInputError(f"box {box} degenerate on a {h}x{w} image")
     wy = _axis_weights(box.y0, box.y1, out_res, h)
     wx = _axis_weights(box.x0, box.x1, out_res, w)
-    return np.einsum("ih,chw,jw->cij", wy, arr, wx, optimize=True)
+    # the weights vanish outside the box's pixels (+-1), so contract only those
+    ys = np.flatnonzero(wy.any(axis=0))
+    xs = np.flatnonzero(wx.any(axis=0))
+    return np.einsum("ih,chw,jw->cij", wy[:, ys], arr[:, ys][:, :, xs], wx[:, xs],
+                     optimize=True)
 
 
 def resize_bilinear(planes, out_h, out_w):

@@ -417,25 +417,6 @@ def concat_rows(parts):
     return from_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), back)
 
 
-def concat_cols(parts):
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError("concat_cols parts must be 2-D with equal row counts")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        return tuple(
-            np.ascontiguousarray(g[:, offsets[i]:offsets[i + 1]]) for i in range(len(parts))
-        )
-
-    return from_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
-
-
 def slice_rows(a, start, stop):
     if a.data.ndim != 2:
         raise ShapeError("slice_rows needs a 2-D tensor")
@@ -448,20 +429,6 @@ def slice_rows(a, start, stop):
         return (full,)
 
     return from_op(a.data[start:stop].copy(), (a,), back)
-
-
-def slice_cols(a, start, stop):
-    if a.data.ndim != 2:
-        raise ShapeError("slice_cols needs a 2-D tensor")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return from_op(np.ascontiguousarray(a.data[:, start:stop]), (a,), back)
 
 
 def tokens_to_chw(a, h, w):
@@ -487,16 +454,89 @@ def softmax_rows(x, temperature=1.0):
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     if x.data.ndim != 2:
         raise ShapeError("softmax_rows needs a 2-D tensor")
-    z = x.data / x.data.dtype.type(temperature)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
+    tau = x.data.dtype.type(temperature)
+    if tau == 1:
+        out = x.data - x.data.max(axis=1, keepdims=True)
+    else:
+        out = x.data / tau
+        out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
 
     def back(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - inner) / x.data.dtype.type(temperature),)
+        # P * (g - rowsum(g * P)) / tau, built in one buffer
+        dx = g - np.einsum("ij,ij->i", g, out)[:, None]
+        dx *= out
+        if tau != 1:
+            dx /= tau
+        return (dx,)
 
     return from_op(out, (x,), back)
+
+
+def _split_heads(a, heads):
+    """(r, heads*d) -> (heads, r, d) strided view, one matrix per head."""
+    r, c = a.shape
+    return a.reshape(r, heads, c // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(a):
+    """(heads, r, d) -> (r, heads*d), heads side by side in column blocks."""
+    h, r, d = a.shape
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(r, h * d)
+
+
+def _check_heads(a, b, heads, name):
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"{name} needs 2-D operands, got {a.shape} and {b.shape}")
+    if not isinstance(heads, int) or heads < 1:
+        raise ParameterError(f"heads must be a positive int, got {heads}")
+    _check_same_dtype(a, b)
+
+
+def head_scores(q, k, heads):
+    """Scaled per-head scores q_h k_h^T / sqrt(d) of (m, c) queries against
+    (n, c) keys, each split into ``heads`` column blocks of width d. Head h
+    fills rows [h*m, (h+1)*m) of the (heads*m, n) result, so one row
+    softmax normalizes every head. The scale is applied to the queries,
+    not to the score map."""
+    _check_heads(q, k, heads, "head_scores")
+    m, c = q.shape
+    if k.shape[1] != c or c % heads != 0:
+        raise ShapeError(f"head_scores needs equal widths divisible by {heads} heads, "
+                         f"got {q.shape} and {k.shape}")
+    scale = q.data.dtype.type(1.0 / math.sqrt(c // heads))
+    qs = q.data * scale
+    qh, kh = _split_heads(qs, heads), _split_heads(k.data, heads)
+    n = k.shape[0]
+
+    def back(g):
+        gh = g.reshape(heads, m, n)
+        dq = _merge_heads(gh @ kh)
+        dq *= scale
+        # (q_h^T g_h)^T: BLAS is slower with the (m, n) map as the transposed left operand
+        return (dq, _merge_heads((qh.transpose(0, 2, 1) @ gh).transpose(0, 2, 1)))
+
+    return from_op((qh @ kh.transpose(0, 2, 1)).reshape(heads * m, n), (q, k), back)
+
+
+def head_mix(p, v, heads):
+    """Per-head mixing P_h V_h of a (heads*m, n) row-block stack of maps
+    with (n, c) values split into ``heads`` column blocks; head h's result
+    fills column block h of the (m, c) output."""
+    _check_heads(p, v, heads, "head_mix")
+    hm, n = p.shape
+    if v.shape[0] != n or hm % heads != 0 or v.shape[1] % heads != 0:
+        raise ShapeError(f"head_mix needs ({heads}*m, n) maps and (n, c) values with c "
+                         f"divisible by {heads}, got {p.shape} and {v.shape}")
+    ph, vh = p.data.reshape(heads, hm // heads, n), _split_heads(v.data, heads)
+
+    def back(g):
+        gh = _split_heads(g, heads)
+        return ((gh @ vh.transpose(0, 2, 1)).reshape(hm, n),
+                _merge_heads((gh.transpose(0, 2, 1) @ ph).transpose(0, 2, 1)))
+
+    return from_op(_merge_heads(ph @ vh), (p, v), back)
 
 
 def cosine_matrix(a, b):

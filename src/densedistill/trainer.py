@@ -286,9 +286,18 @@ def save_checkpoint(path, student, optimizer=None, step=0):
     write_tensor(path, sections)
 
 
+def _check_finite(path, sections):
+    """Refuse a checkpoint whose parameter or moment sections hold NaN or Inf."""
+    for key, data in sections.items():
+        if key.startswith(("param.", "adam.")) and not np.isfinite(data).all():
+            raise ConfigError(f"{path}: section {key!r} holds non-finite values")
+
+
 def load_student(path):
-    """Rebuild the student encoder from a checkpoint alone."""
+    """Rebuild the student encoder from a checkpoint alone, for inference:
+    its parameters do not require grad, so its forwards build no graph."""
     sections = read_tensor(path)
+    _check_finite(path, sections)
     meta = sections["meta"]
     pixel = sections["pixel"]
     dtype = np.float32 if meta[6] == 0 else np.float64
@@ -301,6 +310,7 @@ def load_student(path):
         if data.shape != p.data.shape:
             raise ShapeError(f"checkpoint section param.{name} has shape {data.shape}")
         p.data = data
+        p.requires_grad = False
     return student, sections
 
 
@@ -320,6 +330,7 @@ def restore_into(distiller, path):
         if shape != p.data.shape:
             raise ConfigError(f"{path}: parameter {name!r} has shape {shape} in the "
                               f"checkpoint, {p.data.shape} in the model")
+    _check_finite(path, sections)
     for name, p in params.items():
         p.data = sections[f"param.{name}"].astype(p.data.dtype)
     opt = distiller.optimizer

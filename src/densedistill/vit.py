@@ -9,7 +9,6 @@ decoupled path and have read-only parameter arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,25 +219,24 @@ def patch_embed(image, params):
 
 
 def _multi_head(q, k, v, heads, capture=None):
-    c = q.shape[1]
-    d = c // heads
-    scale = 1.0 / math.sqrt(d)
-    outs = []
-    for h in range(heads):
-        lo, hi = h * d, (h + 1) * d
-        qh, kh, vh = (T.slice_cols(t, lo, hi) for t in (q, k, v))
-        attn = T.softmax_rows(T.mul_scalar(T.matmul(qh, T.transpose(kh)), scale))
-        if capture is not None:
-            capture.append(attn.data)
-        outs.append(T.matmul(attn, vh))
-    return outs[0] if heads == 1 else T.concat_cols(outs)
+    attn = T.softmax_rows(T.head_scores(q, k, heads))
+    if capture is not None:
+        capture.extend(attn.data.reshape(heads, q.shape[0], k.shape[0]))
+    return T.head_mix(attn, v, heads)
 
 
-def attention_block(x, params, layer, capture=None):
-    """Standard block: pre-norm attention with residual, pre-norm FFN with residual."""
+def attention_block(x, params, layer, capture=None, queries=None):
+    """Standard block: pre-norm attention with residual, pre-norm FFN with residual.
+
+    With ``queries`` set, only the first ``queries`` rows are computed (their
+    queries, residual and FFN) while keys and values span every row."""
     b = params.blocks[layer]
     h = layer_norm_rows(x, b.ln1_s, b.ln1_o)
-    q = T.add(T.matmul(h, b.wq), b.bq)
+    if queries is not None:
+        x, hq = T.slice_rows(x, 0, queries), T.slice_rows(h, 0, queries)
+    else:
+        hq = h
+    q = T.add(T.matmul(hq, b.wq), b.bq)
     k = T.add(T.matmul(h, b.wk), b.bk)
     v = T.add(T.matmul(h, b.wv), b.bv)
     y = T.add(x, T.add(T.matmul(_multi_head(q, k, v, params.heads, capture), b.wo), b.bo))
@@ -319,11 +317,12 @@ def encode_dense(image, params, mode="standard", activations=None):
 
 
 def encode_cls(image, params):
-    """Summary vector: CLS row after the final standard block, projected."""
+    """Summary vector: CLS row after the final standard block, projected.
+    No other row of the final block is read, so it computes the CLS row only."""
     seq = patch_embed(image, params)
-    for layer in range(params.depth):
+    for layer in range(params.depth - 1):
         seq = attention_block(seq, params, layer)
-    cls = T.slice_rows(seq, 0, 1)
+    cls = attention_block(seq, params, params.depth - 1, queries=1)
     if params.w_vl is not None:
         cls = T.matmul(cls, params.w_vl)
     return T.reshape(cls, (cls.shape[1],))

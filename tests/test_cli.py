@@ -39,7 +39,7 @@ def test_gradcheck_deterministic(capsys):
     assert run_cli(["gradcheck", "--seed", "7"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert "gradcheck: 17/17 passed" in first
+    assert "gradcheck: 22/22 passed" in first
 
 
 def test_unknown_subcommand_exit_one(capsys):

@@ -75,8 +75,6 @@ def test_requires_float64():
                                                                  T.concat_rows([a, b]))),
                                     [T.Tensor(r.standard_normal((2, 3))),
                                      T.Tensor(r.standard_normal((1, 3)))])),
-        ("slice-cols", lambda r: (lambda a: T.sum_all(T.mul(T.slice_cols(a, 1, 3), T.slice_cols(a, 1, 3))),
-                                  [T.Tensor(r.standard_normal((3, 4)))])),
         ("tokens-chw", lambda r: (lambda a: T.sum_all(T.mul(T.tokens_to_chw(a, 2, 2),
                                                             T.tokens_to_chw(a, 2, 2))),
                                   [T.Tensor(r.standard_normal((4, 3)))])),

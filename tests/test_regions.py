@@ -11,6 +11,7 @@ from densedistill.gradcheck import finite_diff_check
 from densedistill.regions import (
     FULL_BOX,
     CropBox,
+    _axis_weights,
     crop_resize,
     resize_bilinear,
     roi_align,
@@ -231,6 +232,29 @@ def test_crop_resize_matches_hand_bilinear():
         for u in range(2):
             want[:, v, u] = bilinear_point_oracle(ramp[0], (v + 0.5) / 2, (u + 0.5) / 2)
     assert np.abs(got - want).max() < 1e-6
+
+
+def full_image_crop_oracle(img, box, out_res):
+    """The bilinear crop contracted over every pixel of the image."""
+    _, h, w = img.shape
+    wy = _axis_weights(box.y0, box.y1, out_res, h)
+    wx = _axis_weights(box.x0, box.x1, out_res, w)
+    return np.einsum("ih,chw,jw->cij", wy, img, wx)
+
+
+def test_crop_resize_matches_full_image_contraction():
+    rng = np.random.default_rng(13)
+    img = rng.uniform(0, 1, (3, 40, 40))
+    boxes = [FULL_BOX, CropBox(0.0, 0.0, 0.05, 0.05), CropBox(0.95, 0.95, 1.0, 1.0),
+             CropBox(0.0, 0.9, 1.0, 1.0), CropBox(0.9, 0.0, 1.0, 1.0),
+             CropBox(0.3, 0.4, 0.3125, 0.45)]
+    for _ in range(4):
+        boxes += sample_grid(rng)
+    for box in boxes:
+        for out_res in (1, 7, 16):
+            got = crop_resize(img, box, out_res)
+            assert got.shape == (3, out_res, out_res)
+            assert np.abs(got - full_image_crop_oracle(img, box, out_res)).max() < 1e-12, box
 
 
 def test_resize_bilinear_matches_crop_resize_full_box():

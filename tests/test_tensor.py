@@ -118,6 +118,37 @@ def test_softmax_rows_stochastic_property(seed, r, c):
     assert (out.data >= 0).all()
 
 
+# --- head-batched attention ops ---------------------------------------------
+
+def test_head_ops_match_per_head_loop():
+    rng = np.random.default_rng(3)
+    heads, d, m, n = 3, 2, 2, 4
+    q, k, v = (rng.standard_normal(s) for s in ((m, heads * d), (n, heads * d), (n, heads * d)))
+    p = rng.standard_normal((heads * m, n))
+    scores = T.head_scores(T.Tensor(q), T.Tensor(k), heads).data
+    mixed = T.head_mix(T.Tensor(p), T.Tensor(v), heads).data
+    assert scores.shape == (heads * m, n) and mixed.shape == (m, heads * d)
+    for h in range(heads):
+        rows, cols = slice(h * m, (h + 1) * m), slice(h * d, (h + 1) * d)
+        want = matmul_oracle(q[:, cols], k[:, cols].T) / math.sqrt(d)
+        assert np.abs(scores[rows] - want).max() < 1e-12
+        assert np.abs(mixed[:, cols] - matmul_oracle(p[rows], v[:, cols])).max() < 1e-12
+
+
+def test_head_ops_reject_bad_shapes():
+    a = T.Tensor(np.ones((2, 6)))
+    with pytest.raises(ShapeError):
+        T.head_scores(a, T.Tensor(np.ones((3, 4))), 2)
+    with pytest.raises(ShapeError):
+        T.head_scores(a, a, 4)
+    with pytest.raises(ParameterError):
+        T.head_scores(a, a, 0)
+    with pytest.raises(ShapeError):
+        T.head_mix(T.Tensor(np.ones((3, 2))), a, 2)
+    with pytest.raises(ShapeError):
+        T.head_mix(T.Tensor(np.ones((4, 3))), a, 2)
+
+
 # --- cosine_matrix -----------------------------------------------------------
 
 def test_cosine_self():
@@ -286,13 +317,10 @@ def test_mixed_dtype_rejected():
 def test_structural_ops_roundtrip():
     rng = np.random.default_rng(2)
     x = T.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-    parts = [T.slice_cols(x, 0, 3), T.slice_cols(x, 3, 6)]
-    back = T.concat_cols(parts)
-    np.testing.assert_array_equal(back.data, x.data)
     rows = T.concat_rows([T.slice_rows(x, 0, 1), T.slice_rows(x, 1, 4)])
     np.testing.assert_array_equal(rows.data, x.data)
     chw = T.tokens_to_chw(x, 2, 2)
     assert chw.shape == (6, 2, 2)
     np.testing.assert_array_equal(chw.data[:, 0, 1], x.data[1])
-    T.backward(T.sum_all(T.mul(back, back)))
+    T.backward(T.sum_all(T.mul(rows, rows)))
     np.testing.assert_allclose(x.grad, 2 * x.data)

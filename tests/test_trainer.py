@@ -271,6 +271,51 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
         restore_into(Distiller(desk_cfg(tmp_path, embed_dim=0)), path)
 
 
+def test_loaded_student_builds_no_graph(tmp_path):
+    cfg = desk_cfg(tmp_path)
+    source = Distiller(cfg).student
+    path = str(tmp_path / "ckpt.dten")
+    save_checkpoint(path, source)
+    student, sections = load_student(path)
+    assert student.state_bytes() == b"".join(
+        sections[f"param.{name}"].tobytes() for name, _ in student.named_parameters())
+    assert student.state_bytes() == source.state_bytes()
+    image = np.random.default_rng(0).uniform(0, 1, (3, cfg.student_res, cfg.student_res))
+    enc = encode_dense(image, student, "decoupled")
+    for t in (enc.tokens, enc.cls, enc.decoupled.x_context, enc.decoupled.x_content):
+        assert t._parents == () and not t.requires_grad
+
+
+def _poisoned_checkpoint(tmp_path, section):
+    """A checkpoint whose ``section`` holds a NaN."""
+    distiller = Distiller(desk_cfg(tmp_path))
+    kind, _, name = section.partition(".")
+    if kind == "param":
+        arrays = {n: p.data for n, p in distiller.student.named_parameters()}
+    else:
+        moment, _, name = name.partition(".")
+        arrays = getattr(distiller.optimizer, moment)
+    arrays[name][0, 0] = np.nan
+    path = str(tmp_path / "poisoned.dten")
+    save_checkpoint(path, distiller.student, distiller.optimizer, 1)
+    return path
+
+
+@pytest.mark.parametrize("section", ["param.block1.wq", "adam.m.block1.wq", "adam.v.block0.w1"])
+@pytest.mark.parametrize("loader", ["load_student", "restore_into"])
+def test_checkpoint_with_non_finite_values_rejected(tmp_path, loader, section):
+    path = _poisoned_checkpoint(tmp_path, section)
+    target = Distiller(desk_cfg(tmp_path))
+    before = target.student.state_bytes()
+    with pytest.raises(ConfigError, match=rf"poisoned\.dten.*{section}"):
+        if loader == "load_student":
+            load_student(path)
+        else:
+            restore_into(target, path)
+    assert target.student.state_bytes() == before
+    assert target.step_count == 0
+
+
 def test_train_continues_from_step_count(tmp_path):
     cfg = desk_cfg(tmp_path, epochs=2)
     suite, manifest = desk_suite(tmp_path, cfg)

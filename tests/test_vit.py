@@ -55,17 +55,24 @@ def gelu_oracle(m):
     return np.array([[0.5 * v * (1 + math.erf(v / math.sqrt(2))) for v in row] for row in m])
 
 
-def block_oracle(x, b):
-    c = x.shape[1]
+def block_oracle(x, b, heads=1):
+    """Block output and the per-head attention maps, one head at a time."""
+    d = x.shape[1] // heads
     h = ln_oracle(x, b.ln1_s.data, b.ln1_o.data)
     q = mm_oracle(h, b.wq.data) + b.bq.data
     k = mm_oracle(h, b.wk.data) + b.bk.data
     v = mm_oracle(h, b.wv.data) + b.bv.data
-    attn = softmax_oracle(mm_oracle(q, k.T) / math.sqrt(c))
-    y = x + mm_oracle(mm_oracle(attn, v), b.wo.data) + b.bo.data
+    mixed = np.zeros_like(x)
+    attns = []
+    for i in range(heads):
+        cols = slice(i * d, (i + 1) * d)
+        attn = softmax_oracle(mm_oracle(q[:, cols], k[:, cols].T) / math.sqrt(d))
+        mixed[:, cols] = mm_oracle(attn, v[:, cols])
+        attns.append(attn)
+    y = x + mm_oracle(mixed, b.wo.data) + b.bo.data
     h2 = ln_oracle(y, b.ln2_s.data, b.ln2_o.data)
     ffn = mm_oracle(gelu_oracle(mm_oracle(h2, b.w1.data) + b.b1.data), b.w2.data) + b.b2.data
-    return y + ffn, attn
+    return y + ffn, attns
 
 
 # --- patch_embed --------------------------------------------------------------
@@ -110,15 +117,18 @@ def test_single_token_attends_to_itself():
     np.testing.assert_allclose(capture[0], [[1.0]], atol=0)
 
 
-def test_block_matches_loop_oracle():
-    p = tiny_params(width=5, heads=1)
-    x = np.random.default_rng(2).standard_normal((4, 5))
+@pytest.mark.parametrize("heads,width", [(1, 5), (2, 6), (4, 8)])
+def test_block_matches_loop_oracle(heads, width):
+    p = tiny_params(width=width, heads=heads)
+    x = np.random.default_rng(2).standard_normal((4, width))
     got = vit.attention_block(T.Tensor(x), p, 0)
-    want, attn = block_oracle(x, p.blocks[0])
+    want, attns = block_oracle(x, p.blocks[0], heads)
     assert np.abs(got.data - want).max() < 1e-5
     cap = []
     vit.attention_block(T.Tensor(x), p, 0, capture=cap)
-    assert np.abs(cap[0] - attn).max() < 1e-6
+    assert len(cap) == heads
+    for got_map, want_map in zip(cap, attns):
+        assert np.abs(got_map - want_map).max() < 1e-6
 
 
 # --- decoupled_block ----------------------------------------------------------
@@ -157,13 +167,13 @@ def test_decoupled_matches_hand_composition():
     outs, maps = [], []
     d = 3
     for i in range(2):
-        ci = T.slice_cols(xc, i * d, (i + 1) * d)
-        vi = T.slice_cols(v, i * d, (i + 1) * d)
-        attn = T.softmax_rows(T.mul_scalar(T.matmul(ci, T.transpose(ci)), 1 / math.sqrt(d)))
-        maps.append(attn.data)
-        outs.append(T.matmul(attn, vi))
-    want = T.add(T.matmul(T.concat_cols(outs), b.wo), b.bo)
-    assert np.abs(dec.x_content.data - want.data).max() < 1e-5
+        cols = slice(i * d, (i + 1) * d)
+        ci = xc.data[:, cols]
+        attn = softmax_oracle(mm_oracle(ci, ci.T) / math.sqrt(d))
+        maps.append(attn)
+        outs.append(mm_oracle(attn, v.data[:, cols]))
+    want = mm_oracle(np.concatenate(outs, axis=1), b.wo.data) + b.bo.data
+    assert np.abs(dec.x_content.data - want).max() < 1e-5
     assert np.abs(dec.x_context.data - xc.data).max() < 1e-12
     assert np.abs(dec.attn_full - np.mean(maps, axis=0)).max() < 1e-12
 
