@@ -4,12 +4,11 @@ and a bit-exact tensor container format."""
 
 from .tensor import Tensor, backward, cosine_matrix, kl_rows, matmul, softmax_rows
 from .gradcheck import finite_diff_check, run_gradcheck_suite
-from .vit import DenseFeatures, DecoupledOutput, VitParams, encode_cls, encode_dense
+from .vit import DenseFeatures, VitParams, encode_cls, encode_dense
 from .affinity import (AffinityMatrix, SdAttentionStack, complete_affinity,
                        fuse_sd_attention, synth_sd_attention, vfm_affinity)
 from .regions import CropBox, crop_resize, roi_align, sample_grid, weighted_region_pool
-from .losses import (DistillBatchInputs, LossReport, batch_losses, content_cos_loss,
-                     context_loss, rcc_loss, total_loss)
+from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
 from .config import RunConfig, parse_config
 from .trainer import AdamW, Distiller, distill_run, resolution_pair
 from .evalsuite import (ClassEmbeddings, SegResult, ablation_coupled_vs_decoupled,
@@ -17,10 +16,10 @@ from .evalsuite import (ClassEmbeddings, SegResult, ablation_coupled_vs_decouple
 from .container import read_tensor, write_tensor
 
 __all__ = [
-    "AdamW", "AffinityMatrix", "ClassEmbeddings", "CropBox", "DecoupledOutput",
-    "DenseFeatures", "Distiller", "DistillBatchInputs", "LossReport", "RunConfig",
+    "AdamW", "AffinityMatrix", "ClassEmbeddings", "CropBox",
+    "DenseFeatures", "Distiller", "LossReport", "RunConfig",
     "SdAttentionStack", "SegResult", "Tensor",
-    "VitParams", "ablation_coupled_vs_decoupled", "backward", "batch_losses",
+    "VitParams", "ablation_coupled_vs_decoupled", "backward",
     "complete_affinity", "content_cos_loss", "context_loss", "cosine_matrix",
     "crop_resize", "distill_run", "encode_cls", "encode_dense",
     "finite_diff_check", "fuse_sd_attention", "kl_rows", "matmul", "miou",

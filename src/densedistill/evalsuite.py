@@ -272,8 +272,7 @@ def prepare_suite(suite, distiller, cfg):
         sd = synth_sd_attention(sample.segments, cfg.sd_sharpness,
                                 np.random.default_rng([cfg.seed, STREAM_SD, i]),
                                 num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
-        records.append(PreparedRecord(image=sample.image, segments=sample.segments,
-                                      vfm_tokens=vfm_tokens, sd_stack=sd))
+        records.append(PreparedRecord(image=sample.image, vfm_tokens=vfm_tokens, sd_stack=sd))
     return records
 
 

@@ -87,7 +87,7 @@ def run_gradcheck_suite(seed=0):
     seeded random instances small enough (<= 9 tokens, width <= 8) to keep
     the whole sweep under a minute."""
     from . import tensor as T
-    from .losses import DistillBatchInputs, batch_losses, content_cos_loss, context_loss, rcc_loss
+    from .losses import content_cos_loss, context_loss, rcc_loss, total_loss
     from .regions import CropBox, roi_align, weighted_region_pool
     from .vit import VitParams, attention_block, decoupled_block, layer_norm_rows
 
@@ -130,9 +130,9 @@ def run_gradcheck_suite(seed=0):
 
     def dec_loss(x, wq, wv):
         block.wq, block.wv = wq, wv
-        dec = decoupled_block(x, params, has_cls=False)
-        return T.add(T.mean_all(T.mul(dec.x_content, dec.x_content)),
-                     T.mean_all(T.mul(dec.x_context, dec.x_context)))
+        context, content = decoupled_block(x, params)
+        return T.add(T.mean_all(T.mul(content, content)),
+                     T.mean_all(T.mul(context, context)))
 
     check("decoupled_block", dec_loss, [t(5, 8), Tensor(block.wq.data.copy()),
                                         Tensor(block.wv.data.copy())])
@@ -157,9 +157,8 @@ def run_gradcheck_suite(seed=0):
     toy_cls, toy_vfm = t(5), t(2, 5)
 
     def toy_total(ctx, s):
-        batch = DistillBatchInputs(x_context=ctx, s_hat_vfm=toy_hat, region_students=[s],
-                                   region_teacher_cls=[toy_cls], region_vfm=[toy_vfm])
-        total, _ = batch_losses(batch, lam=0.25, tau=0.7)
+        total, _ = total_loss(content_cos_loss([s], [toy_cls]), rcc_loss([s], [toy_vfm], 0.7),
+                              context_loss(ctx, toy_hat, 0.7), lam=0.25, tau=0.7)
         return total
 
     check("l_total_two_token_toy", toy_total, [t(2, 5), t(2, 5)])

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityMatrix
 from .errors import EvaluationError, ParameterError, ShapeError
 from .regions import weighted_region_pool
 from . import tensor as T
@@ -36,28 +35,7 @@ class LossReport:
                 f"l_total={self.l_total:.17g}")
 
 
-@dataclass
-class DistillBatchInputs:
-    """Operands of one distillation step, already encoded/pooled."""
-    x_context: Tensor        # (HW, C) student context stream
-    s_hat_vfm: np.ndarray    # (HW, HW) completed teacher affinity
-    region_students: list    # k tensors (N^2, C)
-    region_teacher_cls: list  # k tensors (C,)
-    region_vfm: list         # k tensors (N^2, D)
-
-    def __post_init__(self):
-        k = len(self.region_students)
-        if not (len(self.region_teacher_cls) == len(self.region_vfm) == k):
-            raise ShapeError("region field lengths disagree")
-        hw = self.x_context.shape[0]
-        mat = self.s_hat_vfm.values if isinstance(self.s_hat_vfm, AffinityMatrix) else self.s_hat_vfm
-        if mat.shape != (hw, hw):
-            raise ShapeError(f"affinity {mat.shape} does not match {hw} context tokens")
-
-
 def _teacher_matrix(s_hat_vfm, dtype):
-    if isinstance(s_hat_vfm, AffinityMatrix):
-        s_hat_vfm = s_hat_vfm.values
     if isinstance(s_hat_vfm, Tensor):
         return Tensor(s_hat_vfm.data.astype(dtype, copy=False))
     return Tensor(np.asarray(s_hat_vfm), dtype=dtype)
@@ -133,11 +111,3 @@ def total_loss(l_content_cos, l_rcc, l_context, lam, tau=1.0):
         tau=float(tau),
     )
     return total, report
-
-
-def batch_losses(inputs, lam, tau):
-    """All objectives of one step from bundled operands."""
-    l_ctx = context_loss(inputs.x_context, inputs.s_hat_vfm, tau)
-    l_cos = content_cos_loss(inputs.region_students, inputs.region_teacher_cls)
-    l_rcc = rcc_loss(inputs.region_students, inputs.region_vfm, tau)
-    return total_loss(l_cos, l_rcc, l_ctx, lam, tau)

@@ -21,8 +21,7 @@ from .affinity import SdAttentionStack, complete_affinity, fuse_sd_attention, sy
 from .config import echo_config
 from .container import atomic_write_text, read_tensor, write_tensor
 from .errors import ConfigError, ParameterError, ShapeError
-from .losses import (DistillBatchInputs, LossReport, batch_losses, content_cos_loss,
-                     context_loss, total_loss)
+from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
 from .regions import FULL_BOX, crop_resize, roi_align, sample_grid
 from . import tensor as T
 from .tensor import Tensor
@@ -135,33 +134,30 @@ def distill_forward(student, teacher, vfm_tokens, sd_stack, image, cfg, rng,
             f"grid {student.grid_side ** 2}")
     mode = "standard" if variant == "coupled" else "decoupled"
     enc = encode_dense(image, student, mode)
-    ctx_stream = enc.tokens if variant == "coupled" else enc.decoupled.x_context
+    ctx_stream = enc.tokens if variant == "coupled" else enc.context
     s_hat = context_teacher(vfm_tokens, sd_stack, cfg)
 
     boxes = sample_grid(rng, cfg.grid_lo, cfg.grid_hi)
     content_map = enc.dense()
-    side = student.grid_side
-    d = vfm_tokens.shape[1]
-    vfm_map = Tensor(np.ascontiguousarray(vfm_tokens.T.reshape(d, side, side)),
-                     dtype=enc.tokens.data.dtype)
-    region_students, region_teacher, region_vfm = [], [], []
+    region_students, region_teacher = [], []
     for box in boxes:
         region_students.append(roi_align(content_map, box, cfg.roi_n))
-        region_vfm.append(roi_align(vfm_map, box, cfg.roi_n))
         crop = crop_resize(image, box, teacher.input_res)
         region_teacher.append(encode_cls(crop, teacher))
 
-    inputs = DistillBatchInputs(
-        x_context=ctx_stream, s_hat_vfm=s_hat, region_students=region_students,
-        region_teacher_cls=region_teacher, region_vfm=region_vfm)
-    lam = 0.0 if variant == "content" else cfg.lam
-    if variant == "decoupled":
-        return batch_losses(inputs, lam=lam, tau=cfg.tau)
-    # no RCC outside the full pipeline
     l_ctx = context_loss(ctx_stream, s_hat, cfg.tau)
     l_cos = content_cos_loss(region_students, region_teacher)
-    zero = Tensor(np.zeros((), dtype=enc.tokens.data.dtype))
-    return total_loss(l_cos, zero, l_ctx, lam, cfg.tau)
+    dtype = enc.tokens.data.dtype
+    if variant == "decoupled":
+        side, d = student.grid_side, vfm_tokens.shape[1]
+        vfm_map = Tensor(np.ascontiguousarray(vfm_tokens.T.reshape(d, side, side)), dtype=dtype)
+        l_rcc = rcc_loss(region_students, [roi_align(vfm_map, box, cfg.roi_n) for box in boxes],
+                         cfg.tau)
+    else:
+        # no RCC outside the full pipeline
+        l_rcc = Tensor(np.zeros((), dtype=dtype))
+    lam = 0.0 if variant == "content" else cfg.lam
+    return total_loss(l_cos, l_rcc, l_ctx, lam, cfg.tau)
 
 
 @dataclass
@@ -202,7 +198,6 @@ def read_manifest(path):
 @dataclass
 class PreparedRecord:
     image: np.ndarray
-    segments: np.ndarray
     vfm_tokens: np.ndarray
     sd_stack: SdAttentionStack
 
@@ -226,8 +221,7 @@ def prepare_record(rec, vfm, cfg, index):
             segments, cfg.sd_sharpness,
             np.random.default_rng([cfg.seed, STREAM_SD, index]),
             num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
-    return PreparedRecord(image=image, segments=segments, vfm_tokens=vfm_tokens,
-                          sd_stack=sd_stack)
+    return PreparedRecord(image=image, vfm_tokens=vfm_tokens, sd_stack=sd_stack)
 
 
 class Distiller:
@@ -267,6 +261,8 @@ class Distiller:
 
 
 _META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res")
+# the meta section: _META_FIELDS, then embed_dim (0 = none) and dtype (0 = f32)
+_META_LEN = len(_META_FIELDS) + 2
 
 
 def save_checkpoint(path, student, optimizer=None, step=0):
@@ -286,9 +282,40 @@ def save_checkpoint(path, student, optimizer=None, step=0):
     write_tensor(path, sections)
 
 
-def _check_finite(path, sections):
-    """Refuse a checkpoint whose parameter or moment sections hold NaN or Inf."""
+def _section(path, sections, key, size):
+    """The flattened section ``key``, which must exist with ``size`` entries."""
+    if key not in sections:
+        raise ConfigError(f"{path}: section {key!r} is missing")
+    data = sections[key].reshape(-1)
+    if data.size != size:
+        raise ConfigError(f"{path}: section {key!r} has {data.size} entries, expected {size}")
+    return data
+
+
+def _check_params(path, sections, params):
+    """Refuse a checkpoint whose parameters differ from ``params`` (name ->
+    Tensor) in name or shape, whose moment sections lack their m/v pair or
+    their parameter's shape, or whose parameter or moment sections hold NaN
+    or Inf."""
+    stored = {key[len("param."):] for key in sections if key.startswith("param.")}
+    unmatched = sorted(stored ^ params.keys())
+    if unmatched:
+        name = unmatched[0]
+        where = "the model" if name in stored else "the checkpoint"
+        raise ConfigError(f"{path}: parameter {name!r} (section 'param.{name}') "
+                          f"is missing from {where}")
+    for name, p in params.items():
+        shape = sections[f"param.{name}"].shape
+        if shape != p.data.shape:
+            raise ConfigError(f"{path}: parameter {name!r} has shape {shape} in the "
+                              f"checkpoint, {p.data.shape} in the model")
     for key, data in sections.items():
+        if key.startswith("adam."):
+            name = key[len("adam.m."):]
+            pair = ("adam.v." if key.startswith("adam.m.") else "adam.m.") + name
+            if pair not in sections or name not in params or data.shape != params[name].shape:
+                raise ConfigError(f"{path}: section {key!r} lacks its moment pair or "
+                                  f"does not match parameter {name!r}")
         if key.startswith(("param.", "adam.")) and not np.isfinite(data).all():
             raise ConfigError(f"{path}: section {key!r} holds non-finite values")
 
@@ -297,19 +324,17 @@ def load_student(path):
     """Rebuild the student encoder from a checkpoint alone, for inference:
     its parameters do not require grad, so its forwards build no graph."""
     sections = read_tensor(path)
-    _check_finite(path, sections)
-    meta = sections["meta"]
-    pixel = sections["pixel"]
+    meta = _section(path, sections, "meta", _META_LEN)
+    pixel = _section(path, sections, "pixel", 2)
     dtype = np.float32 if meta[6] == 0 else np.float64
     student = VitParams(patch_size=int(meta[3]), depth=int(meta[0]), width=int(meta[1]),
                         heads=int(meta[2]), input_res=int(meta[4]),
                         embed_dim=int(meta[5]) or None, pixel_mean=float(pixel[0]),
                         pixel_std=float(pixel[1]), seed=0, dtype=dtype)
-    for name, p in student.named_parameters():
-        data = sections[f"param.{name}"].astype(dtype)
-        if data.shape != p.data.shape:
-            raise ShapeError(f"checkpoint section param.{name} has shape {data.shape}")
-        p.data = data
+    params = dict(student.named_parameters())
+    _check_params(path, sections, params)
+    for name, p in params.items():
+        p.data = sections[f"param.{name}"].astype(dtype)
         p.requires_grad = False
     return student, sections
 
@@ -319,18 +344,8 @@ def restore_into(distiller, path):
     a distiller; parameters are matched by name and must agree in shape."""
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
-    stored = {key[len("param."):] for key in sections if key.startswith("param.")}
-    unmatched = sorted(stored ^ params.keys())
-    if unmatched:
-        name = unmatched[0]
-        where = "the model" if name in stored else "the checkpoint"
-        raise ConfigError(f"{path}: parameter {name!r} is missing from {where}")
-    for name, p in params.items():
-        shape = sections[f"param.{name}"].shape
-        if shape != p.data.shape:
-            raise ConfigError(f"{path}: parameter {name!r} has shape {shape} in the "
-                              f"checkpoint, {p.data.shape} in the model")
-    _check_finite(path, sections)
+    _check_params(path, sections, params)
+    step = int(_section(path, sections, "step", 1)[0])
     for name, p in params.items():
         p.data = sections[f"param.{name}"].astype(p.data.dtype)
     opt = distiller.optimizer
@@ -338,7 +353,7 @@ def restore_into(distiller, path):
         if f"adam.m.{name}" in sections:
             opt.m[name] = sections[f"adam.m.{name}"].astype(p.data.dtype)
             opt.v[name] = sections[f"adam.v.{name}"].astype(p.data.dtype)
-    distiller.step_count = int(sections["step"][0])
+    distiller.step_count = step
     opt.t = distiller.step_count
     return distiller
 

@@ -9,7 +9,7 @@ decoupled path and have read-only parameter arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,9 +42,7 @@ class BlockParams:
     ln2_o: Tensor
 
     def named(self, prefix):
-        return [(f"{prefix}.{f}", getattr(self, f)) for f in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "w1", "b1", "w2", "b2", "ln1_s", "ln1_o", "ln2_s", "ln2_o")]
+        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
 class VitParams:
@@ -117,9 +115,8 @@ class VitParams:
         for name in ("w_patch", "b_patch", "cls_token", "pos_embed"):
             twin.__dict__[name] = Tensor(getattr(self, name).data.copy(), requires_grad=True)
         twin.blocks = [
-            BlockParams(**{f: Tensor(getattr(b, f).data.copy(), requires_grad=True)
-                           for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                                     "w1", "b1", "w2", "b2", "ln1_s", "ln1_o", "ln2_s", "ln2_o")})
+            BlockParams(**{f.name: Tensor(getattr(b, f.name).data.copy(), requires_grad=True)
+                           for f in fields(b)})
             for b in self.blocks
         ]
         twin.w_vl = Tensor(self.w_vl.data.copy(), requires_grad=True) if self.w_vl is not None else None
@@ -152,29 +149,15 @@ class VitParams:
 
 
 @dataclass
-class DecoupledOutput:
-    """Raw (pre V-L projection) outputs of the decoupled final block."""
-    x_context: Tensor          # (HW, C) query-projected tokens
-    x_content: Tensor          # (HW, C) attention-aggregated values
-    attn_context: np.ndarray   # (HW, HW) mean over heads, renormalized row-stochastic
-    attn_full: np.ndarray      # (n, n) mean over heads on the full sequence
-    cls_content: Tensor | None = None  # (1, C) content row of the CLS position
-
-
-@dataclass
 class DenseFeatures:
     tokens: Tensor             # (HW, C') per-image dense features, projected when configured
     cls: Tensor                # (C',) summary vector
     grid: tuple
-    decoupled: DecoupledOutput | None = None
+    context: Tensor | None = None  # (HW, C) decoupled context stream, unprojected
 
     def dense(self):
         """(C', H, W) view of tokens as a graph-tracked feature map."""
         return T.tokens_to_chw(self.tokens, *self.grid)
-
-    def dense_array(self):
-        h, w = self.grid
-        return np.ascontiguousarray(self.tokens.data.T.reshape(-1, h, w))
 
 
 def layer_norm_rows(x, scale, offset, eps=LN_EPS):
@@ -245,75 +228,48 @@ def attention_block(x, params, layer, capture=None, queries=None):
     return T.add(y, ffn)
 
 
-def decoupled_block(x, params, has_cls=True):
-    """Final-block decoupling: context = query projection, content = values
-    aggregated by the context self-attention. No residual, no FFN.
-
-    The full sequence (CLS included when present) attends; CLS is dropped
-    from the exported streams, and the exported attn_context is the
-    image-token block renormalized to row-stochastic.
-    """
+def decoupled_block(x, params):
+    """Final-block decoupling over the whole sequence: returns the context
+    stream (query projection) and the content stream (values aggregated by
+    the context self-attention, then the output projection). No residual,
+    no FFN."""
     if params.frozen:
         raise ModeError("decoupled forward is a student-only path; teacher stays standard")
     b = params.blocks[-1]
     h = layer_norm_rows(x, b.ln1_s, b.ln1_o)
-    xc = T.add(T.matmul(h, b.wq), b.bq)
+    context = T.add(T.matmul(h, b.wq), b.bq)
     v = T.add(T.matmul(h, b.wv), b.bv)
-    heads_attn = []
-    agg = _multi_head(xc, xc, v, params.heads, capture=heads_attn)
-    content = T.add(T.matmul(agg, b.wo), b.bo)
-    attn_full = np.mean(heads_attn, axis=0)
-    if has_cls:
-        if x.shape[0] < 2:
-            raise ShapeError("sequence with CLS needs at least 2 rows")
-        x_context = T.slice_rows(xc, 1, xc.shape[0])
-        x_content = T.slice_rows(content, 1, content.shape[0])
-        cls_content = T.slice_rows(content, 0, 1)
-        block = attn_full[1:, 1:]
-        attn_context = block / block.sum(axis=1, keepdims=True)
-    else:
-        x_context, x_content, cls_content = xc, content, None
-        attn_context = attn_full
-    return DecoupledOutput(x_context=x_context, x_content=x_content,
-                           attn_context=attn_context, attn_full=attn_full,
-                           cls_content=cls_content)
+    agg = _multi_head(context, context, v, params.heads)
+    return context, T.add(T.matmul(agg, b.wo), b.bo)
 
 
-def encode_dense(image, params, mode="standard", activations=None):
+def encode_dense(image, params, mode="standard"):
     """Dense per-image features: depth-1 standard blocks then the final block
     per mode. Tokens pass through the V-L projection when configured; in
-    decoupled mode the projected stream is the content one, while the raw
-    context/content block outputs ride along on ``decoupled``.
-
-    ``activations``, when a dict, captures each stage's output array."""
+    decoupled mode the projected stream is the content one, and the raw
+    image-token context stream rides along on ``context``."""
     if mode not in ("standard", "decoupled"):
         raise ParameterError(f"unknown mode {mode!r}")
     seq = patch_embed(image, params)
-    if activations is not None:
-        activations["embed"] = seq.data
     for layer in range(params.depth - 1):
         seq = attention_block(seq, params, layer)
-        if activations is not None:
-            activations[f"block{layer}"] = seq.data
     side = params.grid_side
+    n = seq.shape[0]
     if mode == "standard":
         z = attention_block(seq, params, params.depth - 1)
-        tokens = T.slice_rows(z, 1, z.shape[0])
+        tokens = T.slice_rows(z, 1, n)
         cls = T.slice_rows(z, 0, 1)
-        dec = None
-        if activations is not None:
-            activations["final"] = z.data
+        context = None
     else:
-        dec = decoupled_block(seq, params)
-        tokens = dec.x_content
-        cls = dec.cls_content
-        if activations is not None:
-            activations["final"] = dec.x_content.data
+        full_context, content = decoupled_block(seq, params)
+        context = T.slice_rows(full_context, 1, n)
+        tokens = T.slice_rows(content, 1, n)
+        cls = T.slice_rows(content, 0, 1)
     if params.w_vl is not None:
         tokens = T.matmul(tokens, params.w_vl)
         cls = T.matmul(cls, params.w_vl)
     return DenseFeatures(tokens=tokens, cls=T.reshape(cls, (cls.shape[1],)),
-                         grid=(side, side), decoupled=dec)
+                         grid=(side, side), context=context)
 
 
 def encode_cls(image, params):

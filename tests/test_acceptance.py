@@ -193,8 +193,9 @@ def test_criterion_3_decoupling_identity():
     from densedistill.vit import attention_block
 
     seq = attention_block(seq, p, 0)
-    dec = decoupled_block(seq, p)
-    gap = np.abs(dec.attn_full - std_attn).max()
+    ctx, _ = decoupled_block(seq, p)
+    dec_attn = T.softmax_rows(T.head_scores(ctx, ctx, p.heads)).data
+    gap = np.abs(dec_attn - std_attn).max()
     report(3, "decoupling-identity", gap < 1e-6, f"(max gap {gap:.2e})")
 
 

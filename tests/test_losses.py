@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from densedistill import tensor as T
-from densedistill.errors import EvaluationError, ParameterError
+from densedistill.errors import EvaluationError, ParameterError, ShapeError
 from densedistill.gradcheck import finite_diff_check
 from densedistill.losses import (
-    DistillBatchInputs,
-    batch_losses,
     content_cos_loss,
     context_loss,
     rcc_loss,
@@ -219,50 +217,79 @@ def test_total_rejects_nonscalar():
         total_loss(T.Tensor([[0.1, 0.2]]), scalar(0.1), scalar(0.1), lam=0.25)
 
 
-# --- bundled step objective ------------------------------------------------------------
+# --- operand checks -----------------------------------------------------------------
+
+@pytest.mark.parametrize("loss,message", [("content", "teacher summaries"),
+                                          ("rcc", "provider regions"),
+                                          ("context", "teacher affinity")])
+def test_mismatched_operands_raise_shape_error(loss, message):
+    rng = np.random.default_rng(16)
+    students = [T.Tensor(rng.standard_normal((4, 3))) for _ in range(2)]
+    with pytest.raises(ShapeError, match=message):
+        if loss == "content":
+            content_cos_loss(students, [T.Tensor(rng.standard_normal(3))])
+        elif loss == "rcc":
+            rcc_loss(students, [T.Tensor(rng.standard_normal((4, 3))) for _ in range(3)], 1.0)
+        else:
+            context_loss(T.Tensor(rng.standard_normal((4, 3))), np.eye(3), 1.0)
+
+
+# --- composed step objective ------------------------------------------------------------
 
 def make_batch(rng, hw=4, c=3, k=2, n2=4, d=3):
+    """One step's operands: the student context stream, the teacher affinity,
+    and per region the student rows, teacher summary and provider rows."""
     x_ctx = T.Tensor(rng.standard_normal((hw, c)), requires_grad=True)
     s_hat = np.clip(rng.uniform(-1, 1, (hw, hw)), -1, 1)
     students = [T.Tensor(rng.standard_normal((n2, c)), requires_grad=True) for _ in range(k)]
     teachers = [T.Tensor(rng.standard_normal(c)) for _ in range(k)]
     providers = [T.Tensor(rng.standard_normal((n2, d))) for _ in range(k)]
-    return DistillBatchInputs(x_context=x_ctx, s_hat_vfm=s_hat, region_students=students,
-                              region_teacher_cls=teachers, region_vfm=providers)
+    return x_ctx, s_hat, students, teachers, providers
+
+
+def step_objective(batch, lam, tau):
+    """content + rcc + lam * context, the components computed in training order."""
+    x_ctx, s_hat, students, teachers, providers = batch
+    l_ctx = context_loss(x_ctx, s_hat, tau)
+    l_cos = content_cos_loss(students, teachers)
+    l_rcc = rcc_loss(students, providers, tau)
+    return total_loss(l_cos, l_rcc, l_ctx, lam, tau)
 
 
 def test_batch_losses_report_consistency():
     batch = make_batch(np.random.default_rng(12))
-    total, report = batch_losses(batch, lam=0.25, tau=1.0)
+    total, report = step_objective(batch, lam=0.25, tau=1.0)
     assert abs(report.l_total - (report.l_content_cos + report.l_rcc + 0.25 * report.l_context)) < 1e-9
     assert min(report.l_context, report.l_content_cos, report.l_rcc) >= -1e-9
 
 
 def test_batch_no_gradient_into_teacher_side():
     batch = make_batch(np.random.default_rng(13))
-    total, _ = batch_losses(batch, lam=0.25, tau=1.0)
+    x_ctx, _, students, teachers, providers = batch
+    total, _ = step_objective(batch, lam=0.25, tau=1.0)
     T.backward(total)
-    assert batch.x_context.grad is not None
-    for t in batch.region_students:
+    assert x_ctx.grad is not None
+    for t in students:
         assert t.grad is not None
-    for t in batch.region_teacher_cls + batch.region_vfm:
+    for t in teachers + providers:
         assert t.grad is None
 
 
 def test_gradient_descent_smoke_non_increasing():
     rng = np.random.default_rng(14)
     batch = make_batch(rng)
+    x_ctx, _, students, _, _ = batch
     step = 1e-3
     values = []
     for _ in range(20):
-        batch.x_context.grad = None
-        for t in batch.region_students:
+        x_ctx.grad = None
+        for t in students:
             t.grad = None
-        total, _ = batch_losses(batch, lam=0.25, tau=1.0)
+        total, _ = step_objective(batch, lam=0.25, tau=1.0)
         values.append(total.item())
         T.backward(total)
-        batch.x_context.data -= step * batch.x_context.grad
-        for t in batch.region_students:
+        x_ctx.data -= step * x_ctx.grad
+        for t in students:
             t.data -= step * t.grad
     smoothed = [sum(values[i:i + 5]) / 5 for i in range(len(values) - 4)]
     assert all(b <= a + 1e-12 for a, b in zip(smoothed, smoothed[1:]))
@@ -277,10 +304,8 @@ def test_total_on_two_token_toy_matches_finite_differences():
     f_v = rng.standard_normal((2, 3))
 
     def f(ctx, s):
-        batch = DistillBatchInputs(
-            x_context=ctx, s_hat_vfm=s_hat, region_students=[s],
-            region_teacher_cls=[T.Tensor(f_t)], region_vfm=[T.Tensor(f_v)])
-        total, _ = batch_losses(batch, lam=0.25, tau=1.0)
+        total, _ = step_objective((ctx, s_hat, [s], [T.Tensor(f_t)], [T.Tensor(f_v)]),
+                                  lam=0.25, tau=1.0)
         return total
 
     assert finite_diff_check(f, [x_ctx, f_s], name="l_total-toy").passed

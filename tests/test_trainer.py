@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from densedistill import tensor as T
+from densedistill.cli import run_cli
 from densedistill.config import RunConfig
+from densedistill.container import read_tensor, write_tensor
 from densedistill.errors import ConfigError
-from densedistill.evalsuite import train_variant
-from densedistill.losses import content_cos_loss, rcc_loss, total_loss
+from densedistill.evalsuite import class_prototypes, save_class_embeddings, train_variant
+from densedistill.losses import content_cos_loss, context_loss, rcc_loss, total_loss
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
 from densedistill.tensor import Tensor
 from densedistill.trainer import (
     AdamW,
     Distiller,
     adamw_step,
+    context_teacher,
     distill_run,
     load_student,
     prepare_record,
@@ -150,6 +153,43 @@ def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
         np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("variant", ["coupled", "content"])
+def test_single_stream_variants_match_hand_composition(tmp_path, variant):
+    cfg = desk_cfg(tmp_path, lam=0.5, grid_lo=1, grid_hi=2)
+    suite, manifest = desk_suite(tmp_path, cfg)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+
+    total, report_a = distiller.loss_for(prepared, np.random.default_rng(7), variant)
+    T.backward(total)
+    grads_a = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
+               if p.grad is not None}
+
+    # coupled: both objectives on the standard-mode tokens; content: the
+    # context term on the decoupled context stream at weight 0; neither has RCC
+    distiller.optimizer.zero_grad()
+    enc = encode_dense(prepared.image, distiller.student,
+                       "standard" if variant == "coupled" else "decoupled")
+    ctx = enc.tokens if variant == "coupled" else enc.context
+    boxes = sample_grid(np.random.default_rng(7), cfg.grid_lo, cfg.grid_hi)
+    content_map = enc.dense()
+    f_s = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+    f_t = [encode_cls(crop_resize(prepared.image, box, cfg.student_res), distiller.teacher)
+           for box in boxes]
+    s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
+    manual, report_b = total_loss(content_cos_loss(f_s, f_t), Tensor(np.zeros(())),
+                                  context_loss(ctx, s_hat, cfg.tau),
+                                  lam=cfg.lam if variant == "coupled" else 0.0, tau=cfg.tau)
+    T.backward(manual)
+    grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
+               if p.grad is not None}
+
+    assert report_a == report_b
+    assert set(grads_a) == set(grads_b)
+    for name in grads_a:
+        np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
+
+
 def test_same_seed_runs_bitwise_identical(tmp_path):
     cfg = desk_cfg(tmp_path, batch_size=1)
     suite, manifest = desk_suite(tmp_path, cfg)
@@ -271,6 +311,27 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
         restore_into(Distiller(desk_cfg(tmp_path, embed_dim=0)), path)
 
 
+@pytest.mark.parametrize("section,value,named", [
+    ("adam.v.cls", None, r"adam\.m\.cls"), ("adam.v.cls", np.zeros((3, 3)), r"adam\.v\.cls"),
+    ("step", None, "'step'"), ("step", np.zeros(2, dtype=np.int32), "'step'")])
+def test_restore_rejects_bad_moment_or_step_section(tmp_path, section, value, named):
+    path = str(tmp_path / "ckpt.dten")
+    source = Distiller(desk_cfg(tmp_path))
+    save_checkpoint(path, source.student, source.optimizer, 3)
+    sections = read_tensor(path)
+    if value is None:
+        del sections[section]
+    else:
+        sections[section] = value
+    write_tensor(path, sections)
+    target = Distiller(desk_cfg(tmp_path))
+    before = target.student.state_bytes()
+    with pytest.raises(ConfigError, match=named):
+        restore_into(target, path)
+    assert target.student.state_bytes() == before
+    assert target.step_count == 0
+
+
 def test_loaded_student_builds_no_graph(tmp_path):
     cfg = desk_cfg(tmp_path)
     source = Distiller(cfg).student
@@ -282,7 +343,7 @@ def test_loaded_student_builds_no_graph(tmp_path):
     assert student.state_bytes() == source.state_bytes()
     image = np.random.default_rng(0).uniform(0, 1, (3, cfg.student_res, cfg.student_res))
     enc = encode_dense(image, student, "decoupled")
-    for t in (enc.tokens, enc.cls, enc.decoupled.x_context, enc.decoupled.x_content):
+    for t in (enc.tokens, enc.cls, enc.context):
         assert t._parents == () and not t.requires_grad
 
 
@@ -314,6 +375,30 @@ def test_checkpoint_with_non_finite_values_rejected(tmp_path, loader, section):
             restore_into(target, path)
     assert target.student.state_bytes() == before
     assert target.step_count == 0
+
+
+@pytest.mark.parametrize("section,edit", [
+    ("param.cls", None), ("meta", None), ("pixel", None),
+    ("meta", lambda data: data[:5]), ("pixel", lambda data: data[:1])])
+def test_checkpoint_with_missing_or_short_section_rejected(tmp_path, capsys, section, edit):
+    cfg = desk_cfg(tmp_path)
+    suite, manifest = desk_suite(tmp_path, cfg)
+    source = Distiller(cfg)
+    path = str(tmp_path / "broken.dten")
+    save_checkpoint(path, source.student)
+    sections = read_tensor(path)
+    if edit is None:
+        del sections[section]
+    else:
+        sections[section] = edit(sections[section])
+    write_tensor(path, sections)
+    with pytest.raises(ConfigError, match=rf"broken\.dten.*'{section}'"):
+        load_student(path)
+    classes = str(tmp_path / "classes.dten")
+    save_class_embeddings(classes, class_prototypes(source.teacher, suite.colors))
+    assert run_cli(["eval-seg", "--checkpoint", path, "--manifest", manifest,
+                    "--classes", classes]) == 1
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
 def test_train_continues_from_step_count(tmp_path):

@@ -140,26 +140,28 @@ def test_decoupled_equals_standard_attention_when_q_is_k():
     b.bk.data[...] = b.bq.data
     img = rand_image(np.random.default_rng(3), 8)
     std_attn = vit.capture_attention(img, p, 0)[:, :, 0]
-    dec = vit.decoupled_block(vit.patch_embed(img, p), p)
-    assert np.abs(dec.attn_full - std_attn).max() < 1e-6
+    ctx, _ = vit.decoupled_block(vit.patch_embed(img, p), p)
+    dec_attn = T.softmax_rows(T.head_scores(ctx, ctx, p.heads)).data
+    assert np.abs(dec_attn - std_attn).max() < 1e-6
 
 
 def test_decoupled_one_token():
     p = tiny_params(width=4)
     b = p.blocks[0]
     x = T.Tensor(np.random.default_rng(4).standard_normal((1, 4)))
-    dec = vit.decoupled_block(x, p, has_cls=False)
-    np.testing.assert_allclose(dec.attn_context, [[1.0]], atol=0)
+    ctx, content = vit.decoupled_block(x, p)
+    np.testing.assert_allclose(T.softmax_rows(T.head_scores(ctx, ctx, p.heads)).data,
+                               [[1.0]], atol=0)
     h = vit.layer_norm_rows(x, b.ln1_s, b.ln1_o)
     v = T.add(T.matmul(h, b.wv), b.bv)
     want = T.add(T.matmul(v, b.wo), b.bo)
-    np.testing.assert_allclose(dec.x_content.data, want.data, atol=1e-12)
+    np.testing.assert_allclose(content.data, want.data, atol=1e-12)
 
 
 def test_decoupled_matches_hand_composition():
     p = tiny_params(width=6, heads=2)
     x = np.random.default_rng(5).standard_normal((4, 6))
-    dec = vit.decoupled_block(T.Tensor(x), p, has_cls=False)
+    ctx, content = vit.decoupled_block(T.Tensor(x), p)
     b = p.blocks[0]
     h = vit.layer_norm_rows(T.Tensor(x), b.ln1_s, b.ln1_o)
     xc = T.add(T.matmul(h, b.wq), b.bq)
@@ -173,9 +175,10 @@ def test_decoupled_matches_hand_composition():
         maps.append(attn)
         outs.append(mm_oracle(attn, v.data[:, cols]))
     want = mm_oracle(np.concatenate(outs, axis=1), b.wo.data) + b.bo.data
-    assert np.abs(dec.x_content.data - want).max() < 1e-5
-    assert np.abs(dec.x_context.data - xc.data).max() < 1e-12
-    assert np.abs(dec.attn_full - np.mean(maps, axis=0)).max() < 1e-12
+    assert np.abs(content.data - want).max() < 1e-5
+    assert np.abs(ctx.data - xc.data).max() < 1e-12
+    attn = T.softmax_rows(T.head_scores(ctx, ctx, 2)).data.reshape(2, 4, 4)
+    assert np.abs(attn - np.array(maps)).max() < 1e-12
 
 
 def test_decoupled_rejects_frozen():
@@ -185,10 +188,16 @@ def test_decoupled_rejects_frozen():
 
 
 def test_decoupled_attn_context_row_stochastic():
+    # the encoder's context stream is the image-token rows of the block's,
+    # whose per-head self-attention maps are row-stochastic
     p = tiny_params(depth=2, width=8, heads=2, res=12, patch=4)
-    dec = vit.encode_dense(rand_image(np.random.default_rng(6), 12), p, "decoupled").decoupled
-    assert np.abs(dec.attn_context.sum(axis=1) - 1.0).max() < 1e-6
-    assert np.abs(dec.attn_full.sum(axis=1) - 1.0).max() < 1e-6
+    img = rand_image(np.random.default_rng(6), 12)
+    enc = vit.encode_dense(img, p, "decoupled")
+    ctx, _ = vit.decoupled_block(vit.attention_block(vit.patch_embed(img, p), p, 0), p)
+    np.testing.assert_array_equal(enc.context.data, ctx.data[1:])
+    attn = T.softmax_rows(T.head_scores(ctx, ctx, p.heads)).data
+    assert attn.shape == (2 * 10, 10)
+    assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-6
 
 
 # --- encode_dense / encode_cls -------------------------------------------------
@@ -197,8 +206,9 @@ def test_encode_depth1_decoupled_composition():
     p = tiny_params(depth=1, width=8, heads=2, res=8, patch=4, embed=5)
     img = rand_image(np.random.default_rng(7), 8)
     enc = vit.encode_dense(img, p, "decoupled")
-    dec = vit.decoupled_block(vit.patch_embed(img, p), p)
-    np.testing.assert_array_equal(enc.tokens.data, T.matmul(dec.x_content, p.w_vl).data)
+    _, content = vit.decoupled_block(vit.patch_embed(img, p), p)
+    image_rows = T.slice_rows(content, 1, content.shape[0])
+    np.testing.assert_array_equal(enc.tokens.data, T.matmul(image_rows, p.w_vl).data)
 
 
 def test_encode_deterministic():
@@ -207,17 +217,20 @@ def test_encode_deterministic():
     a = vit.encode_dense(img, p, "decoupled")
     b = vit.encode_dense(img, p, "decoupled")
     assert a.tokens.data.tobytes() == b.tokens.data.tobytes()
-    assert a.decoupled.attn_context.tobytes() == b.decoupled.attn_context.tobytes()
+    assert a.context.data.tobytes() == b.context.data.tobytes()
 
 
 def test_modes_differ_only_in_final_block():
     p = tiny_params(depth=3, width=8, heads=2, res=8, patch=4)
     img = rand_image(np.random.default_rng(9), 8)
-    acts_s, acts_d = {}, {}
-    s = vit.encode_dense(img, p, "standard", activations=acts_s)
-    d = vit.encode_dense(img, p, "decoupled", activations=acts_d)
-    for key in ("embed", "block0", "block1"):
-        assert acts_s[key].tobytes() == acts_d[key].tobytes()
+    s = vit.encode_dense(img, p, "standard")
+    d = vit.encode_dense(img, p, "decoupled")
+    seq = vit.patch_embed(img, p)
+    for layer in range(2):
+        seq = vit.attention_block(seq, p, layer)
+    np.testing.assert_array_equal(s.tokens.data, vit.attention_block(seq, p, 2).data[1:])
+    _, content = vit.decoupled_block(seq, p)
+    np.testing.assert_array_equal(d.tokens.data, content.data[1:])
     assert not np.array_equal(s.tokens.data, d.tokens.data)
 
 
@@ -225,10 +238,10 @@ def test_dense_reshape_roundtrips():
     p = tiny_params(depth=1, width=8, heads=2, res=12, patch=4)
     enc = vit.encode_dense(rand_image(np.random.default_rng(10), 12), p, "standard")
     assert enc.tokens.shape == (9, 8)
-    chw = enc.dense_array()
+    chw = enc.dense().data
+    assert chw.shape == (8, 3, 3)
     back = chw.reshape(8, 9).T
     np.testing.assert_array_equal(back, enc.tokens.data)
-    np.testing.assert_array_equal(enc.dense().data, chw)
 
 
 def test_encode_cls_matches_standard_dense():
@@ -297,7 +310,7 @@ def test_gradients_reach_every_decoupled_parameter():
     img = rand_image(np.random.default_rng(15), 8)
     enc = vit.encode_dense(img, p, "decoupled")
     loss = T.add(T.mean_all(T.mul(enc.tokens, enc.tokens)),
-                 T.mean_all(T.cosine_matrix(enc.decoupled.x_context, enc.decoupled.x_context)))
+                 T.mean_all(T.cosine_matrix(enc.context, enc.context)))
     T.backward(loss)
     last = p.depth - 1
     unused = {f"block{last}.{f}" for f in ("wk", "bk", "w1", "b1", "w2", "b2", "ln2_s", "ln2_o")}
@@ -316,9 +329,9 @@ def test_block_gradients_pass_finite_differences():
         return T.mean_all(T.mul(vit.attention_block(t, p, 0), vit.attention_block(t, p, 0)))
 
     def f_dec(t):
-        dec = vit.decoupled_block(t, p, has_cls=False)
-        return T.add(T.mean_all(T.mul(dec.x_content, dec.x_content)),
-                     T.mean_all(T.mul(dec.x_context, dec.x_context)))
+        context, content = vit.decoupled_block(t, p)
+        return T.add(T.mean_all(T.mul(content, content)),
+                     T.mean_all(T.mul(context, context)))
 
     assert finite_diff_check(f_std, [x], name="attention-block").passed
     assert finite_diff_check(f_dec, [x], name="decoupled-block").passed
