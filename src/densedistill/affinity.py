@@ -63,7 +63,6 @@ class SdAttentionStack:
     maps: np.ndarray           # (L, HW, HW)
     source: str                # "ingested" | "synthetic"
     grid: tuple
-    timestep: int | None = None
 
     def __post_init__(self):
         self.maps = np.asarray(self.maps, dtype=np.float64)

@@ -83,7 +83,7 @@ def _eval_records(args):
     """The class embeddings, and per manifest record the image, its segment
     map and the checkpoint student's decoupled dense features."""
     from .evalsuite import load_class_embeddings
-    from .trainer import load_student, read_manifest
+    from .trainer import load_student, read_manifest, section
     from .vit import encode_dense
 
     student, _ = load_student(args.checkpoint)
@@ -92,8 +92,8 @@ def _eval_records(args):
 
     def encoded():
         for rec in records:
-            image = read_tensor(rec.image_path)["image"]
-            segments = read_tensor(rec.segments_path)["labels"]
+            image = section(rec.image_path, read_tensor(rec.image_path), "image")
+            segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
             yield image, segments, encode_dense(image, student, "decoupled")
 
     return classes, encoded()
@@ -118,33 +118,35 @@ def _cmd_eval_seg(args):
 
 
 def _cmd_eval_region(args):
-    from .evalsuite import add_region_tally, macc_from_tally, regions_from_labels
+    from .evalsuite import add_region_confusion, macc_from_confusion, regions_from_labels
 
     classes, encoded = _eval_records(args)
-    tally = {}
+    k = classes.vectors.shape[0]
+    cm = np.zeros((k, k), dtype=np.int64)
     for _, segments, enc in encoded:
         if segments.shape != enc.grid:
             raise ShapeError(f"segment map {segments.shape} does not match the "
                              f"token grid {enc.grid}")
         annotated = regions_from_labels(segments)
         regions = [box if args.regions == "boxes" else mask for box, _, mask in annotated]
-        tally = add_region_tally(tally, enc, classes, regions, [lab for _, lab, _ in annotated])
+        cm = add_region_confusion(cm, enc, classes, regions, [lab for _, lab, _ in annotated])
+    totals = cm.sum(axis=1)
+    present = [c for c in range(k) if totals[c] > 0]
+    score = macc_from_confusion(cm)
     print("class                     acc      n")
-    for c in sorted(tally):
-        correct, total = tally[c]
-        print(f"{classes.names[c]:<24} {correct / total:.4f}   {total}")
-    for c in sorted(tally):
-        correct, total = tally[c]
-        print(f"acc.{classes.names[c]}={correct / total:.6f}")
-    print(f"macc={macc_from_tally(tally):.6f}")
+    for c in present:
+        print(f"{classes.names[c]:<24} {cm[c, c] / totals[c]:.4f}   {totals[c]}")
+    for c in present:
+        print(f"acc.{classes.names[c]}={cm[c, c] / totals[c]:.6f}")
+    print(f"macc={score:.6f}")
     return 0
 
 
 def _cmd_dump_attn(args):
-    from .trainer import load_student
+    from .trainer import load_student, section
 
     student, _ = load_student(args.checkpoint)
-    image = read_tensor(args.image)["image"]
+    image = section(args.image, read_tensor(args.image), "image")
     layers = [int(part) for part in args.layers.split(",") if part]
     if not layers:
         raise ParameterError("need at least one layer index")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .container import read_tensor, write_tensor
 from .errors import DegenerateInputError, ParameterError, ShapeError
@@ -51,6 +52,8 @@ def load_class_embeddings(path):
             raise ParameterError(f"{path}: unexpected section {name!r}")
         names.append(name[len("class."):])
         rows.append(np.asarray(arr, dtype=np.float64).reshape(-1))
+    if not rows:
+        raise ParameterError(f"{path}: no class.<name> section")
     return ClassEmbeddings(names=names, vectors=np.stack(rows), source="ingested")
 
 
@@ -94,14 +97,20 @@ def segment_training_free(dense, classes, out_res):
 
 
 def confusion_matrix(pred, gt, num_classes, ignore_label=None):
+    """(K, K) counts, ground truth on rows; every label other than
+    ``ignore_label`` must lie in [0, K)."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
     keep = np.ones(gt.shape, dtype=bool) if ignore_label is None else gt != ignore_label
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (gt[keep].astype(np.int64), pred[keep].astype(np.int64)), 1)
-    return cm
+    gt, pred = gt[keep].astype(np.int64), pred[keep].astype(np.int64)
+    for name, lab in (("ground-truth", gt), ("predicted", pred)):
+        bad = lab[(lab < 0) | (lab >= num_classes)]
+        if bad.size:
+            raise ParameterError(f"{name} label {bad[0]} outside [0, {num_classes})")
+    return np.bincount(gt * num_classes + pred,
+                       minlength=num_classes * num_classes).reshape(num_classes, num_classes)
 
 
 def miou_from_confusion(cm):
@@ -117,6 +126,16 @@ def miou_from_confusion(cm):
 
 def miou(pred, gt, num_classes, ignore_label=None):
     return miou_from_confusion(confusion_matrix(pred, gt, num_classes, ignore_label))
+
+
+def macc_from_confusion(cm):
+    """Mean over classes present in the ground truth (nonzero rows) of
+    per-class accuracy, diagonal / row sum."""
+    rows = cm.sum(axis=1)
+    present = rows > 0
+    if not present.any():
+        raise ParameterError("no class is present in the ground truth")
+    return float(np.mean(np.diag(cm)[present] / rows[present]))
 
 
 def region_classify(dense, regions, classes, n=4):
@@ -145,53 +164,24 @@ def region_classify(dense, regions, classes, n=4):
 
 def regions_from_labels(labels):
     """Connected components (4-neighbor) of a label map, the dataset-annotation
-    stand-in: (normalized bounding box, label, pixel mask) per component."""
+    stand-in: (normalized bounding box, label, pixel mask) per component, in
+    raster order of each component's first pixel."""
     labels = np.asarray(labels)
     h, w = labels.shape
-    seen = np.zeros((h, w), dtype=bool)
+    comp = np.zeros((h, w), dtype=np.int64)
+    values = []
+    for value in np.unique(labels):
+        part, count = ndimage.label(labels == value)
+        comp[part > 0] = part[part > 0] + len(values)
+        values += [int(value)] * count
+    ids, first = np.unique(comp, return_index=True)
+    slices = ndimage.find_objects(comp)
     out = []
-    for sy in range(h):
-        for sx in range(w):
-            if seen[sy, sx]:
-                continue
-            lab = int(labels[sy, sx])
-            mask = np.zeros((h, w), dtype=bool)
-            seen[sy, sx] = mask[sy, sx] = True
-            stack = [(sy, sx)]
-            while stack:
-                y, x = stack.pop()
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and not seen[ny, nx] \
-                            and labels[ny, nx] == lab:
-                        seen[ny, nx] = mask[ny, nx] = True
-                        stack.append((ny, nx))
-            ys, xs = np.nonzero(mask)
-            box = CropBox(int(xs.min()) / w, int(ys.min()) / h,
-                          (int(xs.max()) + 1) / w, (int(ys.max()) + 1) / h)
-            out.append((box, lab, mask))
+    for i in ids[np.argsort(first)]:
+        ys, xs = slices[i - 1]
+        box = CropBox(xs.start / w, ys.start / h, xs.stop / w, ys.stop / h)
+        out.append((box, values[i - 1], comp == i))
     return out
-
-
-def macc_tally(pred, gt):
-    """Per-class [correct, total] counts, mergeable across images."""
-    tally = {}
-    for p, g in zip(pred, gt):
-        correct, total = tally.get(int(g), (0, 0))
-        tally[int(g)] = (correct + (int(p) == int(g)), total + 1)
-    return tally
-
-
-def merge_tallies(a, b):
-    out = dict(a)
-    for label, (c, t) in b.items():
-        c0, t0 = out.get(label, (0, 0))
-        out[label] = (c0 + c, t0 + t)
-    return out
-
-
-def macc_from_tally(tally):
-    """Mean over the tallied classes of per-class accuracy."""
-    return sum(c / t for c, t in tally.values()) / len(tally)
 
 
 def top1_macc(pred, gt):
@@ -199,7 +189,8 @@ def top1_macc(pred, gt):
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.size == 0 or pred.shape != gt.shape:
         raise ParameterError("need equal-length, nonempty label lists")
-    return macc_from_tally(macc_tally(pred, gt))
+    k = int(max(pred.max(), gt.max())) + 1
+    return macc_from_confusion(confusion_matrix(pred, gt, k))
 
 
 def _expanded_labels(segments, grid, out_res):
@@ -221,10 +212,10 @@ def add_confusion(cm, dense, classes, segments, out_res):
     return cm + confusion_matrix(seg.upsampled, gt, cm.shape[0])
 
 
-def add_region_tally(tally, dense, classes, regions, labels, n=4):
-    """``tally`` merged with one image's region-classification counts."""
-    return merge_tallies(tally, macc_tally(region_classify(dense, regions, classes, n=n),
-                                           labels))
+def add_region_confusion(cm, dense, classes, regions, labels, n=4):
+    """``cm`` plus one image's region-classification confusion counts."""
+    pred = region_classify(dense, regions, classes, n=n)
+    return cm + confusion_matrix(pred, np.asarray(labels, dtype=np.int64), cm.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +268,19 @@ def prepare_suite(suite, distiller, cfg):
 
 
 def evaluate_on_suite(student, suite, classes, cfg, mode="decoupled"):
-    """Aggregate mIoU (confusion merged across images, scored at image
-    resolution on the upsampled predictions) and region mAcc (per-class
-    tallies merged across images)."""
+    """Aggregate mIoU (segmentation confusion merged across images, scored at
+    image resolution on the upsampled predictions) and region mAcc (region
+    confusion merged across images)."""
     k = classes.vectors.shape[0]
-    cm = np.zeros((k, k), dtype=np.int64)
-    tally = {}
+    seg_cm = np.zeros((k, k), dtype=np.int64)
+    region_cm = np.zeros((k, k), dtype=np.int64)
     for sample in suite.samples:
         enc = encode_dense(sample.image, student, mode)
-        cm = add_confusion(cm, enc, classes, sample.segments, suite.res)
-        tally = add_region_tally(tally, enc, classes, [b for b, _ in sample.boxes],
-                                 [lab for _, lab in sample.boxes], n=cfg.roi_n)
-    return VariantMetrics(macc=macc_from_tally(tally), miou=miou_from_confusion(cm)[0])
+        seg_cm = add_confusion(seg_cm, enc, classes, sample.segments, suite.res)
+        region_cm = add_region_confusion(region_cm, enc, classes, [b for b, _ in sample.boxes],
+                                         [lab for _, lab in sample.boxes], n=cfg.roi_n)
+    return VariantMetrics(macc=macc_from_confusion(region_cm),
+                          miou=miou_from_confusion(seg_cm)[0])
 
 
 def train_variant(cfg, suite, variant):

@@ -68,10 +68,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self):
-        return transpose(self)
-
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _fail_scalar(self)
 
@@ -85,37 +81,8 @@ class Tensor:
         out._backward = None
         return out
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; scalars go through the *_scalar ops
-    def __add__(self, other):
-        return add_scalar(self, other) if _is_number(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_scalar(self, -other) if _is_number(other) else sub(self, other)
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), other)
-
-    def __mul__(self, other):
-        return mul_scalar(self, other) if _is_number(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul_scalar(self, 1.0 / other) if _is_number(other) else div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _fail_scalar(t):
@@ -384,17 +351,6 @@ def sum_rows(a):
         raise ShapeError("sum_rows needs a 2-D tensor")
     return from_op(
         a.data.sum(axis=1, keepdims=True),
-        (a,),
-        lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),),
-    )
-
-
-def sum_cols(a):
-    """Column sums of a 2-D tensor as a (1,c) row."""
-    if a.data.ndim != 2:
-        raise ShapeError("sum_cols needs a 2-D tensor")
-    return from_op(
-        a.data.sum(axis=0, keepdims=True),
         (a,),
         lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),),
     )

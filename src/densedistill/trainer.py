@@ -203,19 +203,16 @@ class PreparedRecord:
 
 
 def prepare_record(rec, vfm, cfg, index):
-    image = read_tensor(rec.image_path)["image"]
-    segments = read_tensor(rec.segments_path)["labels"]
+    image = section(rec.image_path, read_tensor(rec.image_path), "image")
+    segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
     if rec.vfm_path:
-        vfm_tokens = read_tensor(rec.vfm_path)["tokens"].astype(np.float64)
+        vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
     else:
         vfm_tokens = provider_tokens(vfm, image, cfg)
     if rec.sd_path:
-        sections = read_tensor(rec.sd_path)
-        maps = sections["maps"].astype(np.float64)
-        ts = int(sections["timestep"].reshape(-1)[0]) if "timestep" in sections else None
+        maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
         side = int(math.isqrt(maps.shape[1]))
-        sd_stack = SdAttentionStack(maps=maps, source="ingested", grid=(side, side),
-                                    timestep=ts)
+        sd_stack = SdAttentionStack(maps=maps, source="ingested", grid=(side, side))
     else:
         sd_stack = synth_sd_attention(
             segments, cfg.sd_sharpness,
@@ -282,10 +279,13 @@ def save_checkpoint(path, student, optimizer=None, step=0):
     write_tensor(path, sections)
 
 
-def _section(path, sections, key, size):
-    """The flattened section ``key``, which must exist with ``size`` entries."""
+def section(path, sections, key, size=None):
+    """Section ``key`` of the file read from ``path``, which must exist; with
+    ``size``, flattened and required to hold that many entries."""
     if key not in sections:
         raise ConfigError(f"{path}: section {key!r} is missing")
+    if size is None:
+        return sections[key]
     data = sections[key].reshape(-1)
     if data.size != size:
         raise ConfigError(f"{path}: section {key!r} has {data.size} entries, expected {size}")
@@ -324,8 +324,8 @@ def load_student(path):
     """Rebuild the student encoder from a checkpoint alone, for inference:
     its parameters do not require grad, so its forwards build no graph."""
     sections = read_tensor(path)
-    meta = _section(path, sections, "meta", _META_LEN)
-    pixel = _section(path, sections, "pixel", 2)
+    meta = section(path, sections, "meta", _META_LEN)
+    pixel = section(path, sections, "pixel", 2)
     dtype = np.float32 if meta[6] == 0 else np.float64
     student = VitParams(patch_size=int(meta[3]), depth=int(meta[0]), width=int(meta[1]),
                         heads=int(meta[2]), input_res=int(meta[4]),
@@ -345,7 +345,7 @@ def restore_into(distiller, path):
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
     _check_params(path, sections, params)
-    step = int(_section(path, sections, "step", 1)[0])
+    step = int(section(path, sections, "step", 1)[0])
     for name, p in params.items():
         p.data = sections[f"param.{name}"].astype(p.data.dtype)
     opt = distiller.optimizer

@@ -151,7 +151,6 @@ class VitParams:
 @dataclass
 class DenseFeatures:
     tokens: Tensor             # (HW, C') per-image dense features, projected when configured
-    cls: Tensor                # (C',) summary vector
     grid: tuple
     context: Tensor | None = None  # (HW, C) decoupled context stream, unprojected
 
@@ -247,7 +246,8 @@ def encode_dense(image, params, mode="standard"):
     """Dense per-image features: depth-1 standard blocks then the final block
     per mode. Tokens pass through the V-L projection when configured; in
     decoupled mode the projected stream is the content one, and the raw
-    image-token context stream rides along on ``context``."""
+    image-token context stream rides along on ``context``. The summary
+    vector is ``encode_cls``'s."""
     if mode not in ("standard", "decoupled"):
         raise ParameterError(f"unknown mode {mode!r}")
     seq = patch_embed(image, params)
@@ -256,20 +256,15 @@ def encode_dense(image, params, mode="standard"):
     side = params.grid_side
     n = seq.shape[0]
     if mode == "standard":
-        z = attention_block(seq, params, params.depth - 1)
-        tokens = T.slice_rows(z, 1, n)
-        cls = T.slice_rows(z, 0, 1)
+        tokens = T.slice_rows(attention_block(seq, params, params.depth - 1), 1, n)
         context = None
     else:
         full_context, content = decoupled_block(seq, params)
         context = T.slice_rows(full_context, 1, n)
         tokens = T.slice_rows(content, 1, n)
-        cls = T.slice_rows(content, 0, 1)
     if params.w_vl is not None:
         tokens = T.matmul(tokens, params.w_vl)
-        cls = T.matmul(cls, params.w_vl)
-    return DenseFeatures(tokens=tokens, cls=T.reshape(cls, (cls.shape[1],)),
-                         grid=(side, side), context=context)
+    return DenseFeatures(tokens=tokens, grid=(side, side), context=context)
 
 
 def encode_cls(image, params):

@@ -1,13 +1,20 @@
 """CLI surface: subcommands, exit codes, output stability."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
-from densedistill.container import write_tensor
+from densedistill.container import read_tensor, write_tensor
 from densedistill.evalsuite import class_prototypes, save_class_embeddings
 from densedistill.synthdata import make_suite, write_suite
-from densedistill.trainer import Distiller, distill_run, load_student
+from densedistill.trainer import Distiller, distill_run, load_student, read_manifest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def mini_cfg(tmp_path, **over):
@@ -98,7 +105,12 @@ def test_dump_attn_subcommand(tmp_path, trained, capsys):
     assert run_cli(["dump-attn", "--checkpoint", result.checkpoint_path,
                     "--image", image_path, "--layers", "0", "--query", "9999",
                     "--out", out_dir]) == 1
-    capsys.readouterr()
+    # image file without its section -> validation exit code
+    write_tensor(image_path, {"other": suite.samples[0].image})
+    assert run_cli(["dump-attn", "--checkpoint", result.checkpoint_path,
+                    "--image", image_path, "--layers", "0", "--query", "cls",
+                    "--out", out_dir]) == 1
+    assert "section 'image' is missing" in capsys.readouterr().err
 
 
 def test_ablate_subcommand(tmp_path, capsys):
@@ -122,3 +134,49 @@ def test_exit_codes(tmp_path, capsys):
     good.write_text(echo_config(mini_cfg(tmp_path)))
     assert run_cli(["distill", "--config", str(good)]) == 2  # manifest missing
     capsys.readouterr()
+
+
+def _eval_exit_codes(cfg, result, classes_path):
+    args = ["--checkpoint", result.checkpoint_path, "--manifest", cfg.manifest,
+            "--classes", classes_path]
+    return [run_cli(["eval-seg"] + args),
+            run_cli(["eval-region"] + args + ["--regions", "boxes"]),
+            run_cli(["eval-region"] + args + ["--regions", "masks"])]
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_out_of_range_segment_label_exits_one(trained, capsys, bad):
+    cfg, _, result, classes_path = trained
+    path = read_manifest(cfg.manifest)[0].segments_path
+    labels = read_tensor(path)["labels"].copy()
+    labels[0, 0] = bad
+    write_tensor(path, {"labels": labels})
+    assert _eval_exit_codes(cfg, result, classes_path) == [1, 1, 1]
+    err = capsys.readouterr().err
+    assert err.count(f"error: ground-truth label {bad} outside [0, 3)") == 3
+
+
+@pytest.mark.parametrize("key,name", [("image_path", "image"), ("segments_path", "labels")])
+def test_eval_file_without_its_section_exits_one(trained, capsys, key, name):
+    cfg, _, result, classes_path = trained
+    path = getattr(read_manifest(cfg.manifest)[0], key)
+    write_tensor(path, {"other": np.zeros(3)})
+    assert _eval_exit_codes(cfg, result, classes_path) == [1, 1, 1]
+    assert capsys.readouterr().err.count(f"section '{name}' is missing") == 3
+
+
+def _module(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "densedistill", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_console_entry_point(tmp_path):
+    done = _module("gradcheck", "--seed", "0", cwd=tmp_path)
+    assert done.returncode == 0
+    assert "gradcheck: 22/22 passed" in done.stdout
+    missing = str(tmp_path / "missing.dten")
+    done = _module("eval-seg", "--checkpoint", missing, "--manifest", missing,
+                   "--classes", missing, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("io error:")

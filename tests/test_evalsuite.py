@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densedistill.config import RunConfig
+from densedistill.container import write_tensor
 from densedistill.errors import DegenerateInputError, ParameterError, ShapeError
 from densedistill.evalsuite import (
     ClassEmbeddings,
     ablation_coupled_vs_decoupled,
     add_confusion,
+    add_region_confusion,
     class_prototypes,
     confusion_matrix,
     load_class_embeddings,
-    merge_tallies,
-    macc_tally,
+    macc_from_confusion,
     miou,
     region_classify,
     regions_from_labels,
@@ -35,7 +38,7 @@ def unit_rows(rng, k, e):
 
 def dense_of(tokens, grid):
     arr = np.asarray(tokens, dtype=np.float64)
-    return DenseFeatures(tokens=Tensor(arr), cls=Tensor(arr[0]), grid=grid)
+    return DenseFeatures(tokens=Tensor(arr), grid=grid)
 
 
 # --- segment_training_free -------------------------------------------------------
@@ -143,6 +146,19 @@ def test_miou_ignore_label():
     assert abs(table[0] - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [3, 7, -1])
+def test_out_of_range_labels_rejected(bad):
+    gt = np.array([[0, 1], [2, bad]])
+    with pytest.raises(ParameterError, match=f"label {bad} outside"):
+        confusion_matrix(np.zeros_like(gt), gt, 3)
+    with pytest.raises(ParameterError, match=f"label {bad} outside"):
+        confusion_matrix(gt, np.zeros_like(gt), 3)
+    assert confusion_matrix(np.zeros_like(gt), gt, 3, ignore_label=bad).sum() == 3
+    if bad < 0:
+        with pytest.raises(ParameterError):
+            top1_macc([0, 1], [0, bad])
+
+
 # --- region_classify -----------------------------------------------------------------
 
 def test_region_pure_class_box():
@@ -221,6 +237,46 @@ def test_region_masks_are_connected_components():
     assert labels.tolist() == [0, 2, 1]
 
 
+def _connected(mask):
+    """Transitive closure of 4-adjacency over the mask's pixels is complete."""
+    ys, xs = np.nonzero(mask)
+    adj = (np.abs(ys[:, None] - ys[None]) + np.abs(xs[:, None] - xs[None])) <= 1
+    reach = adj.astype(np.int64)
+    for _ in range(int(np.ceil(np.log2(max(len(ys), 2))))):
+        reach = np.minimum(reach @ reach, 1)
+    return bool(reach.all())
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.integers(1, 9), st.integers(1, 4),
+       st.integers(1, 3))
+def test_regions_from_labels_properties(seed, h, w, k, block):
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, k, (-(-h // block), -(-w // block)))
+    labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:h, :w]
+    regions = regions_from_labels(labels)
+    masks = np.stack([mask for _, _, mask in regions])
+    # the components partition the grid
+    assert (masks.sum(axis=0) == 1).all()
+    owner = masks.argmax(axis=0)
+    firsts = []
+    for box, lab, mask in regions:
+        # one label each, 4-connected, boxed by its bounding rectangle
+        assert isinstance(lab, int) and (labels[mask] == lab).all()
+        assert _connected(mask)
+        ys, xs = np.nonzero(mask)
+        assert (box.x0, box.y0, box.x1, box.y1) == (
+            xs.min() / w, ys.min() / h, (xs.max() + 1) / w, (ys.max() + 1) / h)
+        firsts.append(int(np.flatnonzero(mask)[0]))
+    # 4-adjacent pixels of equal label share a component
+    same_x = labels[:, 1:] == labels[:, :-1]
+    same_y = labels[1:] == labels[:-1]
+    assert (owner[:, 1:][same_x] == owner[:, :-1][same_x]).all()
+    assert (owner[1:][same_y] == owner[:-1][same_y]).all()
+    # raster order of each component's first pixel
+    assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+
+
 # --- top1_macc -------------------------------------------------------------------------
 
 def test_macc_all_correct():
@@ -276,11 +332,22 @@ def test_add_confusion_takes_grid_or_image_labels():
         add_confusion(cm, dense, classes, seg[:2], out_res=6)
 
 
-def test_merge_tallies():
-    a = macc_tally([0, 1], [0, 1])
-    b = macc_tally([1, 1], [0, 1])
-    merged = merge_tallies(a, b)
-    assert merged[0] == (1, 2) and merged[1] == (2, 2)
+def test_confusion_counts_add_across_images():
+    # two images' region counts: image a gets both right, image b only class 1
+    vectors = np.eye(2)
+    classes = ClassEmbeddings(names=["a", "b"], vectors=vectors, source="ingested")
+    dense_a = dense_of(np.repeat(vectors, 2, axis=0), (2, 2))
+    dense_b = dense_of(np.tile(vectors[1], (4, 1)), (2, 2))
+    top, bottom = CropBox(0.0, 0.0, 1.0, 0.5), CropBox(0.0, 0.5, 1.0, 1.0)
+    cm = np.zeros((2, 2), dtype=np.int64)
+    cm = add_region_confusion(cm, dense_a, classes, [top, bottom], [0, 1])
+    cm = add_region_confusion(cm, dense_b, classes, [top, bottom], [0, 1])
+    np.testing.assert_array_equal(cm, [[1, 1], [0, 2]])
+    assert macc_from_confusion(cm) == 0.75 and type(macc_from_confusion(cm)) is float
+    # classes absent from the ground truth do not enter the mean
+    assert macc_from_confusion(np.array([[0, 0, 0], [0, 3, 1], [0, 0, 0]])) == 0.75
+    with pytest.raises(ParameterError):
+        macc_from_confusion(np.zeros((2, 2), dtype=np.int64))
 
 
 # --- class embeddings --------------------------------------------------------------------
@@ -302,6 +369,13 @@ def test_class_embeddings_roundtrip(tmp_path):
     back = load_class_embeddings(path)
     assert back.names == ce.names
     np.testing.assert_array_equal(back.vectors, ce.vectors)
+
+
+def test_class_file_without_classes_rejected(tmp_path):
+    path = str(tmp_path / "empty.dten")
+    write_tensor(path, [])
+    with pytest.raises(ParameterError, match="empty.dten"):
+        load_class_embeddings(path)
 
 
 def test_class_prototypes_unit_and_seeded():

@@ -1,6 +1,7 @@
 """Trainer: optimizer closed forms, pipeline wiring, determinism, round-trips."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ def test_loaded_student_builds_no_graph(tmp_path):
     assert student.state_bytes() == source.state_bytes()
     image = np.random.default_rng(0).uniform(0, 1, (3, cfg.student_res, cfg.student_res))
     enc = encode_dense(image, student, "decoupled")
-    for t in (enc.tokens, enc.cls, enc.context):
+    for t in (enc.tokens, enc.context):
         assert t._parents == () and not t.requires_grad
 
 
@@ -499,4 +500,22 @@ def test_ingested_provider_and_sd_files(tmp_path):
     np.testing.assert_array_equal(prepared2.vfm_tokens, base.vfm_tokens)
     np.testing.assert_array_equal(prepared2.sd_stack.maps, base.sd_stack.maps)
     assert prepared2.sd_stack.source == "ingested"
-    assert prepared2.sd_stack.timestep == 45
+
+
+@pytest.mark.parametrize("key,name", [("image", "image"), ("segments", "labels"),
+                                      ("vfm", "tokens"), ("sd", "maps")])
+def test_manifest_file_without_its_section_rejected(tmp_path, key, name):
+    cfg = desk_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    distiller = Distiller(cfg)
+    base = prepare_record(rec, distiller.vfm, cfg, 0)
+    paths = {"image": rec.image_path, "segments": rec.segments_path,
+             "vfm": str(tmp_path / "vfm0.dten"), "sd": str(tmp_path / "sd0.dten")}
+    write_tensor(paths["vfm"], {"tokens": base.vfm_tokens})
+    write_tensor(paths["sd"], {"maps": base.sd_stack.maps})
+    write_tensor(paths[key], {"other": np.zeros(3)})
+    man = tmp_path / "man.txt"
+    man.write_text(" ".join(f"{k}={v}" for k, v in paths.items()) + "\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(paths[key])}: section '{name}' is missing"):
+        prepare_record(read_manifest(str(man))[0], distiller.vfm, cfg, 0)

@@ -248,8 +248,10 @@ def test_encode_cls_matches_standard_dense():
     p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4, embed=6)
     img = rand_image(np.random.default_rng(11), 8)
     cls = vit.encode_cls(img, p)
-    enc = vit.encode_dense(img, p, "standard")
-    np.testing.assert_array_equal(cls.data, enc.cls.data)
+    # reference: CLS row of the full final standard block, projected
+    seq = vit.attention_block(vit.patch_embed(img, p), p, 0)
+    full = vit.attention_block(seq, p, 1).data
+    np.testing.assert_array_equal(cls.data, (full[:1] @ p.w_vl.data)[0])
     assert cls.shape == (6,)
 
 
