@@ -93,6 +93,12 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _finite(data):
+    if not np.all(np.isfinite(data)):
+        raise EvaluationError("operation produced non-finite values")
+    return data
+
+
 def from_op(data, parents, backward):
     """Wrap an op result, keeping the graph only when a parent needs grad.
 
@@ -101,10 +107,8 @@ def from_op(data, parents, backward):
     entirely when no parent requires grad, so teacher-side forwards stay
     graph-free.
     """
-    if not np.all(np.isfinite(data)):
-        raise EvaluationError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
-    out.data = data
+    out.data = _finite(data)
     out.grad = None
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -284,10 +288,15 @@ def sqrt(a):
     return from_op(out, (a,), lambda g: (g * (0.5 / out),))
 
 
+def _gelu_cdf(x):
+    """Standard normal CDF, the gate of the exact GELU x * cdf(x)."""
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
 def gelu(a):
     """Exact (erf-form) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = _gelu_cdf(x)
     out = x * cdf
 
     def back(g):
@@ -404,6 +413,15 @@ def tokens_to_chw(a, h, w):
 # ---------------------------------------------------------------------------
 
 
+def _softmax(x, row_max, out):
+    """Array kernel of softmax_rows: exp(x - row_max) normalised per row,
+    written to ``out`` (None allocates; ``x`` itself works in place)."""
+    out = np.subtract(x, row_max, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
 def softmax_rows(x, temperature=1.0):
     """Row softmax at the given temperature, with per-row max subtraction."""
     if not _is_number(temperature) or temperature <= 0:
@@ -411,13 +429,8 @@ def softmax_rows(x, temperature=1.0):
     if x.data.ndim != 2:
         raise ShapeError("softmax_rows needs a 2-D tensor")
     tau = x.data.dtype.type(temperature)
-    if tau == 1:
-        out = x.data - x.data.max(axis=1, keepdims=True)
-    else:
-        out = x.data / tau
-        out -= out.max(axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    xs = x.data if tau == 1 else x.data / tau
+    out = _softmax(xs, xs.max(axis=1, keepdims=True), None if tau == 1 else xs)
 
     def back(g):
         # P * (g - rowsum(g * P)) / tau, built in one buffer
@@ -450,6 +463,18 @@ def _check_heads(a, b, heads, name):
     _check_same_dtype(a, b)
 
 
+def _head_scale(q, heads):
+    """The 1/sqrt(d) score scale of ``heads`` heads over q's width, in q's dtype."""
+    return q.dtype.type(1.0 / math.sqrt(q.shape[1] // heads))
+
+
+def _head_scores(qs, k, heads):
+    """Array kernel of head_scores: the (heads*m, n) maps of already scaled
+    (m, c) queries against (n, c) keys."""
+    m, n = qs.shape[0], k.shape[0]
+    return (_split_heads(qs, heads) @ _split_heads(k, heads).transpose(0, 2, 1)).reshape(heads * m, n)
+
+
 def head_scores(q, k, heads):
     """Scaled per-head scores q_h k_h^T / sqrt(d) of (m, c) queries against
     (n, c) keys, each split into ``heads`` column blocks of width d. Head h
@@ -461,7 +486,7 @@ def head_scores(q, k, heads):
     if k.shape[1] != c or c % heads != 0:
         raise ShapeError(f"head_scores needs equal widths divisible by {heads} heads, "
                          f"got {q.shape} and {k.shape}")
-    scale = q.data.dtype.type(1.0 / math.sqrt(c // heads))
+    scale = _head_scale(q.data, heads)
     qs = q.data * scale
     qh, kh = _split_heads(qs, heads), _split_heads(k.data, heads)
     n = k.shape[0]
@@ -473,7 +498,13 @@ def head_scores(q, k, heads):
         # (q_h^T g_h)^T: BLAS is slower with the (m, n) map as the transposed left operand
         return (dq, _merge_heads((qh.transpose(0, 2, 1) @ gh).transpose(0, 2, 1)))
 
-    return from_op((qh @ kh.transpose(0, 2, 1)).reshape(heads * m, n), (q, k), back)
+    return from_op(_head_scores(qs, k.data, heads), (q, k), back)
+
+
+def _head_mix(p, v, heads):
+    """Array kernel of head_mix: (heads*m, n) maps times (n, c) values, per head."""
+    hm, n = p.shape
+    return _merge_heads(p.reshape(heads, hm // heads, n) @ _split_heads(v, heads))
 
 
 def head_mix(p, v, heads):
@@ -492,7 +523,7 @@ def head_mix(p, v, heads):
         return ((gh @ vh.transpose(0, 2, 1)).reshape(hm, n),
                 _merge_heads((gh.transpose(0, 2, 1) @ ph).transpose(0, 2, 1)))
 
-    return from_op(_merge_heads(ph @ vh), (p, v), back)
+    return from_op(_head_mix(p.data, v.data, heads), (p, v), back)
 
 
 def cosine_matrix(a, b):

@@ -211,6 +211,9 @@ def prepare_record(rec, vfm, cfg, index):
         vfm_tokens = provider_tokens(vfm, image, cfg)
     if rec.sd_path:
         maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
+        if maps.ndim != 3:
+            raise ConfigError(f"{rec.sd_path}: section 'maps' has shape {maps.shape}, "
+                              f"expected (maps, tokens, tokens)")
         side = int(math.isqrt(maps.shape[1]))
         sd_stack = SdAttentionStack(maps=maps, source="ingested", grid=(side, side))
     else:

@@ -4,7 +4,8 @@ and content (attention-aggregated values) streams.
 
 The same parameter container serves three roles: trainable student, frozen
 teacher twin, and frozen feature provider. Frozen instances refuse the
-decoupled path and have read-only parameter arrays.
+decoupled path, have read-only parameter arrays and run their standard
+forward on plain arrays, without the graph.
 """
 
 from __future__ import annotations
@@ -168,33 +169,27 @@ def layer_norm_rows(x, scale, offset, eps=LN_EPS):
     return T.add(T.mul(normed, scale), offset)
 
 
-def _as_image(image):
+def _patch_matrix(image, params):
+    """Normalized (3,R,R) image -> (h*w, 3*p*p) patch matrix in the params'
+    dtype, patches row-major, channel-major within."""
     arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
         raise ShapeError(f"expected a 3xRxR image, got {arr.shape}")
-    return arr
-
-
-def patchify(image, patch):
-    """(3,R,R) -> (h*w, 3*p*p), patches row-major, channel-major within."""
-    c, r, _ = image.shape
-    side = r // patch
-    blocks = image.reshape(c, side, patch, side, patch)
-    return np.ascontiguousarray(blocks.transpose(1, 3, 0, 2, 4).reshape(side * side, c * patch * patch))
+    patch = params.patch_size
+    if arr.shape[1] % patch != 0:
+        raise ShapeError(f"resolution {arr.shape[1]} not divisible by patch {patch}")
+    side = arr.shape[1] // patch
+    if side * side + 1 != params.pos_embed.shape[0]:
+        raise ShapeError(f"image yields {side * side} tokens but positional table has "
+                         f"{params.pos_embed.shape[0] - 1}")
+    blocks = ((arr - params.pixel_mean) / params.pixel_std).reshape(3, side, patch, side, patch)
+    return np.ascontiguousarray(blocks.transpose(1, 3, 0, 2, 4).reshape(side * side, -1),
+                                dtype=params.dtype)
 
 
 def patch_embed(image, params):
     """Tokenize: normalize pixels, embed patches, prepend CLS, add positions."""
-    arr = _as_image(image)
-    if arr.shape[1] % params.patch_size != 0:
-        raise ShapeError(
-            f"resolution {arr.shape[1]} not divisible by patch {params.patch_size}")
-    arr = (arr - params.pixel_mean) / params.pixel_std
-    patches = Tensor(patchify(arr, params.patch_size), dtype=params.dtype)
-    if patches.shape[0] + 1 != params.pos_embed.shape[0]:
-        raise ShapeError(
-            f"image yields {patches.shape[0]} tokens but positional table has "
-            f"{params.pos_embed.shape[0] - 1}")
+    patches = Tensor(_patch_matrix(image, params))
     tokens = T.add(T.matmul(patches, params.w_patch), params.b_patch)
     seq = T.concat_rows([params.cls_token, tokens])
     return T.add(seq, params.pos_embed)
@@ -242,6 +237,56 @@ def decoupled_block(x, params):
     return context, T.add(T.matmul(agg, b.wo), b.bo)
 
 
+def _layer_norm_array(x, scale, offset):
+    inv_c = x.dtype.type(1.0 / x.shape[1])
+    centered = x - x.sum(axis=1, keepdims=True) * inv_c
+    var = T._finite((centered * centered).sum(axis=1, keepdims=True) * inv_c)
+    return T._finite(centered / np.sqrt(var + x.dtype.type(LN_EPS)) * scale.data + offset.data)
+
+
+def _attention_array(q, k, v, heads):
+    """_multi_head with one (m, n) score map alive at a time, softmaxed in
+    place. A map is checked through its minimum (-inf) and its row maxima
+    (NaN, +inf); the softmax of a finite row is finite."""
+    qs, d = q * T._head_scale(q, heads), q.shape[1] // heads
+    out = np.empty_like(q)
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        s = T._head_scores(qs[:, cols], k[:, cols], 1)
+        T._finite(s.min())
+        out[:, cols] = T._head_mix(T._softmax(s, T._finite(s.max(axis=1, keepdims=True)), s),
+                                   v[:, cols], 1)
+    return T._finite(out)
+
+
+def _block_array(x, b, heads, queries=None):
+    h = _layer_norm_array(x, b.ln1_s, b.ln1_o)
+    hq, x = (h[:queries], x[:queries]) if queries else (h, x)
+    q = T._finite(hq @ b.wq.data + b.bq.data)
+    k = T._finite(h @ b.wk.data + b.bk.data)
+    v = T._finite(h @ b.wv.data + b.bv.data)
+    y = T._finite(x + (_attention_array(q, k, v, heads) @ b.wo.data + b.bo.data))
+    u = T._finite(_layer_norm_array(y, b.ln2_s, b.ln2_o) @ b.w1.data + b.b1.data)
+    return T._finite(y + ((u * T._gelu_cdf(u)) @ b.w2.data + b.b2.data))
+
+
+def _encode_array(image, params, queries=None):
+    """The standard forward of frozen params on plain arrays, no graph: the
+    arithmetic of patch_embed and attention_block (bitwise equal), with
+    ``queries`` on the final block. Returns the projected CLS row (queries=1)
+    or image rows. Non-finite values pass through adding, subtracting,
+    multiplying or dividing by finite values and through GELU (which keeps
+    finite values finite), so checking the ends of such chains, the other
+    matmul inputs and the LN variance (an infinite one would zero its row)
+    raises wherever the Tensor ops raise."""
+    tokens = T._finite(_patch_matrix(image, params)) @ params.w_patch.data + params.b_patch.data
+    x = T._finite(np.concatenate([params.cls_token.data, tokens]) + params.pos_embed.data)
+    for layer, b in enumerate(params.blocks):
+        x = _block_array(x, b, params.heads, queries if layer == params.depth - 1 else None)
+    x = x[:1] if queries else x[1:]
+    return x @ params.w_vl.data if params.w_vl is not None else x
+
+
 def encode_dense(image, params, mode="standard"):
     """Dense per-image features: depth-1 standard blocks then the final block
     per mode. Tokens pass through the V-L projection when configured; in
@@ -250,6 +295,8 @@ def encode_dense(image, params, mode="standard"):
     vector is ``encode_cls``'s."""
     if mode not in ("standard", "decoupled"):
         raise ParameterError(f"unknown mode {mode!r}")
+    if params.frozen and mode == "standard":
+        return DenseFeatures(Tensor(_encode_array(image, params)), (params.grid_side,) * 2)
     seq = patch_embed(image, params)
     for layer in range(params.depth - 1):
         seq = attention_block(seq, params, layer)
@@ -270,6 +317,8 @@ def encode_dense(image, params, mode="standard"):
 def encode_cls(image, params):
     """Summary vector: CLS row after the final standard block, projected.
     No other row of the final block is read, so it computes the CLS row only."""
+    if params.frozen:
+        return Tensor(_encode_array(image, params, queries=1)[0])
     seq = patch_embed(image, params)
     for layer in range(params.depth - 1):
         seq = attention_block(seq, params, layer)

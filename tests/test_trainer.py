@@ -8,7 +8,7 @@ import pytest
 
 from densedistill import tensor as T
 from densedistill.cli import run_cli
-from densedistill.config import RunConfig
+from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
 from densedistill.errors import ConfigError
 from densedistill.evalsuite import class_prototypes, save_class_embeddings, train_variant
@@ -500,6 +500,21 @@ def test_ingested_provider_and_sd_files(tmp_path):
     np.testing.assert_array_equal(prepared2.vfm_tokens, base.vfm_tokens)
     np.testing.assert_array_equal(prepared2.sd_stack.maps, base.sd_stack.maps)
     assert prepared2.sd_stack.source == "ingested"
+
+
+def test_sd_file_with_maps_not_3d_rejected(tmp_path):
+    cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    sd_path = str(tmp_path / "sd0.dten")
+    write_tensor(sd_path, {"maps": np.full(16, 1.0 / 16)})
+    (tmp_path / "man.txt").write_text(
+        f"image={rec.image_path} segments={rec.segments_path} sd={sd_path}\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(sd_path)}: section 'maps' has shape"):
+        prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
 
 
 @pytest.mark.parametrize("key,name", [("image", "image"), ("segments", "labels"),

@@ -7,7 +7,7 @@ import pytest
 
 from densedistill import tensor as T
 from densedistill import vit
-from densedistill.errors import ModeError, ParameterError, ShapeError
+from densedistill.errors import EvaluationError, ModeError, ParameterError, ShapeError
 from densedistill.gradcheck import finite_diff_check
 from densedistill.vit import VitParams
 
@@ -337,3 +337,112 @@ def test_block_gradients_pass_finite_differences():
 
     assert finite_diff_check(f_std, [x], name="attention-block").passed
     assert finite_diff_check(f_dec, [x], name="decoupled-block").passed
+
+
+# --- frozen forward on plain arrays ---------------------------------------------
+
+def tensor_path(img, p, queries=None):
+    """The Tensor-op forward of encode_cls (queries=1) or the standard
+    encode_dense tokens, on unfrozen params."""
+    seq = vit.patch_embed(img, p)
+    for layer in range(p.depth - 1):
+        seq = vit.attention_block(seq, p, layer)
+    out = vit.attention_block(seq, p, p.depth - 1, queries=queries)
+    out = out if queries else T.slice_rows(out, 1, out.shape[0])
+    return (T.matmul(out, p.w_vl) if p.w_vl is not None else out).data
+
+
+FROZEN_SHAPES = {
+    "desk-teacher": dict(patch=8, res=64, depth=3, width=48, heads=4, embed=24),
+    "desk-provider": dict(patch=4, res=32, depth=2, width=12, heads=2),
+    "paper-teacher": dict(patch=16, res=560, depth=4, width=64, heads=4, embed=32),
+    "paper-provider": dict(patch=14, res=490, depth=3, width=48, heads=4),
+    "depth1": dict(patch=4, res=12, depth=1, width=8, heads=2, embed=5),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("shape", list(FROZEN_SHAPES))
+def test_frozen_forward_matches_tensor_path_bitwise(shape, dtype):
+    kw = FROZEN_SHAPES[shape]
+    p = VitParams(patch_size=kw["patch"], depth=kw["depth"], width=kw["width"],
+                  heads=kw["heads"], input_res=kw["res"], embed_dim=kw.get("embed"),
+                  seed=17, dtype=dtype)
+    frozen = p.clone().freeze()
+    img = rand_image(np.random.default_rng(18), kw["res"])
+    cls = vit.encode_cls(img, frozen).data
+    ref_cls = tensor_path(img, p, queries=1)[0]
+    assert cls.dtype == ref_cls.dtype and cls.tobytes() == ref_cls.tobytes()
+    tokens = vit.encode_dense(img, frozen, "standard").tokens.data
+    ref_tokens = tensor_path(img, p)
+    assert tokens.shape == ref_tokens.shape and tokens.dtype == ref_tokens.dtype
+    assert tokens.tobytes() == ref_tokens.tobytes()
+
+
+def test_frozen_forward_makes_no_graph_records(monkeypatch):
+    p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4, embed=4)
+    frozen = p.clone().freeze()
+    img = rand_image(np.random.default_rng(19), 8)
+    records = []
+    from_op = T.from_op
+    monkeypatch.setattr(T, "from_op", lambda *a: records.append(1) or from_op(*a))
+    vit.encode_cls(img, frozen)
+    vit.encode_dense(img, frozen, "standard")
+    assert records == []
+    vit.encode_cls(img, p)
+    assert records
+
+
+def _first_head_scores(img, p):
+    """Head-0 score map of block 0, in plain numpy (the ops would refuse it)."""
+    b = p.blocks[0]
+    h = vit.layer_norm_rows(vit.patch_embed(img, p), b.ln1_s, b.ln1_o).data
+    d = p.width // p.heads
+    q = (h @ b.wq.data + b.bq.data)[:, :d] / math.sqrt(d)
+    return q @ (h @ b.wk.data + b.bk.data)[:, :d].T
+
+
+def _nonfinite_case(case):
+    p = tiny_params(depth=1, width=8, heads=2, res=12, patch=4, embed=4, seed=20)
+    img = rand_image(np.random.default_rng(21), 12)
+    b = p.blocks[0]
+    if case == "nan-pixel":
+        img[1, 5, 7] = np.nan
+    elif case == "ln-variance-overflow":
+        img *= 1e160  # finite tokens whose squared deviations overflow
+    elif case == "scores-plus-inf":
+        b.bq.data[...] = 1e155
+        b.bk.data[...] = 1e155
+    else:
+        # query column 0 is 1e155 and key column 0 is 1e155 * (h0 - max h0):
+        # the top token scores 0, so each row max is finite, the rest is -inf
+        h0 = vit.layer_norm_rows(vit.patch_embed(img, p), b.ln1_s, b.ln1_o).data[:, 0]
+        b.bq.data[0, 0] = 1e155
+        b.wq.data[...] = 0.0
+        b.wk.data[...] = 0.0
+        b.wk.data[0, 0] = 1e155
+        b.bk.data[0, 0] = -(h0.max() * 1e155)
+    return p, img
+
+
+@pytest.mark.parametrize("case", ["nan-pixel", "ln-variance-overflow", "scores-plus-inf",
+                                  "scores-minus-inf"])
+def test_frozen_forward_raises_where_tensor_path_raises(case):
+    p, img = _nonfinite_case(case)
+    frozen = p.clone().freeze()
+    with np.errstate(all="ignore"):
+        if case.startswith("scores"):
+            s = _first_head_scores(img, p)
+            if case == "scores-plus-inf":
+                assert np.isposinf(s).all()
+            else:
+                assert np.isfinite(s.max(axis=1)).all() and np.isneginf(s).any()
+        for queries in (None, 1):
+            with pytest.raises(EvaluationError):
+                tensor_path(img, p, queries)
+        with pytest.raises(EvaluationError):
+            vit.encode_cls(img, frozen)
+        with pytest.raises(EvaluationError):
+            vit.encode_dense(img, frozen, "standard")
+    with pytest.raises(ModeError):
+        vit.encode_dense(rand_image(np.random.default_rng(22), 12), frozen, "decoupled")
