@@ -20,12 +20,15 @@ class GradCheckReport:
     tol: float
     max_rel_errors: list = field(default_factory=list)  # one per checked input
     passed: bool = True
+    error: str = ""  # "Type: message" when the check raised instead
 
     @property
     def worst(self):
         return max(self.max_rel_errors) if self.max_rel_errors else 0.0
 
     def line(self):
+        if self.error:
+            return f"FAIL {self.name}: raised {self.error}"
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: max_rel_err={self.worst:.3e} (tol={self.tol:.0e})"
 
@@ -97,7 +100,12 @@ def run_gradcheck_suite(seed=0):
     reports = []
 
     def check(name, f, inputs):
-        reports.append(finite_diff_check(f, inputs, name=name))
+        # a check that raises fails on its own and the sweep goes on
+        try:
+            reports.append(finite_diff_check(f, inputs, name=name))
+        except Exception as exc:
+            reports.append(GradCheckReport(name=name, h=DEFAULT_H, tol=DEFAULT_TOL, passed=False,
+                                           error=f"{type(exc).__name__}: {exc}"))
 
     def t(*shape, scale=1.0):
         return Tensor(rng.standard_normal(shape) * scale)

@@ -5,14 +5,18 @@ and the manifest-driven training loop.
 Determinism contract: data order follows the manifest, per-step randomness
 comes from ``default_rng([seed, STREAM_STEP, step])``, and resuming needs
 only the step counter, so same-seed runs (resumed or not) are bitwise
-reproducible. ``train`` is the one training loop; every caller goes
-through it.
+reproducible. Teacher crop targets are computed one crop at a time and
+collected in box order, on a thread pool or on the calling thread, so the
+pool size never changes a bit. ``train`` is the one training loop; every
+caller goes through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,12 @@ STREAM_STEP = 3
 CHECKPOINT_NAME = "checkpoint.dten"
 METRICS_NAME = "metrics.log"
 CONFIG_ECHO_NAME = "effective_config.txt"
+
+# Teacher grids from this many tokens encode a step's crops on a thread pool.
+# A crop forward releases the GIL only inside numpy calls on large enough
+# operands: on a 2-core host two threads ran 16 width-48 crops 0.85-1.16x as
+# fast as one at 64-256 tokens, and 1.5-1.9x from 400 tokens up.
+POOL_MIN_TOKENS = 512
 
 
 def resolution_pair(student_patch, vfm_patch, target_side_tokens):
@@ -117,6 +127,19 @@ def context_teacher(vfm_tokens, sd_stack, cfg):
     return s_vfm.values
 
 
+def _crop_workers(n_crops, teacher):
+    """Threads for one step's teacher crop forwards: one (the calling thread)
+    below POOL_MIN_TOKENS teacher tokens, else one per crop up to the CPUs
+    this process may use."""
+    if teacher.grid_side ** 2 < POOL_MIN_TOKENS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_crops, cpus)
+
+
 def distill_forward(student, teacher, vfm_tokens, sd_stack, image, cfg, rng,
                     variant="decoupled"):
     """Losses of one image. Variants share the pipeline shape:
@@ -133,17 +156,22 @@ def distill_forward(student, teacher, vfm_tokens, sd_stack, image, cfg, rng,
             f"provider grid {vfm_tokens.shape[0]} does not match student "
             f"grid {student.grid_side ** 2}")
     mode = "standard" if variant == "coupled" else "decoupled"
-    enc = encode_dense(image, student, mode)
-    ctx_stream = enc.tokens if variant == "coupled" else enc.context
-    s_hat = context_teacher(vfm_tokens, sd_stack, cfg)
-
     boxes = sample_grid(rng, cfg.grid_lo, cfg.grid_hi)
-    content_map = enc.dense()
-    region_students, region_teacher = [], []
-    for box in boxes:
-        region_students.append(roi_align(content_map, box, cfg.roi_n))
-        crop = crop_resize(image, box, teacher.input_res)
-        region_teacher.append(encode_cls(crop, teacher))
+
+    def teacher_cls(box):
+        return encode_cls(crop_resize(image, box, teacher.input_res), teacher)
+
+    # the crops are independent of each other and of the student, so on a
+    # pool they run while the student side runs here; map yields box order
+    workers = _crop_workers(len(boxes), teacher)
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        crops = (pool.map if workers > 1 else map)(teacher_cls, boxes)
+        enc = encode_dense(image, student, mode)
+        ctx_stream = enc.tokens if variant == "coupled" else enc.context
+        s_hat = context_teacher(vfm_tokens, sd_stack, cfg)
+        content_map = enc.dense()
+        region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+        region_teacher = list(crops)
 
     l_ctx = context_loss(ctx_stream, s_hat, cfg.tau)
     l_cos = content_cos_loss(region_students, region_teacher)

@@ -49,6 +49,29 @@ def test_gradcheck_deterministic(capsys):
     assert "gradcheck: 22/22 passed" in first
 
 
+def test_gradcheck_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    from densedistill import tensor as T
+
+    real_gelu = T.gelu
+
+    def gelu_raising_backward(a):
+        def back(g):
+            raise ValueError("planted shape mismatch")
+        return T.from_op(real_gelu(a).data, (a,), back)
+
+    # the gelu check and attention_block (through its FFN) both reach it
+    monkeypatch.setattr(T, "gelu", gelu_raising_backward)
+    assert run_cli(["gradcheck", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "FAIL gelu: raised ValueError: planted shape mismatch" in lines
+    assert "FAIL attention_block: raised ValueError: planted shape mismatch" in lines
+    assert lines[-1] == "gradcheck: 20/22 passed"
+    assert sum(line.startswith("PASS ") for line in lines) == 20
+    assert any(line.startswith("PASS head_mix_m1:") for line in lines)
+    assert captured.err == ""
+
+
 def test_unknown_subcommand_exit_one(capsys):
     assert run_cli(["frobnicate"]) == 1
 

@@ -1,16 +1,20 @@
 """Trainer: optimizer closed forms, pipeline wiring, determinism, round-trips."""
 
+import itertools
 import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from densedistill import tensor as T
+from densedistill import trainer
 from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
-from densedistill.errors import ConfigError
+from densedistill.errors import ConfigError, EvaluationError
 from densedistill.evalsuite import class_prototypes, save_class_embeddings, train_variant
 from densedistill.losses import content_cos_loss, context_loss, rcc_loss, total_loss
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
@@ -189,6 +193,132 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     assert set(grads_a) == set(grads_b)
     for name in grads_a:
         np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
+
+
+# --- teacher crops on a thread pool -----------------------------------------------------
+
+def pool_cfg(tmp_path, **over):
+    """A 24x24 grid (576 teacher tokens, above POOL_MIN_TOKENS) and 9 crops."""
+    return desk_cfg(tmp_path, student_res=192, vfm_res=96, grid_lo=3, grid_hi=3, **over)
+
+
+def record_crop_threads(monkeypatch):
+    threads = []
+    real = trainer.encode_cls
+
+    def recording(crop, params):
+        threads.append(threading.get_ident())
+        return real(crop, params)
+
+    monkeypatch.setattr(trainer, "encode_cls", recording)
+    return threads
+
+
+@pytest.mark.parametrize("variant", ["decoupled", "coupled", "content"])
+def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, variant):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the pool needs two CPUs")
+    cfg = pool_cfg(tmp_path, lam=0.5)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    assert distiller.teacher.grid_side ** 2 >= trainer.POOL_MIN_TOKENS
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    threads = record_crop_threads(monkeypatch)
+
+    total, report_a = distiller.loss_for(prepared, np.random.default_rng(5), variant)
+    T.backward(total)
+    grads_a = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
+               if p.grad is not None}
+    assert len(threads) == 9 and len(set(threads)) > 1
+
+    # one crop after another on this thread
+    monkeypatch.undo()
+    distiller.optimizer.zero_grad()
+    enc = encode_dense(prepared.image, distiller.student,
+                       "standard" if variant == "coupled" else "decoupled")
+    ctx = enc.tokens if variant == "coupled" else enc.context
+    boxes = sample_grid(np.random.default_rng(5), cfg.grid_lo, cfg.grid_hi)
+    f_t = []
+    for box in boxes:
+        f_t.append(encode_cls(crop_resize(prepared.image, box, cfg.student_res),
+                              distiller.teacher))
+    f_s = [roi_align(enc.dense(), box, cfg.roi_n) for box in boxes]
+    if variant == "decoupled":
+        side = distiller.student.grid_side
+        vfm_map = Tensor(prepared.vfm_tokens.T.reshape(-1, side, side).copy())
+        l_rcc = rcc_loss(f_s, [roi_align(vfm_map, box, cfg.roi_n) for box in boxes], cfg.tau)
+    else:
+        l_rcc = Tensor(np.zeros(()))
+    s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
+    manual, report_b = total_loss(content_cos_loss(f_s, f_t), l_rcc,
+                                  context_loss(ctx, s_hat, cfg.tau),
+                                  lam=0.0 if variant == "content" else cfg.lam, tau=cfg.tau)
+    T.backward(manual)
+    grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
+               if p.grad is not None}
+
+    assert report_a == report_b
+    assert set(grads_a) == set(grads_b)
+    for name in grads_a:
+        np.testing.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
+
+
+def test_small_teacher_grid_encodes_crops_on_the_calling_thread(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path, grid_lo=2, grid_hi=2)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    assert distiller.teacher.grid_side ** 2 < trainer.POOL_MIN_TOKENS
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    threads = record_crop_threads(monkeypatch)
+    before = threading.active_count()
+    distiller.loss_for(prepared, np.random.default_rng(5))
+    assert threads == [threading.get_ident()] * 4
+    assert threading.active_count() == before
+
+
+class StudentFailure(Exception):
+    pass
+
+
+def test_pool_errors_surface_with_their_class_and_leave_no_thread(tmp_path, monkeypatch):
+    cfg = pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    real_cls = trainer.encode_cls
+    before = threading.active_count()
+
+    # one crop forward fails
+    calls = itertools.count()
+
+    def failing_crop(crop, params):
+        if next(calls) == 4:
+            raise EvaluationError("planted non-finite crop")
+        return real_cls(crop, params)
+
+    monkeypatch.setattr(trainer, "encode_cls", failing_crop)
+    with pytest.raises(EvaluationError, match="planted non-finite crop"):
+        distiller.loss_for(prepared, np.random.default_rng(5))
+    assert threading.active_count() == before
+
+    # the student forward fails while crops are in flight (with two CPUs)
+    pooled = len(os.sched_getaffinity(0)) >= 2
+    started = threading.Event()
+
+    def slow_crop(crop, params):
+        started.set()
+        time.sleep(0.05)
+        return real_cls(crop, params)
+
+    def failing_student(image, params, mode="standard"):
+        assert started.wait(10) if pooled else not started.is_set()
+        raise StudentFailure("planted student failure")
+
+    monkeypatch.setattr(trainer, "encode_cls", slow_crop)
+    monkeypatch.setattr(trainer, "encode_dense", failing_student)
+    with pytest.raises(StudentFailure, match="planted student failure"):
+        distiller.loss_for(prepared, np.random.default_rng(5))
+    assert threading.active_count() == before
 
 
 def test_same_seed_runs_bitwise_identical(tmp_path):
