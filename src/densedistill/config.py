@@ -98,6 +98,8 @@ def validate(cfg):
     need(0 < cfg.beta1 < 1 and 0 < cfg.beta2 < 1, "betas must lie in (0, 1)")
     need(cfg.eps > 0, "eps must be > 0")
     need(cfg.epochs >= 0, "epochs must be >= 0")
+    # checkpoints store the seed as an int32 section
+    need(0 <= cfg.seed < 2 ** 31, f"seed must lie in [0, 2**31), got {cfg.seed}")
     need(cfg.batch_size >= 1, "batch_size must be >= 1")
     need(cfg.dtype in ("f32", "f64"), f"dtype must be f32 or f64, got {cfg.dtype!r}")
     for role in ("student", "vfm"):

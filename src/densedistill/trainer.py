@@ -4,11 +4,15 @@ and the manifest-driven training loop.
 
 Determinism contract: data order follows the manifest, per-step randomness
 comes from ``default_rng([seed, STREAM_STEP, step])``, and resuming needs
-only the step counter, so same-seed runs (resumed or not) are bitwise
-reproducible. Teacher crop targets are computed one crop at a time and
-collected in box order, on a thread pool or on the calling thread, so the
-pool size never changes a bit. ``train`` is the one training loop; every
-caller goes through it.
+the step counter and the seed (the checkpoint holds both; the frozen twins
+are rebuilt from the seed), so same-seed runs (resumed or not) are bitwise
+reproducible, metrics log included. A teacher crop target depends only on
+the image, the box and the frozen teacher, so each record keeps the ones it
+has computed, keyed by (teacher fingerprint, box), and a step encodes only
+the boxes its record has not seen under that teacher. Those are encoded one
+crop at a time, on a thread pool or on the calling thread, and every target
+is read back in box order, so neither the memo nor the pool size changes a
+bit. ``train`` is the one training loop; every caller goes through it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .affinity import SdAttentionStack, complete_affinity, fuse_sd_attention, synth_sd_attention, vfm_affinity
-from .config import echo_config
+from .config import echo_config, validate
 from .container import atomic_write_text, read_tensor, write_tensor
 from .errors import ConfigError, ParameterError, ShapeError
 from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
@@ -140,9 +144,8 @@ def _crop_workers(n_crops, teacher):
     return min(n_crops, cpus)
 
 
-def distill_forward(student, teacher, vfm_tokens, sd_stack, image, cfg, rng,
-                    variant="decoupled"):
-    """Losses of one image. Variants share the pipeline shape:
+def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
+    """Losses of one prepared record. Variants share the pipeline shape:
 
     - "decoupled": context on the context stream, content+RCC on content
     - "coupled":   content and context applied jointly to the standard-mode
@@ -151,27 +154,32 @@ def distill_forward(student, teacher, vfm_tokens, sd_stack, image, cfg, rng,
     """
     if variant not in ("decoupled", "coupled", "content"):
         raise ParameterError(f"unknown variant {variant!r}")
+    image, vfm_tokens = prepared.image, prepared.vfm_tokens
     if vfm_tokens.shape[0] != student.grid_side ** 2:
         raise ConfigError(
             f"provider grid {vfm_tokens.shape[0]} does not match student "
             f"grid {student.grid_side ** 2}")
     mode = "standard" if variant == "coupled" else "decoupled"
     boxes = sample_grid(rng, cfg.grid_lo, cfg.grid_hi)
+    key = teacher.fingerprint()
+    memo = prepared.crop_targets
+    misses = [box for box in boxes if (key, box) not in memo]
 
     def teacher_cls(box):
         return encode_cls(crop_resize(image, box, teacher.input_res), teacher)
 
     # the crops are independent of each other and of the student, so on a
     # pool they run while the student side runs here; map yields box order
-    workers = _crop_workers(len(boxes), teacher)
+    workers = _crop_workers(len(misses), teacher)
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        crops = (pool.map if workers > 1 else map)(teacher_cls, boxes)
+        crops = (pool.map if workers > 1 else map)(teacher_cls, misses)
         enc = encode_dense(image, student, mode)
         ctx_stream = enc.tokens if variant == "coupled" else enc.context
-        s_hat = context_teacher(vfm_tokens, sd_stack, cfg)
+        s_hat = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
         content_map = enc.dense()
         region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
-        region_teacher = list(crops)
+        memo.update(((key, box), cls) for box, cls in zip(misses, crops))
+    region_teacher = [memo[key, box] for box in boxes]
 
     l_ctx = context_loss(ctx_stream, s_hat, cfg.tau)
     l_cos = content_cos_loss(region_students, region_teacher)
@@ -228,6 +236,9 @@ class PreparedRecord:
     image: np.ndarray
     vfm_tokens: np.ndarray
     sd_stack: SdAttentionStack
+    # frozen-teacher crop embeddings, (teacher fingerprint, CropBox) -> CLS
+    # Tensor; at most (sum of n over [grid_lo, grid_hi])^2 boxes per teacher
+    crop_targets: dict = field(default_factory=dict)
 
 
 def prepare_record(rec, vfm, cfg, index):
@@ -264,8 +275,7 @@ class Distiller:
         self.step_count = 0
 
     def loss_for(self, prepared, rng, variant="decoupled"):
-        return distill_forward(self.student, self.teacher, prepared.vfm_tokens,
-                               prepared.sd_stack, prepared.image, self.cfg, rng,
+        return distill_forward(self.student, self.teacher, prepared, self.cfg, rng,
                                variant=variant)
 
     def step_batch(self, prepared_list, rng, variant="decoupled"):
@@ -293,13 +303,17 @@ _META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res")
 _META_LEN = len(_META_FIELDS) + 2
 
 
-def save_checkpoint(path, student, optimizer=None, step=0):
+def save_checkpoint(path, student, optimizer=None, step=0, seed=None):
+    """Write the student (and optimizer moments, when given) with the step
+    counter and, when given, the run seed that ``restore_into`` requires."""
     sections = [("meta", np.array(
         [getattr(student, f) for f in _META_FIELDS]
         + [student.embed_dim or 0, 0 if student.dtype == np.float32 else 1],
         dtype=np.int32))]
     sections.append(("pixel", np.array([student.pixel_mean, student.pixel_std])))
     sections.append(("step", np.array([step], dtype=np.int32)))
+    if seed is not None:
+        sections.append(("seed", np.array([seed], dtype=np.int32)))
     for name, p in student.named_parameters():
         sections.append((f"param.{name}", p.data))
     if optimizer is not None:
@@ -372,11 +386,17 @@ def load_student(path):
 
 def restore_into(distiller, path):
     """Load a checkpoint's parameters, optimizer moments and step counter into
-    a distiller; parameters are matched by name and must agree in shape."""
+    a distiller; parameters are matched by name and must agree in shape, and
+    the checkpoint's seed must be the run's, which the frozen twins and the
+    step randomness are built from."""
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
     _check_params(path, sections, params)
     step = int(section(path, sections, "step", 1)[0])
+    seed = int(section(path, sections, "seed", 1)[0])
+    if seed != distiller.cfg.seed:
+        raise ConfigError(f"{path}: section 'seed' holds {seed}, but the run's seed "
+                          f"is {distiller.cfg.seed}")
     for name, p in params.items():
         p.data = sections[f"param.{name}"].astype(p.data.dtype)
     opt = distiller.optimizer
@@ -412,9 +432,24 @@ class RunResult:
     checkpoint_path: str
 
 
+def _metrics_history(path, start_step):
+    """The first ``start_step`` lines of the metrics log at ``path``, which a
+    run resumed at that step keeps; none when there is no log yet."""
+    if start_step == 0 or not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if len(lines) < start_step:
+        raise ConfigError(f"{path}: holds {len(lines)} metrics lines, but the run "
+                          f"resumes at step {start_step}")
+    return lines[:start_step]
+
+
 def distill_run(cfg, manifest_path=None):
     """Train for cfg.epochs passes over the manifest, one optimizer step per
-    batch, writing the metrics log, config echo, and a final checkpoint."""
+    batch, writing the metrics log, config echo, and a final checkpoint. A
+    resumed run keeps the log's lines of the steps before it."""
+    validate(cfg)
     records = read_manifest(manifest_path or cfg.manifest)
     distiller = Distiller(cfg)
     prepared = [prepare_record(rec, distiller.vfm, cfg, i)
@@ -422,15 +457,16 @@ def distill_run(cfg, manifest_path=None):
     if cfg.resume:
         restore_into(distiller, cfg.resume)
     start_step = distiller.step_count
+    metrics_path = os.path.join(cfg.report_dir, METRICS_NAME)
+    lines = _metrics_history(metrics_path, start_step)
     reports = train(distiller, prepared, cfg.epochs)
-    lines = [report.line(idx) for idx, report in enumerate(reports, start=start_step)]
+    lines += [report.line(idx) for idx, report in enumerate(reports, start=start_step)]
     os.makedirs(cfg.report_dir, exist_ok=True)
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-    metrics_path = os.path.join(cfg.report_dir, METRICS_NAME)
     atomic_write_text(metrics_path, "".join(line + "\n" for line in lines))
     atomic_write_text(os.path.join(cfg.report_dir, CONFIG_ECHO_NAME), echo_config(cfg))
     checkpoint_path = os.path.join(cfg.checkpoint_dir, CHECKPOINT_NAME)
     save_checkpoint(checkpoint_path, distiller.student, distiller.optimizer,
-                    distiller.step_count)
+                    distiller.step_count, cfg.seed)
     return RunResult(reports=reports, metrics_path=metrics_path,
                      checkpoint_path=checkpoint_path)

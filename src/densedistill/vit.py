@@ -10,6 +10,7 @@ forward on plain arrays, without the graph.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,6 +66,7 @@ class VitParams:
         self.pixel_std = float(pixel_std)
         self.dtype = np.dtype(dtype)
         self.frozen = False
+        self._fingerprint = None
 
         rng = np.random.default_rng(seed)
 
@@ -112,7 +114,7 @@ class VitParams:
         twin = VitParams.__new__(VitParams)
         twin.__dict__.update({k: v for k, v in self.__dict__.items()
                               if k not in ("blocks",) and not isinstance(v, Tensor)})
-        twin.frozen = False
+        twin.frozen, twin._fingerprint = False, None
         for name in ("w_patch", "b_patch", "cls_token", "pos_embed"):
             twin.__dict__[name] = Tensor(getattr(self, name).data.copy(), requires_grad=True)
         twin.blocks = [
@@ -147,6 +149,20 @@ class VitParams:
 
     def state_bytes(self):
         return b"".join(p.data.tobytes() for _, p in self.named_parameters())
+
+    def fingerprint(self):
+        """Digest of a frozen encoder's architecture, pixel normalisation and
+        weights, computed at first use: frozen arrays are read-only, so it
+        cannot go stale."""
+        if not self.frozen:
+            raise ModeError("only frozen params have a fixed fingerprint")
+        if self._fingerprint is None:
+            meta = (self.patch_size, self.depth, self.width, self.heads, self.input_res,
+                    self.embed_dim, self.pixel_mean, self.pixel_std, self.dtype.str)
+            digest = hashlib.blake2b(repr(meta).encode(), digest_size=16)
+            digest.update(self.state_bytes())
+            self._fingerprint = digest.digest()
+        return self._fingerprint
 
 
 @dataclass

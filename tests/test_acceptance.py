@@ -266,8 +266,8 @@ def shipped_results():
     raw_cfg = replace(cfg, use_sd_completion=False)
     probe = Distiller(cfg)
     classes = class_prototypes(probe.teacher, suite.colors)
-    raw = evaluate_on_suite(train_variant(raw_cfg, suite, "decoupled").student,
-                            suite, classes, raw_cfg, "decoupled")
+    raw_variant = train_variant(raw_cfg, prepare_suite(suite, probe, raw_cfg), "decoupled")
+    raw = evaluate_on_suite(raw_variant.student, suite, classes, raw_cfg, "decoupled")
     return ablation, raw
 
 
@@ -324,7 +324,7 @@ def test_criterion_8_determinism_roundtrips(tmp_path):
 
     resave = str(tmp_path / "resave.dten")
     rebuilt = restore_into(Distiller(cfg), run_a.checkpoint_path)
-    save_checkpoint(resave, rebuilt.student, rebuilt.optimizer, rebuilt.step_count)
+    save_checkpoint(resave, rebuilt.student, rebuilt.optimizer, rebuilt.step_count, cfg.seed)
     checkpoint_roundtrip = (open(run_a.checkpoint_path, "rb").read()
                             == open(resave, "rb").read())
 

@@ -28,6 +28,12 @@ def test_unknown_key_rejected():
         parse_config_text("lamda = 0.25\n")
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 31])
+def test_seed_outside_the_checkpoint_range_rejected(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config_text(f"seed = {seed}\n")
+
+
 def test_unparsable_value():
     with pytest.raises(ConfigError):
         parse_config_text("epochs = six\n")

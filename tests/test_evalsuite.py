@@ -24,10 +24,11 @@ from densedistill.evalsuite import (
     segment_training_free,
     top1_macc,
 )
-from densedistill.regions import CropBox, FULL_BOX
+from densedistill import trainer
+from densedistill.regions import CropBox, FULL_BOX, sample_grid
 from densedistill.synthdata import make_suite
 from densedistill.tensor import Tensor
-from densedistill.trainer import Distiller
+from densedistill.trainer import STREAM_STEP, Distiller
 from densedistill.vit import DenseFeatures
 
 
@@ -403,3 +404,28 @@ def test_ablation_mini_deterministic():
     assert a == b
     for m in (a.baseline, a.content_only, a.coupled, a.decoupled):
         assert 0.0 <= m.macc <= 1.0 and 0.0 <= m.miou <= 1.0
+
+
+def test_ablation_encodes_each_record_box_once_per_variant(monkeypatch):
+    cfg = RunConfig(student_patch=8, student_res=32, student_depth=2, student_width=16,
+                    student_heads=2, embed_dim=8, vfm_patch=8, vfm_res=32, vfm_depth=1,
+                    vfm_width=8, vfm_heads=1, grid_lo=1, grid_hi=2, epochs=3,
+                    batch_size=2, seed=5, lr=3e-3, weight_decay=0.0)
+    suite = make_suite(seed=5, n_images=4, side=4, patch=8, num_classes=3)
+    pairs = []
+    for step in range(cfg.epochs * 2):
+        rng = np.random.default_rng([cfg.seed, STREAM_STEP, step])
+        for record in (step % 2 * 2, step % 2 * 2 + 1):
+            pairs += [(record, box) for box in sample_grid(rng, cfg.grid_lo, cfg.grid_hi)]
+    assert len(set(pairs)) < len(pairs)
+
+    calls = []
+    real = trainer.encode_cls
+
+    def counting(crop, params):
+        calls.append(params)
+        return real(crop, params)
+
+    monkeypatch.setattr(trainer, "encode_cls", counting)
+    ablation_coupled_vs_decoupled(cfg, suite)
+    assert len(calls) == 3 * len(set(pairs))

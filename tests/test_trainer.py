@@ -15,7 +15,8 @@ from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
 from densedistill.errors import ConfigError, EvaluationError
-from densedistill.evalsuite import class_prototypes, save_class_embeddings, train_variant
+from densedistill.evalsuite import (class_prototypes, prepare_suite, save_class_embeddings,
+                                    train_variant)
 from densedistill.losses import content_cos_loss, context_loss, rcc_loss, total_loss
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
 from densedistill.tensor import Tensor
@@ -321,6 +322,61 @@ def test_pool_errors_surface_with_their_class_and_leave_no_thread(tmp_path, monk
     assert threading.active_count() == before
 
 
+# --- teacher crop targets kept per record -------------------------------------------------
+
+def test_warm_records_train_like_fresh_ones(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path, epochs=2, grid_lo=1, grid_hi=3)
+    _, manifest = desk_suite(tmp_path, cfg)
+    records = read_manifest(manifest)
+
+    def run(prepared=None):
+        distiller = Distiller(cfg)
+        prepared = prepared or [prepare_record(r, distiller.vfm, cfg, i)
+                                for i, r in enumerate(records)]
+        return train(distiller, prepared, cfg.epochs), distiller.student.state_bytes(), prepared
+
+    fresh_reports, fresh_bytes, warm = run()
+    assert all(rec.crop_targets for rec in warm)
+    threads = record_crop_threads(monkeypatch)
+    warm_reports, warm_bytes, _ = run(warm)
+    assert threads == []
+    assert warm_reports == fresh_reports and warm_bytes == fresh_bytes
+
+
+def test_targets_of_another_teacher_are_never_served(tmp_path):
+    cfg = desk_cfg(tmp_path, grid_lo=2, grid_hi=2)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    record = read_manifest(manifest)[0]
+    fresh = prepare_record(record, distiller.vfm, cfg, 0)
+    filled = prepare_record(record, distiller.vfm, cfg, 0)
+    other = Distiller(desk_cfg(tmp_path, grid_lo=2, grid_hi=2, seed=3))
+    other.loss_for(filled, np.random.default_rng(5))
+
+    _, want = distiller.loss_for(fresh, np.random.default_rng(5))
+    _, got = distiller.loss_for(filled, np.random.default_rng(5))
+    assert got == want
+    assert {key for key, _ in filled.crop_targets} == {other.teacher.fingerprint(),
+                                                       distiller.teacher.fingerprint()}
+
+
+def test_step_whose_boxes_all_hit_starts_no_pool(tmp_path, monkeypatch):
+    cfg = pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    _, first = distiller.loss_for(prepared, np.random.default_rng(5))
+    assert len(prepared.crop_targets) == 9
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a crop pool was started")
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+    threads = record_crop_threads(monkeypatch)
+    _, again = distiller.loss_for(prepared, np.random.default_rng(5))
+    assert again == first and threads == []
+
+
 def test_same_seed_runs_bitwise_identical(tmp_path):
     cfg = desk_cfg(tmp_path, batch_size=1)
     suite, manifest = desk_suite(tmp_path, cfg)
@@ -409,15 +465,57 @@ def test_resume_reproduces_next_step_bitwise(tmp_path):
     assert resumed.reports == full.reports[steps_per_epoch:]
 
 
+def test_resume_into_the_same_report_dir_keeps_earlier_metrics(tmp_path):
+    cfg_full = desk_cfg(tmp_path / "full", epochs=2)
+    _, manifest = desk_suite(tmp_path, cfg_full)
+    full = distill_run(cfg_full, manifest)
+    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    resumed = distill_run(desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path), manifest)
+    assert resumed.metrics_path == half.metrics_path
+    assert open(resumed.metrics_path).read() == open(full.metrics_path).read()
+
+
+def test_resume_refuses_a_metrics_log_shorter_than_its_step(tmp_path):
+    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
+    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    first_line = open(half.metrics_path).readline()
+    with open(half.metrics_path, "w") as fh:
+        fh.write(first_line)
+    checkpoint = open(half.checkpoint_path, "rb").read()
+    with pytest.raises(ConfigError, match=re.escape(half.metrics_path)):
+        distill_run(desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path), manifest)
+    assert open(half.metrics_path).read() == first_line
+    assert open(half.checkpoint_path, "rb").read() == checkpoint
+
+
+def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
+    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
+    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    other = desk_cfg(tmp_path, epochs=2, seed=5, resume=half.checkpoint_path, manifest=manifest)
+    with pytest.raises(ConfigError, match=r"checkpoint\.dten: section 'seed' holds 0.* 5"):
+        distill_run(other)
+    config = tmp_path / "other.cfg"
+    config.write_text(echo_config(other))
+    assert run_cli(["distill", "--config", str(config)]) == 1
+
+
+def test_distill_run_validates_a_config_built_in_code(tmp_path):
+    cfg = desk_cfg(tmp_path, seed=2 ** 31)
+    _, manifest = desk_suite(tmp_path, cfg)
+    with pytest.raises(ConfigError, match="seed"):
+        distill_run(cfg, manifest)
+    assert not os.path.exists(cfg.report_dir)
+
+
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
     cfg = desk_cfg(tmp_path)
     distiller = Distiller(cfg)
     p1 = str(tmp_path / "a.dten")
     p2 = str(tmp_path / "b.dten")
-    save_checkpoint(p1, distiller.student, distiller.optimizer, 5)
+    save_checkpoint(p1, distiller.student, distiller.optimizer, 5, cfg.seed)
     rebuilt = restore_into(Distiller(cfg), p1)
     assert rebuilt.step_count == 5
-    save_checkpoint(p2, rebuilt.student, rebuilt.optimizer, rebuilt.step_count)
+    save_checkpoint(p2, rebuilt.student, rebuilt.optimizer, rebuilt.step_count, cfg.seed)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -444,11 +542,12 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
 
 @pytest.mark.parametrize("section,value,named", [
     ("adam.v.cls", None, r"adam\.m\.cls"), ("adam.v.cls", np.zeros((3, 3)), r"adam\.v\.cls"),
-    ("step", None, "'step'"), ("step", np.zeros(2, dtype=np.int32), "'step'")])
+    ("step", None, "'step'"), ("step", np.zeros(2, dtype=np.int32), "'step'"),
+    ("seed", None, "'seed'"), ("seed", np.zeros(2, dtype=np.int32), "'seed'")])
 def test_restore_rejects_bad_moment_or_step_section(tmp_path, section, value, named):
     path = str(tmp_path / "ckpt.dten")
     source = Distiller(desk_cfg(tmp_path))
-    save_checkpoint(path, source.student, source.optimizer, 3)
+    save_checkpoint(path, source.student, source.optimizer, 3, 0)
     sections = read_tensor(path)
     if value is None:
         del sections[section]
@@ -556,7 +655,7 @@ def test_manifest_and_in_memory_suites_train_identically(tmp_path):
     cfg = desk_cfg(tmp_path, epochs=2)
     suite, manifest = desk_suite(tmp_path, cfg)
     from_manifest, _ = load_student(distill_run(cfg, manifest).checkpoint_path)
-    in_memory = train_variant(cfg, suite, "decoupled").student
+    in_memory = train_variant(cfg, prepare_suite(suite, Distiller(cfg), cfg), "decoupled").student
     assert from_manifest.state_bytes() == in_memory.state_bytes()
 
 

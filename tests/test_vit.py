@@ -307,6 +307,21 @@ def test_frozen_params_reject_writes():
     assert all(not t.requires_grad for _, t in p.named_parameters())
 
 
+def test_fingerprint_identifies_frozen_weights_and_normalisation():
+    p = tiny_params(seed=1).freeze()
+    assert p.fingerprint() == tiny_params(seed=1).freeze().fingerprint()
+    assert p.fingerprint() != tiny_params(seed=2).freeze().fingerprint()
+    shifted = tiny_params(seed=1)
+    shifted.pixel_std = 0.25
+    assert shifted.freeze().fingerprint() != p.fingerprint()
+    # a clone of a fingerprinted teacher is trainable again and keeps no digest
+    twin = p.clone()
+    with pytest.raises(ModeError):
+        twin.fingerprint()
+    twin.cls_token.data += 1.0
+    assert twin.freeze().fingerprint() != p.fingerprint()
+
+
 def test_gradients_reach_every_decoupled_parameter():
     p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4, embed=4, seed=5)
     img = rand_image(np.random.default_rng(15), 8)
