@@ -7,6 +7,7 @@ serializes a config so that parse(echo(cfg)) == cfg.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -89,6 +90,11 @@ def validate(cfg):
         if not cond:
             raise ConfigError(msg)
 
+    for name, kind in _FIELDS.items():
+        if kind == "float":
+            value = getattr(cfg, name)
+            need(math.isfinite(value),
+                 f"{_FIELD_TO_KEY.get(name, name)} must be finite, got {value}")
     need(cfg.lam >= 0, f"lambda must be >= 0, got {cfg.lam}")
     need(cfg.tau > 0, f"tau must be > 0, got {cfg.tau}")
     need(1 <= cfg.grid_lo <= cfg.grid_hi, f"invalid grid range [{cfg.grid_lo}, {cfg.grid_hi}]")

@@ -183,4 +183,8 @@ def run_gradcheck_suite(seed=0):
               [t(m, 4), t(3, 4)])
         check(f"head_mix_m{m}", lambda p, v, w=mix_w: T.sum_all(T.mul(T.head_mix(p, v, 2), w)),
               [t(2 * m, 3), t(3, 4)])
+    # one operand on both sides, as the context and RCC losses call it
+    self_w = t(4, 4)
+    check("cosine_matrix_self", lambda a: T.sum_all(T.mul(T.cosine_matrix(a, a), self_w)),
+          [t(4, 3)])
     return reports

@@ -8,6 +8,7 @@ half-pixel centers (pixel i of an axis of length s covers
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def _axis_weights(lo, hi, n_out, size):
     frac = p - i0
     w = np.zeros((n_out, size))
     rows = np.arange(n_out)
-    np.add.at(w, (rows, i0), 1.0 - frac)
-    np.add.at(w, (rows, i1), frac)
+    w[rows, i0] = 1.0 - frac
+    w[rows, i1] += frac  # each row once, so clamped i0 == i1 rows sum to 1
     return w
 
 
@@ -115,8 +116,17 @@ def crop_resize(image, box, out_res):
     # the weights vanish outside the box's pixels (+-1), so contract only those
     ys = np.flatnonzero(wy.any(axis=0))
     xs = np.flatnonzero(wx.any(axis=0))
-    return np.einsum("ih,chw,jw->cij", wy[:, ys], arr[:, ys][:, :, xs], wx[:, xs],
-                     optimize=True)
+    operands = (wy[:, ys], arr[:, ys][:, :, xs], wx[:, xs])
+    return np.einsum("ih,chw,jw->cij", *operands,
+                     optimize=_resize_path(*(op.shape for op in operands)))
+
+
+@functools.lru_cache(maxsize=256)
+def _resize_path(*shapes):
+    """crop_resize's einsum contraction order for these operand shapes, the
+    one ``optimize=True`` would search for on every call."""
+    return tuple(np.einsum_path("ih,chw,jw->cij", *(np.broadcast_to(0.0, s) for s in shapes),
+                                optimize=True)[0])
 
 
 def resize_bilinear(planes, out_h, out_w):

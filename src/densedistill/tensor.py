@@ -52,7 +52,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise EvaluationError("tensor created with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -94,7 +94,9 @@ def _is_number(x):
 
 
 def _finite(data):
-    if not np.all(np.isfinite(data)):
+    # the array method skips np.all's Python-level dispatch, which dominates
+    # on the small arrays of most calls
+    if not np.isfinite(data).all():
         raise EvaluationError("operation produced non-finite values")
     return data
 
@@ -526,17 +528,41 @@ def head_mix(p, v, heads):
     return from_op(_head_mix(p.data, v.data, heads), (p, v), back)
 
 
+def _unit_rows_back(gn, n, norm):
+    """Gradient wrt x of the rows n = x / |x|, given the gradient gn wrt n:
+    (gn - n * rowsum(gn * n)) / |x|."""
+    return (gn - n * np.einsum("ij,ij->i", gn, n)[:, None]) / norm
+
+
 def cosine_matrix(a, b):
-    """Pairwise cosines between the rows of two matrices sharing a feature dim."""
+    """Pairwise cosines between the rows of two matrices sharing a feature dim.
+
+    One op: rows are scaled to unit length, then multiplied, with the
+    arithmetic of div(x, sqrt(sum_rows(mul(x, x)))) and matmul(na,
+    transpose(nb)); ``a is b`` (a self-similarity) sums both sides'
+    gradients before the shared norm backward."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_matrix needs (p,d) and (q,d), got {a.shape} and {b.shape}")
-    for t, side in ((a, "first"), (b, "second")):
-        if (np.einsum("ij,ij->i", t.data, t.data) == 0.0).any():
+    _check_same_dtype(a, b)
+    sides = (a,) if a is b else (a, b)
+    with np.errstate(over="ignore"):
+        sq = [(t.data * t.data).sum(axis=1, keepdims=True) for t in sides]
+    for s, side in zip(sq, ("first", "second")):
+        if (s == 0.0).any():
             raise DegenerateInputError(f"zero-norm row in {side} argument")
-    na = div(a, sqrt(sum_rows(mul(a, a))))
-    nb = div(b, sqrt(sum_rows(mul(b, b))))
-    return matmul(na, transpose(nb))
+    # a square that overflows leaves an infinite norm and a zero cosine
+    norms = [np.sqrt(_finite(s)) for s in sq]
+    units = [t.data / r for t, r in zip(sides, norms)]
+    na, nb = units[0], units[-1]
+
+    def back(g):
+        ga, gb = g @ nb, g.T @ na
+        if a is b:
+            return (_unit_rows_back(ga + gb, na, norms[0]),)
+        return (_unit_rows_back(ga, na, norms[0]), _unit_rows_back(gb, nb, norms[1]))
+
+    return from_op(na @ np.ascontiguousarray(nb.T), sides, back)
 
 
 def kl_rows(p, q):

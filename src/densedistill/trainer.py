@@ -173,11 +173,17 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
     workers = _crop_workers(len(misses), teacher)
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         crops = (pool.map if workers > 1 else map)(teacher_cls, misses)
-        enc = encode_dense(image, student, mode)
-        ctx_stream = enc.tokens if variant == "coupled" else enc.context
-        s_hat = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
-        content_map = enc.dense()
-        region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+        try:
+            enc = encode_dense(image, student, mode)
+            ctx_stream = enc.tokens if variant == "coupled" else enc.context
+            s_hat = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
+            content_map = enc.dense()
+            region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+        except BaseException:
+            # drop the crops still queued instead of running them before raising
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            raise
         memo.update(((key, box), cls) for box, cls in zip(misses, crops))
     region_teacher = [memo[key, box] for box in boxes]
 
@@ -303,9 +309,15 @@ _META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res")
 _META_LEN = len(_META_FIELDS) + 2
 
 
-def save_checkpoint(path, student, optimizer=None, step=0, seed=None):
+# the optim section: the optimizer's settings, then the batch size; a
+# resumed run must share all of them
+_OPTIM_FIELDS = ("lr", "beta1", "beta2", "eps", "weight_decay")
+
+
+def save_checkpoint(path, student, optimizer=None, step=0, seed=None, batch_size=None):
     """Write the student (and optimizer moments, when given) with the step
-    counter and, when given, the run seed that ``restore_into`` requires."""
+    counter. With ``seed``, also the run seed; with the optimizer and
+    ``batch_size``, also the optim section. ``restore_into`` requires both."""
     sections = [("meta", np.array(
         [getattr(student, f) for f in _META_FIELDS]
         + [student.embed_dim or 0, 0 if student.dtype == np.float32 else 1],
@@ -314,6 +326,9 @@ def save_checkpoint(path, student, optimizer=None, step=0, seed=None):
     sections.append(("step", np.array([step], dtype=np.int32)))
     if seed is not None:
         sections.append(("seed", np.array([seed], dtype=np.int32)))
+    if optimizer is not None and batch_size is not None:
+        sections.append(("optim", np.array(
+            [getattr(optimizer, f) for f in _OPTIM_FIELDS] + [batch_size], dtype=np.float64)))
     for name, p in student.named_parameters():
         sections.append((f"param.{name}", p.data))
     if optimizer is not None:
@@ -386,9 +401,10 @@ def load_student(path):
 
 def restore_into(distiller, path):
     """Load a checkpoint's parameters, optimizer moments and step counter into
-    a distiller; parameters are matched by name and must agree in shape, and
-    the checkpoint's seed must be the run's, which the frozen twins and the
-    step randomness are built from."""
+    a distiller; parameters are matched by name and must agree in shape, the
+    checkpoint's seed must be the run's, which the frozen twins and the step
+    randomness are built from, and its optimizer settings and batch size must
+    be the run's."""
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
     _check_params(path, sections, params)
@@ -397,6 +413,11 @@ def restore_into(distiller, path):
     if seed != distiller.cfg.seed:
         raise ConfigError(f"{path}: section 'seed' holds {seed}, but the run's seed "
                           f"is {distiller.cfg.seed}")
+    stored = section(path, sections, "optim", len(_OPTIM_FIELDS) + 1)
+    for field, held in zip(_OPTIM_FIELDS + ("batch_size",), stored):
+        if held != getattr(distiller.cfg, field):
+            raise ConfigError(f"{path}: section 'optim' holds {field} = {float(held)!r}, "
+                              f"but the run's {field} is {getattr(distiller.cfg, field)!r}")
     for name, p in params.items():
         p.data = sections[f"param.{name}"].astype(p.data.dtype)
     opt = distiller.optimizer
@@ -467,6 +488,6 @@ def distill_run(cfg, manifest_path=None):
     atomic_write_text(os.path.join(cfg.report_dir, CONFIG_ECHO_NAME), echo_config(cfg))
     checkpoint_path = os.path.join(cfg.checkpoint_dir, CHECKPOINT_NAME)
     save_checkpoint(checkpoint_path, distiller.student, distiller.optimizer,
-                    distiller.step_count, cfg.seed)
+                    distiller.step_count, cfg.seed, cfg.batch_size)
     return RunResult(reports=reports, metrics_path=metrics_path,
                      checkpoint_path=checkpoint_path)

@@ -22,6 +22,9 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
+# largest score map the graph-free attention builds at once, under glibc's
+# 32 MiB mmap ceiling so that the buffer is reused rather than remapped
+HEAD_GROUP_BYTES = 16 * 2 ** 20
 
 
 @dataclass
@@ -261,17 +264,20 @@ def _layer_norm_array(x, scale, offset):
 
 
 def _attention_array(q, k, v, heads):
-    """_multi_head with one (m, n) score map alive at a time, softmaxed in
-    place. A map is checked through its minimum (-inf) and its row maxima
-    (NaN, +inf); the softmax of a finite row is finite."""
+    """_multi_head with the score maps of a group of heads alive at a time,
+    softmaxed in place: every head in one (heads*m, n) map when that fits
+    HEAD_GROUP_BYTES, else one head at a time. A map is checked through its
+    minimum (-inf) and its row maxima (NaN, +inf); the softmax of a finite
+    row is finite."""
     qs, d = q * T._head_scale(q, heads), q.shape[1] // heads
+    group = heads if heads * q.shape[0] * k.shape[0] * q.itemsize <= HEAD_GROUP_BYTES else 1
     out = np.empty_like(q)
-    for h in range(heads):
-        cols = slice(h * d, (h + 1) * d)
-        s = T._head_scores(qs[:, cols], k[:, cols], 1)
+    for h in range(0, heads, group):
+        cols = slice(h * d, (h + group) * d)
+        s = T._head_scores(qs[:, cols], k[:, cols], group)
         T._finite(s.min())
         out[:, cols] = T._head_mix(T._softmax(s, T._finite(s.max(axis=1, keepdims=True)), s),
-                                   v[:, cols], 1)
+                                   v[:, cols], group)
     return T._finite(out)
 
 

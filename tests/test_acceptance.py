@@ -324,7 +324,8 @@ def test_criterion_8_determinism_roundtrips(tmp_path):
 
     resave = str(tmp_path / "resave.dten")
     rebuilt = restore_into(Distiller(cfg), run_a.checkpoint_path)
-    save_checkpoint(resave, rebuilt.student, rebuilt.optimizer, rebuilt.step_count, cfg.seed)
+    save_checkpoint(resave, rebuilt.student, rebuilt.optimizer, rebuilt.step_count, cfg.seed,
+                    cfg.batch_size)
     checkpoint_roundtrip = (open(run_a.checkpoint_path, "rb").read()
                             == open(resave, "rb").read())
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config, parse_config, parse_config_text
 from densedistill.errors import ConfigError
 
@@ -32,6 +33,19 @@ def test_unknown_key_rejected():
 def test_seed_outside_the_checkpoint_range_rejected(seed):
     with pytest.raises(ConfigError, match="seed"):
         parse_config_text(f"seed = {seed}\n")
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("tau", "inf"), ("lambda", "inf"), ("lr", "inf"), ("eps", "inf"), ("weight_decay", "inf"),
+    ("sd_sharpness", "inf"), ("student_pixel_std", "inf"), ("vfm_pixel_mean", "nan"),
+    ("beta1", "nan"), ("sd_noise", "-inf")])
+def test_non_finite_float_rejected_naming_the_key(key, raw, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+        parse_config_text(f"{key} = {raw}\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {raw}\n")
+    assert run_cli(["distill", "--config", str(config)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_unparsable_value():

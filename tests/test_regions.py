@@ -257,6 +257,48 @@ def test_crop_resize_matches_full_image_contraction():
             assert np.abs(got - full_image_crop_oracle(img, box, out_res)).max() < 1e-12, box
 
 
+def axis_weights_oracle(lo, hi, n_out, size):
+    w = np.zeros((n_out, size))
+    for i in range(n_out):
+        p = min(max((lo + (i + 0.5) / n_out * (hi - lo)) * size - 0.5, 0.0), size - 1.0)
+        i0 = min(math.floor(p), size - 1)
+        i1 = min(i0 + 1, size - 1)
+        w[i, i0] += 1.0 - (p - i0)
+        w[i, i1] += p - i0
+    return w
+
+
+def test_axis_weights_match_scalar_oracle():
+    cases = [(0.0, 1.0, 7, 5), (0.0, 1.0, 16, 8), (0.3, 0.3125, 3, 40),
+             (0.0, 0.05, 4, 40), (0.95, 1.0, 4, 40), (0.0, 1.0, 3, 1), (0.5, 1.0, 560, 64)]
+    clamped = 0
+    for lo, hi, n_out, size in cases:
+        got = _axis_weights(lo, hi, n_out, size)
+        want = axis_weights_oracle(lo, hi, n_out, size)
+        assert got.tobytes() == want.tobytes(), (lo, hi, n_out, size)
+        assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-12
+        clamped += int(((got == 1.0).sum(axis=1) == 1).sum())
+    assert clamped > 0  # rows clamped onto the last pixel, where i0 == i1
+
+
+@pytest.mark.parametrize("res", [64, 560])
+def test_crop_resize_equals_the_searched_contraction_bitwise(res):
+    rng = np.random.default_rng(res)
+    img = rng.uniform(0, 1, (3, res, res))
+    sides = range(1, 7) if res == 64 else (1, 2, 5)
+    for m in sides:
+        for n in sides:
+            boxes = [CropBox(j / n, i / m, (j + 1) / n, (i + 1) / m)
+                     for i in range(m) for j in range(n)]
+            for box in boxes:
+                wy = _axis_weights(box.y0, box.y1, res, res)
+                wx = _axis_weights(box.x0, box.x1, res, res)
+                ys, xs = np.flatnonzero(wy.any(axis=0)), np.flatnonzero(wx.any(axis=0))
+                want = np.einsum("ih,chw,jw->cij", wy[:, ys], img[:, ys][:, :, xs], wx[:, xs],
+                                 optimize=True)
+                assert crop_resize(img, box, res).tobytes() == want.tobytes(), box
+
+
 def test_resize_bilinear_matches_crop_resize_full_box():
     rng = np.random.default_rng(12)
     stack = rng.standard_normal((4, 3, 5))

@@ -182,6 +182,47 @@ def test_cosine_zero_norm_rejected():
         T.cosine_matrix(T.Tensor([[0.0, 0.0]]), T.Tensor([[1.0, 0.0]]))
 
 
+def composed_cosine(a, b):
+    """cosine_matrix built from the ops it fuses: row norms, division and a
+    matmul against the transposed unit rows."""
+    na = T.div(a, T.sqrt(T.sum_rows(T.mul(a, a))))
+    nb = T.div(b, T.sqrt(T.sum_rows(T.mul(b, b))))
+    return T.matmul(na, T.transpose(nb))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("same", [False, True], ids=["distinct", "self"])
+def test_cosine_matches_the_composed_ops(same, dtype):
+    rng = np.random.default_rng(21)
+    # (a single row of cos(a, a) is constant, its gradient roundoff against zero)
+    for p, q, d in [(2, 1, 3), (5, 7, 4), (16, 1, 24), (36, 36, 24), (64, 64, 48)]:
+        a = T.Tensor(rng.standard_normal((p, d)) * 3.0, requires_grad=True, dtype=dtype)
+        b = a if same else T.Tensor(rng.standard_normal((q, d)), requires_grad=True, dtype=dtype)
+        w = T.Tensor(rng.standard_normal((p, b.shape[0])), dtype=dtype)
+        values, grads = [], []
+        for f in (T.cosine_matrix, composed_cosine):
+            a.grad = b.grad = None
+            out = f(a, b)
+            T.backward(T.sum_all(T.mul(out, w)))
+            values.append(out.data)
+            grads.append((a.grad, b.grad))
+        assert values[0].dtype == values[1].dtype
+        assert values[0].tobytes() == values[1].tobytes()
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= tol * np.abs(want).max(), (p, q, d)
+
+
+@pytest.mark.parametrize("which", ["first", "second", "both"])
+def test_cosine_overflowing_square_raises(which):
+    big = T.Tensor([[1.0, 2.0], [1e200, 1.0]])
+    small = T.Tensor([[1.0, 1.0], [2.0, -1.0]])
+    a, b = {"first": (big, small), "second": (small, big), "both": (big, big)}[which]
+    for f in (T.cosine_matrix, composed_cosine):
+        with pytest.raises(EvaluationError), np.errstate(over="ignore"):
+            f(a, b)
+
+
 # --- kl_rows -----------------------------------------------------------------
 
 def test_kl_self_is_zero():

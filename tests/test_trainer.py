@@ -306,7 +306,10 @@ def test_pool_errors_surface_with_their_class_and_leave_no_thread(tmp_path, monk
     pooled = len(os.sched_getaffinity(0)) >= 2
     started = threading.Event()
 
+    ran = itertools.count()
+
     def slow_crop(crop, params):
+        next(ran)
         started.set()
         time.sleep(0.05)
         return real_cls(crop, params)
@@ -317,9 +320,13 @@ def test_pool_errors_surface_with_their_class_and_leave_no_thread(tmp_path, monk
 
     monkeypatch.setattr(trainer, "encode_cls", slow_crop)
     monkeypatch.setattr(trainer, "encode_dense", failing_student)
+    prepared.crop_targets.clear()  # the crops before the planted failure were kept
     with pytest.raises(StudentFailure, match="planted student failure"):
         distiller.loss_for(prepared, np.random.default_rng(5))
     assert threading.active_count() == before
+    # the crops still queued when the student failed were dropped, not run
+    # (without a pool, the lazy map has run none)
+    assert next(ran) < len(sample_grid(np.random.default_rng(5), cfg.grid_lo, cfg.grid_hi))
 
 
 # --- teacher crop targets kept per record -------------------------------------------------
@@ -499,6 +506,24 @@ def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
     assert run_cli(["distill", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize("field,value", [("lr", 2e-3), ("beta1", 0.8), ("beta2", 0.99),
+                                         ("eps", 1e-6), ("weight_decay", 0.05),
+                                         ("batch_size", 1)])
+def test_resume_refuses_a_checkpoint_of_other_optimizer_settings(tmp_path, capsys, field, value):
+    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
+    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    checkpoint = open(half.checkpoint_path, "rb").read()
+    other = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path, manifest=manifest,
+                     **{field: value})
+    with pytest.raises(ConfigError, match=rf"checkpoint\.dten: section 'optim' holds {field} = "):
+        distill_run(other)
+    config = tmp_path / "other.cfg"
+    config.write_text(echo_config(other))
+    assert run_cli(["distill", "--config", str(config)]) == 1
+    assert f"section 'optim' holds {field}" in capsys.readouterr().err
+    assert open(half.checkpoint_path, "rb").read() == checkpoint
+
+
 def test_distill_run_validates_a_config_built_in_code(tmp_path):
     cfg = desk_cfg(tmp_path, seed=2 ** 31)
     _, manifest = desk_suite(tmp_path, cfg)
@@ -512,10 +537,11 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     distiller = Distiller(cfg)
     p1 = str(tmp_path / "a.dten")
     p2 = str(tmp_path / "b.dten")
-    save_checkpoint(p1, distiller.student, distiller.optimizer, 5, cfg.seed)
+    save_checkpoint(p1, distiller.student, distiller.optimizer, 5, cfg.seed, cfg.batch_size)
     rebuilt = restore_into(Distiller(cfg), p1)
     assert rebuilt.step_count == 5
-    save_checkpoint(p2, rebuilt.student, rebuilt.optimizer, rebuilt.step_count, cfg.seed)
+    save_checkpoint(p2, rebuilt.student, rebuilt.optimizer, rebuilt.step_count, cfg.seed,
+                    cfg.batch_size)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -543,11 +569,12 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
 @pytest.mark.parametrize("section,value,named", [
     ("adam.v.cls", None, r"adam\.m\.cls"), ("adam.v.cls", np.zeros((3, 3)), r"adam\.v\.cls"),
     ("step", None, "'step'"), ("step", np.zeros(2, dtype=np.int32), "'step'"),
-    ("seed", None, "'seed'"), ("seed", np.zeros(2, dtype=np.int32), "'seed'")])
+    ("seed", None, "'seed'"), ("seed", np.zeros(2, dtype=np.int32), "'seed'"),
+    ("optim", None, "'optim'"), ("optim", np.zeros(5), "'optim'")])
 def test_restore_rejects_bad_moment_or_step_section(tmp_path, section, value, named):
     path = str(tmp_path / "ckpt.dten")
     source = Distiller(desk_cfg(tmp_path))
-    save_checkpoint(path, source.student, source.optimizer, 3, 0)
+    save_checkpoint(path, source.student, source.optimizer, 3, 0, source.cfg.batch_size)
     sections = read_tensor(path)
     if value is None:
         del sections[section]
