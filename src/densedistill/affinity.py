@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .regions import resize_bilinear
+from .regions import FULL_BOX, crop_resize
 from .tensor import Tensor
 from .vit import capture_attention
 
@@ -177,7 +177,7 @@ def dump_attention_analysis(params, image, layers, query_index, out_dir):
         mean = maps.mean(axis=2)
         row = mean[row_idx]
         grid_row = row[1:].reshape(side, side)
-        upsampled = resize_bilinear(grid_row[None], res, res)[0]
+        upsampled = crop_resize(grid_row[None], FULL_BOX, res)[0]
         full_path = os.path.join(out_dir, f"layer{layer}_full.pgm")
         query_path = os.path.join(out_dir, f"layer{layer}_query.pgm")
         write_pgm(full_path, mean)

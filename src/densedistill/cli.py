@@ -89,6 +89,10 @@ def _eval_records(args):
     student, _ = load_student(args.checkpoint)
     records = read_manifest(args.manifest)
     classes = load_class_embeddings(args.classes)
+    width = student.embed_dim or student.width
+    if classes.vectors.shape[1] != width:
+        raise ShapeError(f"{args.classes}: class vectors have width {classes.vectors.shape[1]}, "
+                         f"but the checkpoint's dense features have width {width}")
 
     def encoded():
         for rec in records:

@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from .container import read_tensor, write_tensor
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .regions import CropBox, resize_bilinear, roi_align
+from .regions import FULL_BOX, CropBox, crop_resize, roi_align
 from .affinity import synth_sd_attention
 from .synthdata import make_suite, pure_canvas
 from .tensor import Tensor
@@ -90,7 +90,7 @@ def segment_training_free(dense, classes, out_res):
         raise DegenerateInputError("zero-norm dense pixel")
     unit = feats / norms[:, None]
     scores = (classes.vectors @ unit.T).reshape(classes.vectors.shape[0], h, w)
-    up = resize_bilinear(scores, out_res, out_res)
+    up = crop_resize(scores, FULL_BOX, out_res)
     return SegResult(labels=scores.argmax(axis=0).astype(np.int32),
                      scores=scores,
                      upsampled=up.argmax(axis=0).astype(np.int32))

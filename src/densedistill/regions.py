@@ -1,5 +1,6 @@
 """Region machinery: grid crop sampling, RoI pooling by bilinear
-interpolation, similarity-weighted pooling, and image crop/resize.
+interpolation, similarity-weighted pooling, and bilinear crop/resize of
+images and score maps.
 
 All coordinates are normalized to the unit square; sampling uses
 half-pixel centers (pixel i of an axis of length s covers
@@ -101,16 +102,16 @@ def weighted_region_pool(f_s, f_t):
 
 
 def crop_resize(image, box, out_res):
-    """Bilinear resample of the boxed region of a (3, R, R) image to
-    (3, out_res, out_res). Plain arrays in, plain arrays out."""
+    """Bilinear resample of the boxed region of (C, h, w) planes (an image or
+    score maps) to (C, out_res, out_res). Plain arrays in, plain arrays out."""
     arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if arr.ndim != 3:
-        raise ShapeError(f"expected a (3, R, R) image, got {arr.shape}")
+        raise ShapeError(f"expected (C, h, w) planes, got {arr.shape}")
     if not isinstance(out_res, int) or out_res < 1:
         raise ParameterError(f"out_res must be a positive int, got {out_res}")
     _, h, w = arr.shape
     if (box.x1 - box.x0) * w <= 0.0 or (box.y1 - box.y0) * h <= 0.0:
-        raise DegenerateInputError(f"box {box} degenerate on a {h}x{w} image")
+        raise DegenerateInputError(f"box {box} degenerate on {h}x{w} planes")
     wy = _axis_weights(box.y0, box.y1, out_res, h)
     wx = _axis_weights(box.x0, box.x1, out_res, w)
     # the weights vanish outside the box's pixels (+-1), so contract only those
@@ -127,14 +128,3 @@ def _resize_path(*shapes):
     one ``optimize=True`` would search for on every call."""
     return tuple(np.einsum_path("ih,chw,jw->cij", *(np.broadcast_to(0.0, s) for s in shapes),
                                 optimize=True)[0])
-
-
-def resize_bilinear(planes, out_h, out_w):
-    """Resample a (K, h, w) stack to (K, out_h, out_w) over the full extent."""
-    planes = np.asarray(planes, dtype=np.float64)
-    if planes.ndim != 3:
-        raise ShapeError(f"expected a (K, h, w) stack, got {planes.shape}")
-    _, h, w = planes.shape
-    wy = _axis_weights(0.0, 1.0, out_h, h)
-    wx = _axis_weights(0.0, 1.0, out_w, w)
-    return np.einsum("ih,khw,jw->kij", wy, planes, wx, optimize=True)

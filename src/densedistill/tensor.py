@@ -152,12 +152,12 @@ def trace(root):
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in reversed(node._parents):
-            if id(p) not in visited:
+            if p not in visited:
                 stack.append((p, False))
     return order
 
@@ -166,33 +166,26 @@ def backward(root):
     """Reverse-mode sweep from a scalar root.
 
     Accumulates into ``grad`` of every requires_grad leaf reachable from
-    ``root``. Deterministic: same graph, same gradients, bit for bit.
+    ``root``, following the requires_grad marks ``from_op`` set; nodes are
+    keyed by identity. Deterministic: same graph, same gradients, bit for bit.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
-    order = trace(root)
-    # needs[n]: some requires_grad leaf sits in n's ancestry (or n is one)
-    needs = {}
-    for node in order:
-        if node._parents:
-            needs[id(node)] = any(needs[id(p)] for p in node._parents)
-        else:
-            needs[id(node)] = node.requires_grad
-    if not needs[id(root)]:
+    if not root.requires_grad:
         return
-    grads = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None or not needs[id(node)]:
+    grads = {root: np.ones_like(root.data)}
+    for node in reversed(trace(root)):
+        g = grads.pop(node, None)
+        if g is None:
             continue
         if not node._parents:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not needs[id(parent)]:
+            if pg is None or not parent.requires_grad:
                 continue
-            held = grads.get(id(parent))
-            grads[id(parent)] = pg if held is None else held + pg
+            held = grads.get(parent)
+            grads[parent] = pg if held is None else held + pg
 
 
 # ---------------------------------------------------------------------------

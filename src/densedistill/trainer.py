@@ -124,9 +124,8 @@ def provider_tokens(vfm, image, cfg):
 def context_teacher(vfm_tokens, sd_stack, cfg):
     """The context-distillation target: provider affinity, completed by the
     fused attention stack unless completion is disabled."""
-    grid = sd_stack.grid if sd_stack is not None else None
-    s_vfm = vfm_affinity(vfm_tokens, grid=grid)
-    if cfg.use_sd_completion and sd_stack is not None:
+    s_vfm = vfm_affinity(vfm_tokens, grid=sd_stack.grid)
+    if cfg.use_sd_completion:
         return complete_affinity(fuse_sd_attention(sd_stack), s_vfm).values
     return s_vfm.values
 
@@ -278,7 +277,11 @@ class Distiller:
         self.optimizer = AdamW(self.student.named_parameters(), lr=cfg.lr,
                                weight_decay=cfg.weight_decay, beta1=cfg.beta1,
                                beta2=cfg.beta2, eps=cfg.eps)
-        self.step_count = 0
+
+    @property
+    def step_count(self):
+        """Optimizer steps taken, the one counter ``train`` resumes from."""
+        return self.optimizer.t
 
     def loss_for(self, prepared, rng, variant="decoupled"):
         return distill_forward(self.student, self.teacher, prepared, self.cfg, rng,
@@ -294,7 +297,6 @@ class Distiller:
             T.backward(T.mul_scalar(total, 1.0 / len(prepared_list)))
             reports.append(report)
         self.optimizer.step()
-        self.step_count += 1
         n = len(reports)
         return LossReport(
             l_context=sum(r.l_context for r in reports) / n,
@@ -404,7 +406,8 @@ def restore_into(distiller, path):
     a distiller; parameters are matched by name and must agree in shape, the
     checkpoint's seed must be the run's, which the frozen twins and the step
     randomness are built from, and its optimizer settings and batch size must
-    be the run's."""
+    be the run's, and its moments must cover exactly the run's trainable
+    parameters."""
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
     _check_params(path, sections, params)
@@ -418,15 +421,19 @@ def restore_into(distiller, path):
         if held != getattr(distiller.cfg, field):
             raise ConfigError(f"{path}: section 'optim' holds {field} = {float(held)!r}, "
                               f"but the run's {field} is {getattr(distiller.cfg, field)!r}")
+    opt = distiller.optimizer
+    moments = {key[len("adam.m."):] for key in sections if key.startswith("adam.m.")}
+    unmatched = sorted(moments ^ opt.m.keys())
+    if unmatched:
+        where = "the run" if unmatched[0] in moments else "the checkpoint"
+        raise ConfigError(f"{path}: optimizer moments of parameter {unmatched[0]!r} are missing "
+                          f"from {where}: the two train different parameters (trainable_layers)")
     for name, p in params.items():
         p.data = sections[f"param.{name}"].astype(p.data.dtype)
-    opt = distiller.optimizer
     for name, p in opt.params:
-        if f"adam.m.{name}" in sections:
-            opt.m[name] = sections[f"adam.m.{name}"].astype(p.data.dtype)
-            opt.v[name] = sections[f"adam.v.{name}"].astype(p.data.dtype)
-    distiller.step_count = step
-    opt.t = distiller.step_count
+        opt.m[name] = sections[f"adam.m.{name}"].astype(p.data.dtype)
+        opt.v[name] = sections[f"adam.v.{name}"].astype(p.data.dtype)
+    opt.t = step
     return distiller
 
 

@@ -188,6 +188,23 @@ def test_eval_file_without_its_section_exits_one(trained, capsys, key, name):
     assert capsys.readouterr().err.count(f"section '{name}' is missing") == 3
 
 
+def test_class_width_other_than_the_checkpoint_exits_one(trained, capsys, monkeypatch):
+    cfg, _, result, _ = trained
+    narrow = os.path.join(cfg.report_dir, "narrow.dten")
+    write_tensor(narrow, {f"class.c{i}": np.eye(5)[i] for i in range(3)})
+
+    def encode_dense(*args, **kwargs):
+        raise AssertionError("an image was encoded before the class file was checked")
+
+    monkeypatch.setattr("densedistill.vit.encode_dense", encode_dense)
+    assert _eval_exit_codes(cfg, result, narrow) == [1, 1, 1]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line in err:
+        assert line.startswith("error: ") and "narrow.dten" in line
+        assert "width 5" in line and "width 8" in line
+
+
 def _module(*argv, cwd):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-m", "densedistill", *argv], cwd=cwd, env=env,

@@ -13,7 +13,6 @@ from densedistill.regions import (
     CropBox,
     _axis_weights,
     crop_resize,
-    resize_bilinear,
     roi_align,
     sample_grid,
     weighted_region_pool,
@@ -210,7 +209,7 @@ def test_pool_gradient_finite_differences():
     assert finite_diff_check(f, [f_s, f_t], name="weighted_region_pool").passed
 
 
-# --- crop_resize / resize_bilinear ----------------------------------------------------
+# --- crop_resize ----------------------------------------------------------------------
 
 def test_crop_resize_identity():
     rng = np.random.default_rng(11)
@@ -299,12 +298,13 @@ def test_crop_resize_equals_the_searched_contraction_bitwise(res):
                 assert crop_resize(img, box, res).tobytes() == want.tobytes(), box
 
 
-def test_resize_bilinear_matches_crop_resize_full_box():
+def test_crop_resize_full_box_upsamples_score_planes():
     rng = np.random.default_rng(12)
-    stack = rng.standard_normal((4, 3, 5))
-    got = resize_bilinear(stack, 7, 9)
+    stack = rng.standard_normal((4, 5, 5))
+    got = crop_resize(stack, FULL_BOX, 7)
+    assert got.shape == (4, 7, 7)
     for k in range(4):
         for i in range(7):
-            for j in range(9):
-                want = bilinear_point_oracle(stack[k], (i + 0.5) / 7, (j + 0.5) / 9)
+            for j in range(7):
+                want = bilinear_point_oracle(stack[k], (i + 0.5) / 7, (j + 0.5) / 7)
                 assert abs(got[k, i, j] - want) < 1e-9

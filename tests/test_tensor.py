@@ -307,6 +307,55 @@ def test_backward_visits_each_node_once():
     np.testing.assert_array_equal(x.grad, [[4.0, 8.0]])  # d/dx sum(2x^2)
 
 
+def _mixed_graph(x, y, z):
+    """A scalar over three leaves through most op kinds, two of them shared."""
+    s = T.softmax_rows(T.matmul(x, T.transpose(y)))
+    c = T.cosine_matrix(x, z)
+    return T.mean_all(T.add(T.mul(s, c), T.mul_scalar(T.matmul(s, z), 0.5)))
+
+
+def test_every_node_with_parents_requires_grad():
+    rng = np.random.default_rng(4)
+    arrays = [rng.standard_normal((3, 3)) for _ in range(3)]
+    for flags in [(True, False, False), (False, True, True), (True, True, True)]:
+        leaves = [T.Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+        order = T.trace(_mixed_graph(*leaves))
+        assert any(n._parents for n in order)
+        assert all(n.requires_grad for n in order if n._parents)
+    root, = T.trace(_mixed_graph(*[T.Tensor(a) for a in arrays]))
+    assert not root.requires_grad
+
+
+def test_backward_on_a_root_without_grad_runs_no_closure():
+    x = T.Tensor([[1.0, 2.0]], requires_grad=True)
+    loss = T.sum_all(T.mul(x, x))
+    calls = []
+    for node in T.trace(loss):
+        if node._backward is not None:
+            node._backward = (lambda f: lambda g: calls.append(f) or f(g))(node._backward)
+    loss.requires_grad = False
+    T.backward(loss)
+    assert calls == [] and x.grad is None
+
+
+def test_leaf_switched_off_after_the_forward_gets_no_grad():
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal((3, 3)) for _ in range(3)]
+
+    def grads(switched_off_late):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        leaves[1].requires_grad = switched_off_late
+        loss = _mixed_graph(*leaves)
+        leaves[1].requires_grad = False
+        T.backward(loss)
+        return leaves
+
+    late, early = grads(True), grads(False)
+    assert late[1].grad is None and early[1].grad is None
+    for a, b in ((late[0], early[0]), (late[2], early[2])):
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
 def test_backward_accumulates_across_calls():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     T.backward(T.sum_all(x))

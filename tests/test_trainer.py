@@ -658,6 +658,37 @@ def test_checkpoint_with_missing_or_short_section_rejected(tmp_path, capsys, sec
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
+def test_step_count_is_the_optimizer_step(tmp_path):
+    cfg = desk_cfg(tmp_path)
+    suite, manifest = desk_suite(tmp_path, cfg)
+    distiller = Distiller(cfg)
+    prepared = [prepare_record(r, distiller.vfm, cfg, i)
+                for i, r in enumerate(read_manifest(manifest))]
+    train(distiller, prepared, 1)
+    assert distiller.step_count == distiller.optimizer.t == 2
+    path = str(tmp_path / "ckpt.dten")
+    save_checkpoint(path, distiller.student, distiller.optimizer, 5, cfg.seed, cfg.batch_size)
+    rebuilt = restore_into(Distiller(cfg), path)
+    assert rebuilt.step_count == rebuilt.optimizer.t == 5
+    with pytest.raises(AttributeError):
+        rebuilt.step_count = 0
+
+
+@pytest.mark.parametrize("saved,resumed,where", [(1, -1, "the checkpoint"),
+                                                 (-1, 1, "the run")])
+def test_restore_rejects_moments_of_other_trainable_layers(tmp_path, saved, resumed, where):
+    path = str(tmp_path / "ckpt.dten")
+    source = Distiller(desk_cfg(tmp_path, trainable_layers=saved))
+    save_checkpoint(path, source.student, source.optimizer, 2, 0, source.cfg.batch_size)
+    target = Distiller(desk_cfg(tmp_path, trainable_layers=resumed))
+    before = target.student.state_bytes()
+    named = rf"ckpt\.dten: optimizer moments of parameter 'block0\..*{where}"
+    with pytest.raises(ConfigError, match=named):
+        restore_into(target, path)
+    assert target.student.state_bytes() == before
+    assert target.step_count == 0
+
+
 def test_train_continues_from_step_count(tmp_path):
     cfg = desk_cfg(tmp_path, epochs=2)
     suite, manifest = desk_suite(tmp_path, cfg)
