@@ -5,8 +5,8 @@ and a bit-exact tensor container format."""
 from .tensor import Tensor, backward, cosine_matrix, kl_rows, matmul, softmax_rows
 from .gradcheck import finite_diff_check, run_gradcheck_suite
 from .vit import DenseFeatures, VitParams, encode_cls, encode_dense
-from .affinity import (AffinityMatrix, SdAttentionStack, complete_affinity,
-                       fuse_sd_attention, synth_sd_attention, vfm_affinity)
+from .affinity import (SdAttentionStack, complete_affinity, fuse_sd_attention,
+                       synth_sd_attention, vfm_affinity)
 from .regions import CropBox, crop_resize, roi_align, sample_grid, weighted_region_pool
 from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
 from .config import RunConfig, parse_config
@@ -16,7 +16,7 @@ from .evalsuite import (ClassEmbeddings, SegResult, ablation_coupled_vs_decouple
 from .container import read_tensor, write_tensor
 
 __all__ = [
-    "AdamW", "AffinityMatrix", "ClassEmbeddings", "CropBox",
+    "AdamW", "ClassEmbeddings", "CropBox",
     "DenseFeatures", "Distiller", "LossReport", "RunConfig",
     "SdAttentionStack", "SegResult", "Tensor",
     "VitParams", "ablation_coupled_vs_decoupled", "backward",

@@ -8,7 +8,6 @@ Everything here is teacher-side and gradient-free: plain float64 arrays.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -26,67 +25,28 @@ from .regions import FULL_BOX, crop_resize
 from .tensor import Tensor
 from .vit import capture_attention
 
-_KINDS = ("cosine", "stochastic", "raw")
-
-
-@dataclass
-class AffinityMatrix:
-    """(HW, HW) pairwise token-relation matrix over an (h, w) token grid."""
-    values: np.ndarray
-    kind: str
-    grid: tuple
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        h, w = self.grid
-        if self.values.shape != (h * w, h * w):
-            raise ShapeError(f"affinity {self.values.shape} does not match grid {self.grid}")
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown affinity kind {self.kind!r}")
-        if self.kind == "cosine":
-            if np.abs(self.values - self.values.T).max() > 1e-6:
-                raise ShapeError("cosine affinity must be symmetric")
-            if np.abs(np.diag(self.values) - 1.0).max() > 1e-6:
-                raise ShapeError("cosine affinity must have unit diagonal")
-            if self.values.min() < -1.0 - 1e-9 or self.values.max() > 1.0 + 1e-9:
-                raise EvaluationError("cosine affinity entries outside [-1, 1]")
-        elif self.kind == "stochastic":
-            if self.values.min() < 0.0:
-                raise DistributionError("stochastic affinity has negative entries")
-            if np.abs(self.values.sum(axis=1) - 1.0).max() > 1e-6:
-                raise DistributionError("stochastic affinity rows do not sum to 1")
-
 
 @dataclass
 class SdAttentionStack:
-    """L self-attention maps over one token grid, ingested or synthesized."""
-    maps: np.ndarray           # (L, HW, HW)
-    source: str                # "ingested" | "synthetic"
-    grid: tuple
+    """L row-stochastic self-attention maps over one N-token sequence."""
+    maps: np.ndarray           # (L, N, N)
 
     def __post_init__(self):
         self.maps = np.asarray(self.maps, dtype=np.float64)
-        h, w = self.grid
-        if self.maps.ndim != 3 or self.maps.shape[0] < 1 or self.maps.shape[1:] != (h * w, h * w):
-            raise ShapeError(f"stack {self.maps.shape} does not match grid {self.grid}")
+        shape = self.maps.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[1] != shape[2]:
+            raise ShapeError(f"stack {shape} is not (L, N, N)")
         if self.maps.min() < 0.0 or np.abs(self.maps.sum(axis=2) - 1.0).max() > 1e-6:
             raise DistributionError("every stack slice must be row-stochastic")
 
 
-def _square_grid(hw):
-    side = math.isqrt(hw)
-    if side * side != hw:
-        raise ParameterError(f"token count {hw} is not a square grid; pass grid explicitly")
-    return side, side
-
-
-def vfm_affinity(tokens, grid=None):
-    """Cosine affinity S[i][j] = cos(x_i, x_j) between provider tokens (HW, D).
+def vfm_affinity(tokens):
+    """Cosine affinity S[i][j] = cos(x_i, x_j) between provider tokens (N, D).
 
     Symmetrized and clipped against float roundoff; diagonal pinned at 1."""
-    arr = tokens.data if isinstance(tokens, Tensor) else np.asarray(tokens, dtype=np.float64)
+    arr = np.asarray(tokens, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeError(f"expected (HW, D) tokens, got {arr.shape}")
+        raise ShapeError(f"expected (N, D) tokens, got {arr.shape}")
     norms = np.linalg.norm(arr, axis=1)
     if (norms == 0.0).any():
         raise DegenerateInputError("zero-norm token in provider features")
@@ -94,34 +54,31 @@ def vfm_affinity(tokens, grid=None):
     sim = unit @ unit.T
     sim = np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(sim, 1.0)
-    return AffinityMatrix(values=sim, kind="cosine",
-                          grid=grid if grid is not None else _square_grid(arr.shape[0]))
+    return sim
 
 
 def fuse_sd_attention(stack):
     """Chain product of the stack slices in index order, 64-bit accumulation.
 
-    A product of row-stochastic matrices is row-stochastic; exactly
-    normalized inputs keep row sums within 1e-9 for chains of length <= 8."""
+    A product of row-stochastic matrices is row-stochastic, but each slice
+    is only checked to 1e-6, so the product's row sums are checked again."""
     fused = stack.maps[0]
     for i in range(1, stack.maps.shape[0]):
         fused = fused @ stack.maps[i]
-    return AffinityMatrix(values=fused, kind="stochastic", grid=stack.grid)
+    if np.abs(fused.sum(axis=1) - 1.0).max() > 1e-6:
+        raise DistributionError("fused attention rows do not sum to 1")
+    return fused
 
 
-def complete_affinity(a_hat, s_vfm):
+def complete_affinity(fused, s_vfm):
     """Left-multiply the provider affinity by the fused attention: each output
     row is a convex combination of affinity rows, so entries stay in [-1, 1]."""
-    if a_hat.grid != s_vfm.grid:
-        raise ShapeError(f"grid mismatch {a_hat.grid} vs {s_vfm.grid}")
-    if a_hat.kind != "stochastic":
-        raise ParameterError(f"completion needs a stochastic left factor, got {a_hat.kind!r}")
-    if s_vfm.kind != "cosine":
-        raise ParameterError(f"completion needs a cosine affinity, got {s_vfm.kind!r}")
-    completed = a_hat.values @ s_vfm.values
+    if fused.shape != s_vfm.shape:
+        raise ShapeError(f"fused attention {fused.shape} does not match affinity {s_vfm.shape}")
+    completed = fused @ s_vfm
     if completed.min() < -1.0 - 1e-9 or completed.max() > 1.0 + 1e-9:
         raise EvaluationError("completed affinity escaped [-1, 1]")
-    return AffinityMatrix(values=completed, kind="raw", grid=s_vfm.grid)
+    return completed
 
 
 def synth_sd_attention(segmentation, sharpness, rng, num_maps=3, noise_std=0.25):
@@ -149,7 +106,7 @@ def synth_sd_attention(segmentation, sharpness, rng, num_maps=3, noise_std=0.25)
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         maps[i] = e / e.sum(axis=1, keepdims=True)
-    return SdAttentionStack(maps=maps, source="synthetic", grid=labels.shape)
+    return SdAttentionStack(maps=maps)
 
 
 def dump_attention_analysis(params, image, layers, query_index, out_dir):

@@ -54,7 +54,13 @@ def load_class_embeddings(path):
         rows.append(np.asarray(arr, dtype=np.float64).reshape(-1))
     if not rows:
         raise ParameterError(f"{path}: no class.<name> section")
-    return ClassEmbeddings(names=names, vectors=np.stack(rows), source="ingested")
+    widths = sorted({row.size for row in rows})
+    if len(widths) > 1:
+        raise ParameterError(f"{path}: class vectors have unequal widths {widths}")
+    try:
+        return ClassEmbeddings(names=names, vectors=np.stack(rows), source="ingested")
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def class_prototypes(teacher, colors, names=None):

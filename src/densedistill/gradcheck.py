@@ -115,7 +115,7 @@ def run_gradcheck_suite(seed=0):
           [t(3, 4), t(3, 4)])
     check("row-col-broadcast", lambda a, c, r: T.sum_all(T.add(T.mul(a, c), r)),
           [t(3, 4), Tensor(rng.uniform(0.5, 2.0, (3, 1))), t(1, 4)])
-    check("exp-log-sqrt", lambda a: T.sum_all(T.log(T.sqrt(T.add_scalar(T.exp(a), 1.0)))), [t(2, 3)])
+    check("sqrt", lambda a: T.sum_all(T.sqrt(T.add_scalar(T.mul(a, a), 1.0))), [t(2, 3)])
     check("gelu", lambda a: T.sum_all(T.gelu(a)), [t(3, 3, scale=2.0)])
     check("softmax_rows", lambda a: T.sum_all(T.mul(T.softmax_rows(a, 0.5), T.softmax_rows(a, 0.5))),
           [t(3, 5)])
@@ -168,7 +168,7 @@ def run_gradcheck_suite(seed=0):
 
     def toy_total(ctx, s):
         total, _ = total_loss(content_cos_loss([s], [toy_cls]), rcc_loss([s], [toy_vfm], 0.7),
-                              context_loss(ctx, toy_hat, 0.7), lam=0.25, tau=0.7)
+                              context_loss(ctx, toy_hat, 0.7), lam=0.25)
         return total
 
     check("l_total_two_token_toy", toy_total, [t(2, 5), t(2, 5)])

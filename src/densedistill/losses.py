@@ -26,8 +26,6 @@ class LossReport:
     l_content_cos: float
     l_rcc: float
     l_total: float
-    lam: float
-    tau: float
 
     def line(self, step):
         return (f"step={step} l_context={self.l_context:.17g} "
@@ -63,7 +61,7 @@ def content_cos_loss(region_students, region_teacher_cls):
         raise ShapeError("teacher summaries do not match region count")
     total = None
     for f_s, f_t in zip(region_students, region_teacher_cls):
-        f_t = f_t.detach() if isinstance(f_t, Tensor) else Tensor(f_t, dtype=f_s.data.dtype)
+        f_t = f_t.detach()
         pooled = weighted_region_pool(f_s, f_t)
         row = T.reshape(pooled, (1, pooled.shape[0]))
         target = T.reshape(f_t, (1, f_t.shape[0]))
@@ -82,7 +80,7 @@ def rcc_loss(region_students, region_vfm, tau):
         raise ShapeError("provider regions do not match region count")
     total = None
     for f_s, f_v in zip(region_students, region_vfm):
-        f_v = f_v.detach() if isinstance(f_v, Tensor) else Tensor(f_v, dtype=f_s.data.dtype)
+        f_v = f_v.detach()
         if f_v.shape[0] != f_s.shape[0]:
             raise ShapeError(f"region row counts differ: {f_s.shape} vs {f_v.shape}")
         r_vfm = T.cosine_matrix(f_v, f_v)
@@ -92,7 +90,7 @@ def rcc_loss(region_students, region_vfm, tau):
     return T.mul_scalar(total, 1.0 / k)
 
 
-def total_loss(l_content_cos, l_rcc, l_context, lam, tau=1.0):
+def total_loss(l_content_cos, l_rcc, l_context, lam):
     """Combine the components; returns the backward-ready scalar plus the
     numeric report."""
     if lam < 0:
@@ -107,7 +105,5 @@ def total_loss(l_content_cos, l_rcc, l_context, lam, tau=1.0):
         l_content_cos=l_content_cos.item(),
         l_rcc=l_rcc.item(),
         l_total=total.item(),
-        lam=float(lam),
-        tau=float(tau),
     )
     return total, report

@@ -266,18 +266,6 @@ def mul_scalar(a, s):
     return from_op(a.data * s, (a,), lambda g: (g * s,))
 
 
-def exp(a):
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return from_op(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return from_op(out, (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a):
     out = np.sqrt(a.data)
     return from_op(out, (a,), lambda g: (g * (0.5 / out),))

@@ -18,7 +18,6 @@ bit. ``train`` is the one training loop; every caller goes through it.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -124,10 +123,10 @@ def provider_tokens(vfm, image, cfg):
 def context_teacher(vfm_tokens, sd_stack, cfg):
     """The context-distillation target: provider affinity, completed by the
     fused attention stack unless completion is disabled."""
-    s_vfm = vfm_affinity(vfm_tokens, grid=sd_stack.grid)
+    s_vfm = vfm_affinity(vfm_tokens)
     if cfg.use_sd_completion:
-        return complete_affinity(fuse_sd_attention(sd_stack), s_vfm).values
-    return s_vfm.values
+        return complete_affinity(fuse_sd_attention(sd_stack), s_vfm)
+    return s_vfm
 
 
 def _crop_workers(n_crops, teacher):
@@ -198,7 +197,7 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
         # no RCC outside the full pipeline
         l_rcc = Tensor(np.zeros((), dtype=dtype))
     lam = 0.0 if variant == "content" else cfg.lam
-    return total_loss(l_cos, l_rcc, l_ctx, lam, cfg.tau)
+    return total_loss(l_cos, l_rcc, l_ctx, lam)
 
 
 @dataclass
@@ -253,14 +252,17 @@ def prepare_record(rec, vfm, cfg, index):
         vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
     else:
         vfm_tokens = provider_tokens(vfm, image, cfg)
+    n = vfm_tokens.shape[0]
     if rec.sd_path:
         maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
-        if maps.ndim != 3:
+        if maps.ndim != 3 or maps.shape[1:] != (n, n):
             raise ConfigError(f"{rec.sd_path}: section 'maps' has shape {maps.shape}, "
-                              f"expected (maps, tokens, tokens)")
-        side = int(math.isqrt(maps.shape[1]))
-        sd_stack = SdAttentionStack(maps=maps, source="ingested", grid=(side, side))
+                              f"expected (maps, {n}, {n}) for {n} provider tokens")
+        sd_stack = SdAttentionStack(maps=maps)
     else:
+        if segments.size != n:
+            raise ConfigError(f"{rec.segments_path}: section 'labels' has shape "
+                              f"{segments.shape}, expected {n} labels for {n} provider tokens")
         sd_stack = synth_sd_attention(
             segments, cfg.sd_sharpness,
             np.random.default_rng([cfg.seed, STREAM_SD, index]),
@@ -302,8 +304,7 @@ class Distiller:
             l_context=sum(r.l_context for r in reports) / n,
             l_content_cos=sum(r.l_content_cos for r in reports) / n,
             l_rcc=sum(r.l_rcc for r in reports) / n,
-            l_total=sum(r.l_total for r in reports) / n,
-            lam=self.cfg.lam, tau=self.cfg.tau)
+            l_total=sum(r.l_total for r in reports) / n)
 
 
 _META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res")

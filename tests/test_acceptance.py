@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from densedistill import tensor as T
-from densedistill.affinity import (AffinityMatrix, SdAttentionStack, complete_affinity,
-                                   fuse_sd_attention)
+from densedistill.affinity import SdAttentionStack, complete_affinity, fuse_sd_attention
 from densedistill.config import RunConfig
 from densedistill.container import read_tensor, write_tensor
 from densedistill.evalsuite import (ablation_coupled_vs_decoupled, class_prototypes,
@@ -90,8 +89,7 @@ def test_criterion_2_oracle_equivalence():
         logits = rng.standard_normal((ln, hw, hw))
         maps = np.exp(logits - logits.max(axis=2, keepdims=True))
         maps /= maps.sum(axis=2, keepdims=True)
-        got = fuse_sd_attention(SdAttentionStack(maps=maps, source="synthetic",
-                                                 grid=(1, hw))).values
+        got = fuse_sd_attention(SdAttentionStack(maps=maps))
         want = maps[0]
         for k in range(1, ln):
             want = _mm_loops(want, maps[k])
@@ -103,14 +101,12 @@ def test_criterion_2_oracle_equivalence():
         hw = int(rng.integers(2, 7))
         toks = rng.standard_normal((hw, 3))
         unit = toks / np.linalg.norm(toks, axis=1, keepdims=True)
-        s = AffinityMatrix(values=np.clip((unit @ unit.T + (unit @ unit.T).T) / 2, -1, 1),
-                           kind="cosine", grid=(1, hw))
+        s = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2, -1, 1)
         logits = rng.standard_normal((hw, hw))
         a = np.exp(logits - logits.max(axis=1, keepdims=True))
         a /= a.sum(axis=1, keepdims=True)
-        got = complete_affinity(AffinityMatrix(values=a, kind="stochastic", grid=(1, hw)),
-                                s).values
-        err = max(err, np.abs(got - _mm_loops(a, s.values)).max())
+        got = complete_affinity(a, s)
+        err = max(err, np.abs(got - _mm_loops(a, s)).max())
     worst["complete_affinity"] = (err, 1e-9)
 
     err = 0.0
@@ -211,16 +207,14 @@ def test_criterion_4_stochastic_closure():
         logits = rng.standard_normal((ln, hw, hw)) * 3.0
         maps = np.exp(logits - logits.max(axis=2, keepdims=True))
         maps /= maps.sum(axis=2, keepdims=True)
-        fused = fuse_sd_attention(SdAttentionStack(maps=maps, source="synthetic",
-                                                   grid=(1, hw)))
-        worst_row = max(worst_row, np.abs(fused.values.sum(axis=1) - 1.0).max())
+        fused = fuse_sd_attention(SdAttentionStack(maps=maps))
+        worst_row = max(worst_row, np.abs(fused.sum(axis=1) - 1.0).max())
         toks = rng.standard_normal((hw, 5))
         unit = toks / np.linalg.norm(toks, axis=1, keepdims=True)
         sim = unit @ unit.T
         sim = np.clip((sim + sim.T) / 2, -1, 1)
         np.fill_diagonal(sim, 1.0)
-        s = AffinityMatrix(values=sim, kind="cosine", grid=(1, hw))
-        completed = complete_affinity(fused, s).values
+        completed = complete_affinity(fused, sim)
         worst_bound = max(worst_bound, completed.max() - 1.0, -1.0 - completed.min())
     ok = worst_row < 1e-9 and worst_bound < 1e-9
     report(4, "stochastic-closure", ok,

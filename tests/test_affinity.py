@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densedistill.affinity import (
-    AffinityMatrix,
     SdAttentionStack,
     complete_affinity,
     dump_attention_analysis,
@@ -15,7 +14,7 @@ from densedistill.affinity import (
     vfm_affinity,
 )
 from densedistill.container import read_tensor
-from densedistill.errors import DegenerateInputError, DistributionError, ParameterError
+from densedistill.errors import DegenerateInputError, DistributionError, ParameterError, ShapeError
 from densedistill.vit import VitParams, capture_attention
 
 
@@ -39,19 +38,19 @@ def stochastic_maps(rng, length, hw):
 # --- vfm_affinity -----------------------------------------------------------------
 
 def test_vfm_affinity_identical_tokens():
-    out = vfm_affinity(np.array([[1.0, 2.0], [1.0, 2.0]]), grid=(1, 2))
-    np.testing.assert_allclose(out.values, 1.0)
+    out = vfm_affinity(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    np.testing.assert_allclose(out, 1.0)
 
 
 def test_vfm_affinity_orthogonal_pair():
-    out = vfm_affinity(np.array([[1.0, 0.0], [0.0, 1.0]]), grid=(1, 2))
-    np.testing.assert_allclose(out.values, np.eye(2), atol=1e-15)
+    out = vfm_affinity(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_allclose(out, np.eye(2), atol=1e-15)
 
 
 def test_vfm_affinity_matches_pair_oracle():
     rng = np.random.default_rng(0)
     toks = rng.standard_normal((9, 4))
-    got = vfm_affinity(toks).values
+    got = vfm_affinity(toks)
     for i in range(9):
         for j in range(9):
             want = float(toks[i] @ toks[j]) / (np.linalg.norm(toks[i]) * np.linalg.norm(toks[j]))
@@ -63,51 +62,78 @@ def test_vfm_affinity_scale_invariance():
     rng = np.random.default_rng(1)
     toks = rng.standard_normal((9, 5))
     scales = rng.uniform(0.1, 10.0, (9, 1))
-    a = vfm_affinity(toks).values
-    b = vfm_affinity(toks * scales).values
+    a = vfm_affinity(toks)
+    b = vfm_affinity(toks * scales)
     assert np.abs(a - b).max() < 1e-6
 
 
 def test_vfm_affinity_zero_norm():
     with pytest.raises(DegenerateInputError):
-        vfm_affinity(np.array([[0.0, 0.0], [1.0, 1.0]]), grid=(1, 2))
+        vfm_affinity(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 24), st.integers(1, 6),
+       st.sampled_from(["plain", "near-duplicate", "rescaled"]))
+def test_vfm_affinity_symmetric_unit_diagonal_bounded(seed, n, d, variant):
+    rng = np.random.default_rng(seed)
+    toks = rng.standard_normal((n, d))
+    if variant == "near-duplicate":
+        # each token a hair away from token 0: raw cosines round to just above 1
+        toks = toks[:1] + 1e-9 * rng.standard_normal((n, d))
+    elif variant == "rescaled":
+        toks = toks * 10.0 ** rng.uniform(-150, 150, (n, 1))
+    s = vfm_affinity(toks)
+    assert s.dtype == np.float64 and s.shape == (n, n)
+    np.testing.assert_array_equal(s, s.T)
+    np.testing.assert_array_equal(np.diag(s), 1.0)
+    assert s.min() >= -1.0 and s.max() <= 1.0
 
 # --- fuse_sd_attention ---------------------------------------------------------------
 
 def test_fuse_single_slice_identity():
     rng = np.random.default_rng(2)
     maps = stochastic_maps(rng, 1, 4)
-    stack = SdAttentionStack(maps=maps, source="synthetic", grid=(2, 2))
-    np.testing.assert_array_equal(fuse_sd_attention(stack).values, maps[0])
+    np.testing.assert_array_equal(fuse_sd_attention(SdAttentionStack(maps=maps)), maps[0])
 
 
 def test_fuse_identity_slices():
     eye = np.stack([np.eye(4)] * 3)
-    stack = SdAttentionStack(maps=eye, source="synthetic", grid=(2, 2))
-    np.testing.assert_array_equal(fuse_sd_attention(stack).values, np.eye(4))
+    np.testing.assert_array_equal(fuse_sd_attention(SdAttentionStack(maps=eye)), np.eye(4))
 
 
 def test_fuse_matches_product_oracle():
     rng = np.random.default_rng(3)
     maps = stochastic_maps(rng, 2, 4)
-    got = fuse_sd_attention(SdAttentionStack(maps=maps, source="synthetic", grid=(2, 2))).values
+    got = fuse_sd_attention(SdAttentionStack(maps=maps))
     assert np.abs(got - chain_oracle(maps)).max() < 1e-12
     assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_fuse_rejects_non_stochastic():
     with pytest.raises(DistributionError):
-        SdAttentionStack(maps=np.ones((1, 3, 3)), source="ingested", grid=(1, 3))
+        SdAttentionStack(maps=np.ones((1, 3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (0, 4, 4), (2, 4, 3)])
+def test_stack_rejects_a_shape_other_than_l_n_n(shape):
+    with pytest.raises(ShapeError):
+        SdAttentionStack(maps=np.full(shape, 0.25))
+
+
+def test_fuse_rejects_a_product_drifting_past_tolerance():
+    # each slice passes its own 1e-6 row-sum check; their product does not
+    maps = np.full((2, 4, 4), (1.0 + 0.9e-6) / 4)
+    stack = SdAttentionStack(maps=maps)
+    with pytest.raises(DistributionError):
+        fuse_sd_attention(stack)
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.sampled_from([4, 9, 16, 64]))
 def test_fuse_stochastic_closure_property(seed, length, hw):
     rng = np.random.default_rng(seed)
-    grid = (1, hw)
-    stack = SdAttentionStack(maps=stochastic_maps(rng, length, hw), source="synthetic", grid=grid)
-    fused = fuse_sd_attention(stack).values
+    fused = fuse_sd_attention(SdAttentionStack(maps=stochastic_maps(rng, length, hw)))
     assert np.abs(fused.sum(axis=1) - 1.0).max() < 1e-9
     assert fused.min() >= 0.0
 
@@ -123,14 +149,13 @@ def test_fuse_associative_regrouping():
 # --- complete_affinity ------------------------------------------------------------------
 
 def _cosine_of(rng, hw):
-    return vfm_affinity(rng.standard_normal((hw, 4)), grid=(1, hw))
+    return vfm_affinity(rng.standard_normal((hw, 4)))
 
 
 def test_complete_identity_passthrough():
     rng = np.random.default_rng(5)
     s = _cosine_of(rng, 4)
-    a = AffinityMatrix(values=np.eye(4), kind="stochastic", grid=(1, 4))
-    np.testing.assert_array_equal(complete_affinity(a, s).values, s.values)
+    np.testing.assert_array_equal(complete_affinity(np.eye(4), s), s)
 
 
 def test_complete_one_hot_selects_row():
@@ -138,31 +163,28 @@ def test_complete_one_hot_selects_row():
     s = _cosine_of(rng, 4)
     rows = np.zeros((4, 4))
     rows[:, 2] = 1.0  # every row selects affinity row 2
-    a = AffinityMatrix(values=rows, kind="stochastic", grid=(1, 4))
-    out = complete_affinity(a, s).values
+    out = complete_affinity(rows, s)
     for i in range(4):
-        np.testing.assert_array_equal(out[i], s.values[2])
+        np.testing.assert_array_equal(out[i], s[2])
 
 
 def test_complete_matches_product_oracle_and_bounds():
     rng = np.random.default_rng(7)
     s = _cosine_of(rng, 6)
     maps = stochastic_maps(rng, 1, 6)
-    a = AffinityMatrix(values=maps[0], kind="stochastic", grid=(1, 6))
-    got = complete_affinity(a, s).values
-    assert np.abs(got - chain_oracle([maps[0], s.values])).max() < 1e-9
+    got = complete_affinity(maps[0], s)
+    assert np.abs(got - chain_oracle([maps[0], s])).max() < 1e-9
     assert got.min() >= -1 - 1e-9 and got.max() <= 1 + 1e-9
     # convexity: each output row bounded by that column's min/max over s rows
-    assert (got >= s.values.min(axis=0)[None, :] - 1e-9).all()
-    assert (got <= s.values.max(axis=0)[None, :] + 1e-9).all()
+    assert (got >= s.min(axis=0)[None, :] - 1e-9).all()
+    assert (got <= s.max(axis=0)[None, :] + 1e-9).all()
 
 
-def test_complete_grid_mismatch():
+def test_complete_shape_mismatch():
     rng = np.random.default_rng(8)
     s = _cosine_of(rng, 4)
-    a = AffinityMatrix(values=np.eye(9), kind="stochastic", grid=(3, 3))
-    with pytest.raises(Exception):
-        complete_affinity(a, s)
+    with pytest.raises(ShapeError):
+        complete_affinity(np.eye(9), s)
 
 
 # --- synth_sd_attention ----------------------------------------------------------------
@@ -201,7 +223,7 @@ def test_completion_raises_within_segment_mass():
     toks = protos[flat] + 0.5 * rng.standard_normal((side * side, 8))
     holes = rng.choice(side * side, size=side * side // 6, replace=False)
     toks[holes] = protos[1 - flat[holes]] + 0.5 * rng.standard_normal((len(holes), 8))
-    s_vfm = vfm_affinity(toks, grid=(side, side))
+    s_vfm = vfm_affinity(toks)
     stack = synth_sd_attention(seg, sharpness=4.0, rng=rng, num_maps=3, noise_std=0.5)
     completed = complete_affinity(fuse_sd_attention(stack), s_vfm)
 
@@ -211,7 +233,7 @@ def test_completion_raises_within_segment_mass():
         p = e / e.sum(axis=1, keepdims=True)
         return p[same].sum() / p.shape[0]
 
-    assert within_mass(completed.values) > within_mass(s_vfm.values)
+    assert within_mass(completed) > within_mass(s_vfm)
 
 
 # --- dump_attention_analysis --------------------------------------------------------------

@@ -205,6 +205,21 @@ def test_class_width_other_than_the_checkpoint_exits_one(trained, capsys, monkey
         assert "width 5" in line and "width 8" in line
 
 
+@pytest.mark.parametrize("sections", [
+    {"class.a": np.eye(8)[0], "class.b": np.eye(9)[1]},
+    {"class.a": np.full(8, 2.0), "class.b": np.eye(8)[1]},
+    {"class.a": np.eye(8)[0]},
+], ids=["unequal-widths", "non-unit", "single-vector"])
+def test_malformed_class_file_exits_one_naming_it(trained, capsys, sections):
+    cfg, _, result, _ = trained
+    bad = os.path.join(cfg.report_dir, "bad_classes.dten")
+    write_tensor(bad, sections)
+    assert _eval_exit_codes(cfg, result, bad) == [1, 1, 1]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith(f"error: {bad}: ") for line in err)
+
+
 def _module(*argv, cwd):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-m", "densedistill", *argv], cwd=cwd, env=env,

@@ -1,5 +1,7 @@
 """Evaluation protocols vs exhaustive scalar oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,6 +378,22 @@ def test_class_file_without_classes_rejected(tmp_path):
     path = str(tmp_path / "empty.dten")
     write_tensor(path, [])
     with pytest.raises(ParameterError, match="empty.dten"):
+        load_class_embeddings(path)
+
+
+MALFORMED_CLASS_FILES = {
+    "unequal-widths": ({"class.a": np.eye(3)[0], "class.b": np.eye(4)[1]}, "unequal widths"),
+    "non-unit": ({"class.a": np.full(3, 2.0), "class.b": np.eye(3)[1]}, "unit-normalized"),
+    "single-vector": ({"class.a": np.eye(3)[0]}, "need >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CLASS_FILES))
+def test_malformed_class_file_rejected_naming_the_file(tmp_path, case):
+    sections, message = MALFORMED_CLASS_FILES[case]
+    path = str(tmp_path / "bad_classes.dten")
+    write_tensor(path, sections)
+    with pytest.raises(ParameterError, match=f"^{re.escape(path)}: .*{re.escape(message)}"):
         load_class_embeddings(path)
 
 

@@ -253,7 +253,7 @@ def step_objective(batch, lam, tau):
     l_ctx = context_loss(x_ctx, s_hat, tau)
     l_cos = content_cos_loss(students, teachers)
     l_rcc = rcc_loss(students, providers, tau)
-    return total_loss(l_cos, l_rcc, l_ctx, lam, tau)
+    return total_loss(l_cos, l_rcc, l_ctx, lam)
 
 
 def test_batch_losses_report_consistency():

@@ -149,7 +149,7 @@ def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
     f_t = [encode_cls(crop_resize(prepared.image, boxes[0], cfg.student_res),
                       distiller.teacher)]
     manual, _ = total_loss(content_cos_loss(f_s, f_t), rcc_loss(f_s, f_v, cfg.tau),
-                           Tensor(np.zeros(())), lam=0.0, tau=cfg.tau)
+                           Tensor(np.zeros(())), lam=0.0)
     T.backward(manual)
     grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
@@ -185,7 +185,7 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
     manual, report_b = total_loss(content_cos_loss(f_s, f_t), Tensor(np.zeros(())),
                                   context_loss(ctx, s_hat, cfg.tau),
-                                  lam=cfg.lam if variant == "coupled" else 0.0, tau=cfg.tau)
+                                  lam=cfg.lam if variant == "coupled" else 0.0)
     T.backward(manual)
     grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
@@ -253,7 +253,7 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
     s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
     manual, report_b = total_loss(content_cos_loss(f_s, f_t), l_rcc,
                                   context_loss(ctx, s_hat, cfg.tau),
-                                  lam=0.0 if variant == "content" else cfg.lam, tau=cfg.tau)
+                                  lam=0.0 if variant == "content" else cfg.lam)
     T.backward(manual)
     grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
@@ -786,7 +786,6 @@ def test_ingested_provider_and_sd_files(tmp_path):
     prepared2 = prepare_record(rec2, distiller.vfm, cfg, 0)
     np.testing.assert_array_equal(prepared2.vfm_tokens, base.vfm_tokens)
     np.testing.assert_array_equal(prepared2.sd_stack.maps, base.sd_stack.maps)
-    assert prepared2.sd_stack.source == "ingested"
 
 
 def test_sd_file_with_maps_not_3d_rejected(tmp_path):
@@ -802,6 +801,34 @@ def test_sd_file_with_maps_not_3d_rejected(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(echo_config(cfg))
     assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+
+
+def test_sd_file_sized_for_another_token_count_rejected(tmp_path):
+    # a valid 16-token stack beside a 64-token student and provider
+    cfg = desk_cfg(tmp_path, student_res=64, vfm_res=32, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    sd_path = str(tmp_path / "sd0.dten")
+    write_tensor(sd_path, {"maps": np.full((3, 16, 16), 1.0 / 16)})
+    (tmp_path / "man.txt").write_text(
+        f"image={rec.image_path} segments={rec.segments_path} sd={sd_path}\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(sd_path)}: .*"
+                                          r"expected \(maps, 64, 64\) for 64 provider tokens"):
+        prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+
+
+def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
+    cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    seg_path = str(tmp_path / "seg0.dten")
+    write_tensor(seg_path, {"labels": np.zeros((3, 3), dtype=np.int32)})
+    (tmp_path / "man.txt").write_text(f"image={rec.image_path} segments={seg_path}\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(seg_path)}: .*16 provider tokens"):
+        prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
 
 
 @pytest.mark.parametrize("key,name", [("image", "image"), ("segments", "labels"),
