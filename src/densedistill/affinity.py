@@ -22,7 +22,6 @@ from .errors import (
     ShapeError,
 )
 from .regions import FULL_BOX, crop_resize
-from .tensor import Tensor
 from .vit import capture_attention
 
 
@@ -114,7 +113,7 @@ def dump_attention_analysis(params, image, layers, query_index, out_dir):
     row upsampled to input resolution, as P5 grey maps plus a numeric sidecar.
 
     ``query_index`` is an image-token index or the string "cls"."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    arr = np.asarray(image, dtype=np.float64)
     res = arr.shape[-1]
     side = params.grid_side
     hw = side * side

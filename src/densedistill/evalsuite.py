@@ -28,12 +28,13 @@ from .vit import encode_cls, encode_dense
 class ClassEmbeddings:
     names: list
     vectors: np.ndarray   # (K, E) unit rows
-    source: str           # "ingested" | "synthetic"
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if len(self.names) != self.vectors.shape[0] or self.vectors.shape[0] < 2:
             raise ParameterError("need >= 2 named class vectors")
+        if not np.isfinite(self.vectors).all():
+            raise ParameterError("class vectors must be finite")
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.abs(norms - 1.0).max() > 1e-6:
             raise ParameterError("class vectors must be unit-normalized")
@@ -58,22 +59,22 @@ def load_class_embeddings(path):
     if len(widths) > 1:
         raise ParameterError(f"{path}: class vectors have unequal widths {widths}")
     try:
-        return ClassEmbeddings(names=names, vectors=np.stack(rows), source="ingested")
+        return ClassEmbeddings(names=names, vectors=np.stack(rows))
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
 
 
-def class_prototypes(teacher, colors, names=None):
+def class_prototypes(teacher, colors):
     """Teacher summary embeddings of noise-free single-class canvases."""
     k = colors.shape[0]
-    names = names or [f"class{i}" for i in range(k)]
+    names = [f"class{i}" for i in range(k)]
     rows = []
     for label in range(k):
         canvas = pure_canvas(colors, label, teacher.input_res)
         rows.append(encode_cls(canvas, teacher).data.astype(np.float64))
     vectors = np.stack(rows)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return ClassEmbeddings(names=names, vectors=vectors, source="synthetic")
+    return ClassEmbeddings(names=names, vectors=vectors)
 
 
 @dataclass
@@ -102,15 +103,13 @@ def segment_training_free(dense, classes, out_res):
                      upsampled=up.argmax(axis=0).astype(np.int32))
 
 
-def confusion_matrix(pred, gt, num_classes, ignore_label=None):
-    """(K, K) counts, ground truth on rows; every label other than
-    ``ignore_label`` must lie in [0, K)."""
+def confusion_matrix(pred, gt, num_classes):
+    """(K, K) counts, ground truth on rows; every label must lie in [0, K)."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
-    keep = np.ones(gt.shape, dtype=bool) if ignore_label is None else gt != ignore_label
-    gt, pred = gt[keep].astype(np.int64), pred[keep].astype(np.int64)
+    gt, pred = gt.reshape(-1).astype(np.int64), pred.reshape(-1).astype(np.int64)
     for name, lab in (("ground-truth", gt), ("predicted", pred)):
         bad = lab[(lab < 0) | (lab >= num_classes)]
         if bad.size:
@@ -130,8 +129,8 @@ def miou_from_confusion(cm):
     return sum(table.values()) / len(table), table
 
 
-def miou(pred, gt, num_classes, ignore_label=None):
-    return miou_from_confusion(confusion_matrix(pred, gt, num_classes, ignore_label))
+def miou(pred, gt, num_classes):
+    return miou_from_confusion(confusion_matrix(pred, gt, num_classes))
 
 
 def macc_from_confusion(cm):
@@ -233,9 +232,6 @@ def add_region_confusion(cm, dense, classes, regions, labels, n=4):
 class VariantMetrics:
     macc: float
     miou: float
-
-    def line(self, name):
-        return f"{name}: macc={self.macc:.4f} miou={self.miou:.4f}"
 
 
 @dataclass

@@ -150,7 +150,7 @@ def run_gradcheck_suite(seed=0):
     box = CropBox(0.1, 0.2, 0.8, 0.9)
     check("roi_align", lambda f: T.sum_all(T.mul(roi_align(f, box, 3), roi_align(f, box, 3))),
           [t(2, 4, 4)])
-    pool_t = t(3)
+    pool_t = t(1, 3)
     check("weighted_region_pool",
           lambda s: T.sum_all(T.mul(weighted_region_pool(s, pool_t),
                                     weighted_region_pool(s, pool_t))),

@@ -33,16 +33,11 @@ class LossReport:
                 f"l_total={self.l_total:.17g}")
 
 
-def _teacher_matrix(s_hat_vfm, dtype):
-    if isinstance(s_hat_vfm, Tensor):
-        return Tensor(s_hat_vfm.data.astype(dtype, copy=False))
-    return Tensor(np.asarray(s_hat_vfm), dtype=dtype)
-
-
 def context_loss(x_context, s_hat_vfm, tau):
     """KL(teacher || student) between row-softmaxed affinities: the student
-    side is the pairwise cosine matrix of the context stream."""
-    teacher = _teacher_matrix(s_hat_vfm, x_context.data.dtype)
+    side is the pairwise cosine matrix of the context stream; the teacher is
+    the (N, N) float64 array of the completed affinity."""
+    teacher = Tensor(s_hat_vfm, dtype=x_context.data.dtype)
     hw = x_context.shape[0]
     if teacher.shape != (hw, hw):
         raise ShapeError(f"teacher affinity {teacher.shape} vs {hw} tokens")
@@ -53,7 +48,8 @@ def context_loss(x_context, s_hat_vfm, tau):
 
 
 def content_cos_loss(region_students, region_teacher_cls):
-    """Mean over regions of 1 - cos(pooled student region, teacher summary)."""
+    """Mean over regions of 1 - cos(pooled student region, teacher summary);
+    each summary is a (C,) vector."""
     k = len(region_students)
     if k < 1:
         raise ParameterError("need at least one region")
@@ -61,11 +57,9 @@ def content_cos_loss(region_students, region_teacher_cls):
         raise ShapeError("teacher summaries do not match region count")
     total = None
     for f_s, f_t in zip(region_students, region_teacher_cls):
-        f_t = f_t.detach()
-        pooled = weighted_region_pool(f_s, f_t)
-        row = T.reshape(pooled, (1, pooled.shape[0]))
-        target = T.reshape(f_t, (1, f_t.shape[0]))
-        term = T.add_scalar(T.neg(T.cosine_matrix(row, target)), 1.0)
+        target = T.reshape(f_t.detach(), (1, f_t.shape[0]))
+        pooled = weighted_region_pool(f_s, target)
+        term = T.add_scalar(T.neg(T.cosine_matrix(pooled, target)), 1.0)
         total = term if total is None else T.add(total, term)
     return T.reshape(T.mul_scalar(total, 1.0 / k), ())
 
@@ -96,10 +90,9 @@ def total_loss(l_content_cos, l_rcc, l_context, lam):
     if lam < 0:
         raise ParameterError(f"context weight must be >= 0, got {lam}")
     for t in (l_content_cos, l_rcc, l_context):
-        if t.data.size != 1 or not np.isfinite(t.data).all():
+        if t.shape != () or not np.isfinite(t.data).all():
             raise EvaluationError("loss components must be finite scalars")
-    total = T.add(T.add(l_content_cos, T.reshape(l_rcc, l_content_cos.shape)),
-                  T.mul_scalar(T.reshape(l_context, l_content_cos.shape), lam))
+    total = T.add(T.add(l_content_cos, l_rcc), T.mul_scalar(l_context, lam))
     report = LossReport(
         l_context=l_context.item(),
         l_content_cos=l_content_cos.item(),

@@ -89,22 +89,19 @@ def roi_align(features, box, n):
 
 
 def weighted_region_pool(f_s, f_t):
-    """Softmax-weighted sum of region rows, weighted by cosine similarity to
-    the teacher summary vector."""
-    if f_t.data.ndim == 1:
-        f_t = T.reshape(f_t, (1, f_t.shape[0]))
+    """The (1, C) softmax-weighted sum of (k, C) region rows, weighted by
+    cosine similarity to the (1, C) teacher summary row."""
     if f_s.data.ndim != 2 or f_t.shape != (1, f_s.shape[1]):
-        raise ShapeError(f"expected (k,C) rows and a C teacher vector, got {f_s.shape} vs {f_t.shape}")
+        raise ShapeError(f"expected (k,C) rows and a (1,C) teacher row, got {f_s.shape} vs {f_t.shape}")
     cos = T.cosine_matrix(f_s, f_t)          # (k, 1); raises on zero norms
     weights = T.softmax_rows(T.transpose(cos))
-    pooled = T.matmul(weights, f_s)
-    return T.reshape(pooled, (f_s.shape[1],))
+    return T.matmul(weights, f_s)
 
 
 def crop_resize(image, box, out_res):
     """Bilinear resample of the boxed region of (C, h, w) planes (an image or
     score maps) to (C, out_res, out_res). Plain arrays in, plain arrays out."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"expected (C, h, w) planes, got {arr.shape}")
     if not isinstance(out_res, int) or out_res < 1:

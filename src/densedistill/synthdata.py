@@ -38,10 +38,6 @@ class SynthSuite:
     def res(self):
         return self.side * self.patch
 
-    @property
-    def num_classes(self):
-        return self.colors.shape[0]
-
 
 def _split_rects(rng, side, target):
     """Guillotine partition of a side x side grid into ~target rectangles."""
@@ -124,7 +120,7 @@ def pure_canvas(colors, label, res):
     return np.broadcast_to(colors[label][:, None, None], (3, res, res)).copy()
 
 
-def write_suite(out_dir, suite, manifest_name="manifest.txt"):
+def write_suite(out_dir, suite):
     """Serialize a suite as container files plus a manifest; returns the
     manifest path. Paths in the manifest are relative to its directory."""
     import os
@@ -137,6 +133,6 @@ def write_suite(out_dir, suite, manifest_name="manifest.txt"):
         write_tensor(os.path.join(out_dir, img), {"image": sample.image})
         write_tensor(os.path.join(out_dir, seg), {"labels": sample.segments})
         lines.append(f"image={img} segments={seg}")
-    manifest = os.path.join(out_dir, manifest_name)
+    manifest = os.path.join(out_dir, "manifest.txt")
     atomic_write_text(manifest, "\n".join(lines) + "\n")
     return manifest

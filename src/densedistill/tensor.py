@@ -64,10 +64,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _fail_scalar(self)
 
@@ -121,12 +117,6 @@ def from_op(data, parents, backward):
         out._parents = ()
         out._backward = None
     return out
-
-
-def _as_tensor(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _check_same_dtype(a, b):
@@ -217,7 +207,6 @@ def _unbroadcast(g, shape):
 
 
 def _binary(a, b, fwd, bwd_a, bwd_b):
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_same_dtype(a, b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
@@ -349,7 +338,6 @@ def sum_rows(a):
 
 
 def concat_rows(parts):
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat_rows needs at least one part")
     cols = parts[0].shape[1]
@@ -522,7 +510,6 @@ def cosine_matrix(a, b):
     arithmetic of div(x, sqrt(sum_rows(mul(x, x)))) and matmul(na,
     transpose(nb)); ``a is b`` (a self-similarity) sums both sides'
     gradients before the shared norm backward."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_matrix needs (p,d) and (q,d), got {a.shape} and {b.shape}")
     _check_same_dtype(a, b)
@@ -552,7 +539,6 @@ def kl_rows(p, q):
     (1/r) * sum_ij p_ij * (log p_ij - log max(q_ij, KL_EPS)), with
     0*log 0 := 0. Both inputs must be row-stochastic within 1e-6.
     """
-    p, q = _as_tensor(p), _as_tensor(q)
     if p.shape != q.shape or p.data.ndim != 2:
         raise ShapeError(f"kl_rows needs equal 2-D shapes, got {p.shape} and {q.shape}")
     _check_same_dtype(p, q)

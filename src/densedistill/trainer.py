@@ -153,10 +153,6 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
     if variant not in ("decoupled", "coupled", "content"):
         raise ParameterError(f"unknown variant {variant!r}")
     image, vfm_tokens = prepared.image, prepared.vfm_tokens
-    if vfm_tokens.shape[0] != student.grid_side ** 2:
-        raise ConfigError(
-            f"provider grid {vfm_tokens.shape[0]} does not match student "
-            f"grid {student.grid_side ** 2}")
     mode = "standard" if variant == "coupled" else "decoupled"
     boxes = sample_grid(rng, cfg.grid_lo, cfg.grid_hi)
     key = teacher.fingerprint()
@@ -248,11 +244,16 @@ class PreparedRecord:
 def prepare_record(rec, vfm, cfg, index):
     image = section(rec.image_path, read_tensor(rec.image_path), "image")
     segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
+    n = vfm.grid_side ** 2
     if rec.vfm_path:
         vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
+        if vfm_tokens.ndim != 2 or vfm_tokens.shape[0] != n:
+            raise ConfigError(f"{rec.vfm_path}: section 'tokens' has shape {vfm_tokens.shape}, "
+                              f"expected ({n}, D) for the provider's {n}-token grid")
+        if not np.isfinite(vfm_tokens).all():
+            raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds non-finite values")
     else:
         vfm_tokens = provider_tokens(vfm, image, cfg)
-    n = vfm_tokens.shape[0]
     if rec.sd_path:
         maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
         if maps.ndim != 3 or maps.shape[1:] != (n, n):

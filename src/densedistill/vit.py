@@ -110,9 +110,6 @@ class VitParams:
             out.append(("proj", self.w_vl))
         return out
 
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
     def clone(self):
         twin = VitParams.__new__(VitParams)
         twin.__dict__.update({k: v for k, v in self.__dict__.items()
@@ -179,19 +176,19 @@ class DenseFeatures:
         return T.tokens_to_chw(self.tokens, *self.grid)
 
 
-def layer_norm_rows(x, scale, offset, eps=LN_EPS):
+def layer_norm_rows(x, scale, offset):
     c = x.shape[1]
     mu = T.mul_scalar(T.sum_rows(x), 1.0 / c)
     centered = T.sub(x, mu)
     var = T.mul_scalar(T.sum_rows(T.mul(centered, centered)), 1.0 / c)
-    normed = T.div(centered, T.sqrt(T.add_scalar(var, eps)))
+    normed = T.div(centered, T.sqrt(T.add_scalar(var, LN_EPS)))
     return T.add(T.mul(normed, scale), offset)
 
 
 def _patch_matrix(image, params):
     """Normalized (3,R,R) image -> (h*w, 3*p*p) patch matrix in the params'
     dtype, patches row-major, channel-major within."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
         raise ShapeError(f"expected a 3xRxR image, got {arr.shape}")
     patch = params.patch_size
@@ -337,17 +334,11 @@ def encode_dense(image, params, mode="standard"):
 
 
 def encode_cls(image, params):
-    """Summary vector: CLS row after the final standard block, projected.
-    No other row of the final block is read, so it computes the CLS row only."""
-    if params.frozen:
-        return Tensor(_encode_array(image, params, queries=1)[0])
-    seq = patch_embed(image, params)
-    for layer in range(params.depth - 1):
-        seq = attention_block(seq, params, layer)
-    cls = attention_block(seq, params, params.depth - 1, queries=1)
-    if params.w_vl is not None:
-        cls = T.matmul(cls, params.w_vl)
-    return T.reshape(cls, (cls.shape[1],))
+    """Summary vector of frozen params: the CLS row after the final standard
+    block, projected. No other row of the final block is read or computed."""
+    if not params.frozen:
+        raise ModeError("the summary vector is a frozen-teacher path; these params are not frozen")
+    return Tensor(_encode_array(image, params, queries=1)[0])
 
 
 def capture_attention(image, params, layer):

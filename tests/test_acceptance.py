@@ -131,9 +131,9 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(n):
         k2, c = int(rng.integers(1, 6)), int(rng.integers(2, 5))
         f_s = rng.standard_normal((k2, c))
-        f_t = rng.standard_normal(c)
-        got = weighted_region_pool(Tensor(f_s), Tensor(f_t)).data
-        cos = [_cos_pair(f_s[i], f_t) for i in range(k2)]
+        f_t = rng.standard_normal((1, c))
+        got = weighted_region_pool(Tensor(f_s), Tensor(f_t)).data[0]
+        cos = [_cos_pair(f_s[i], f_t[0]) for i in range(k2)]
         m = max(cos)
         e = [math.exp(v - m) for v in cos]
         wts = [v / sum(e) for v in e]

@@ -14,7 +14,8 @@ from densedistill.affinity import (
     vfm_affinity,
 )
 from densedistill.container import read_tensor
-from densedistill.errors import DegenerateInputError, DistributionError, ParameterError, ShapeError
+from densedistill.errors import (DegenerateInputError, DistributionError, EvaluationError,
+                                 ParameterError, ShapeError)
 from densedistill.vit import VitParams, capture_attention
 
 
@@ -185,6 +186,13 @@ def test_complete_shape_mismatch():
     s = _cosine_of(rng, 4)
     with pytest.raises(ShapeError):
         complete_affinity(np.eye(9), s)
+
+
+def test_complete_refuses_a_result_outside_unit_range():
+    # rows summing to 1 with a negative weight are no convex combination
+    with pytest.raises(EvaluationError, match=r"escaped \[-1, 1\]"):
+        complete_affinity(np.array([[2.0, -1.0], [0.0, 1.0]]),
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 # --- synth_sd_attention ----------------------------------------------------------------

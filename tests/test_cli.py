@@ -209,7 +209,8 @@ def test_class_width_other_than_the_checkpoint_exits_one(trained, capsys, monkey
     {"class.a": np.eye(8)[0], "class.b": np.eye(9)[1]},
     {"class.a": np.full(8, 2.0), "class.b": np.eye(8)[1]},
     {"class.a": np.eye(8)[0]},
-], ids=["unequal-widths", "non-unit", "single-vector"])
+    {"class.a": np.where(np.eye(8)[0] == 1.0, np.nan, 0.0), "class.b": np.eye(8)[1]},
+], ids=["unequal-widths", "non-unit", "single-vector", "non-finite"])
 def test_malformed_class_file_exits_one_naming_it(trained, capsys, sections):
     cfg, _, result, _ = trained
     bad = os.path.join(cfg.report_dir, "bad_classes.dten")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedistill.container import read_tensor, write_pgm, write_tensor
+from densedistill.container import atomic_write_bytes, read_tensor, write_pgm, write_tensor
 from densedistill.errors import (
     DuplicateNameError,
     MagicError,
@@ -144,6 +144,15 @@ def test_no_temp_files_linger(tmp_path):
     write_tensor(path, {"x": np.zeros(4)})  # overwrite via rename
     assert sorted(os.listdir(tmp_path)) == ["t.dten"]
     np.testing.assert_array_equal(read_tensor(path)["x"], np.zeros(4))
+
+
+def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = str(tmp_path / "t.dten")
+    write_tensor(path, {"x": np.ones(4)})
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, None)  # the write itself raises
+    assert sorted(os.listdir(tmp_path)) == ["t.dten"]
+    np.testing.assert_array_equal(read_tensor(path)["x"], np.ones(4))
 
 
 def test_pgm_format(tmp_path):

@@ -63,11 +63,13 @@ def test_context_gradient_finite_differences():
 def test_context_teacher_detached():
     rng = np.random.default_rng(2)
     x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    teacher = T.Tensor(np.clip(rng.uniform(-1, 1, (3, 3)), -1, 1))
+    teacher = np.clip(rng.uniform(-1, 1, (3, 3)), -1, 1)
+    before = teacher.copy()
     loss = context_loss(x, teacher, tau=1.0)
+    assert [p.requires_grad for p in loss._parents] == [False, True]
     T.backward(loss)
     assert x.grad is not None
-    assert teacher.grad is None
+    np.testing.assert_array_equal(teacher, before)
 
 
 # --- content_cos_loss ------------------------------------------------------------

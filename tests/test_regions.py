@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from densedistill import tensor as T
-from densedistill.errors import DegenerateInputError, ParameterError
+from densedistill.errors import DegenerateInputError, ParameterError, ShapeError
 from densedistill.gradcheck import finite_diff_check
 from densedistill.regions import (
     FULL_BOX,
@@ -159,48 +159,61 @@ def test_roi_gradient_finite_differences():
 def test_roi_validation():
     with pytest.raises(ParameterError):
         roi_align(T.Tensor(np.ones((1, 2, 2))), FULL_BOX, 0)
+    for features in (np.ones((1, 2, 2)), T.Tensor(np.ones((2, 2)))):
+        with pytest.raises(ShapeError, match="feature tensor"):
+            roi_align(features, FULL_BOX, 2)
+    for shape in ((1, 0, 2), (1, 2, 0)):
+        with pytest.raises(DegenerateInputError, match="degenerate"):
+            roi_align(T.Tensor(np.ones(shape)), FULL_BOX, 2)
 
 
 # --- weighted_region_pool -----------------------------------------------------------
 
 def test_pool_single_row():
     f_s = T.Tensor([[1.0, 2.0, 3.0]])
-    out = weighted_region_pool(f_s, T.Tensor([0.0, 1.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0])
+    out = weighted_region_pool(f_s, T.Tensor([[0.0, 1.0, 0.0]]))
+    np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]])
 
 
 def test_pool_identical_rows_fixed_point():
     row = np.array([0.3, -0.7, 1.1])
     f_s = T.Tensor(np.tile(row, (4, 1)))
-    out = weighted_region_pool(f_s, T.Tensor(np.array([1.0, 0.0, 0.5])))
-    np.testing.assert_allclose(out.data, row, atol=1e-12)
+    out = weighted_region_pool(f_s, T.Tensor(np.array([[1.0, 0.0, 0.5]])))
+    np.testing.assert_allclose(out.data, row[None], atol=1e-12)
 
 
 def test_pool_matches_scalar_oracle():
     rng = np.random.default_rng(8)
     f_s = rng.standard_normal((4, 3))
-    f_t = rng.standard_normal(3)
+    f_t = rng.standard_normal((1, 3))
     got = weighted_region_pool(T.Tensor(f_s), T.Tensor(f_t)).data
-    assert np.abs(got - pool_oracle(f_s, f_t)).max() < 1e-6
+    assert got.shape == (1, 3)
+    assert np.abs(got[0] - pool_oracle(f_s, f_t[0])).max() < 1e-6
 
 
 def test_pool_output_in_convex_hull():
     rng = np.random.default_rng(9)
     f_s = rng.standard_normal((6, 4))
-    out = weighted_region_pool(T.Tensor(f_s), T.Tensor(rng.standard_normal(4))).data
+    out = weighted_region_pool(T.Tensor(f_s), T.Tensor(rng.standard_normal((1, 4)))).data
     assert (out >= f_s.min(axis=0) - 1e-9).all()
     assert (out <= f_s.max(axis=0) + 1e-9).all()
 
 
 def test_pool_zero_norm_rejected():
     with pytest.raises(DegenerateInputError):
-        weighted_region_pool(T.Tensor([[0.0, 0.0]]), T.Tensor([1.0, 0.0]))
+        weighted_region_pool(T.Tensor([[0.0, 0.0]]), T.Tensor([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 4)])
+def test_pool_takes_one_teacher_row(shape):
+    with pytest.raises(ShapeError, match=r"\(1,C\) teacher row"):
+        weighted_region_pool(T.Tensor(np.ones((4, 3))), T.Tensor(np.ones(shape)))
 
 
 def test_pool_gradient_finite_differences():
     rng = np.random.default_rng(10)
     f_s = T.Tensor(rng.standard_normal((4, 3)))
-    f_t = T.Tensor(rng.standard_normal(3))
+    f_t = T.Tensor(rng.standard_normal((1, 3)))
 
     def f(s, t):
         pooled = weighted_region_pool(s, t)
@@ -216,6 +229,17 @@ def test_crop_resize_identity():
     img = rng.uniform(0, 1, (3, 6, 6))
     out = crop_resize(img, FULL_BOX, 6)
     assert np.abs(out - img).max() < 1e-6
+
+
+def test_crop_resize_validation():
+    with pytest.raises(ShapeError, match="planes"):
+        crop_resize(np.ones((4, 4)), FULL_BOX, 2)
+    for out_res in (0, 2.0):
+        with pytest.raises(ParameterError, match="out_res"):
+            crop_resize(np.ones((1, 4, 4)), FULL_BOX, out_res)
+    for shape in ((1, 0, 4), (1, 4, 0)):
+        with pytest.raises(DegenerateInputError, match="degenerate"):
+            crop_resize(np.ones(shape), FULL_BOX, 2)
 
 
 def test_crop_resize_constant():

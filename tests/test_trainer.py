@@ -758,6 +758,12 @@ def test_manifest_parsing_errors(tmp_path):
 
     with pytest.raises(ConfigError):
         read_manifest(str(bad))
+    for line, message in (("image=a.dten segments", "bad manifest token 'segments'"),
+                          ("image=a.dten segments=b.dten image=c.dten", "repeated key 'image'"),
+                          ("image=a.dten segments=b.dten depth=c", "repeated key 'depth'")):
+        bad.write_text(f"# header\n{line}\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(bad))}:2: .*{message}"):
+            read_manifest(str(bad))
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
     with pytest.raises(ConfigError):
@@ -829,6 +835,36 @@ def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
     (tmp_path / "man.txt").write_text(f"image={rec.image_path} segments={seg_path}\n")
     with pytest.raises(ConfigError, match=f"{re.escape(seg_path)}: .*16 provider tokens"):
         prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
+
+
+def _nan_tokens():
+    tokens = np.ones((16, 12))
+    tokens[3, 4] = np.nan
+    return tokens
+
+
+@pytest.mark.parametrize("tokens,message", [
+    (np.ones((9, 12)), r"has shape \(9, 12\), expected \(16, D\)"),
+    (_nan_tokens(), "holds non-finite values"),
+    (np.ones(16), r"has shape \(16,\), expected \(16, D\)"),
+], ids=["nine-tokens", "non-finite", "one-d"])
+def test_malformed_vfm_tokens_rejected_naming_the_file(tmp_path, capsys, tokens, message):
+    # 16-token student and provider grids; the vfm file is checked before the
+    # segments file, which is sized for 16 tokens
+    cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    vfm_path = str(tmp_path / "vfm0.dten")
+    write_tensor(vfm_path, {"tokens": tokens})
+    (tmp_path / "man.txt").write_text(
+        f"image={rec.image_path} segments={rec.segments_path} vfm={vfm_path}\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(vfm_path)}: section 'tokens' {message}"):
+        prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    capsys.readouterr()
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {vfm_path}: section 'tokens'")
 
 
 @pytest.mark.parametrize("key,name", [("image", "image"), ("segments", "labels"),

@@ -247,7 +247,7 @@ def test_dense_reshape_roundtrips():
 def test_encode_cls_matches_standard_dense():
     p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4, embed=6)
     img = rand_image(np.random.default_rng(11), 8)
-    cls = vit.encode_cls(img, p)
+    cls = vit.encode_cls(img, p.clone().freeze())
     # reference: CLS row of the full final standard block, projected
     seq = vit.attention_block(vit.patch_embed(img, p), p, 0)
     full = vit.attention_block(seq, p, 1).data
@@ -259,10 +259,11 @@ def test_encode_cls_purity_and_separation():
     p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4, embed=6, seed=3)
     rng = np.random.default_rng(12)
     img1, img2 = rand_image(rng, 8), rand_image(rng, 8)
-    a1 = vit.encode_cls(img1, p)
-    a2 = vit.encode_cls(img1, p)
+    frozen = p.freeze()
+    a1 = vit.encode_cls(img1, frozen)
+    a2 = vit.encode_cls(img1, frozen)
     np.testing.assert_array_equal(a1.data, a2.data)
-    b = vit.encode_cls(img2, p)
+    b = vit.encode_cls(img2, frozen)
     cos = float(a1.data @ b.data / (np.linalg.norm(a1.data) * np.linalg.norm(b.data)))
     assert cos < 1.0 - 1e-6
 
@@ -404,8 +405,11 @@ def test_frozen_forward_makes_no_graph_records(monkeypatch):
     vit.encode_cls(img, frozen)
     vit.encode_dense(img, frozen, "standard")
     assert records == []
-    vit.encode_cls(img, p)
+    vit.encode_dense(img, p, "standard")
     assert records
+    # the summary vector is a frozen-teacher path: student params are refused
+    with pytest.raises(ModeError):
+        vit.encode_cls(img, p)
 
 
 def _first_head_scores(img, p):
