@@ -91,10 +91,16 @@ def validate(cfg):
             raise ConfigError(msg)
 
     for name, kind in _FIELDS.items():
+        key, value = _FIELD_TO_KEY.get(name, name), getattr(cfg, name)
         if kind == "float":
-            value = getattr(cfg, name)
-            need(math.isfinite(value),
-                 f"{_FIELD_TO_KEY.get(name, name)} must be finite, got {value}")
+            need(math.isfinite(value), f"{key} must be finite, got {value}")
+        elif kind == "str":
+            # what the config grammar cannot carry, so that echo_config round-trips
+            need("#" not in value, f"{key} must not hold '#', got {value!r}")
+            need("".join(value.splitlines()) == value,
+                 f"{key} must not hold a line break, got {value!r}")
+            need(value == value.strip(),
+                 f"{key} must not start or end with whitespace, got {value!r}")
     need(cfg.lam >= 0, f"lambda must be >= 0, got {cfg.lam}")
     need(cfg.tau > 0, f"tau must be > 0, got {cfg.tau}")
     need(1 <= cfg.grid_lo <= cfg.grid_hi, f"invalid grid range [{cfg.grid_lo}, {cfg.grid_hi}]")

@@ -30,6 +30,7 @@ from .errors import (
     MagicError,
     OffsetError,
     ParameterError,
+    SectionNameError,
     ShapeError,
     TruncationError,
     VersionError,
@@ -148,11 +149,14 @@ def read_tensor(path):
         raise VersionError(f"{path}: unsupported version {version}")
     count = r.u32("section count")
     entries = []
-    for _ in range(count):
+    for index in range(count):
         name_len = r.u16("section name length")
         if name_len > MAX_NAME_BYTES:
             raise OffsetError(f"{path}: section name length {name_len} exceeds {MAX_NAME_BYTES}")
-        name = r.take(name_len, "section name").decode("ascii")
+        try:
+            name = r.take(name_len, "section name").decode("ascii")
+        except UnicodeDecodeError:
+            raise SectionNameError(f"{path}: name of section entry {index} is not ASCII") from None
         code = r.take(1, "dtype")[0]
         if code not in _CODE_TO_DTYPE:
             raise OffsetError(f"{path}: unknown dtype code {code} in section {name!r}")

@@ -55,3 +55,7 @@ class TruncationError(ContainerError):
 
 class DuplicateNameError(ContainerError):
     """Two sections share a name."""
+
+
+class SectionNameError(ContainerError):
+    """A section name in the table is not ASCII."""

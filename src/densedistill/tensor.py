@@ -1,10 +1,14 @@
 """Dense tensors with reverse-mode differentiation.
 
-Values are numpy arrays (float32 or float64, row-major). Every operation
-records its parents and a gradient rule on the output tensor, so the
-computation graph is the set of parent links; ``backward`` topologically
-sorts the graph reachable from a scalar root and accumulates gradients
-into the leaves that require them.
+Values are numpy arrays (float32 or float64, row-major). The computation
+graph is a graph of records kept apart from the values: an op result that
+needs a gradient gets a record holding its parents' records and its
+gradient rule, never its own array, and a requires-grad leaf is its own
+record. A rule captures only the arrays and shapes it reads, never a
+``Tensor``, so an intermediate value is freed as soon as nothing outside
+the graph holds it. ``backward`` topologically sorts the records reachable
+from a scalar root and accumulates gradients into the leaves that require
+them.
 
 Broadcasting is deliberately restricted: elementwise binary ops accept
 equal shapes, or a 2-D operand against a matching (r,1) row-scalar /
@@ -38,9 +42,10 @@ class Tensor:
     ``grad`` is populated by ``backward`` only for leaf tensors (no
     parents) with ``requires_grad`` set; repeated backward calls
     accumulate, matching gradient-accumulation training semantics.
+    An op result that needs a gradient holds its graph record in ``_node``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -57,12 +62,22 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def _parents(self):
+        """The parent records of this tensor's graph record; () for a leaf."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        """The gradient rule of this tensor's graph record; None when
+        ``from_op`` kept no record."""
+        return None if self._node is None else self._node._backward
 
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _fail_scalar(self)
@@ -73,8 +88,7 @@ class Tensor:
         out.data = self.data
         out.requires_grad = False
         out.grad = None
-        out._parents = ()
-        out._backward = None
+        out._node = None
         return out
 
     def __repr__(self):
@@ -97,25 +111,55 @@ def _finite(data):
     return data
 
 
+class _Record:
+    """The graph record of an op result: its parents' records, aligned with
+    the op's operands, and its gradient rule. It holds no value."""
+
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
+class _NoGrad:
+    """Stands in for every operand that needed no gradient when its op ran,
+    so such an operand is not held by the graph."""
+
+    __slots__ = ()
+    requires_grad = False
+    _parents = ()
+    _backward = None
+
+
+_NO_GRAD = _NoGrad()
+
+
+def _record_of(t):
+    """The graph node of a tensor: its record, or the tensor itself when it
+    is a leaf."""
+    return t if t._node is None else t._node
+
+
 def from_op(data, parents, backward):
-    """Wrap an op result, keeping the graph only when a parent needs grad.
+    """Wrap an op result, keeping a graph record only when a parent needs grad.
 
     ``backward`` maps the output gradient to a list of parent gradients
-    aligned with ``parents`` (None for no contribution). It is dropped
-    entirely when no parent requires grad, so teacher-side forwards stay
-    graph-free.
+    aligned with ``parents`` (None for no contribution); it must capture
+    arrays and shapes, never a ``Tensor``. No record is kept when no parent
+    requires grad, so teacher-side forwards stay graph-free.
     """
     out = Tensor.__new__(Tensor)
     out.data = _finite(data)
     out.grad = None
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Record(tuple([_record_of(p) if p.requires_grad else _NO_GRAD
+                                   for p in parents]), backward)
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+        out._node = None
     return out
 
 
@@ -130,13 +174,14 @@ def _check_same_dtype(a, b):
 
 
 def trace(root):
-    """Deterministic topological order of the graph below ``root``.
+    """Deterministic topological order of the graph below the tensor ``root``.
 
-    Parents appear before consumers; every reachable node exactly once.
+    Parents appear before consumers; every reachable node exactly once. A
+    node is a graph record, or a leaf tensor standing as its own record.
     """
     order = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(_record_of(root), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -153,17 +198,19 @@ def trace(root):
 
 
 def backward(root):
-    """Reverse-mode sweep from a scalar root.
+    """Reverse-mode sweep from a scalar root over the graph of records.
 
-    Accumulates into ``grad`` of every requires_grad leaf reachable from
-    ``root``, following the requires_grad marks ``from_op`` set; nodes are
-    keyed by identity. Deterministic: same graph, same gradients, bit for bit.
+    Accumulates into ``grad`` of every leaf reachable from ``root`` whose
+    ``requires_grad`` is set when backward runs. Records are keyed by
+    identity; operands that needed no gradient when their op ran were never
+    recorded. The graph is left intact, so a second call accumulates again.
+    Deterministic: same graph, same gradients, bit for bit.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     if not root.requires_grad:
         return
-    grads = {root: np.ones_like(root.data)}
+    grads = {_record_of(root): np.ones_like(root.data)}
     for node in reversed(trace(root)):
         g = grads.pop(node, None)
         if g is None:
@@ -206,31 +253,33 @@ def _unbroadcast(g, shape):
     return out
 
 
-def _binary(a, b, fwd, bwd_a, bwd_b):
+def _binary(a, b, fwd, rule):
+    """Record an elementwise op. ``rule(x, y)`` builds the gradient rule
+    g -> (ga, gb) from the operand arrays, before unbroadcasting; it
+    closes over only the arrays it reads."""
     _check_same_dtype(a, b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
-    data = fwd(a.data, b.data)
+    x, y = a.data, b.data
+    grads, sa, sb = rule(x, y), a.shape, b.shape
 
     def back(g):
-        return (
-            _unbroadcast(bwd_a(g, a.data, b.data), a.shape),
-            _unbroadcast(bwd_b(g, a.data, b.data), b.shape),
-        )
+        ga, gb = grads(g)
+        return _unbroadcast(ga, sa), _unbroadcast(gb, sb)
 
-    return from_op(data, (a, b), back)
+    return from_op(fwd(x, y), (a, b), back)
 
 
 def add(a, b):
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, lambda x, y: x + y, lambda x, y: lambda g: (g, g))
 
 
 def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, lambda x, y: x - y, lambda x, y: lambda g: (g, -g))
 
 
 def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, lambda x, y: x * y, lambda x, y: lambda g: (g * y, g * x))
 
 
 def div(a, b):
@@ -238,7 +287,7 @@ def div(a, b):
         with np.errstate(divide="ignore", invalid="ignore"):
             return x / y
 
-    return _binary(a, b, fwd, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    return _binary(a, b, fwd, lambda x, y: lambda g: (g / y, -g * x / (y * y)))
 
 
 def neg(a):
@@ -290,10 +339,12 @@ def matmul(a, b):
         raise ShapeError(f"inner extents differ: {a.shape} x {b.shape}")
     _check_same_dtype(a, b)
 
-    def back(g):
-        return (g @ b.data.T, a.data.T @ g)
+    x, y = a.data, b.data
 
-    return from_op(a.data @ b.data, (a, b), back)
+    def back(g):
+        return (g @ y.T, x.T @ g)
+
+    return from_op(x @ y, (a, b), back)
 
 
 def transpose(a):
@@ -306,23 +357,25 @@ def reshape(a, shape):
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    return from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    source = a.shape
+    return from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(source),))
 
 
 def sum_all(a):
+    shape, dtype = a.shape, a.data.dtype
     return from_op(
-        np.asarray(a.data.sum(), dtype=a.data.dtype),
+        np.asarray(a.data.sum(), dtype=dtype),
         (a,),
-        lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),),
+        lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),),
     )
 
 
 def mean_all(a):
-    n = a.data.size
+    shape, dtype, n = a.shape, a.data.dtype, a.data.size
     return from_op(
-        np.asarray(a.data.mean(), dtype=a.data.dtype),
+        np.asarray(a.data.mean(), dtype=dtype),
         (a,),
-        lambda g: ((np.broadcast_to(g, a.shape) / n).astype(a.data.dtype, copy=False),),
+        lambda g: ((np.broadcast_to(g, shape) / n).astype(dtype, copy=False),),
     )
 
 
@@ -330,10 +383,11 @@ def sum_rows(a):
     """Row sums of a 2-D tensor as an (r,1) column."""
     if a.data.ndim != 2:
         raise ShapeError("sum_rows needs a 2-D tensor")
+    shape, dtype = a.shape, a.data.dtype
     return from_op(
         a.data.sum(axis=1, keepdims=True),
         (a,),
-        lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),),
+        lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),),
     )
 
 
@@ -348,7 +402,7 @@ def concat_rows(parts):
     offsets = np.cumsum([0] + sizes)
 
     def back(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[start:stop] for start, stop in zip(offsets[:-1], offsets[1:]))
 
     return from_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), back)
 
@@ -359,8 +413,10 @@ def slice_rows(a, start, stop):
     if not (0 <= start < stop <= a.shape[0]):
         raise ShapeError(f"row slice [{start}:{stop}] out of range for {a.shape}")
 
+    shape, dtype = a.shape, a.data.dtype
+
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[start:stop] = g
         return (full,)
 
@@ -523,10 +579,11 @@ def cosine_matrix(a, b):
     norms = [np.sqrt(_finite(s)) for s in sq]
     units = [t.data / r for t, r in zip(sides, norms)]
     na, nb = units[0], units[-1]
+    shared = a is b
 
     def back(g):
         ga, gb = g @ nb, g.T @ na
-        if a is b:
+        if shared:
             return (_unit_rows_back(ga + gb, na, norms[0]),)
         return (_unit_rows_back(ga, na, norms[0]), _unit_rows_back(gb, nb, norms[1]))
 
@@ -556,14 +613,15 @@ def kl_rows(p, q):
     terms *= p.data
     terms[~pos] = 0.0
     out = np.asarray(terms.sum() / r, dtype=p.data.dtype)
+    pd, qd = p.data, q.data
 
     def back(g):
         gs = g / r
-        dp = np.zeros_like(p.data)
-        np.log(p.data, out=dp, where=pos)
+        dp = np.zeros_like(pd)
+        np.log(pd, out=dp, where=pos)
         dp += 1.0 - np.log(qc)
         dp[~pos] = 0.0
-        dq = np.where(q.data > KL_EPS, -p.data / qc, 0.0)
+        dq = np.where(qd > KL_EPS, -pd / qc, 0.0)
         return (gs * dp, gs * dq)
 
     return from_op(out, (p, q), back)

@@ -136,6 +136,17 @@ def test_dump_attn_subcommand(tmp_path, trained, capsys):
     assert "section 'image' is missing" in capsys.readouterr().err
 
 
+def test_corrupt_section_name_is_an_io_error(tmp_path, capsys):
+    path = str(tmp_path / "bad.dten")
+    write_tensor(path, {"image": np.zeros((3, 4, 4))})
+    blob = bytearray(open(path, "rb").read())
+    blob[14] = 0xE9  # first byte of the first section name
+    open(path, "wb").write(bytes(blob))
+    assert run_cli(["dump-attn", "--checkpoint", path, "--image", path, "--layers", "0",
+                    "--query", "cls", "--out", str(tmp_path / "dumps")]) == 2
+    assert capsys.readouterr().err.startswith(f"io error: {path}: name of section entry 0 ")
+
+
 def test_ablate_subcommand(tmp_path, capsys):
     cfg = mini_cfg(tmp_path, epochs=2)
     cfg_path = tmp_path / "ab.cfg"

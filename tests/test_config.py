@@ -3,7 +3,8 @@
 import pytest
 
 from densedistill.cli import run_cli
-from densedistill.config import RunConfig, echo_config, parse_config, parse_config_text
+from densedistill.config import (RunConfig, echo_config, parse_config, parse_config_text,
+                                 validate)
 from densedistill.errors import ConfigError
 
 
@@ -76,6 +77,17 @@ def test_echo_roundtrip(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text(text)
     assert parse_config(str(p)) == cfg
+
+
+@pytest.mark.parametrize("field,value", [
+    ("manifest", "runs/#3/manifest.txt"),   # the rest of the line would read as a comment
+    ("resume", "ckpt\n.dten"),              # a line break splits the echoed line
+    ("checkpoint_dir", "ckpt\r"),
+    ("report_dir", " padded "),             # parsing strips the value
+])
+def test_string_field_the_grammar_cannot_carry_rejected_naming_the_key(field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must not"):
+        validate(RunConfig(**{field: value}))
 
 
 def test_bool_parsing():

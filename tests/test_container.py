@@ -1,6 +1,7 @@
 """Container format: byte-exact layout, round-trips, corruption handling."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from densedistill.errors import (
     MagicError,
     OffsetError,
     ParameterError,
+    SectionNameError,
     TruncationError,
     VersionError,
 )
@@ -121,6 +123,17 @@ def test_offset_corruption(tmp_path):
     blob[table_end - 8:table_end] = struct.pack("<Q", 2**63)
     open(path, "wb").write(bytes(blob))
     with pytest.raises(OffsetError):
+        read_tensor(path)
+
+
+def test_non_ascii_section_name_names_the_file_and_entry(tmp_path):
+    path = str(tmp_path / "n.dten")
+    write_tensor(path, {"a": np.ones(1), "b": np.ones(1)})
+    blob = bytearray(open(path, "rb").read())
+    second_name = 12 + (2 + 1 + 1 + 1 + 8 + 8) + 2
+    blob[second_name] = 0xE9
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(SectionNameError, match=rf"^{re.escape(path)}: name of section entry 1 "):
         read_tensor(path)
 
 

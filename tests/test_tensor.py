@@ -1,12 +1,14 @@
 """Core engine tests: op semantics against scalar-loop oracles, backward."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densedistill import gradcheck, vit
 from densedistill import tensor as T
 from densedistill.errors import (
     DegenerateInputError,
@@ -15,6 +17,7 @@ from densedistill.errors import (
     ParameterError,
     ShapeError,
 )
+from densedistill.regions import CropBox, roi_align
 
 
 # --- independent scalar oracles -------------------------------------------
@@ -367,6 +370,57 @@ def test_detach_blocks_gradient():
     x = T.Tensor([[1.0, 2.0]], requires_grad=True)
     T.backward(T.sum_all(T.mul(x.detach(), x)))
     np.testing.assert_array_equal(x.grad, [[1.0, 2.0]])
+
+
+# every op that records a gradient rule, by the function that defines it
+_RULE_OPS = {"add", "sub", "mul", "div", "neg", "add_scalar", "mul_scalar", "sqrt", "gelu",
+             "matmul", "transpose", "reshape", "sum_all", "mean_all", "sum_rows",
+             "concat_rows", "slice_rows", "tokens_to_chw", "softmax_rows", "head_scores",
+             "head_mix", "cosine_matrix", "kl_rows", "roi_align"}
+
+
+def _tensors_held(obj, defining, seen):
+    """Tensors reachable from a gradient rule through closure cells, default
+    arguments, tuples and lists, nested closures included; records the
+    defining function of every closure walked."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, T.Tensor):
+        return [obj]
+    if isinstance(obj, types.FunctionType):
+        defining.add(obj.__qualname__.split(".")[0])
+        inner = [cell.cell_contents for cell in obj.__closure__ or ()]
+        inner += obj.__defaults__ or ()
+    elif isinstance(obj, (tuple, list)):
+        inner = obj
+    else:
+        return []
+    return [t for item in inner for t in _tensors_held(item, defining, seen)]
+
+
+def test_no_backward_rule_holds_a_tensor(monkeypatch):
+    """A rule captures arrays and shapes only, so the graph keeps no op's
+    value alive through a Tensor."""
+    defining, held = set(), []
+
+    def audit(root):
+        for node in T.trace(root):
+            if node._backward is not None:
+                held.extend(_tensors_held(node._backward, defining, set()))
+
+    def audited_backward(root):
+        audit(root)
+        T.backward(root)
+
+    monkeypatch.setattr(gradcheck, "backward", audited_backward)
+    assert all(report.passed for report in gradcheck.run_gradcheck_suite(seed=0))
+    # the sweep passes no tensor through patch_embed, the stream slices or the dense map
+    p = vit.VitParams(patch_size=4, depth=1, width=8, heads=2, input_res=8, embed_dim=4)
+    enc = vit.encode_dense(np.random.default_rng(3).uniform(0, 1, (3, 8, 8)), p, "decoupled")
+    audit(T.sum_all(roi_align(enc.dense(), CropBox(0.1, 0.2, 0.8, 0.9), 2)))
+    assert held == []
+    assert _RULE_OPS <= defining, _RULE_OPS - defining
 
 
 # --- shape and finiteness discipline ----------------------------------------

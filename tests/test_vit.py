@@ -1,6 +1,9 @@
 """Encoder tests: block semantics vs loop oracles, decoupling identity."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -337,6 +340,53 @@ def test_gradients_reach_every_decoupled_parameter():
             assert param.grad is None, name
         else:
             assert param.grad is not None and np.abs(param.grad).max() > 0, name
+
+
+def _decoupled_graph(monkeypatch):
+    """A 24x24-token, depth-2 trainable student's decoupled forward and a
+    loss over both streams, with weakrefs to every score map it built and
+    the bytes held once only the loss is alive."""
+    p = tiny_params(depth=2, width=32, heads=4, res=96, patch=4, seed=7)
+    img = rand_image(np.random.default_rng(20), 96)
+    maps = []
+    head_scores = T.head_scores
+
+    def spy(*args):
+        out = head_scores(*args)
+        maps.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "head_scores", spy)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        enc = vit.encode_dense(img, p, "decoupled")
+        loss = T.add(T.mean_all(T.mul(enc.tokens, enc.tokens)),
+                     T.mean_all(T.mul(enc.context, enc.context)))
+        del enc
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return p, loss, maps, held
+
+
+def test_graph_holds_no_score_map(monkeypatch):
+    p, loss, maps, _ = _decoupled_graph(monkeypatch)
+    assert loss.requires_grad and len(maps) == p.depth
+    assert [m() for m in maps if m() is not None] == []  # no backward rule reads them
+
+
+def test_graph_bytes_stay_within_what_backward_reads(monkeypatch):
+    p, loss, _, held = _decoupled_graph(monkeypatch)
+    assert loss.requires_grad
+    n = p.grid_side ** 2 + 1
+    prob_map = p.heads * n * n * 8
+    token_rows = n * p.width * 8
+    # per block: its probability map and a few dozen (n, width) activations
+    # (layer norms, projections, the 4x-wide MLP); a kept score map alone
+    # would add another map per block
+    assert held <= p.depth * (prob_map + 32 * token_rows), held
 
 
 def test_block_gradients_pass_finite_differences():
