@@ -26,6 +26,7 @@ import tempfile
 import numpy as np
 
 from .errors import (
+    DimensionError,
     DuplicateNameError,
     MagicError,
     OffsetError,
@@ -42,6 +43,7 @@ VERSION = 1
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i4")}
 _KIND_TO_CODE = {("f", 4): 0, ("f", 8): 1, ("i", 4): 2}
 MAX_NAME_BYTES = 64
+_MAX_DIM = int(np.iinfo(np.intp).max)
 
 
 def atomic_write_bytes(path, payload):
@@ -162,6 +164,9 @@ def read_tensor(path):
             raise OffsetError(f"{path}: unknown dtype code {code} in section {name!r}")
         rank = r.take(1, "rank")[0]
         shape = tuple(r.u64(f"dims of {name!r}") for _ in range(rank))
+        if any(dim > _MAX_DIM for dim in shape):
+            raise DimensionError(f"{path}: section {name!r} has dims {shape}, above the "
+                                 f"largest index {_MAX_DIM} of this platform")
         offset = r.u64(f"offset of {name!r}")
         entries.append((name, code, shape, offset))
     payload_start = r.pos

@@ -49,6 +49,10 @@ class OffsetError(ContainerError):
     """A section's payload offset/extent does not fit inside the file."""
 
 
+class DimensionError(ContainerError):
+    """A section's dims exceed what this platform can index."""
+
+
 class TruncationError(ContainerError):
     """File ends before a declared payload or table entry."""
 

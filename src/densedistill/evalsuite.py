@@ -71,7 +71,7 @@ def class_prototypes(teacher, colors):
     rows = []
     for label in range(k):
         canvas = pure_canvas(colors, label, teacher.input_res)
-        rows.append(encode_cls(canvas, teacher).data.astype(np.float64))
+        rows.append(encode_cls(canvas, teacher).astype(np.float64))
     vectors = np.stack(rows)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     return ClassEmbeddings(names=names, vectors=vectors)
@@ -261,7 +261,7 @@ class AblationReport:
 def prepare_suite(suite, distiller, cfg):
     records = []
     for i, sample in enumerate(suite.samples):
-        vfm_tokens = provider_tokens(distiller.vfm, sample.image, cfg)
+        vfm_tokens = provider_tokens(distiller.vfm, sample.image)
         sd = synth_sd_attention(sample.segments, cfg.sd_sharpness,
                                 np.random.default_rng([cfg.seed, STREAM_SD, i]),
                                 num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)

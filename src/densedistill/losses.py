@@ -3,7 +3,7 @@ similarity-weighted content cosine alignment, the region-correlation
 constraint, and their weighted combination.
 
 Teacher-side operands (completed affinity, teacher summary vectors,
-provider region features) are consumed detached; gradients only ever flow
+provider region features) are plain arrays, so gradients only ever flow
 into the student streams.
 """
 
@@ -47,34 +47,36 @@ def context_loss(x_context, s_hat_vfm, tau):
     return T.kl_rows(p, q)
 
 
-def content_cos_loss(region_students, region_teacher_cls):
+def content_cos_loss(region_students, teacher_vectors):
     """Mean over regions of 1 - cos(pooled student region, teacher summary);
-    each summary is a (C,) vector."""
+    each summary is a (C,) array."""
     k = len(region_students)
     if k < 1:
         raise ParameterError("need at least one region")
-    if len(region_teacher_cls) != k:
+    if len(teacher_vectors) != k:
         raise ShapeError("teacher summaries do not match region count")
+    one = Tensor(np.ones((1, 1), region_students[0].data.dtype))
     total = None
-    for f_s, f_t in zip(region_students, region_teacher_cls):
-        target = T.reshape(f_t.detach(), (1, f_t.shape[0]))
+    for f_s, f_t in zip(region_students, teacher_vectors):
+        target = Tensor(f_t.reshape(1, -1))
         pooled = weighted_region_pool(f_s, target)
-        term = T.add_scalar(T.neg(T.cosine_matrix(pooled, target)), 1.0)
+        term = T.sub(one, T.cosine_matrix(pooled, target))
         total = term if total is None else T.add(total, term)
     return T.reshape(T.mul_scalar(total, 1.0 / k), ())
 
 
-def rcc_loss(region_students, region_vfm, tau):
+def rcc_loss(region_students, provider_rows, tau):
     """Mean over regions of row-mean KL between the provider's and the
-    student's within-region pairwise cosine structure."""
+    student's within-region pairwise cosine structure; each provider region
+    is a (rows, D) array."""
     k = len(region_students)
     if k < 1:
         raise ParameterError("need at least one region")
-    if len(region_vfm) != k:
+    if len(provider_rows) != k:
         raise ShapeError("provider regions do not match region count")
     total = None
-    for f_s, f_v in zip(region_students, region_vfm):
-        f_v = f_v.detach()
+    for f_s, rows in zip(region_students, provider_rows):
+        f_v = Tensor(rows)
         if f_v.shape[0] != f_s.shape[0]:
             raise ShapeError(f"region row counts differ: {f_s.shape} vs {f_v.shape}")
         r_vfm = T.cosine_matrix(f_v, f_v)

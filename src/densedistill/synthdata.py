@@ -73,11 +73,12 @@ def make_classes(rng, num_classes):
 
 def make_sample(rng, side, patch, colors, noise=0.08, gray_rate=0.04,
                 flip_rate=0.06, rects=6):
-    """One image with its token-grid labels and rectangle annotations."""
+    """One image with its token-grid labels and rectangle annotations, from
+    (K, 3) class colors with K >= 2."""
     num_classes = colors.shape[0]
     parts = _split_rects(rng, side, rects)
     labels = rng.integers(0, num_classes, size=len(parts))
-    while len(set(labels.tolist())) < min(2, num_classes):
+    while len(set(labels.tolist())) < 2:
         labels = rng.integers(0, num_classes, size=len(parts))
     segments = np.zeros((side, side), dtype=np.int32)
     boxes = []
@@ -87,18 +88,10 @@ def make_sample(rng, side, patch, colors, noise=0.08, gray_rate=0.04,
     draw = rng.random((side, side))
     grays = draw < gray_rate
     flips = (draw >= gray_rate) & (draw < gray_rate + flip_rate)
-    offsets = rng.integers(1, max(num_classes, 2), size=(side, side))
-    res = side * patch
-    image = np.empty((3, res, res))
-    for y in range(side):
-        for x in range(side):
-            if grays[y, x]:
-                cell = np.full(3, 0.5)
-            elif flips[y, x] and num_classes > 1:
-                cell = colors[(segments[y, x] + offsets[y, x]) % num_classes]
-            else:
-                cell = colors[segments[y, x]]
-            image[:, y * patch:(y + 1) * patch, x * patch:(x + 1) * patch] = cell[:, None, None]
+    offsets = rng.integers(1, num_classes, size=(side, side))
+    cells = colors[np.where(flips, (segments + offsets) % num_classes, segments)]
+    cells[grays] = 0.5
+    image = np.repeat(np.repeat(cells.transpose(2, 0, 1), patch, axis=1), patch, axis=2)
     image += noise * rng.standard_normal(image.shape)
     return SynthSample(image=np.clip(image, 0.0, 1.0), segments=segments, boxes=boxes)
 
@@ -107,6 +100,8 @@ def make_suite(seed, n_images=8, side=8, patch=8, num_classes=6,
                noise=0.08, gray_rate=0.04, flip_rate=0.06, rects=6):
     if n_images < 1:
         raise ParameterError("n_images must be >= 1")
+    if num_classes < 2:
+        raise ParameterError(f"num_classes must be >= 2, got {num_classes}")
     rng = np.random.default_rng([seed, 100])
     colors = make_classes(rng, num_classes)
     samples = [make_sample(np.random.default_rng([seed, 101, i]), side, patch,

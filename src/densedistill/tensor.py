@@ -82,15 +82,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _fail_scalar(self)
 
-    def detach(self):
-        """A leaf view of the same values, cut off from the graph."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._node = None
-        return out
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -288,10 +279,6 @@ def div(a, b):
             return x / y
 
     return _binary(a, b, fwd, lambda x, y: lambda g: (g / y, -g * x / (y * y)))
-
-
-def neg(a):
-    return from_op(-a.data, (a,), lambda g: (-g,))
 
 
 def add_scalar(a, s):

@@ -114,9 +114,9 @@ def build_models(cfg):
     return student, teacher, vfm
 
 
-def provider_tokens(vfm, image, cfg):
+def provider_tokens(vfm, image):
     """Provider dense tokens (HW, D) for a student-resolution image."""
-    resized = crop_resize(image, FULL_BOX, cfg.vfm_res)
+    resized = crop_resize(image, FULL_BOX, vfm.input_res)
     return encode_dense(resized, vfm, "standard").tokens.data
 
 
@@ -171,7 +171,7 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
             enc = encode_dense(image, student, mode)
             ctx_stream = enc.tokens if variant == "coupled" else enc.context
             s_hat = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
-            content_map = enc.dense()
+            content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
             region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
         except BaseException:
             # drop the crops still queued instead of running them before raising
@@ -187,8 +187,8 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
     if variant == "decoupled":
         side, d = student.grid_side, vfm_tokens.shape[1]
         vfm_map = Tensor(np.ascontiguousarray(vfm_tokens.T.reshape(d, side, side)), dtype=dtype)
-        l_rcc = rcc_loss(region_students, [roi_align(vfm_map, box, cfg.roi_n) for box in boxes],
-                         cfg.tau)
+        l_rcc = rcc_loss(region_students,
+                         [roi_align(vfm_map, box, cfg.roi_n).data for box in boxes], cfg.tau)
     else:
         # no RCC outside the full pipeline
         l_rcc = Tensor(np.zeros((), dtype=dtype))
@@ -236,8 +236,8 @@ class PreparedRecord:
     image: np.ndarray
     vfm_tokens: np.ndarray
     sd_stack: SdAttentionStack
-    # frozen-teacher crop embeddings, (teacher fingerprint, CropBox) -> CLS
-    # Tensor; at most (sum of n over [grid_lo, grid_hi])^2 boxes per teacher
+    # frozen-teacher crop embeddings, (teacher fingerprint, CropBox) -> (E,)
+    # CLS array; at most (sum of n over [grid_lo, grid_hi])^2 boxes per teacher
     crop_targets: dict = field(default_factory=dict)
 
 
@@ -253,7 +253,7 @@ def prepare_record(rec, vfm, cfg, index):
         if not np.isfinite(vfm_tokens).all():
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds non-finite values")
     else:
-        vfm_tokens = provider_tokens(vfm, image, cfg)
+        vfm_tokens = provider_tokens(vfm, image)
     if rec.sd_path:
         maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
         if maps.ndim != 3 or maps.shape[1:] != (n, n):
@@ -308,9 +308,19 @@ class Distiller:
             l_total=sum(r.l_total for r in reports) / n)
 
 
-_META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res")
-# the meta section: _META_FIELDS, then embed_dim (0 = none) and dtype (0 = f32)
-_META_LEN = len(_META_FIELDS) + 2
+# the meta section holds _META_FIELDS (embed_dim 0 = no projection, dtype the
+# index into _DTYPES), the pixel section _PIXEL_FIELDS
+_META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dtype")
+_PIXEL_FIELDS = ("pixel_mean", "pixel_std")
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# the values of a stored field a student can be built from; other fields are >= 1
+_FIELD_RANGES = {
+    "embed_dim": (">= 0", lambda v: v >= 0),
+    "dtype": ("0 (f32) or 1 (f64)", lambda v: v in (0, 1)),
+    "pixel_mean": ("finite", np.isfinite),
+    "pixel_std": ("finite and > 0", lambda v: np.isfinite(v) and v > 0),
+}
+_POSITIVE = (">= 1", lambda v: v >= 1)
 
 
 # the optim section: the optimizer's settings, then the batch size; a
@@ -322,11 +332,9 @@ def save_checkpoint(path, student, optimizer=None, step=0, seed=None, batch_size
     """Write the student (and optimizer moments, when given) with the step
     counter. With ``seed``, also the run seed; with the optimizer and
     ``batch_size``, also the optim section. ``restore_into`` requires both."""
-    sections = [("meta", np.array(
-        [getattr(student, f) for f in _META_FIELDS]
-        + [student.embed_dim or 0, 0 if student.dtype == np.float32 else 1],
-        dtype=np.int32))]
-    sections.append(("pixel", np.array([student.pixel_mean, student.pixel_std])))
+    held = _student_fields(student)
+    sections = [("meta", np.array([held[f] for f in _META_FIELDS], dtype=np.int32)),
+                ("pixel", np.array([held[f] for f in _PIXEL_FIELDS]))]
     sections.append(("step", np.array([step], dtype=np.int32)))
     if seed is not None:
         sections.append(("seed", np.array([seed], dtype=np.int32)))
@@ -354,6 +362,29 @@ def section(path, sections, key, size=None):
     if data.size != size:
         raise ConfigError(f"{path}: section {key!r} has {data.size} entries, expected {size}")
     return data
+
+
+def _student_fields(student):
+    """The student's meta and pixel fields by name, as a checkpoint holds them."""
+    held = {name: getattr(student, name) for name in _META_FIELDS + _PIXEL_FIELDS}
+    held["embed_dim"] = held["embed_dim"] or 0
+    held["dtype"] = _DTYPES.index(held["dtype"])
+    return held
+
+
+def _stored_fields(path, sections):
+    """The meta and pixel fields of the checkpoint read from ``path`` by name;
+    a field no student can be built from is refused."""
+    held = dict(zip(_META_FIELDS, map(int, section(path, sections, "meta", len(_META_FIELDS)))))
+    held.update(zip(_PIXEL_FIELDS,
+                    map(float, section(path, sections, "pixel", len(_PIXEL_FIELDS)))))
+    for name, value in held.items():
+        want, ok = _FIELD_RANGES.get(name, _POSITIVE)
+        if not ok(value):
+            where = "meta" if name in _META_FIELDS else "pixel"
+            raise ConfigError(f"{path}: section {where!r} holds {name} = {value!r}, "
+                              f"expected {want}")
+    return held
 
 
 def _check_params(path, sections, params):
@@ -388,13 +419,10 @@ def load_student(path):
     """Rebuild the student encoder from a checkpoint alone, for inference:
     its parameters do not require grad, so its forwards build no graph."""
     sections = read_tensor(path)
-    meta = section(path, sections, "meta", _META_LEN)
-    pixel = section(path, sections, "pixel", 2)
-    dtype = np.float32 if meta[6] == 0 else np.float64
-    student = VitParams(patch_size=int(meta[3]), depth=int(meta[0]), width=int(meta[1]),
-                        heads=int(meta[2]), input_res=int(meta[4]),
-                        embed_dim=int(meta[5]) or None, pixel_mean=float(pixel[0]),
-                        pixel_std=float(pixel[1]), seed=0, dtype=dtype)
+    held = _stored_fields(path, sections)
+    dtype = _DTYPES[held.pop("dtype")]
+    held["embed_dim"] = held["embed_dim"] or None
+    student = VitParams(**held, seed=0, dtype=dtype)
     params = dict(student.named_parameters())
     _check_params(path, sections, params)
     for name, p in params.items():
@@ -409,10 +437,16 @@ def restore_into(distiller, path):
     checkpoint's seed must be the run's, which the frozen twins and the step
     randomness are built from, and its optimizer settings and batch size must
     be the run's, and its moments must cover exactly the run's trainable
-    parameters."""
+    parameters. Its meta and pixel fields must be the run's student's."""
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
     _check_params(path, sections, params)
+    stored = _stored_fields(path, sections)
+    for name, value in _student_fields(distiller.student).items():
+        if stored[name] != value:
+            where = "meta" if name in _META_FIELDS else "pixel"
+            raise ConfigError(f"{path}: section {where!r} holds {name} = {stored[name]!r}, "
+                              f"but the run's student has {name} = {value!r}")
     step = int(section(path, sections, "step", 1)[0])
     seed = int(section(path, sections, "seed", 1)[0])
     if seed != distiller.cfg.seed:

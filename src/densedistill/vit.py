@@ -171,10 +171,6 @@ class DenseFeatures:
     grid: tuple
     context: Tensor | None = None  # (HW, C) decoupled context stream, unprojected
 
-    def dense(self):
-        """(C', H, W) view of tokens as a graph-tracked feature map."""
-        return T.tokens_to_chw(self.tokens, *self.grid)
-
 
 def layer_norm_rows(x, scale, offset):
     c = x.shape[1]
@@ -211,14 +207,11 @@ def patch_embed(image, params):
     return T.add(seq, params.pos_embed)
 
 
-def _multi_head(q, k, v, heads, capture=None):
-    attn = T.softmax_rows(T.head_scores(q, k, heads))
-    if capture is not None:
-        capture.extend(attn.data.reshape(heads, q.shape[0], k.shape[0]))
-    return T.head_mix(attn, v, heads)
+def _multi_head(q, k, v, heads):
+    return T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
 
 
-def attention_block(x, params, layer, capture=None, queries=None):
+def attention_block(x, params, layer, queries=None):
     """Standard block: pre-norm attention with residual, pre-norm FFN with residual.
 
     With ``queries`` set, only the first ``queries`` rows are computed (their
@@ -232,7 +225,7 @@ def attention_block(x, params, layer, capture=None, queries=None):
     q = T.add(T.matmul(hq, b.wq), b.bq)
     k = T.add(T.matmul(h, b.wk), b.bk)
     v = T.add(T.matmul(h, b.wv), b.bv)
-    y = T.add(x, T.add(T.matmul(_multi_head(q, k, v, params.heads, capture), b.wo), b.bo))
+    y = T.add(x, T.add(T.matmul(_multi_head(q, k, v, params.heads), b.wo), b.bo))
     h2 = layer_norm_rows(y, b.ln2_s, b.ln2_o)
     ffn = T.add(T.matmul(T.gelu(T.add(T.matmul(h2, b.w1), b.b1)), b.w2), b.b2)
     return T.add(y, ffn)
@@ -334,20 +327,25 @@ def encode_dense(image, params, mode="standard"):
 
 
 def encode_cls(image, params):
-    """Summary vector of frozen params: the CLS row after the final standard
-    block, projected. No other row of the final block is read or computed."""
+    """Summary vector of frozen params, a finite (E,) array: the CLS row
+    after the final standard block, projected. No other row of the final
+    block is read or computed."""
     if not params.frozen:
         raise ModeError("the summary vector is a frozen-teacher path; these params are not frozen")
-    return Tensor(_encode_array(image, params, queries=1)[0])
+    return T._finite(_encode_array(image, params, queries=1)[0])
 
 
 def capture_attention(image, params, layer):
-    """Per-head attention map of one block: (1+HW, 1+HW, heads)."""
+    """Per-head attention map of one block, (1+HW, 1+HW, heads), from its
+    queries and keys alone: its values, projection and FFN are not computed."""
     if not 0 <= layer < params.depth:
         raise ParameterError(f"layer {layer} outside [0, {params.depth})")
     seq = patch_embed(image, params)
     for i in range(layer):
         seq = attention_block(seq, params, i)
-    capture = []
-    attention_block(seq, params, layer, capture=capture)
-    return np.ascontiguousarray(np.stack(capture, axis=-1))
+    b = params.blocks[layer]
+    h = layer_norm_rows(seq, b.ln1_s, b.ln1_o)
+    q = T.add(T.matmul(h, b.wq), b.bq)
+    k = T.add(T.matmul(h, b.wk), b.bk)
+    attn = T.softmax_rows(T.head_scores(q, k, params.heads)).data
+    return np.stack(np.split(attn, params.heads), axis=-1)

@@ -147,6 +147,18 @@ def test_corrupt_section_name_is_an_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"io error: {path}: name of section entry 0 ")
 
 
+def test_dim_beyond_the_index_range_is_an_io_error(tmp_path, capsys):
+    path = str(tmp_path / "huge.dten")
+    write_tensor(path, {"image": np.zeros((0, 4))})
+    blob = bytearray(open(path, "rb").read())
+    second_dim = 12 + 2 + len("image") + 1 + 1 + 8
+    blob[second_dim:second_dim + 8] = (2**63).to_bytes(8, "little")
+    open(path, "wb").write(bytes(blob))
+    assert run_cli(["dump-attn", "--checkpoint", path, "--image", path, "--layers", "0",
+                    "--query", "cls", "--out", str(tmp_path / "dumps")]) == 2
+    assert capsys.readouterr().err.startswith(f"io error: {path}: section 'image' has dims ")
+
+
 def test_ablate_subcommand(tmp_path, capsys):
     cfg = mini_cfg(tmp_path, epochs=2)
     cfg_path = tmp_path / "ab.cfg"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from densedistill.container import atomic_write_bytes, read_tensor, write_pgm, write_tensor
 from densedistill.errors import (
+    DimensionError,
     DuplicateNameError,
     MagicError,
     OffsetError,
@@ -123,6 +124,17 @@ def test_offset_corruption(tmp_path):
     blob[table_end - 8:table_end] = struct.pack("<Q", 2**63)
     open(path, "wb").write(bytes(blob))
     with pytest.raises(OffsetError):
+        read_tensor(path)
+
+
+def test_dim_beyond_the_index_range_names_the_file_and_section(tmp_path):
+    path = str(tmp_path / "d.dten")
+    write_tensor(path, {"x": np.zeros((0, 4))})
+    blob = bytearray(open(path, "rb").read())
+    second_dim = 12 + (2 + 1 + 1 + 1 + 8)
+    blob[second_dim:second_dim + 8] = struct.pack("<Q", 2**63)  # an empty payload still
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(DimensionError, match=rf"^{re.escape(path)}: section 'x' has dims "):
         read_tensor(path)
 
 

@@ -28,7 +28,7 @@ from densedistill.evalsuite import (
 )
 from densedistill import trainer
 from densedistill.regions import CropBox, FULL_BOX, sample_grid
-from densedistill.synthdata import make_suite
+from densedistill.synthdata import _split_rects, make_classes, make_sample, make_suite
 from densedistill.tensor import Tensor
 from densedistill.trainer import STREAM_STEP, Distiller
 from densedistill.vit import DenseFeatures
@@ -406,6 +406,54 @@ def test_class_prototypes_unit_and_seeded():
     assert np.abs(np.linalg.norm(ce.vectors, axis=1) - 1.0).max() < 1e-9
     ce2 = class_prototypes(d.teacher, suite.colors)
     np.testing.assert_array_equal(ce.vectors, ce2.vectors)
+
+
+# --- synthetic suites ------------------------------------------------------------------------
+
+def loop_sample(rng, side, patch, colors, noise, gray_rate, flip_rate, rects=6):
+    """make_sample's image and segments with each token cell painted in a
+    Python loop: the reference for its gather-based painting."""
+    k = colors.shape[0]
+    parts = _split_rects(rng, side, rects)
+    labels = rng.integers(0, k, size=len(parts))
+    while len(set(labels.tolist())) < 2:
+        labels = rng.integers(0, k, size=len(parts))
+    segments = np.zeros((side, side), dtype=np.int32)
+    for (y0, x0, y1, x1), lab in zip(parts, labels):
+        segments[y0:y1, x0:x1] = lab
+    draw = rng.random((side, side))
+    offsets = rng.integers(1, k, size=(side, side))
+    image = np.empty((3, side * patch, side * patch))
+    for y in range(side):
+        for x in range(side):
+            if draw[y, x] < gray_rate:
+                cell = np.full(3, 0.5)
+            elif draw[y, x] < gray_rate + flip_rate:
+                cell = colors[(segments[y, x] + offsets[y, x]) % k]
+            else:
+                cell = colors[segments[y, x]]
+            image[:, y * patch:(y + 1) * patch, x * patch:(x + 1) * patch] = cell[:, None, None]
+    image += noise * rng.standard_normal(image.shape)
+    return np.clip(image, 0.0, 1.0), segments
+
+
+@pytest.mark.parametrize("side,patch,k", [(8, 8, 6), (4, 8, 3), (5, 3, 2)])
+def test_sample_painting_matches_cell_loop(side, patch, k):
+    colors = make_classes(np.random.default_rng([k, 100]), k)
+    for seed in range(5):
+        # high grey and flip rates, so that every branch paints some cells
+        got = make_sample(np.random.default_rng(seed), side, patch, colors, noise=0.08,
+                          gray_rate=0.2, flip_rate=0.3)
+        image, segments = loop_sample(np.random.default_rng(seed), side, patch, colors,
+                                      noise=0.08, gray_rate=0.2, flip_rate=0.3)
+        assert got.image.tobytes() == image.tobytes()
+        np.testing.assert_array_equal(got.segments, segments)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_suite_needs_two_classes(k):
+    with pytest.raises(ParameterError, match="num_classes must be >= 2"):
+        make_suite(seed=0, n_images=1, side=4, patch=8, num_classes=k)
 
 
 # --- mini ablation smoke ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ def test_cosine_loss_of_random_vectors():
     b = T.Tensor(rng.standard_normal((1, 4)))
 
     def f(u, v):
-        return T.sum_all(T.add_scalar(T.neg(T.cosine_matrix(u, v)), 1.0))
+        return T.sum_all(T.sub(T.Tensor(np.ones((1, 1))), T.cosine_matrix(u, v)))
 
     assert finite_diff_check(f, [a, b], name="cosine-loss").passed
 

@@ -35,3 +35,62 @@ def test_unused_import_finder():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def tensor_ops_without_caller(sources):
+    """Public functions of ``tensor.py`` that no module of ``sources`` (name ->
+    source text) calls. Elsewhere a call counts through a name bound by
+    ``from .tensor import`` or an attribute of the module bound by ``from .
+    import tensor``; inside ``tensor.py``, a call from any other function."""
+    tree = ast.parse(sources["tensor.py"])
+    ops = {node.name for node in tree.body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for def_node in tree.body:
+        if isinstance(def_node, ast.FunctionDef):
+            called.update(node.func.id for node in ast.walk(def_node)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id != def_node.name)
+    for name, source in sources.items():
+        if name == "tensor.py":
+            continue
+        tree = ast.parse(source)
+        module_names, op_names = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    module_names.update(a.asname or a.name for a in node.names
+                                        if a.name == "tensor")
+                elif node.module == "tensor":
+                    op_names.update((a.asname or a.name, a.name) for a in node.names)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in op_names:
+                called.add(op_names[func.id])
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id in module_names):
+                called.add(func.attr)
+    return sorted(ops - called)
+
+
+def test_tensor_op_caller_finder():
+    sources = {
+        "tensor.py": ("def add(a, b):\n    return from_op(a, b)\n"
+                      "def from_op(a, b):\n    return from_op(a, b)\n"
+                      "def neg(a):\n    return neg(a)\n"
+                      "def mul(a, b):\n    return a\ndef exp(a):\n    return a\n"
+                      "def _private(a):\n    return a\n"),
+        "vit.py": "from . import tensor as T\ndef f(x):\n    return T.add(x, x).exp()\n",
+        "losses.py": "from .tensor import mul as times\ntimes(1, 2)\n",
+    }
+    assert tensor_ops_without_caller(sources) == ["exp", "neg"]
+
+
+def test_every_tensor_op_has_a_caller():
+    """An engine op that nothing in the package calls, gradcheck included, is
+    dead code: delete it with its last caller."""
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
+    assert tensor_ops_without_caller(sources) == []

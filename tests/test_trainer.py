@@ -141,11 +141,11 @@ def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
     enc = encode_dense(prepared.image, distiller.student, "decoupled")
     boxes = sample_grid(np.random.default_rng(99), 1, 1)
     assert boxes == [FULL_BOX]
-    content_map = enc.dense()
+    content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
     side = distiller.student.grid_side
     vfm_map = Tensor(prepared.vfm_tokens.T.reshape(-1, side, side).copy())
     f_s = [roi_align(content_map, boxes[0], cfg.roi_n)]
-    f_v = [roi_align(vfm_map, boxes[0], cfg.roi_n)]
+    f_v = [roi_align(vfm_map, boxes[0], cfg.roi_n).data]
     f_t = [encode_cls(crop_resize(prepared.image, boxes[0], cfg.student_res),
                       distiller.teacher)]
     manual, _ = total_loss(content_cos_loss(f_s, f_t), rcc_loss(f_s, f_v, cfg.tau),
@@ -178,7 +178,7 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
                        "standard" if variant == "coupled" else "decoupled")
     ctx = enc.tokens if variant == "coupled" else enc.context
     boxes = sample_grid(np.random.default_rng(7), cfg.grid_lo, cfg.grid_hi)
-    content_map = enc.dense()
+    content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
     f_s = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
     f_t = [encode_cls(crop_resize(prepared.image, box, cfg.student_res), distiller.teacher)
            for box in boxes]
@@ -243,11 +243,13 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
     for box in boxes:
         f_t.append(encode_cls(crop_resize(prepared.image, box, cfg.student_res),
                               distiller.teacher))
-    f_s = [roi_align(enc.dense(), box, cfg.roi_n) for box in boxes]
+    content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
+    f_s = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
     if variant == "decoupled":
         side = distiller.student.grid_side
         vfm_map = Tensor(prepared.vfm_tokens.T.reshape(-1, side, side).copy())
-        l_rcc = rcc_loss(f_s, [roi_align(vfm_map, box, cfg.roi_n) for box in boxes], cfg.tau)
+        l_rcc = rcc_loss(f_s, [roi_align(vfm_map, box, cfg.roi_n).data for box in boxes],
+                         cfg.tau)
     else:
         l_rcc = Tensor(np.zeros(()))
     s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
@@ -524,6 +526,25 @@ def test_resume_refuses_a_checkpoint_of_other_optimizer_settings(tmp_path, capsy
     assert open(half.checkpoint_path, "rb").read() == checkpoint
 
 
+@pytest.mark.parametrize("over,where,name", [
+    (dict(student_heads=4), "meta", "heads"), (dict(dtype="f32"), "meta", "dtype"),
+    (dict(student_pixel_mean=0.3), "pixel", "pixel_mean"),
+    (dict(student_pixel_std=0.9), "pixel", "pixel_std")])
+def test_resume_refuses_a_checkpoint_of_another_student(tmp_path, capsys, over, where, name):
+    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
+    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    checkpoint = open(half.checkpoint_path, "rb").read()
+    other = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path, manifest=manifest, **over)
+    named = rf"checkpoint\.dten: section '{where}' holds {name} = .*but the run's student"
+    with pytest.raises(ConfigError, match=named):
+        distill_run(other)
+    config = tmp_path / "other.cfg"
+    config.write_text(echo_config(other))
+    assert run_cli(["distill", "--config", str(config)]) == 1
+    assert f"section '{where}' holds {name}" in capsys.readouterr().err
+    assert open(half.checkpoint_path, "rb").read() == checkpoint
+
+
 def test_distill_run_validates_a_config_built_in_code(tmp_path):
     cfg = desk_cfg(tmp_path, seed=2 ** 31)
     _, manifest = desk_suite(tmp_path, cfg)
@@ -656,6 +677,27 @@ def test_checkpoint_with_missing_or_short_section_rejected(tmp_path, capsys, sec
     assert run_cli(["eval-seg", "--checkpoint", path, "--manifest", manifest,
                     "--classes", classes]) == 1
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("where,name,value", [
+    ("meta", "heads", 0), ("meta", "patch_size", 0), ("meta", "dtype", 2),
+    ("meta", "embed_dim", -1), ("pixel", "pixel_std", 0.0)])
+def test_load_student_refuses_a_field_out_of_range(tmp_path, capsys, where, name, value):
+    cfg = desk_cfg(tmp_path)
+    path = str(tmp_path / "odd.dten")
+    save_checkpoint(path, Distiller(cfg).student)
+    sections = read_tensor(path)
+    names = trainer._META_FIELDS if where == "meta" else trainer._PIXEL_FIELDS
+    sections[where][names.index(name)] = value
+    write_tensor(path, sections)
+    named = rf"^{re.escape(path)}: section '{where}' holds {name} = "
+    with pytest.raises(ConfigError, match=named):
+        load_student(path)
+    image = str(tmp_path / "img.dten")
+    write_tensor(image, {"image": np.zeros((3, cfg.student_res, cfg.student_res))})
+    assert run_cli(["dump-attn", "--checkpoint", path, "--image", image, "--layers", "0",
+                    "--query", "cls", "--out", str(tmp_path / "dumps")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: section '{where}' holds {name} = ")
 
 
 def test_step_count_is_the_optimizer_step(tmp_path):
