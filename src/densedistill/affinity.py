@@ -125,12 +125,12 @@ def dump_attention_analysis(params, image, layers, query_index, out_dir):
         if not 0 <= int(query_index) < hw:
             raise ParameterError(f"query index {query_index} outside [0, {hw})")
         row_idx = 1 + int(query_index)
+    maps = capture_attention(arr, params, layers)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     sidecar = []
-    for layer in layers:
-        maps = capture_attention(arr, params, layer)
-        mean = maps.mean(axis=2)
+    for layer, attn in zip(layers, maps):
+        mean = attn.mean(axis=2)
         row = mean[row_idx]
         grid_row = row[1:].reshape(side, side)
         upsampled = crop_resize(grid_row[None], FULL_BOX, res)[0]

@@ -3,8 +3,9 @@ similarity-weighted content cosine alignment, the region-correlation
 constraint, and their weighted combination.
 
 Teacher-side operands (completed affinity, teacher summary vectors,
-provider region features) are plain arrays, so gradients only ever flow
-into the student streams.
+provider region features) are plain arrays, and the context and RCC
+targets are built from them on the tensor module's array kernels, so
+gradients only flow into the student streams and teacher work keeps no graph.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ def context_loss(x_context, s_hat_vfm, tau):
     """KL(teacher || student) between row-softmaxed affinities: the student
     side is the pairwise cosine matrix of the context stream; the teacher is
     the (N, N) float64 array of the completed affinity."""
-    teacher = Tensor(s_hat_vfm, dtype=x_context.data.dtype)
+    teacher = T._finite(np.ascontiguousarray(s_hat_vfm, dtype=x_context.data.dtype))
     hw = x_context.shape[0]
     if teacher.shape != (hw, hw):
         raise ShapeError(f"teacher affinity {teacher.shape} vs {hw} tokens")
     s_clip = T.cosine_matrix(x_context, x_context)
-    p = T.softmax_rows(teacher, tau)
-    q = T.softmax_rows(s_clip, tau)
-    return T.kl_rows(p, q)
+    p = T._finite(T._softmax_rows(teacher, tau))
+    return T.kl_rows(p, T.softmax_rows(s_clip, tau))
 
 
 def content_cos_loss(region_students, teacher_vectors):
@@ -62,7 +62,7 @@ def content_cos_loss(region_students, teacher_vectors):
         pooled = weighted_region_pool(f_s, target)
         term = T.sub(one, T.cosine_matrix(pooled, target))
         total = term if total is None else T.add(total, term)
-    return T.reshape(T.mul_scalar(total, 1.0 / k), ())
+    return T.sum_all(T.mul_scalar(total, 1.0 / k))
 
 
 def rcc_loss(region_students, provider_rows, tau):
@@ -76,12 +76,12 @@ def rcc_loss(region_students, provider_rows, tau):
         raise ShapeError("provider regions do not match region count")
     total = None
     for f_s, rows in zip(region_students, provider_rows):
-        f_v = Tensor(rows)
-        if f_v.shape[0] != f_s.shape[0]:
-            raise ShapeError(f"region row counts differ: {f_s.shape} vs {f_v.shape}")
-        r_vfm = T.cosine_matrix(f_v, f_v)
+        if rows.ndim != 2 or rows.shape[0] != f_s.shape[0]:
+            raise ShapeError(f"region row counts differ: {f_s.shape} vs {rows.shape}")
+        unit, _ = T._unit_rows(rows)
         r_clip = T.cosine_matrix(f_s, f_s)
-        term = T.kl_rows(T.softmax_rows(r_vfm, tau), T.softmax_rows(r_clip, tau))
+        p = T._finite(T._softmax_rows(unit @ np.ascontiguousarray(unit.T), tau))
+        term = T.kl_rows(p, T.softmax_rows(r_clip, tau))
         total = term if total is None else T.add(total, term)
     return T.mul_scalar(total, 1.0 / k)
 

@@ -64,12 +64,11 @@ def _axis_weights(lo, hi, n_out, size):
     return w
 
 
-def roi_align(features, box, n):
-    """Pool an N x N grid of bilinear samples (one per bin center) from a
-    (C, H, W) feature map inside ``box``; rows are bins, row-major."""
+def _roi_align(features, box, n):
+    """Array kernel of roi_align: the (n*n, C) rows and the (n*n, H*W) sampling matrix."""
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"pool grid side must be a positive int, got {n}")
-    if not isinstance(features, Tensor) or features.data.ndim != 3:
+    if features.ndim != 3:
         raise ShapeError("roi_align needs a (C, H, W) feature tensor")
     c, h, w = features.shape
     if (box.x1 - box.x0) * w <= 0.0 or (box.y1 - box.y0) * h <= 0.0:
@@ -78,14 +77,18 @@ def roi_align(features, box, n):
     wx = _axis_weights(box.x0, box.x1, n, w)
     # sampling matrix over flattened pixels: bin (v,u) -> row v*n+u
     m = (wy[:, None, :, None] * wx[None, :, None, :]).reshape(n * n, h * w)
-    m = m.astype(features.data.dtype, copy=False)
-    flat = features.data.reshape(c, h * w)
-    out = np.ascontiguousarray(flat @ m.T).T  # (n*n, c)
+    m = m.astype(features.dtype, copy=False)
+    flat = features.reshape(c, h * w)
+    return np.ascontiguousarray(np.ascontiguousarray(flat @ m.T).T), m
 
-    def back(g):
-        return ((g.T @ m).reshape(c, h, w),)
 
-    return from_op(np.ascontiguousarray(out), (features,), back)
+def roi_align(features, box, n):
+    """Pool an N x N grid of bilinear samples (one per bin center) from a
+    (C, H, W) feature tensor inside ``box``; rows are bins, row-major."""
+    if not isinstance(features, Tensor):
+        raise ShapeError("roi_align needs a (C, H, W) feature tensor")
+    (rows, m), shape = _roi_align(features.data, box, n), features.shape
+    return from_op(rows, (features,), lambda g: ((g.T @ m).reshape(shape),))
 
 
 def weighted_region_pool(f_s, f_t):

@@ -47,13 +47,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            if np.dtype(dtype) not in _DTYPES:
-                raise ParameterError(f"tensor dtype must be float32 or float64, got {dtype}")
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _DTYPES:
+        if arr.dtype not in _DTYPES:
             arr = arr.astype(np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
@@ -340,14 +336,6 @@ def transpose(a):
     return from_op(np.ascontiguousarray(a.data.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
 
 
-def reshape(a, shape):
-    shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    source = a.shape
-    return from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(source),))
-
-
 def sum_all(a):
     shape, dtype = a.shape, a.data.dtype
     return from_op(
@@ -428,23 +416,29 @@ def tokens_to_chw(a, h, w):
 
 
 def _softmax(x, row_max, out):
-    """Array kernel of softmax_rows: exp(x - row_max) normalised per row,
-    written to ``out`` (None allocates; ``x`` itself works in place)."""
+    """exp(x - row_max) normalised per row, written to ``out`` (None
+    allocates; ``x`` itself works in place)."""
     out = np.subtract(x, row_max, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out
 
 
-def softmax_rows(x, temperature=1.0):
-    """Row softmax at the given temperature, with per-row max subtraction."""
+def _softmax_rows(x, temperature):
+    """Array kernel of softmax_rows: the row softmax of the 2-D array x / temperature."""
     if not _is_number(temperature) or temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
-    if x.data.ndim != 2:
+    if x.ndim != 2:
         raise ShapeError("softmax_rows needs a 2-D tensor")
+    tau = x.dtype.type(temperature)
+    xs = x if tau == 1 else x / tau
+    return _softmax(xs, xs.max(axis=1, keepdims=True), None if tau == 1 else xs)
+
+
+def softmax_rows(x, temperature=1.0):
+    """Row softmax at the given temperature, with per-row max subtraction."""
+    out = _softmax_rows(x.data, temperature)
     tau = x.data.dtype.type(temperature)
-    xs = x.data if tau == 1 else x.data / tau
-    out = _softmax(xs, xs.max(axis=1, keepdims=True), None if tau == 1 else xs)
 
     def back(g):
         # P * (g - rowsum(g * P)) / tau, built in one buffer
@@ -546,6 +540,17 @@ def _unit_rows_back(gn, n, norm):
     return (gn - n * np.einsum("ij,ij->i", gn, n)[:, None]) / norm
 
 
+def _unit_rows(x, side="first"):
+    """Array kernel of cosine_matrix: x's rows scaled to unit length, and their
+    norms; a square that overflows (an infinite norm, a zero cosine) raises."""
+    with np.errstate(over="ignore"):
+        sq = (x * x).sum(axis=1, keepdims=True)
+    if (sq == 0.0).any():
+        raise DegenerateInputError(f"zero-norm row in {side} argument")
+    norm = np.sqrt(_finite(sq))
+    return x / norm, norm
+
+
 def cosine_matrix(a, b):
     """Pairwise cosines between the rows of two matrices sharing a feature dim.
 
@@ -557,58 +562,49 @@ def cosine_matrix(a, b):
         raise ShapeError(f"cosine_matrix needs (p,d) and (q,d), got {a.shape} and {b.shape}")
     _check_same_dtype(a, b)
     sides = (a,) if a is b else (a, b)
-    with np.errstate(over="ignore"):
-        sq = [(t.data * t.data).sum(axis=1, keepdims=True) for t in sides]
-    for s, side in zip(sq, ("first", "second")):
-        if (s == 0.0).any():
-            raise DegenerateInputError(f"zero-norm row in {side} argument")
-    # a square that overflows leaves an infinite norm and a zero cosine
-    norms = [np.sqrt(_finite(s)) for s in sq]
-    units = [t.data / r for t, r in zip(sides, norms)]
-    na, nb = units[0], units[-1]
+    units = [_unit_rows(t.data, side) for t, side in zip(sides, ("first", "second"))]
+    (na, norm_a), (nb, norm_b) = units[0], units[-1]
     shared = a is b
 
     def back(g):
         ga, gb = g @ nb, g.T @ na
         if shared:
-            return (_unit_rows_back(ga + gb, na, norms[0]),)
-        return (_unit_rows_back(ga, na, norms[0]), _unit_rows_back(gb, nb, norms[1]))
+            return (_unit_rows_back(ga + gb, na, norm_a),)
+        return (_unit_rows_back(ga, na, norm_a), _unit_rows_back(gb, nb, norm_b))
 
     return from_op(na @ np.ascontiguousarray(nb.T), sides, back)
 
 
 def kl_rows(p, q):
-    """Mean-over-rows KL divergence between row-stochastic matrices.
+    """Mean-over-rows KL divergence of a row-stochastic target array ``p``
+    from a row-stochastic tensor ``q``; only ``q`` is differentiated.
 
     (1/r) * sum_ij p_ij * (log p_ij - log max(q_ij, KL_EPS)), with
     0*log 0 := 0. Both inputs must be row-stochastic within 1e-6.
     """
-    if p.shape != q.shape or p.data.ndim != 2:
-        raise ShapeError(f"kl_rows needs equal 2-D shapes, got {p.shape} and {q.shape}")
-    _check_same_dtype(p, q)
-    for t, side in ((p, "first"), (q, "second")):
-        if (t.data < 0).any():
+    qd = q.data
+    if p.shape != qd.shape or p.ndim != 2:
+        raise ShapeError(f"kl_rows needs equal 2-D shapes, got {p.shape} and {qd.shape}")
+    if p.dtype != qd.dtype:
+        raise ShapeError(f"mixed dtypes {p.dtype} vs {qd.dtype}")
+    for x, side in ((p, "first"), (qd, "second")):
+        if (x < 0).any():
             raise DistributionError(f"negative entries in {side} argument")
-        if np.abs(t.data.sum(axis=1) - 1.0).max() > 1e-6:
+        if np.abs(x.sum(axis=1) - 1.0).max() > 1e-6:
             raise DistributionError(f"rows of {side} argument do not sum to 1")
     r = p.shape[0]
-    qc = np.maximum(q.data, KL_EPS)
-    pos = p.data > 0
-    terms = np.zeros_like(p.data)
-    np.log(p.data, out=terms, where=pos)
+    qc = np.maximum(qd, KL_EPS)
+    pos = p > 0
+    terms = np.zeros_like(p)
+    np.log(p, out=terms, where=pos)
     terms -= np.log(qc)
-    terms *= p.data
+    terms *= p
     terms[~pos] = 0.0
-    out = np.asarray(terms.sum() / r, dtype=p.data.dtype)
-    pd, qd = p.data, q.data
+    out = np.asarray(terms.sum() / r, dtype=p.dtype)
 
     def back(g):
         gs = g / r
-        dp = np.zeros_like(pd)
-        np.log(pd, out=dp, where=pos)
-        dp += 1.0 - np.log(qc)
-        dp[~pos] = 0.0
-        dq = np.where(qd > KL_EPS, -pd / qc, 0.0)
-        return (gs * dp, gs * dq)
+        dq = np.where(qd > KL_EPS, -p / qc, 0.0)
+        return (gs * dq,)
 
-    return from_op(out, (p, q), back)
+    return from_op(out, (q,), back)

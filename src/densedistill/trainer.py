@@ -29,10 +29,10 @@ from .config import echo_config, validate
 from .container import atomic_write_text, read_tensor, write_tensor
 from .errors import ConfigError, ParameterError, ShapeError
 from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
-from .regions import FULL_BOX, crop_resize, roi_align, sample_grid
+from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
 from .tensor import Tensor
-from .vit import VitParams, encode_cls, encode_dense
+from .vit import VitParams, encode_cls, encode_dense, param_shapes
 
 # seed-stream tags (second entry of the rng seed sequence)
 STREAM_STUDENT = 0
@@ -186,9 +186,9 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
     dtype = enc.tokens.data.dtype
     if variant == "decoupled":
         side, d = student.grid_side, vfm_tokens.shape[1]
-        vfm_map = Tensor(np.ascontiguousarray(vfm_tokens.T.reshape(d, side, side)), dtype=dtype)
+        vfm_map = np.ascontiguousarray(vfm_tokens.T.reshape(d, side, side), dtype=dtype)
         l_rcc = rcc_loss(region_students,
-                         [roi_align(vfm_map, box, cfg.roi_n).data for box in boxes], cfg.tau)
+                         [_roi_align(vfm_map, box, cfg.roi_n)[0] for box in boxes], cfg.tau)
     else:
         # no RCC outside the full pipeline
         l_rcc = Tensor(np.zeros((), dtype=dtype))
@@ -387,28 +387,28 @@ def _stored_fields(path, sections):
     return held
 
 
-def _check_params(path, sections, params):
-    """Refuse a checkpoint whose parameters differ from ``params`` (name ->
-    Tensor) in name or shape, whose moment sections lack their m/v pair or
+def _check_params(path, sections, shapes):
+    """Refuse a checkpoint whose parameters differ from ``shapes`` (name ->
+    shape) in name or shape, whose moment sections lack their m/v pair or
     their parameter's shape, or whose parameter or moment sections hold NaN
     or Inf."""
     stored = {key[len("param."):] for key in sections if key.startswith("param.")}
-    unmatched = sorted(stored ^ params.keys())
+    unmatched = sorted(stored ^ shapes.keys())
     if unmatched:
         name = unmatched[0]
         where = "the model" if name in stored else "the checkpoint"
         raise ConfigError(f"{path}: parameter {name!r} (section 'param.{name}') "
                           f"is missing from {where}")
-    for name, p in params.items():
+    for name, want in shapes.items():
         shape = sections[f"param.{name}"].shape
-        if shape != p.data.shape:
-            raise ConfigError(f"{path}: parameter {name!r} has shape {shape} in the "
-                              f"checkpoint, {p.data.shape} in the model")
+        if shape != want:
+            raise ConfigError(f"{path}: parameter {name!r} (section 'param.{name}') has shape "
+                              f"{shape} in the checkpoint, {want} in the model")
     for key, data in sections.items():
         if key.startswith("adam."):
             name = key[len("adam.m."):]
             pair = ("adam.v." if key.startswith("adam.m.") else "adam.m.") + name
-            if pair not in sections or name not in params or data.shape != params[name].shape:
+            if pair not in sections or name not in shapes or data.shape != shapes[name]:
                 raise ConfigError(f"{path}: section {key!r} lacks its moment pair or "
                                   f"does not match parameter {name!r}")
         if key.startswith(("param.", "adam.")) and not np.isfinite(data).all():
@@ -417,15 +417,17 @@ def _check_params(path, sections, params):
 
 def load_student(path):
     """Rebuild the student encoder from a checkpoint alone, for inference:
-    its parameters do not require grad, so its forwards build no graph."""
+    its parameters do not require grad, so its forwards build no graph. The
+    parameter sections are checked against the meta fields' shapes before
+    the student is built."""
     sections = read_tensor(path)
     held = _stored_fields(path, sections)
     dtype = _DTYPES[held.pop("dtype")]
     held["embed_dim"] = held["embed_dim"] or None
+    _check_params(path, sections, param_shapes(
+        **{name: value for name, value in held.items() if name not in _PIXEL_FIELDS}))
     student = VitParams(**held, seed=0, dtype=dtype)
-    params = dict(student.named_parameters())
-    _check_params(path, sections, params)
-    for name, p in params.items():
+    for name, p in student.named_parameters():
         p.data = sections[f"param.{name}"].astype(dtype)
         p.requires_grad = False
     return student, sections
@@ -440,7 +442,7 @@ def restore_into(distiller, path):
     parameters. Its meta and pixel fields must be the run's student's."""
     sections = read_tensor(path)
     params = dict(distiller.student.named_parameters())
-    _check_params(path, sections, params)
+    _check_params(path, sections, {name: p.shape for name, p in params.items()})
     stored = _stored_fields(path, sections)
     for name, value in _student_fields(distiller.student).items():
         if stored[name] != value:

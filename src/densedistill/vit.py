@@ -50,15 +50,44 @@ class BlockParams:
         return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
+def param_shapes(patch_size, depth, width, heads, input_res, embed_dim=None):
+    """The name -> shape table of an encoder's parameters, in the order
+    ``named_parameters`` lists them and ``VitParams`` draws them; building
+    it allocates no parameter."""
+    if width % heads != 0:
+        raise ParameterError(f"width {width} not divisible by heads {heads}")
+    if input_res % patch_size != 0:
+        raise ParameterError(f"resolution {input_res} not divisible by patch {patch_size}")
+    c, hidden, side = width, MLP_RATIO * width, input_res // patch_size
+    shapes = {"patch.w": (3 * patch_size * patch_size, c), "patch.b": (1, c),
+              "cls": (1, c), "pos": (1 + side * side, c)}
+    block = dict(wq=(c, c), bq=(1, c), wk=(c, c), bk=(1, c), wv=(c, c), bv=(1, c),
+                 wo=(c, c), bo=(1, c), w1=(c, hidden), b1=(1, hidden), w2=(hidden, c),
+                 b2=(1, c), ln1_s=(1, c), ln1_o=(1, c), ln2_s=(1, c), ln2_o=(1, c))
+    for i in range(depth):
+        shapes.update((f"block{i}.{name}", shape) for name, shape in block.items())
+    if embed_dim:
+        shapes["proj"] = (c, embed_dim)
+    return shapes
+
+
+def _initial(name, shape, rng, dtype):
+    """A parameter's initial array: layer-norm scales are ones, biases and
+    layer-norm offsets zeros, every other array drawn from N(0, INIT_STD^2)."""
+    field = name.rsplit(".", 1)[-1]
+    if field.startswith("ln"):
+        return (np.ones if field.endswith("_s") else np.zeros)(shape, dtype)
+    if field.startswith("b"):
+        return np.zeros(shape, dtype)
+    return rng.normal(0.0, INIT_STD, size=shape).astype(dtype, copy=False)
+
+
 class VitParams:
     """Full parameter set of one encoder, tied to a fixed input resolution."""
 
     def __init__(self, patch_size, depth, width, heads, input_res, embed_dim=None,
                  pixel_mean=0.5, pixel_std=0.5, seed=0, dtype=np.float64):
-        if width % heads != 0:
-            raise ParameterError(f"width {width} not divisible by heads {heads}")
-        if input_res % patch_size != 0:
-            raise ParameterError(f"resolution {input_res} not divisible by patch {patch_size}")
+        shapes = param_shapes(patch_size, depth, width, heads, input_res, embed_dim)
         self.patch_size = patch_size
         self.depth = depth
         self.width = width
@@ -70,36 +99,17 @@ class VitParams:
         self.dtype = np.dtype(dtype)
         self.frozen = False
         self._fingerprint = None
+        self.grid_side = input_res // patch_size
 
         rng = np.random.default_rng(seed)
-
-        def w(*shape):
-            return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True, dtype=dtype)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-        def ones(*shape):
-            return Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
-        c = width
-        side = input_res // patch_size
-        self.grid_side = side
-        self.w_patch = w(3 * patch_size * patch_size, c)
-        self.b_patch = zeros(1, c)
-        self.cls_token = w(1, c)
-        self.pos_embed = w(1 + side * side, c)
-        hidden = MLP_RATIO * c
-        self.blocks = [
-            BlockParams(
-                wq=w(c, c), bq=zeros(1, c), wk=w(c, c), bk=zeros(1, c),
-                wv=w(c, c), bv=zeros(1, c), wo=w(c, c), bo=zeros(1, c),
-                w1=w(c, hidden), b1=zeros(1, hidden), w2=w(hidden, c), b2=zeros(1, c),
-                ln1_s=ones(1, c), ln1_o=zeros(1, c), ln2_s=ones(1, c), ln2_o=zeros(1, c),
-            )
-            for _ in range(depth)
-        ]
-        self.w_vl = w(c, embed_dim) if embed_dim else None
+        held = {name: Tensor(_initial(name, shape, rng, self.dtype), requires_grad=True)
+                for name, shape in shapes.items()}
+        self.w_patch, self.b_patch, self.cls_token, self.pos_embed = (
+            held[name] for name in ("patch.w", "patch.b", "cls", "pos"))
+        self.blocks = [BlockParams(**{f.name: held[f"block{i}.{f.name}"]
+                                      for f in fields(BlockParams)})
+                       for i in range(depth)]
+        self.w_vl = held.get("proj")
 
     def named_parameters(self):
         out = [("patch.w", self.w_patch), ("patch.b", self.b_patch),
@@ -335,17 +345,27 @@ def encode_cls(image, params):
     return T._finite(_encode_array(image, params, queries=1)[0])
 
 
-def capture_attention(image, params, layer):
-    """Per-head attention map of one block, (1+HW, 1+HW, heads), from its
-    queries and keys alone: its values, projection and FFN are not computed."""
-    if not 0 <= layer < params.depth:
-        raise ParameterError(f"layer {layer} outside [0, {params.depth})")
+def capture_attention(image, params, layers):
+    """Per-head attention maps, (1+HW, 1+HW, heads) each, of the blocks
+    ``layers`` in the order given, from one forward. A map comes from its
+    block's queries and keys alone; no block above the deepest requested one
+    runs, nor that block's values, projection or FFN."""
+    for layer in layers:
+        if not 0 <= layer < params.depth:
+            raise ParameterError(f"layer {layer} outside [0, {params.depth})")
+        if layers.count(layer) > 1:
+            raise ParameterError(f"layer {layer} requested more than once")
     seq = patch_embed(image, params)
-    for i in range(layer):
-        seq = attention_block(seq, params, i)
-    b = params.blocks[layer]
-    h = layer_norm_rows(seq, b.ln1_s, b.ln1_o)
-    q = T.add(T.matmul(h, b.wq), b.bq)
-    k = T.add(T.matmul(h, b.wk), b.bk)
-    attn = T.softmax_rows(T.head_scores(q, k, params.heads)).data
-    return np.stack(np.split(attn, params.heads), axis=-1)
+    deepest = max(layers, default=-1)
+    maps = {}
+    for i in range(deepest + 1):
+        if i in layers:
+            b = params.blocks[i]
+            h = layer_norm_rows(seq, b.ln1_s, b.ln1_o)
+            q = T.add(T.matmul(h, b.wq), b.bq)
+            k = T.add(T.matmul(h, b.wk), b.bk)
+            attn = T.softmax_rows(T.head_scores(q, k, params.heads)).data
+            maps[i] = np.stack(np.split(attn, params.heads), axis=-1)
+        if i < deepest:
+            seq = attention_block(seq, params, i)
+    return [maps[layer] for layer in layers]

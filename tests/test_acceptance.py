@@ -184,7 +184,7 @@ def test_criterion_3_decoupling_identity():
     last.wk.data[...] = last.wq.data
     last.bk.data[...] = last.bq.data
     img = np.random.default_rng(31).uniform(0, 1, (3, 12, 12))
-    std_attn = capture_attention(img, p, 1)[:, :, 0]
+    std_attn = capture_attention(img, p, [1])[0][:, :, 0]
     seq = patch_embed(img, p)
     from densedistill.vit import attention_block
 

@@ -259,12 +259,33 @@ def test_dump_attention_analysis(tmp_path):
         assert np.abs(mean.sum(axis=1) - 1.0).max() < 1e-6
         assert abs(side[f"layer{layer}.query_row"].sum() - 1.0) < 1e-6
     # CLS query row on layer 0 equals capture_attention row 0, head-averaged
-    maps = capture_attention(image, params, 0)
+    [maps] = capture_attention(image, params, [0])
     np.testing.assert_allclose(side["layer0.query_row"], maps.mean(axis=2)[0], atol=1e-6)
     # P5 headers present
     for name in ("layer0_full.pgm", "layer1_query.pgm"):
         blob = (tmp_path / name).read_bytes()
         assert blob.startswith(b"P5\n")
+
+
+def test_dump_runs_one_forward_for_every_layer(tmp_path, monkeypatch):
+    import densedistill.vit as vit
+
+    params = VitParams(patch_size=4, depth=4, width=8, heads=2, input_res=8, seed=3)
+    image = np.random.default_rng(11).uniform(0, 1, (3, 8, 8))
+    means = [capture_attention(image, params, [layer])[0].mean(axis=2) for layer in range(4)]
+    block, ran = vit.attention_block, []
+
+    def counted(x, p, layer, queries=None):
+        ran.append(layer)
+        return block(x, p, layer, queries)
+
+    monkeypatch.setattr(vit, "attention_block", counted)
+    dump_attention_analysis(params, image, layers=[0, 1, 2, 3], query_index="cls",
+                            out_dir=str(tmp_path))
+    assert ran == [0, 1, 2]
+    side = read_tensor(str(tmp_path / "attention_analysis.dten"))
+    for layer, mean in enumerate(means):
+        assert side[f"layer{layer}.mean"].tobytes() == mean.tobytes()
 
 
 def test_dump_identity_resample():

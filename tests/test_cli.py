@@ -136,6 +136,19 @@ def test_dump_attn_subcommand(tmp_path, trained, capsys):
     assert "section 'image' is missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layers,message", [("0,0", "layer 0 requested more than once"),
+                                            ("0,5", "layer 5 outside [0, 2)")])
+def test_dump_attn_refuses_bad_layers_before_writing(tmp_path, trained, capsys, layers, message):
+    cfg, suite, result, _ = trained
+    image_path = str(tmp_path / "img.dten")
+    write_tensor(image_path, {"image": suite.samples[0].image})
+    out_dir = tmp_path / "dumps"
+    assert run_cli(["dump-attn", "--checkpoint", result.checkpoint_path, "--image", image_path,
+                    "--layers", layers, "--query", "cls", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_corrupt_section_name_is_an_io_error(tmp_path, capsys):
     path = str(tmp_path / "bad.dten")
     write_tensor(path, {"image": np.zeros((3, 4, 4))})

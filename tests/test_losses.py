@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from densedistill import tensor as T
-from densedistill.errors import EvaluationError, ParameterError, ShapeError
+from densedistill.errors import DegenerateInputError, EvaluationError, ParameterError, ShapeError
 from densedistill.gradcheck import finite_diff_check
 from densedistill.losses import (
     content_cos_loss,
@@ -66,7 +66,7 @@ def test_context_teacher_detached():
     teacher = np.clip(rng.uniform(-1, 1, (3, 3)), -1, 1)
     before = teacher.copy()
     loss = context_loss(x, teacher, tau=1.0)
-    assert [p.requires_grad for p in loss._parents] == [False, True]
+    assert [p.requires_grad for p in loss._parents] == [True]
     T.backward(loss)
     assert x.grad is not None
     np.testing.assert_array_equal(teacher, before)
@@ -232,6 +232,30 @@ def test_mismatched_operands_raise_shape_error(loss, message):
             rcc_loss(students, [rng.standard_normal((4, 3)) for _ in range(3)], 1.0)
         else:
             context_loss(T.Tensor(rng.standard_normal((4, 3))), np.eye(3), 1.0)
+
+
+def test_teacher_operands_keep_their_error_classes():
+    rng = np.random.default_rng(17)
+    student = T.Tensor(rng.standard_normal((4, 3)))
+    rows = rng.standard_normal((4, 5))
+    zero, inf, huge = rows.copy(), rows.copy(), rows.copy()
+    zero[1] = 0.0
+    inf[2, 0] = np.inf
+    huge[0, 0] = 1e200  # its square overflows
+    for bad, error in ((zero, DegenerateInputError), (inf, EvaluationError),
+                       (huge, EvaluationError), (rows.astype(np.float32), ShapeError),
+                       (rows[:3], ShapeError), (rows[0], ShapeError)):
+        with pytest.raises(error):
+            rcc_loss([student], [bad], 1.0)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            rcc_loss([student], [rows], tau)
+        with pytest.raises(ParameterError):
+            context_loss(student, np.eye(4), tau)
+    affinity = np.eye(4)
+    affinity[0, 1] = np.nan
+    with pytest.raises(EvaluationError):
+        context_loss(student, affinity, 1.0)
 
 
 # --- composed step objective ------------------------------------------------------------

@@ -12,6 +12,7 @@ from densedistill.regions import (
     FULL_BOX,
     CropBox,
     _axis_weights,
+    _roi_align,
     crop_resize,
     roi_align,
     sample_grid,
@@ -154,6 +155,19 @@ def test_roi_gradient_finite_differences():
         return T.sum_all(T.mul(pooled, pooled))
 
     assert finite_diff_check(f, [feats], name="roi_align").passed
+
+
+def test_roi_kernel_rows_equal_the_op():
+    rng = np.random.default_rng(12)
+    for dtype in (np.float64, np.float32):
+        feats = rng.standard_normal((3, 5, 7)).astype(dtype)
+        for box, n in ((FULL_BOX, 1), (CropBox(0.1, 0.2, 0.8, 0.9), 3),
+                       (CropBox(0.5, 0.0, 1.0, 0.4), 4)):
+            rows, m = _roi_align(feats, box, n)
+            want = roi_align(T.Tensor(feats), box, n).data
+            assert rows.dtype == m.dtype == want.dtype == dtype
+            assert rows.tobytes() == want.tobytes()
+            assert m.shape == (n * n, 5 * 7)
 
 
 def test_roi_validation():

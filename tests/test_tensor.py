@@ -199,9 +199,9 @@ def test_cosine_matches_the_composed_ops(same, dtype):
     rng = np.random.default_rng(21)
     # (a single row of cos(a, a) is constant, its gradient roundoff against zero)
     for p, q, d in [(2, 1, 3), (5, 7, 4), (16, 1, 24), (36, 36, 24), (64, 64, 48)]:
-        a = T.Tensor(rng.standard_normal((p, d)) * 3.0, requires_grad=True, dtype=dtype)
-        b = a if same else T.Tensor(rng.standard_normal((q, d)), requires_grad=True, dtype=dtype)
-        w = T.Tensor(rng.standard_normal((p, b.shape[0])), dtype=dtype)
+        a = T.Tensor((rng.standard_normal((p, d)) * 3.0).astype(dtype), requires_grad=True)
+        b = a if same else T.Tensor(rng.standard_normal((q, d)).astype(dtype), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((p, b.shape[0])).astype(dtype))
         values, grads = [], []
         for f in (T.cosine_matrix, composed_cosine):
             a.grad = b.grad = None
@@ -230,28 +230,44 @@ def test_cosine_overflowing_square_raises(which):
 
 def test_kl_self_is_zero():
     p = stochastic(np.random.default_rng(1), 4, 5)
-    out = T.kl_rows(T.Tensor(p), T.Tensor(p))
+    out = T.kl_rows(p, T.Tensor(p))
     assert abs(out.item()) <= 1e-9
 
 
 def test_kl_closed_form():
-    out = T.kl_rows(T.Tensor([[1.0, 0.0]]), T.Tensor([[0.5, 0.5]]))
+    out = T.kl_rows(np.array([[1.0, 0.0]]), T.Tensor([[0.5, 0.5]]))
     assert abs(out.item() - math.log(2.0)) < 1e-12
 
 
 def test_kl_matches_elementwise_oracle():
     rng = np.random.default_rng(5)
     p, q = stochastic(rng, 4, 4), stochastic(rng, 4, 4)
-    got = T.kl_rows(T.Tensor(p), T.Tensor(q)).item()
+    got = T.kl_rows(p, T.Tensor(q)).item()
     assert abs(got - kl_oracle(p, q)) < 1e-9
 
 
 def test_kl_rejects_non_stochastic():
     ok = np.array([[0.5, 0.5]])
     with pytest.raises(DistributionError):
-        T.kl_rows(T.Tensor(ok * 2.0), T.Tensor(ok))
+        T.kl_rows(ok * 2.0, T.Tensor(ok))
     with pytest.raises(DistributionError):
-        T.kl_rows(T.Tensor([[1.5, -0.5]]), T.Tensor(ok))
+        T.kl_rows(np.array([[1.5, -0.5]]), T.Tensor(ok))
+
+
+def test_kl_f32_rows_at_the_paper_width():
+    # 35 x 35 tokens: 1225-wide f32 softmax rows sum to 1 within the 1e-6
+    # the check allows, as the target and as the student
+    rng = np.random.default_rng(35)
+    logits = [(rng.standard_normal((1225, 1225)) * 4.0).astype(np.float32) for _ in range(2)]
+    p = T._softmax_rows(logits[0], 0.25)
+    q = T.softmax_rows(T.Tensor(logits[1], requires_grad=True), 0.25)
+    for rows in (p, q.data):
+        assert rows.dtype == np.float32
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-6
+    assert T.kl_rows(p, q).item() > 0.0
+    assert abs(T.kl_rows(q.data, q).item()) <= 1e-6
+    with pytest.raises(ShapeError, match="mixed dtypes"):
+        T.kl_rows(p.astype(np.float64), q)
 
 
 @settings(deadline=None, max_examples=50, derandomize=True)
@@ -259,8 +275,8 @@ def test_kl_rejects_non_stochastic():
 def test_kl_nonnegative_property(seed, r, c):
     rng = np.random.default_rng(seed)
     p, q = stochastic(rng, r, c), stochastic(rng, r, c)
-    assert T.kl_rows(T.Tensor(p), T.Tensor(q)).item() >= -1e-9
-    assert abs(T.kl_rows(T.Tensor(p), T.Tensor(p)).item()) <= 1e-9
+    assert T.kl_rows(p, T.Tensor(q)).item() >= -1e-9
+    assert abs(T.kl_rows(p, T.Tensor(p)).item()) <= 1e-9
 
 
 # --- backward ----------------------------------------------------------------
@@ -368,7 +384,7 @@ def test_backward_accumulates_across_calls():
 
 # every op that records a gradient rule, by the function that defines it
 _RULE_OPS = {"add", "sub", "mul", "div", "add_scalar", "mul_scalar", "sqrt", "gelu",
-             "matmul", "transpose", "reshape", "sum_all", "mean_all", "sum_rows",
+             "matmul", "transpose", "sum_all", "mean_all", "sum_rows",
              "concat_rows", "slice_rows", "tokens_to_chw", "softmax_rows", "head_scores",
              "head_mix", "cosine_matrix", "kl_rows", "roi_align"}
 
@@ -448,7 +464,7 @@ def test_nonfinite_raises():
 
 def test_mixed_dtype_rejected():
     with pytest.raises(ShapeError):
-        T.add(T.Tensor([1.0], dtype=np.float32), T.Tensor([1.0], dtype=np.float64))
+        T.add(T.Tensor(np.array([1.0], dtype=np.float32)), T.Tensor(np.array([1.0])))
 
 
 def test_structural_ops_roundtrip():

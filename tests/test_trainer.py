@@ -5,17 +5,19 @@ import os
 import re
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from densedistill import tensor as T
-from densedistill import trainer
+from densedistill import regions, trainer
 from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
 from densedistill.errors import ConfigError, EvaluationError
 from densedistill.evalsuite import (class_prototypes, prepare_suite, save_class_embeddings,
+                                    shipped_ablation_config,
                                     train_variant)
 from densedistill.losses import content_cos_loss, context_loss, rcc_loss, total_loss
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
@@ -700,6 +702,26 @@ def test_load_student_refuses_a_field_out_of_range(tmp_path, capsys, where, name
     assert capsys.readouterr().err.startswith(f"error: {path}: section '{where}' holds {name} = ")
 
 
+def test_load_student_checks_the_parameter_shapes_before_building(tmp_path, capsys):
+    # a huge but in-range width must be refused before anything of its size
+    # is allocated
+    cfg = desk_cfg(tmp_path)
+    path = str(tmp_path / "wide.dten")
+    save_checkpoint(path, Distiller(cfg).student)
+    sections = read_tensor(path)
+    sections["meta"][trainer._META_FIELDS.index("width")] = 2**30
+    sections["meta"][trainer._META_FIELDS.index("heads")] = 4
+    write_tensor(path, sections)
+    named = rf"^{re.escape(path)}: parameter 'patch.w' \(section 'param.patch.w'\) has shape "
+    with pytest.raises(ConfigError, match=named):
+        load_student(path)
+    image = str(tmp_path / "img.dten")
+    write_tensor(image, {"image": np.zeros((3, cfg.student_res, cfg.student_res))})
+    assert run_cli(["dump-attn", "--checkpoint", path, "--image", image, "--layers", "0",
+                    "--query", "cls", "--out", str(tmp_path / "dumps")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: parameter 'patch.w' ")
+
+
 def test_step_count_is_the_optimizer_step(tmp_path):
     cfg = desk_cfg(tmp_path)
     suite, manifest = desk_suite(tmp_path, cfg)
@@ -926,3 +948,30 @@ def test_manifest_file_without_its_section_rejected(tmp_path, key, name):
     man.write_text(" ".join(f"{k}={v}" for k, v in paths.items()) + "\n")
     with pytest.raises(ConfigError, match=f"{re.escape(paths[key])}: section '{name}' is missing"):
         prepare_record(read_manifest(str(man))[0], distiller.vfm, cfg, 0)
+
+
+# --- teacher work stays out of the graph ----------------------------------------------
+
+@pytest.mark.parametrize("variant", ["decoupled", "coupled", "content"])
+def test_a_training_step_dispatches_no_graph_free_op(monkeypatch, variant):
+    """Teacher targets and provider rows are arrays, so with every layer
+    trainable each op a training step dispatches records a gradient rule."""
+    cfg, suite = shipped_ablation_config()
+    cfg = replace(cfg, trainable_layers=-1)
+    distiller = Distiller(cfg)
+    prepared = prepare_suite(replace(suite, samples=suite.samples[:1]), distiller, cfg)[0]
+    dispatch, calls, graph_free = T.from_op, [], []
+
+    def audited(data, parents, backward):
+        out = dispatch(data, parents, backward)
+        calls.append(backward)
+        if out._node is None:
+            graph_free.append(backward.__qualname__)
+        return out
+
+    monkeypatch.setattr(T, "from_op", audited)
+    monkeypatch.setattr(regions, "from_op", audited)
+    rng = np.random.default_rng([cfg.seed, trainer.STREAM_STEP, 0])
+    distiller.loss_for(prepared, rng, variant)
+    assert len(calls) > 300
+    assert graph_free == []

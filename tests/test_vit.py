@@ -130,7 +130,7 @@ def test_block_matches_loop_oracle(heads, width):
     got = vit.attention_block(x, p, 0)
     want, attns = block_oracle(x.data, p.blocks[0], heads)
     assert np.abs(got.data - want).max() < 1e-5
-    maps = vit.capture_attention(img, p, 0)
+    [maps] = vit.capture_attention(img, p, [0])
     assert maps.shape[-1] == heads
     for head, want_map in enumerate(attns):
         assert np.abs(maps[:, :, head] - want_map).max() < 1e-6
@@ -144,7 +144,7 @@ def test_decoupled_equals_standard_attention_when_q_is_k():
     b.wk.data[...] = b.wq.data
     b.bk.data[...] = b.bq.data
     img = rand_image(np.random.default_rng(3), 8)
-    std_attn = vit.capture_attention(img, p, 0)[:, :, 0]
+    std_attn = vit.capture_attention(img, p, [0])[0][:, :, 0]
     ctx, _ = vit.decoupled_block(vit.patch_embed(img, p), p)
     dec_attn = T.softmax_rows(T.head_scores(ctx, ctx, p.heads)).data
     assert np.abs(dec_attn - std_attn).max() < 1e-6
@@ -279,17 +279,40 @@ def test_encode_cls_purity_and_separation():
 def test_capture_rows_stochastic_and_range():
     p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4)
     img = rand_image(np.random.default_rng(13), 8)
-    maps = vit.capture_attention(img, p, 1)
+    [maps] = vit.capture_attention(img, p, [1])
     assert maps.shape == (5, 5, 2)
     assert np.abs(maps.sum(axis=1) - 1.0).max() < 1e-6
     with pytest.raises(ParameterError):
-        vit.capture_attention(img, p, 2)
+        vit.capture_attention(img, p, [2])
+
+
+def test_capture_runs_each_block_below_the_deepest_layer_once(monkeypatch):
+    p = tiny_params(depth=4, width=8, heads=2, res=8, patch=4)
+    img = rand_image(np.random.default_rng(15), 8)
+    one_by_one = [vit.capture_attention(img, p, [layer])[0] for layer in (2, 0, 3)]
+    block, ran = vit.attention_block, []
+
+    def counted(x, params, layer, queries=None):
+        ran.append(layer)
+        return block(x, params, layer, queries)
+
+    monkeypatch.setattr(vit, "attention_block", counted)
+    maps = vit.capture_attention(img, p, [2, 0, 3])
+    assert ran == [0, 1, 2]
+    assert [m.tobytes() for m in maps] == [m.tobytes() for m in one_by_one]
+
+
+@pytest.mark.parametrize("layers", [[0, 4], [-1], [1, 0, 1]])
+def test_capture_refuses_an_absent_or_repeated_layer(layers):
+    p = tiny_params(depth=4, width=8, heads=2, res=8, patch=4)
+    with pytest.raises(ParameterError):
+        vit.capture_attention(rand_image(np.random.default_rng(16), 8), p, layers)
 
 
 def test_capture_matches_qk_recomputation():
     p = tiny_params(depth=1, width=8, heads=2, res=8, patch=4)
     img = rand_image(np.random.default_rng(14), 8)
-    maps = vit.capture_attention(img, p, 0)
+    [maps] = vit.capture_attention(img, p, [0])
     seq = vit.patch_embed(img, p)
     b = p.blocks[0]
     h = vit.layer_norm_rows(seq, b.ln1_s, b.ln1_o).data
