@@ -398,6 +398,41 @@ def slice_rows(a, start, stop):
     return from_op(a.data[start:stop].copy(), (a,), back)
 
 
+def concat_cols(parts):
+    """2-D parts of equal row counts side by side; each part's gradient is
+    its column block of the output gradient."""
+    if not parts:
+        raise ShapeError("concat_cols needs at least one part")
+    if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ShapeError("concat_cols parts must be 2-D with equal row counts")
+    for p in parts[1:]:
+        _check_same_dtype(parts[0], p)
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+
+    def back(g):
+        return tuple(np.ascontiguousarray(g[:, start:stop])
+                     for start, stop in zip(offsets[:-1], offsets[1:]))
+
+    return from_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
+
+
+def slice_cols(a, start, stop):
+    """Columns [start, stop) of a 2-D tensor, as a contiguous copy."""
+    if a.data.ndim != 2:
+        raise ShapeError("slice_cols needs a 2-D tensor")
+    if not (0 <= start < stop <= a.shape[1]):
+        raise ShapeError(f"column slice [{start}:{stop}] out of range for {a.shape}")
+
+    shape, dtype = a.shape, a.data.dtype
+
+    def back(g):
+        full = np.zeros(shape, dtype)
+        full[:, start:stop] = g
+        return (full,)
+
+    return from_op(np.ascontiguousarray(a.data[:, start:stop]), (a,), back)
+
+
 def tokens_to_chw(a, h, w):
     """(h*w, c) token matrix -> (c, h, w) feature map; pure data movement."""
     if a.data.ndim != 2 or a.shape[0] != h * w:

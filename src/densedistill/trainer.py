@@ -424,13 +424,11 @@ def load_student(path):
     held = _stored_fields(path, sections)
     dtype = _DTYPES[held.pop("dtype")]
     held["embed_dim"] = held["embed_dim"] or None
-    _check_params(path, sections, param_shapes(
-        **{name: value for name, value in held.items() if name not in _PIXEL_FIELDS}))
-    student = VitParams(**held, seed=0, dtype=dtype)
-    for name, p in student.named_parameters():
-        p.data = sections[f"param.{name}"].astype(dtype)
-        p.requires_grad = False
-    return student, sections
+    shapes = param_shapes(**{name: value for name, value in held.items()
+                             if name not in _PIXEL_FIELDS})
+    _check_params(path, sections, shapes)
+    arrays = {name: sections[f"param.{name}"] for name in shapes}
+    return VitParams._of_arrays(arrays, **held, dtype=dtype), sections
 
 
 def restore_into(distiller, path):

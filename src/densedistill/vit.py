@@ -22,8 +22,8 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
-# largest score map the graph-free attention builds at once, under glibc's
-# 32 MiB mmap ceiling so that the buffer is reused rather than remapped
+# largest score map an attention builds at once, under glibc's 32 MiB mmap
+# ceiling so that the buffer is reused rather than remapped
 HEAD_GROUP_BYTES = 16 * 2 ** 20
 
 
@@ -87,6 +87,21 @@ class VitParams:
 
     def __init__(self, patch_size, depth, width, heads, input_res, embed_dim=None,
                  pixel_mean=0.5, pixel_std=0.5, seed=0, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        self._build(lambda name, shape, dt: _initial(name, shape, rng, dt), True, patch_size,
+                    depth, width, heads, input_res, embed_dim, pixel_mean, pixel_std, dtype)
+
+    @classmethod
+    def _of_arrays(cls, arrays, **meta):
+        """Params of the constructor arguments ``meta`` (no seed) holding
+        ``arrays`` (name -> array, cast to the dtype), none requiring grad;
+        nothing is drawn."""
+        params = cls.__new__(cls)
+        params._build(lambda name, shape, dt: arrays[name].astype(dt), False, **meta)
+        return params
+
+    def _build(self, initial, requires_grad, patch_size, depth, width, heads, input_res,
+               embed_dim=None, pixel_mean=0.5, pixel_std=0.5, dtype=np.float64):
         shapes = param_shapes(patch_size, depth, width, heads, input_res, embed_dim)
         self.patch_size = patch_size
         self.depth = depth
@@ -101,8 +116,7 @@ class VitParams:
         self._fingerprint = None
         self.grid_side = input_res // patch_size
 
-        rng = np.random.default_rng(seed)
-        held = {name: Tensor(_initial(name, shape, rng, self.dtype), requires_grad=True)
+        held = {name: Tensor(initial(name, shape, self.dtype), requires_grad)
                 for name, shape in shapes.items()}
         self.w_patch, self.b_patch, self.cls_token, self.pos_embed = (
             held[name] for name in ("patch.w", "patch.b", "cls", "pos"))
@@ -217,8 +231,25 @@ def patch_embed(image, params):
     return T.add(seq, params.pos_embed)
 
 
+def _head_group(heads, m, n, itemsize):
+    """Heads per score map: all of them when their (heads*m, n) map fits
+    HEAD_GROUP_BYTES, else one."""
+    return heads if heads * m * n * itemsize <= HEAD_GROUP_BYTES else 1
+
+
 def _multi_head(q, k, v, heads):
-    return T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
+    """Multi-head attention over head groups of _head_group's size, each
+    group on its column block of q, k and v; the blocks are joined."""
+    group = _head_group(heads, q.shape[0], k.shape[0], q.data.itemsize)
+    if group == heads:
+        return T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
+    d = q.shape[1] // heads
+    parts = []
+    for h in range(0, heads, group):
+        start, stop = h * d, (h + group) * d
+        scores = T.head_scores(T.slice_cols(q, start, stop), T.slice_cols(k, start, stop), group)
+        parts.append(T.head_mix(T.softmax_rows(scores), T.slice_cols(v, start, stop), group))
+    return T.concat_cols(parts)
 
 
 def attention_block(x, params, layer, queries=None):
@@ -264,13 +295,11 @@ def _layer_norm_array(x, scale, offset):
 
 
 def _attention_array(q, k, v, heads):
-    """_multi_head with the score maps of a group of heads alive at a time,
-    softmaxed in place: every head in one (heads*m, n) map when that fits
-    HEAD_GROUP_BYTES, else one head at a time. A map is checked through its
-    minimum (-inf) and its row maxima (NaN, +inf); the softmax of a finite
-    row is finite."""
+    """_multi_head on plain arrays, each head group's score map softmaxed
+    in place. A map is checked through its minimum (-inf) and its row
+    maxima (NaN, +inf); the softmax of a finite row is finite."""
     qs, d = q * T._head_scale(q, heads), q.shape[1] // heads
-    group = heads if heads * q.shape[0] * k.shape[0] * q.itemsize <= HEAD_GROUP_BYTES else 1
+    group = _head_group(heads, q.shape[0], k.shape[0], q.itemsize)
     out = np.empty_like(q)
     for h in range(0, heads, group):
         cols = slice(h * d, (h + group) * d)

@@ -627,6 +627,24 @@ def test_loaded_student_builds_no_graph(tmp_path):
         assert t._parents == () and not t.requires_grad
 
 
+def test_load_student_draws_nothing(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path)
+    source = Distiller(cfg).student
+    path = str(tmp_path / "ckpt.dten")
+    save_checkpoint(path, source)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("load_student drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    student, _ = load_student(path)
+    assert student.state_bytes() == source.state_bytes()
+    assert not any(p.requires_grad for _, p in student.named_parameters())
+    for name in ("patch_size", "depth", "width", "heads", "input_res", "embed_dim",
+                 "pixel_mean", "pixel_std", "dtype", "grid_side", "frozen"):
+        assert getattr(student, name) == getattr(source, name), name
+
+
 def _poisoned_checkpoint(tmp_path, section):
     """A checkpoint whose ``section`` holds a NaN."""
     distiller = Distiller(desk_cfg(tmp_path))

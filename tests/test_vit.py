@@ -431,6 +431,109 @@ def test_block_gradients_pass_finite_differences():
     assert finite_diff_check(f_dec, [x], name="decoupled-block").passed
 
 
+# --- head groups ---------------------------------------------------------------
+
+def _block_outputs_and_grads(p, x0, block):
+    """Outputs of one block on a fresh copy of x0, and the gradients of a
+    quadratic loss on them, by parameter name (input gradient under "x")."""
+    for _, q in p.named_parameters():
+        q.grad = None
+    x = T.Tensor(x0.copy(), requires_grad=True)
+    outs = (vit.attention_block(x, p, 0),) if block == "standard" else vit.decoupled_block(x, p)
+    loss = T.mean_all(T.mul(outs[0], outs[0]))
+    for out in outs[1:]:
+        loss = T.add(loss, T.mean_all(T.mul(out, out)))
+    T.backward(loss)
+    grads = {name: q.grad for name, q in p.named_parameters() if q.grad is not None}
+    grads["x"] = x.grad
+    return [out.data for out in outs], grads
+
+
+def _spy_groups(monkeypatch):
+    """Heads per score map of every score-map kernel call, Tensor op or array."""
+    groups = []
+    kernel = T._head_scores
+
+    def spy(qs, k, heads):
+        groups.append(heads)
+        return kernel(qs, k, heads)
+
+    monkeypatch.setattr(T, "_head_scores", spy)
+    return groups
+
+
+@pytest.mark.parametrize("block", ["standard", "decoupled"])
+def test_head_groups_match_the_all_heads_map(monkeypatch, block):
+    # a byte budget of 0 puts a desk-sized block on one head per map; the
+    # decoupled block's q is its k, so both slices' gradients meet in q
+    p = tiny_params(width=8, heads=4, seed=23)
+    x0 = np.random.default_rng(24).standard_normal((5, 8))
+    groups = _spy_groups(monkeypatch)
+    ref_outs, ref_grads = _block_outputs_and_grads(p, x0, block)
+    assert groups == [4]
+    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    outs, grads = _block_outputs_and_grads(p, x0, block)
+    assert groups == [4, 1, 1, 1, 1]
+    assert [o.tobytes() for o in outs] == [o.tobytes() for o in ref_outs]
+    assert grads.keys() == ref_grads.keys()
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=1e-12, atol=1e-12 * largest,
+                                   err_msg=name)
+
+
+def test_head_groups_pass_finite_differences(monkeypatch):
+    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    p = tiny_params(width=4, heads=2, seed=25)
+    x = T.Tensor(np.random.default_rng(26).standard_normal((3, 4)))
+
+    def f_std(t):
+        return T.mean_all(T.mul(vit.attention_block(t, p, 0), vit.attention_block(t, p, 0)))
+
+    def f_dec(t):
+        context, content = vit.decoupled_block(t, p)
+        return T.add(T.mean_all(T.mul(content, content)),
+                     T.mean_all(T.mul(context, context)))
+
+    groups = _spy_groups(monkeypatch)
+    assert finite_diff_check(f_std, [x], name="grouped-attention-block").passed
+    assert finite_diff_check(f_dec, [x], name="grouped-decoupled-block").passed
+    assert set(groups) == {1}
+
+
+@pytest.mark.parametrize("n,width,heads,group", [(65, 48, 4, 4), (1226, 64, 4, 1)],
+                         ids=["desk", "paper"])
+def test_array_and_tensor_attention_pick_the_same_groups(monkeypatch, n, width, heads, group):
+    q, k, v = np.random.default_rng(27).standard_normal((3, n, width))
+    groups = _spy_groups(monkeypatch)
+    frozen = vit._attention_array(q, k, v, heads)
+    assert groups == [group] * (heads // group)
+    student = vit._multi_head(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads).data
+    assert groups == [group] * (2 * heads // group)
+    assert student.tobytes() == frozen.tobytes()
+
+
+def test_paper_shape_blocks_stay_within_their_memory_bound():
+    # one attention block and the decoupled block at 1226 tokens, forward and
+    # backward: one (4*1226, 1226) f64 map is 48 MiB, and with all four heads
+    # in one map the traced peak is about 200 MiB; one head per map keeps it
+    # near 135 MiB
+    p = VitParams(patch_size=16, depth=2, width=64, heads=4, input_res=560, seed=28)
+    x0 = np.random.default_rng(29).standard_normal((1226, 64))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        x = T.Tensor(x0, requires_grad=True)
+        context, content = vit.decoupled_block(vit.attention_block(x, p, 0), p)
+        T.backward(T.add(T.mean_all(T.mul(content, content)),
+                         T.mean_all(T.mul(context, context))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak < 160 * 2 ** 20, peak / 2 ** 20
+
+
 # --- frozen forward on plain arrays ---------------------------------------------
 
 def tensor_path(img, p, queries=None):
