@@ -64,6 +64,17 @@ def _axis_weights(lo, hi, n_out, size):
     return w
 
 
+@functools.lru_cache(maxsize=1024)
+def _roi_axis_weights(lo, hi, n_out, size):
+    """Read-only _axis_weights of a roi_align axis, built once per key: a
+    step pools each box from the student and the provider maps on the same
+    grid, and the grids repeat across steps. crop_resize's long axes are
+    built per call, since keeping them would cost more memory than time."""
+    w = _axis_weights(lo, hi, n_out, size)
+    w.flags.writeable = False
+    return w
+
+
 def _roi_align(features, box, n):
     """Array kernel of roi_align: the (n*n, C) rows and the (n*n, H*W) sampling matrix."""
     if not isinstance(n, int) or n < 1:
@@ -73,8 +84,8 @@ def _roi_align(features, box, n):
     c, h, w = features.shape
     if (box.x1 - box.x0) * w <= 0.0 or (box.y1 - box.y0) * h <= 0.0:
         raise DegenerateInputError(f"box {box} degenerate on the {h}x{w} grid")
-    wy = _axis_weights(box.y0, box.y1, n, h)
-    wx = _axis_weights(box.x0, box.x1, n, w)
+    wy = _roi_axis_weights(box.y0, box.y1, n, h)
+    wx = _roi_axis_weights(box.x0, box.x1, n, w)
     # sampling matrix over flattened pixels: bin (v,u) -> row v*n+u
     m = (wy[:, None, :, None] * wx[None, :, None, :]).reshape(n * n, h * w)
     m = m.astype(features.dtype, copy=False)

@@ -511,11 +511,15 @@ def _head_scale(q, heads):
     return q.dtype.type(1.0 / math.sqrt(q.shape[1] // heads))
 
 
-def _head_scores(qs, k, heads):
+def _head_scores(qs, k, heads, out=None):
     """Array kernel of head_scores: the (heads*m, n) maps of already scaled
-    (m, c) queries against (n, c) keys."""
+    (m, c) queries against (n, c) keys, written to ``out`` (None allocates)."""
     m, n = qs.shape[0], k.shape[0]
-    return (_split_heads(qs, heads) @ _split_heads(k, heads).transpose(0, 2, 1)).reshape(heads * m, n)
+    if out is None:
+        out = np.empty((heads * m, n), qs.dtype)
+    np.matmul(_split_heads(qs, heads), _split_heads(k, heads).transpose(0, 2, 1),
+              out=out.reshape(heads, m, n))
+    return out
 
 
 def head_scores(q, k, heads):

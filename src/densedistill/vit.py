@@ -22,8 +22,10 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
-# largest score map an attention builds at once, under glibc's 32 MiB mmap
-# ceiling so that the buffer is reused rather than remapped
+# largest score map an attention builds at once. The frozen forward keeps
+# the map resident by writing every head group's scores into one workspace
+# per call (faulted in once, not per head); the student's Tensor path
+# allocates one map per group, which its graph frees after the softmax
 HEAD_GROUP_BYTES = 16 * 2 ** 20
 
 
@@ -295,15 +297,17 @@ def _layer_norm_array(x, scale, offset):
 
 
 def _attention_array(q, k, v, heads):
-    """_multi_head on plain arrays, each head group's score map softmaxed
-    in place. A map is checked through its minimum (-inf) and its row
-    maxima (NaN, +inf); the softmax of a finite row is finite."""
+    """_multi_head on plain arrays. Every head group's score map is written
+    to one workspace of the call and softmaxed there in place. A map is
+    checked through its minimum (-inf) and its row maxima (NaN, +inf); the
+    softmax of a finite row is finite."""
     qs, d = q * T._head_scale(q, heads), q.shape[1] // heads
     group = _head_group(heads, q.shape[0], k.shape[0], q.itemsize)
+    s = np.empty((group * q.shape[0], k.shape[0]), q.dtype)
     out = np.empty_like(q)
     for h in range(0, heads, group):
         cols = slice(h * d, (h + group) * d)
-        s = T._head_scores(qs[:, cols], k[:, cols], group)
+        T._head_scores(qs[:, cols], k[:, cols], group, out=s)
         T._finite(s.min())
         out[:, cols] = T._head_mix(T._softmax(s, T._finite(s.max(axis=1, keepdims=True)), s),
                                    v[:, cols], group)

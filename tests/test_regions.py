@@ -13,6 +13,7 @@ from densedistill.regions import (
     CropBox,
     _axis_weights,
     _roi_align,
+    _roi_axis_weights,
     crop_resize,
     roi_align,
     sample_grid,
@@ -168,6 +169,28 @@ def test_roi_kernel_rows_equal_the_op():
             assert rows.dtype == m.dtype == want.dtype == dtype
             assert rows.tobytes() == want.tobytes()
             assert m.shape == (n * n, 5 * 7)
+
+
+def test_roi_axis_weights_are_cached_read_only_and_equal_a_fresh_build():
+    rng = np.random.default_rng(13)
+    feats = rng.standard_normal((3, 5, 7))
+    g = rng.standard_normal((9, 3))
+    box, n = CropBox(0.1, 0.2, 0.8, 0.9), 3
+    wy, wx = _axis_weights(0.2, 0.9, n, 5), _axis_weights(0.1, 0.8, n, 7)
+    m = (wy[:, None, :, None] * wx[None, :, None, :]).reshape(n * n, 5 * 7)
+    want_rows = np.ascontiguousarray(np.ascontiguousarray(feats.reshape(3, 35) @ m.T).T)
+    for _ in range(2):  # the first call may build the weights, the second reads the cache
+        x = T.Tensor(feats, requires_grad=True)
+        rows = roi_align(x, box, n)
+        T.backward(T.sum_all(T.mul(rows, T.Tensor(g))))
+        assert rows.data.tobytes() == want_rows.tobytes()
+        assert x.grad.tobytes() == (g.T @ m).reshape(3, 5, 7).tobytes()
+    for cached, fresh in ((_roi_axis_weights(0.2, 0.9, n, 5), wy),
+                          (_roi_axis_weights(0.1, 0.8, n, 7), wx)):
+        assert not cached.flags.writeable
+        assert cached.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
 
 
 def test_roi_validation():

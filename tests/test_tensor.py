@@ -138,6 +138,26 @@ def test_head_ops_match_per_head_loop():
         assert np.abs(mixed[:, cols] - matmul_oracle(p[rows], v[:, cols])).max() < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("m", [7, 1], ids=["m=n", "cls-only"])
+@pytest.mark.parametrize("heads", [1, 4], ids=["one-head", "all-heads"])
+def test_head_scores_kernel_writes_its_workspace_bitwise(dtype, m, heads):
+    # m = 1 is the CLS-only query row of the final frozen block
+    rng = np.random.default_rng(31)
+    n, width = 7, 8
+    k = rng.standard_normal((n, width)).astype(dtype)
+    qs = k[:m] * T._head_scale(k, heads)
+    want = T._head_scores(qs, k, heads)
+    buf = np.full((heads * m, n), np.nan, dtype)
+    got = T._head_scores(qs, k, heads, out=buf)
+    assert np.shares_memory(got, buf)
+    assert got.shape == want.shape and got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    # and to the batched product that allocates its own result
+    stacked = T._split_heads(qs, heads) @ T._split_heads(k, heads).transpose(0, 2, 1)
+    assert want.tobytes() == stacked.reshape(heads * m, n).tobytes()
+
+
 def test_head_ops_reject_bad_shapes():
     a = T.Tensor(np.ones((2, 6)))
     with pytest.raises(ShapeError):

@@ -454,9 +454,9 @@ def _spy_groups(monkeypatch):
     groups = []
     kernel = T._head_scores
 
-    def spy(qs, k, heads):
+    def spy(qs, k, heads, out=None):
         groups.append(heads)
-        return kernel(qs, k, heads)
+        return kernel(qs, k, heads, out=out)
 
     monkeypatch.setattr(T, "_head_scores", spy)
     return groups
@@ -532,6 +532,23 @@ def test_paper_shape_blocks_stay_within_their_memory_bound():
         tracemalloc.stop()
     assert x.grad is not None
     assert peak < 160 * 2 ** 20, peak / 2 ** 20
+
+
+def test_frozen_attention_holds_one_score_map_at_paper_shape():
+    # one (1226, 1226) f64 map is 12,024,608 B; one head per map at this
+    # shape, so a fresh map per head peaks near two maps, one workspace
+    # for the call near one
+    q, k, v = np.random.default_rng(30).standard_normal((3, 1226, 64))
+    score_map = 1226 * 1226 * 8
+    assert vit._head_group(4, 1226, 1226, 8) == 1
+    gc.collect()
+    tracemalloc.start()
+    try:
+        vit._attention_array(q, k, v, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * score_map, peak / score_map
 
 
 # --- frozen forward on plain arrays ---------------------------------------------
