@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import write_pgm, write_tensor
-from .errors import (
-    DegenerateInputError,
-    DistributionError,
-    EvaluationError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import DistributionError, EvaluationError, ParameterError, ShapeError
 from .regions import FULL_BOX, crop_resize
+from .tensor import _softmax_rows, _unit_rows
 from .vit import capture_attention
 
 
@@ -46,10 +41,7 @@ def vfm_affinity(tokens):
     arr = np.asarray(tokens, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected (N, D) tokens, got {arr.shape}")
-    norms = np.linalg.norm(arr, axis=1)
-    if (norms == 0.0).any():
-        raise DegenerateInputError("zero-norm token in provider features")
-    unit = arr / norms[:, None]
+    unit, _ = _unit_rows(arr, "provider tokens")
     sim = unit @ unit.T
     sim = np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(sim, 1.0)
@@ -102,9 +94,7 @@ def synth_sd_attention(segmentation, sharpness, rng, num_maps=3, noise_std=0.25)
         logits = sharpness * same
         if noise_std:
             logits = logits + noise_std * rng.standard_normal((hw, hw))
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        maps[i] = e / e.sum(axis=1, keepdims=True)
+        maps[i] = _softmax_rows(logits, 1.0)
     return SdAttentionStack(maps=maps)
 
 

@@ -18,7 +18,7 @@ from .errors import DegenerateInputError, ParameterError, ShapeError
 from .regions import FULL_BOX, CropBox, crop_resize, roi_align
 from .affinity import synth_sd_attention
 from .synthdata import make_suite, pure_canvas
-from .tensor import Tensor
+from .tensor import Tensor, _unit_rows
 from .trainer import STREAM_SD, Distiller, PreparedRecord, provider_tokens, train
 from .config import RunConfig
 from .vit import encode_cls, encode_dense
@@ -72,9 +72,7 @@ def class_prototypes(teacher, colors):
     for label in range(k):
         canvas = pure_canvas(colors, label, teacher.input_res)
         rows.append(encode_cls(canvas, teacher).astype(np.float64))
-    vectors = np.stack(rows)
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return ClassEmbeddings(names=names, vectors=vectors)
+    return ClassEmbeddings(names=names, vectors=_unit_rows(np.stack(rows), "class prototypes")[0])
 
 
 @dataclass
@@ -91,11 +89,7 @@ def segment_training_free(dense, classes, out_res):
     h, w = dense.grid
     if out_res < max(h, w):
         raise ParameterError(f"out_res {out_res} below feature grid {dense.grid}")
-    feats = dense.tokens.data.astype(np.float64)
-    norms = np.linalg.norm(feats, axis=1)
-    if (norms == 0.0).any():
-        raise DegenerateInputError("zero-norm dense pixel")
-    unit = feats / norms[:, None]
+    unit, _ = _unit_rows(dense.tokens.data.astype(np.float64), "dense features")
     scores = (classes.vectors @ unit.T).reshape(classes.vectors.shape[0], h, w)
     up = crop_resize(scores, FULL_BOX, out_res)
     return SegResult(labels=scores.argmax(axis=0).astype(np.int32),

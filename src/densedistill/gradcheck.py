@@ -110,7 +110,7 @@ def run_gradcheck_suite(seed=0):
     def t(*shape, scale=1.0):
         return Tensor(rng.standard_normal(shape) * scale)
 
-    check("matmul", lambda a, b: T.mean_all(T.matmul(a, b)), [t(3, 4), t(4, 2)])
+    check("matmul", lambda a, b: T.sum_all(T.matmul(a, b)), [t(3, 4), t(4, 2)])
     check("elementwise", lambda a, b: T.sum_all(T.div(T.mul(a, b), T.add_scalar(T.mul(b, b), 1.0))),
           [t(3, 4), t(3, 4)])
     check("row-col-broadcast", lambda a, c, r: T.sum_all(T.add(T.mul(a, c), r)),
@@ -119,7 +119,7 @@ def run_gradcheck_suite(seed=0):
     check("gelu", lambda a: T.sum_all(T.gelu(a)), [t(3, 3, scale=2.0)])
     check("softmax_rows", lambda a: T.sum_all(T.mul(T.softmax_rows(a, 0.5), T.softmax_rows(a, 0.5))),
           [t(3, 5)])
-    check("cosine_matrix", lambda a, b: T.mean_all(T.cosine_matrix(a, b)), [t(4, 3), t(5, 3)])
+    check("cosine_matrix", lambda a, b: T.sum_all(T.cosine_matrix(a, b)), [t(4, 3), t(5, 3)])
     target = T.softmax_rows(t(3, 4)).data  # only the second argument is differentiated
     check("kl_rows", lambda b: T.kl_rows(target, T.softmax_rows(b)), [t(3, 4)])
     check("layer_norm", lambda x, s, o: T.sum_all(T.mul(layer_norm_rows(x, s, o),
@@ -133,7 +133,7 @@ def run_gradcheck_suite(seed=0):
     def block_loss(x, wq, wv):
         block.wq, block.wv = wq, wv
         out = attention_block(x, params, 0)
-        return T.mean_all(T.mul(out, out))
+        return T.sum_all(T.mul(out, out))
 
     check("attention_block", block_loss, [t(5, 8), Tensor(block.wq.data.copy()),
                                           Tensor(block.wv.data.copy())])
@@ -141,8 +141,8 @@ def run_gradcheck_suite(seed=0):
     def dec_loss(x, wq, wv):
         block.wq, block.wv = wq, wv
         context, content = decoupled_block(x, params)
-        return T.add(T.mean_all(T.mul(content, content)),
-                     T.mean_all(T.mul(context, context)))
+        return T.add(T.sum_all(T.mul(content, content)),
+                     T.sum_all(T.mul(context, context)))
 
     check("decoupled_block", dec_loss, [t(5, 8), Tensor(block.wq.data.copy()),
                                         Tensor(block.wv.data.copy())])

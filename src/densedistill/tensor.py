@@ -345,15 +345,6 @@ def sum_all(a):
     )
 
 
-def mean_all(a):
-    shape, dtype, n = a.shape, a.data.dtype, a.data.size
-    return from_op(
-        np.asarray(a.data.mean(), dtype=dtype),
-        (a,),
-        lambda g: ((np.broadcast_to(g, shape) / n).astype(dtype, copy=False),),
-    )
-
-
 def sum_rows(a):
     """Row sums of a 2-D tensor as an (r,1) column."""
     if a.data.ndim != 2:
@@ -579,13 +570,14 @@ def _unit_rows_back(gn, n, norm):
     return (gn - n * np.einsum("ij,ij->i", gn, n)[:, None]) / norm
 
 
-def _unit_rows(x, side="first"):
+def _unit_rows(x, what="first argument"):
     """Array kernel of cosine_matrix: x's rows scaled to unit length, and their
-    norms; a square that overflows (an infinite norm, a zero cosine) raises."""
+    norms; a zero row of ``what`` raises, and so does a square that overflows
+    (an infinite norm, a zero cosine)."""
     with np.errstate(over="ignore"):
         sq = (x * x).sum(axis=1, keepdims=True)
     if (sq == 0.0).any():
-        raise DegenerateInputError(f"zero-norm row in {side} argument")
+        raise DegenerateInputError(f"zero-norm row in {what}")
     norm = np.sqrt(_finite(sq))
     return x / norm, norm
 
@@ -601,7 +593,7 @@ def cosine_matrix(a, b):
         raise ShapeError(f"cosine_matrix needs (p,d) and (q,d), got {a.shape} and {b.shape}")
     _check_same_dtype(a, b)
     sides = (a,) if a is b else (a, b)
-    units = [_unit_rows(t.data, side) for t, side in zip(sides, ("first", "second"))]
+    units = [_unit_rows(t.data, f"{side} argument") for t, side in zip(sides, ("first", "second"))]
     (na, norm_a), (nb, norm_b) = units[0], units[-1]
     shared = a is b
 

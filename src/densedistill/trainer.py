@@ -448,6 +448,8 @@ def restore_into(distiller, path):
             raise ConfigError(f"{path}: section {where!r} holds {name} = {stored[name]!r}, "
                               f"but the run's student has {name} = {value!r}")
     step = int(section(path, sections, "step", 1)[0])
+    if step < 0:
+        raise ConfigError(f"{path}: section 'step' holds {step}, expected >= 0")
     seed = int(section(path, sections, "seed", 1)[0])
     if seed != distiller.cfg.seed:
         raise ConfigError(f"{path}: section 'seed' holds {seed}, but the run's seed "

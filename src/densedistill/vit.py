@@ -27,6 +27,10 @@ MLP_RATIO = 2
 # per call (faulted in once, not per head); the student's Tensor path
 # allocates one map per group, which its graph frees after the softmax
 HEAD_GROUP_BYTES = 16 * 2 ** 20
+# VitParams' constructor arguments but the seed, in the order its
+# fingerprint digests them
+_META = ("patch_size", "depth", "width", "heads", "input_res", "embed_dim", "pixel_mean",
+         "pixel_std", "dtype")
 
 
 @dataclass
@@ -94,13 +98,17 @@ class VitParams:
                     depth, width, heads, input_res, embed_dim, pixel_mean, pixel_std, dtype)
 
     @classmethod
-    def _of_arrays(cls, arrays, **meta):
+    def _of_arrays(cls, arrays, requires_grad=False, **meta):
         """Params of the constructor arguments ``meta`` (no seed) holding
-        ``arrays`` (name -> array, cast to the dtype), none requiring grad;
-        nothing is drawn."""
+        copies of ``arrays`` (name -> array, cast to the dtype); nothing is
+        drawn."""
         params = cls.__new__(cls)
-        params._build(lambda name, shape, dt: arrays[name].astype(dt), False, **meta)
+        params._build(lambda name, shape, dt: arrays[name].astype(dt), requires_grad, **meta)
         return params
+
+    def _meta(self):
+        """The constructor arguments but the seed, by name."""
+        return {name: getattr(self, name) for name in _META}
 
     def _build(self, initial, requires_grad, patch_size, depth, width, heads, input_res,
                embed_dim=None, pixel_mean=0.5, pixel_std=0.5, dtype=np.float64):
@@ -137,19 +145,9 @@ class VitParams:
         return out
 
     def clone(self):
-        twin = VitParams.__new__(VitParams)
-        twin.__dict__.update({k: v for k, v in self.__dict__.items()
-                              if k not in ("blocks",) and not isinstance(v, Tensor)})
-        twin.frozen, twin._fingerprint = False, None
-        for name in ("w_patch", "b_patch", "cls_token", "pos_embed"):
-            twin.__dict__[name] = Tensor(getattr(self, name).data.copy(), requires_grad=True)
-        twin.blocks = [
-            BlockParams(**{f.name: Tensor(getattr(b, f.name).data.copy(), requires_grad=True)
-                           for f in fields(b)})
-            for b in self.blocks
-        ]
-        twin.w_vl = Tensor(self.w_vl.data.copy(), requires_grad=True) if self.w_vl is not None else None
-        return twin
+        """A trainable copy: every parameter requires grad, no array is shared."""
+        arrays = {name: p.data for name, p in self.named_parameters()}
+        return VitParams._of_arrays(arrays, requires_grad=True, **self._meta())
 
     def freeze(self):
         """Read-only role: gradients off, parameter arrays immutable."""
@@ -183,9 +181,8 @@ class VitParams:
         if not self.frozen:
             raise ModeError("only frozen params have a fixed fingerprint")
         if self._fingerprint is None:
-            meta = (self.patch_size, self.depth, self.width, self.heads, self.input_res,
-                    self.embed_dim, self.pixel_mean, self.pixel_std, self.dtype.str)
-            digest = hashlib.blake2b(repr(meta).encode(), digest_size=16)
+            meta = {**self._meta(), "dtype": self.dtype.str}
+            digest = hashlib.blake2b(repr(tuple(meta.values())).encode(), digest_size=16)
             digest.update(self.state_bytes())
             self._fingerprint = digest.digest()
         return self._fingerprint
@@ -350,7 +347,9 @@ def encode_dense(image, params, mode="standard"):
     vector is ``encode_cls``'s."""
     if mode not in ("standard", "decoupled"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if params.frozen and mode == "standard":
+    if params.frozen:
+        if mode == "decoupled":
+            raise ModeError("decoupled forward is a student-only path; teacher stays standard")
         return DenseFeatures(Tensor(_encode_array(image, params)), (params.grid_side,) * 2)
     seq = patch_embed(image, params)
     for layer in range(params.depth - 1):

@@ -69,8 +69,16 @@ def test_vfm_affinity_scale_invariance():
 
 
 def test_vfm_affinity_zero_norm():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="provider tokens"):
         vfm_affinity(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
+def test_vfm_affinity_refuses_a_token_whose_square_overflows():
+    # 1e200 squared is inf: its unit row would be all zeros off the diagonal
+    toks = np.random.default_rng(2).standard_normal((4, 3))
+    toks[1, 0] = 1e200
+    with pytest.raises(EvaluationError):
+        vfm_affinity(toks)
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)

@@ -103,7 +103,7 @@ def test_segment_validation():
         segment_training_free(dense_of(np.ones((4, 4)), (2, 2)), classes, out_res=1)
     feats = np.ones((4, 4))
     feats[2] = 0.0
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="dense features"):
         segment_training_free(dense_of(feats, (2, 2)), classes, out_res=2)
 
 

@@ -89,8 +89,9 @@ def test_tensor_op_caller_finder():
 
 
 def test_every_tensor_op_has_a_caller():
-    """An engine op that nothing in the package calls, gradcheck included, is
-    dead code: delete it with its last caller."""
+    """An engine op that no model code calls is dead code: delete it with its
+    last caller. A gradcheck entry alone does not keep an op alive."""
     sources = {p.name: p.read_text(encoding="utf-8")
-               for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
+               for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")
+               if p.name != "gradcheck.py"}
     assert tensor_ops_without_caller(sources) == []

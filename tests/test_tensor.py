@@ -329,7 +329,7 @@ def test_backward_deterministic_bitwise():
         x = T.Tensor(a, requires_grad=True)
         y = T.Tensor(b, requires_grad=True)
         z = T.softmax_rows(T.matmul(x, T.transpose(y)))
-        T.backward(T.mean_all(T.mul(z, T.cosine_matrix(x, y))))
+        T.backward(T.sum_all(T.mul(z, T.cosine_matrix(x, y))))
         return x.grad.tobytes(), y.grad.tobytes()
 
     assert run() == run()
@@ -350,7 +350,7 @@ def _mixed_graph(x, y, z):
     """A scalar over three leaves through most op kinds, two of them shared."""
     s = T.softmax_rows(T.matmul(x, T.transpose(y)))
     c = T.cosine_matrix(x, z)
-    return T.mean_all(T.add(T.mul(s, c), T.mul_scalar(T.matmul(s, z), 0.5)))
+    return T.sum_all(T.add(T.mul(s, c), T.mul_scalar(T.matmul(s, z), 0.5)))
 
 
 def test_every_node_with_parents_requires_grad():
@@ -404,7 +404,7 @@ def test_backward_accumulates_across_calls():
 
 # every op that records a gradient rule, by the function that defines it
 _RULE_OPS = {"add", "sub", "mul", "div", "add_scalar", "mul_scalar", "sqrt", "gelu",
-             "matmul", "transpose", "sum_all", "mean_all", "sum_rows",
+             "matmul", "transpose", "sum_all", "sum_rows",
              "concat_rows", "slice_rows", "concat_cols", "slice_cols", "tokens_to_chw", "softmax_rows", "head_scores",
              "head_mix", "cosine_matrix", "kl_rows", "roi_align"}
 

@@ -593,7 +593,8 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
     ("adam.v.cls", None, r"adam\.m\.cls"), ("adam.v.cls", np.zeros((3, 3)), r"adam\.v\.cls"),
     ("step", None, "'step'"), ("step", np.zeros(2, dtype=np.int32), "'step'"),
     ("seed", None, "'seed'"), ("seed", np.zeros(2, dtype=np.int32), "'seed'"),
-    ("optim", None, "'optim'"), ("optim", np.zeros(5), "'optim'")])
+    ("optim", None, "'optim'"), ("optim", np.zeros(5), "'optim'"),
+    ("step", np.array([-2], dtype=np.int32), "'step' holds -2")])
 def test_restore_rejects_bad_moment_or_step_section(tmp_path, section, value, named):
     path = str(tmp_path / "ckpt.dten")
     source = Distiller(desk_cfg(tmp_path))

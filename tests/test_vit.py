@@ -192,6 +192,17 @@ def test_decoupled_rejects_frozen():
         vit.decoupled_block(T.Tensor(np.zeros((2, 8))), p)
 
 
+def test_frozen_decoupled_encode_runs_no_block(monkeypatch):
+    p = tiny_params(depth=3, width=8, heads=2, res=8, patch=4).freeze()
+    calls = []
+    for name in ("patch_embed", "attention_block", "decoupled_block", "_encode_array"):
+        monkeypatch.setattr(vit, name, lambda *a, name=name, run=getattr(vit, name):
+                            calls.append(name) or run(*a))
+    with pytest.raises(ModeError):
+        vit.encode_dense(rand_image(np.random.default_rng(7), 8), p, "decoupled")
+    assert calls == []
+
+
 def test_decoupled_attn_context_row_stochastic():
     # the encoder's context stream is the image-token rows of the block's,
     # whose per-head self-attention maps are row-stochastic
@@ -352,12 +363,27 @@ def test_fingerprint_identifies_frozen_weights_and_normalisation():
     assert twin.freeze().fingerprint() != p.fingerprint()
 
 
+def test_clone_is_a_trainable_copy_sharing_no_array():
+    p = VitParams(patch_size=4, depth=2, width=8, heads=2, input_res=8, embed_dim=4,
+                  pixel_std=0.25, seed=3, dtype=np.float32)
+    p.set_trainable_layers(1)
+    p.freeze()
+    twin = p.clone()
+    assert not twin.frozen and twin.state_bytes() == p.state_bytes()
+    assert twin._meta() == p._meta()
+    source = dict(p.named_parameters())
+    assert [name for name, _ in twin.named_parameters()] == list(source)
+    for name, t in twin.named_parameters():
+        assert t.requires_grad and t.data.flags.writeable, name
+        assert not np.shares_memory(t.data, source[name].data), name
+
+
 def test_gradients_reach_every_decoupled_parameter():
     p = tiny_params(depth=2, width=8, heads=2, res=8, patch=4, embed=4, seed=5)
     img = rand_image(np.random.default_rng(15), 8)
     enc = vit.encode_dense(img, p, "decoupled")
-    loss = T.add(T.mean_all(T.mul(enc.tokens, enc.tokens)),
-                 T.mean_all(T.cosine_matrix(enc.context, enc.context)))
+    loss = T.add(T.sum_all(T.mul(enc.tokens, enc.tokens)),
+                 T.sum_all(T.cosine_matrix(enc.context, enc.context)))
     T.backward(loss)
     last = p.depth - 1
     unused = {f"block{last}.{f}" for f in ("wk", "bk", "w1", "b1", "w2", "b2", "ln2_s", "ln2_o")}
@@ -387,8 +413,8 @@ def _decoupled_graph(monkeypatch):
     tracemalloc.start()
     try:
         enc = vit.encode_dense(img, p, "decoupled")
-        loss = T.add(T.mean_all(T.mul(enc.tokens, enc.tokens)),
-                     T.mean_all(T.mul(enc.context, enc.context)))
+        loss = T.add(T.sum_all(T.mul(enc.tokens, enc.tokens)),
+                     T.sum_all(T.mul(enc.context, enc.context)))
         del enc
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
@@ -420,12 +446,12 @@ def test_block_gradients_pass_finite_differences():
     x = T.Tensor(np.random.default_rng(16).standard_normal((3, 4)))
 
     def f_std(t):
-        return T.mean_all(T.mul(vit.attention_block(t, p, 0), vit.attention_block(t, p, 0)))
+        return T.sum_all(T.mul(vit.attention_block(t, p, 0), vit.attention_block(t, p, 0)))
 
     def f_dec(t):
         context, content = vit.decoupled_block(t, p)
-        return T.add(T.mean_all(T.mul(content, content)),
-                     T.mean_all(T.mul(context, context)))
+        return T.add(T.sum_all(T.mul(content, content)),
+                     T.sum_all(T.mul(context, context)))
 
     assert finite_diff_check(f_std, [x], name="attention-block").passed
     assert finite_diff_check(f_dec, [x], name="decoupled-block").passed
@@ -440,9 +466,9 @@ def _block_outputs_and_grads(p, x0, block):
         q.grad = None
     x = T.Tensor(x0.copy(), requires_grad=True)
     outs = (vit.attention_block(x, p, 0),) if block == "standard" else vit.decoupled_block(x, p)
-    loss = T.mean_all(T.mul(outs[0], outs[0]))
+    loss = T.sum_all(T.mul(outs[0], outs[0]))
     for out in outs[1:]:
-        loss = T.add(loss, T.mean_all(T.mul(out, out)))
+        loss = T.add(loss, T.sum_all(T.mul(out, out)))
     T.backward(loss)
     grads = {name: q.grad for name, q in p.named_parameters() if q.grad is not None}
     grads["x"] = x.grad
@@ -488,12 +514,12 @@ def test_head_groups_pass_finite_differences(monkeypatch):
     x = T.Tensor(np.random.default_rng(26).standard_normal((3, 4)))
 
     def f_std(t):
-        return T.mean_all(T.mul(vit.attention_block(t, p, 0), vit.attention_block(t, p, 0)))
+        return T.sum_all(T.mul(vit.attention_block(t, p, 0), vit.attention_block(t, p, 0)))
 
     def f_dec(t):
         context, content = vit.decoupled_block(t, p)
-        return T.add(T.mean_all(T.mul(content, content)),
-                     T.mean_all(T.mul(context, context)))
+        return T.add(T.sum_all(T.mul(content, content)),
+                     T.sum_all(T.mul(context, context)))
 
     groups = _spy_groups(monkeypatch)
     assert finite_diff_check(f_std, [x], name="grouped-attention-block").passed
@@ -525,8 +551,8 @@ def test_paper_shape_blocks_stay_within_their_memory_bound():
     try:
         x = T.Tensor(x0, requires_grad=True)
         context, content = vit.decoupled_block(vit.attention_block(x, p, 0), p)
-        T.backward(T.add(T.mean_all(T.mul(content, content)),
-                         T.mean_all(T.mul(context, context))))
+        T.backward(T.add(T.sum_all(T.mul(content, content)),
+                         T.sum_all(T.mul(context, context))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
