@@ -461,15 +461,22 @@ def _softmax_rows(x, temperature):
     return _softmax(xs, xs.max(axis=1, keepdims=True), None if tau == 1 else xs)
 
 
+def _softmax_back(g, p, out=None):
+    """Gradient wrt the logits of the row softmax p, given the gradient g
+    wrt p: p * (g - rowsum(g * p)), written to ``out`` (None allocates;
+    ``g`` itself works in place)."""
+    dx = np.subtract(g, np.einsum("ij,ij->i", g, p)[:, None], out=out)
+    dx *= p
+    return dx
+
+
 def softmax_rows(x, temperature=1.0):
     """Row softmax at the given temperature, with per-row max subtraction."""
     out = _softmax_rows(x.data, temperature)
     tau = x.data.dtype.type(temperature)
 
     def back(g):
-        # P * (g - rowsum(g * P)) / tau, built in one buffer
-        dx = g - np.einsum("ij,ij->i", g, out)[:, None]
-        dx *= out
+        dx = _softmax_back(g, out)
         if tau != 1:
             dx /= tau
         return (dx,)
@@ -520,23 +527,23 @@ def head_scores(q, k, heads):
     softmax normalizes every head. The scale is applied to the queries,
     not to the score map."""
     _check_heads(q, k, heads, "head_scores")
-    m, c = q.shape
+    c = q.shape[1]
     if k.shape[1] != c or c % heads != 0:
         raise ShapeError(f"head_scores needs equal widths divisible by {heads} heads, "
                          f"got {q.shape} and {k.shape}")
-    scale = _head_scale(q.data, heads)
-    qs = q.data * scale
-    qh, kh = _split_heads(qs, heads), _split_heads(k.data, heads)
-    n = k.shape[0]
+    qs, kd = q.data * _head_scale(q.data, heads), k.data
+    return from_op(_head_scores(qs, kd, heads), (q, k),
+                   lambda g: _head_scores_back(g, qs, kd, heads))
 
-    def back(g):
-        gh = g.reshape(heads, m, n)
-        dq = _merge_heads(gh @ kh)
-        dq *= scale
-        # (q_h^T g_h)^T: BLAS is slower with the (m, n) map as the transposed left operand
-        return (dq, _merge_heads((qh.transpose(0, 2, 1) @ gh).transpose(0, 2, 1)))
 
-    return from_op(_head_scores(qs, k.data, heads), (q, k), back)
+def _head_scores_back(g, qs, k, heads):
+    """Gradients of head_scores wrt its (m, c) queries and (n, c) keys,
+    given the gradient g wrt its (heads*m, n) maps and the scaled queries."""
+    gh = g.reshape(heads, qs.shape[0], k.shape[0])
+    dq = _merge_heads(gh @ _split_heads(k, heads))
+    dq *= _head_scale(qs, heads)
+    # (q_h^T g_h)^T: BLAS is slower with the (m, n) map as the transposed left operand
+    return dq, _merge_heads((_split_heads(qs, heads).transpose(0, 2, 1) @ gh).transpose(0, 2, 1))
 
 
 def _head_mix(p, v, heads):
@@ -554,14 +561,21 @@ def head_mix(p, v, heads):
     if v.shape[0] != n or hm % heads != 0 or v.shape[1] % heads != 0:
         raise ShapeError(f"head_mix needs ({heads}*m, n) maps and (n, c) values with c "
                          f"divisible by {heads}, got {p.shape} and {v.shape}")
-    ph, vh = p.data.reshape(heads, hm // heads, n), _split_heads(v.data, heads)
+    pd, vd = p.data, v.data
+    return from_op(_head_mix(pd, vd, heads), (p, v), lambda g: _head_mix_back(g, pd, vd, heads))
 
-    def back(g):
-        gh = _split_heads(g, heads)
-        return ((gh @ vh.transpose(0, 2, 1)).reshape(hm, n),
-                _merge_heads((gh.transpose(0, 2, 1) @ ph).transpose(0, 2, 1)))
 
-    return from_op(_head_mix(p.data, v.data, heads), (p, v), back)
+def _head_mix_back(g, p, v, heads, out=None):
+    """Gradients of head_mix wrt its (heads*m, n) maps, written to ``out``
+    (None allocates), and wrt its (n, c) values, given the (m, c) output
+    gradient g."""
+    hm, n = p.shape
+    if out is None:
+        out = np.empty((hm, n), g.dtype)
+    gh = _split_heads(g, heads)
+    np.matmul(gh, _split_heads(v, heads).transpose(0, 2, 1), out=out.reshape(heads, hm // heads, n))
+    return out, _merge_heads((gh.transpose(0, 2, 1) @ p.reshape(heads, hm // heads, n))
+                             .transpose(0, 2, 1))
 
 
 def _unit_rows_back(gn, n, norm):

@@ -25,7 +25,8 @@ MLP_RATIO = 2
 # largest score map an attention builds at once. The frozen forward keeps
 # the map resident by writing every head group's scores into one workspace
 # per call (faulted in once, not per head); the student's Tensor path
-# allocates one map per group, which its graph frees after the softmax
+# allocates a score and a probability map per group, both freed when the
+# attention returns, and its backward recomputes them in two workspaces
 HEAD_GROUP_BYTES = 16 * 2 ** 20
 # VitParams' constructor arguments but the seed, in the order its
 # fingerprint digests them
@@ -238,17 +239,49 @@ def _head_group(heads, m, n, itemsize):
 
 def _multi_head(q, k, v, heads):
     """Multi-head attention over head groups of _head_group's size, each
-    group on its column block of q, k and v; the blocks are joined."""
+    group on its column block of q, k and v; the blocks are joined. A result
+    that needs a gradient is one graph record over (q, k, v), so the ops'
+    records, and the probability maps they hold, are freed on return."""
     group = _head_group(heads, q.shape[0], k.shape[0], q.data.itemsize)
     if group == heads:
-        return T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
+        out = T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
+    else:
+        d = q.shape[1] // heads
+        parts = []
+        for h in range(0, heads, group):
+            start, stop = h * d, (h + group) * d
+            scores = T.head_scores(T.slice_cols(q, start, stop), T.slice_cols(k, start, stop),
+                                   group)
+            parts.append(T.head_mix(T.softmax_rows(scores), T.slice_cols(v, start, stop), group))
+        out = T.concat_cols(parts)
+    if not out.requires_grad:
+        return out
+    return T.from_op(out.data, (q, k, v), _attention_back(q.data, k.data, v.data, heads, group))
+
+
+def _attention_back(q, k, v, heads, group):
+    """Gradient rule of _multi_head: each head group's probabilities are
+    recomputed from q and k with the forward's kernels in one (group*m, n)
+    workspace, and the backward of head_mix, softmax_rows and head_scores
+    runs in place in a second. Each group reads contiguous column blocks,
+    as the forward's slice_cols gives them, so the BLAS calls match."""
     d = q.shape[1] // heads
-    parts = []
-    for h in range(0, heads, group):
-        start, stop = h * d, (h + group) * d
-        scores = T.head_scores(T.slice_cols(q, start, stop), T.slice_cols(k, start, stop), group)
-        parts.append(T.head_mix(T.softmax_rows(scores), T.slice_cols(v, start, stop), group))
-    return T.concat_cols(parts)
+
+    def back(g):
+        qs = q * T._head_scale(q, heads)
+        p = np.empty((group * q.shape[0], k.shape[0]), q.dtype)
+        w = np.empty_like(p)
+        grads = []
+        for h in range(0, heads, group):
+            qh, kh, vh, gh = (np.ascontiguousarray(a[:, h * d:(h + group) * d])
+                              for a in (qs, k, v, g))
+            T._head_scores(qh, kh, group, out=p)
+            T._softmax(p, p.max(axis=1, keepdims=True), p)
+            _, dv = T._head_mix_back(gh, p, vh, group, out=w)
+            grads.append((*T._head_scores_back(T._softmax_back(w, p, out=w), qh, kh, group), dv))
+        return [np.concatenate(blocks, axis=1) for blocks in zip(*grads)]
+
+    return back
 
 
 def attention_block(x, params, layer, queries=None):

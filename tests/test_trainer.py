@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from densedistill import tensor as T
-from densedistill import regions, trainer
+from densedistill import regions, trainer, vit
 from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
@@ -698,6 +698,14 @@ def test_checkpoint_with_missing_or_short_section_rejected(tmp_path, capsys, sec
     assert run_cli(["eval-seg", "--checkpoint", path, "--manifest", manifest,
                     "--classes", classes]) == 1
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_checkpoint_sections_name_every_constructor_field_once():
+    # the sections' field order is a file format of its own; a VitParams
+    # field missing from it would not round-trip through a checkpoint
+    held = trainer._META_FIELDS + trainer._PIXEL_FIELDS
+    assert len(set(held)) == len(held)
+    assert sorted(held) == sorted(vit._META)
 
 
 @pytest.mark.parametrize("where,name,value", [

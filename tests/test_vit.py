@@ -396,19 +396,25 @@ def test_gradients_reach_every_decoupled_parameter():
 
 def _decoupled_graph(monkeypatch):
     """A 24x24-token, depth-2 trainable student's decoupled forward and a
-    loss over both streams, with weakrefs to every score map it built and
-    the bytes held once only the loss is alive."""
+    loss over both streams, with weakrefs to every score map and every
+    probability map it built, by op name, and the bytes held once only the
+    loss is alive."""
     p = tiny_params(depth=2, width=32, heads=4, res=96, patch=4, seed=7)
     img = rand_image(np.random.default_rng(20), 96)
-    maps = []
-    head_scores = T.head_scores
+    maps = {"head_scores": [], "softmax_rows": []}
 
-    def spy(*args):
-        out = head_scores(*args)
-        maps.append(weakref.ref(out.data))
-        return out
+    def spy(name):
+        op = getattr(T, name)
 
-    monkeypatch.setattr(T, "head_scores", spy)
+        def spied(*args):
+            out = op(*args)
+            maps[name].append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, name, spied)
+
+    spy("head_scores")
+    spy("softmax_rows")
     gc.collect()
     tracemalloc.start()
     try:
@@ -425,20 +431,29 @@ def _decoupled_graph(monkeypatch):
 
 def test_graph_holds_no_score_map(monkeypatch):
     p, loss, maps, _ = _decoupled_graph(monkeypatch)
-    assert loss.requires_grad and len(maps) == p.depth
-    assert [m() for m in maps if m() is not None] == []  # no backward rule reads them
+    scores = maps["head_scores"]
+    assert loss.requires_grad and len(scores) == p.depth
+    assert [m() for m in scores if m() is not None] == []  # no backward rule reads them
+
+
+def test_graph_holds_no_probability_map(monkeypatch):
+    # each attention is one record over (q, k, v) whose backward recomputes
+    # its probabilities, so no softmax_rows output outlives the forward
+    p, loss, maps, _ = _decoupled_graph(monkeypatch)
+    probs = maps["softmax_rows"]
+    assert loss.requires_grad and len(probs) == p.depth
+    assert [m() for m in probs if m() is not None] == []
 
 
 def test_graph_bytes_stay_within_what_backward_reads(monkeypatch):
     p, loss, _, held = _decoupled_graph(monkeypatch)
     assert loss.requires_grad
     n = p.grid_side ** 2 + 1
-    prob_map = p.heads * n * n * 8
     token_rows = n * p.width * 8
-    # per block: its probability map and a few dozen (n, width) activations
-    # (layer norms, projections, the 4x-wide MLP); a kept score map alone
-    # would add another map per block
-    assert held <= p.depth * (prob_map + 32 * token_rows), held
+    # per block: a few dozen (n, width) activations (layer norms,
+    # projections, the 4x-wide MLP); a kept score or probability map alone
+    # would add a (heads*n, n) map per block, over twice this budget here
+    assert held <= p.depth * 32 * token_rows, held
 
 
 def test_block_gradients_pass_finite_differences():
@@ -496,10 +511,10 @@ def test_head_groups_match_the_all_heads_map(monkeypatch, block):
     x0 = np.random.default_rng(24).standard_normal((5, 8))
     groups = _spy_groups(monkeypatch)
     ref_outs, ref_grads = _block_outputs_and_grads(p, x0, block)
-    assert groups == [4]
+    assert groups == [4, 4]  # the forward's map, then backward's recompute
     monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
     outs, grads = _block_outputs_and_grads(p, x0, block)
-    assert groups == [4, 1, 1, 1, 1]
+    assert groups == [4, 4, 1, 1, 1, 1, 1, 1, 1, 1]
     assert [o.tobytes() for o in outs] == [o.tobytes() for o in ref_outs]
     assert grads.keys() == ref_grads.keys()
     largest = max(np.abs(g).max() for g in ref_grads.values())
@@ -525,6 +540,57 @@ def test_head_groups_pass_finite_differences(monkeypatch):
     assert finite_diff_check(f_std, [x], name="grouped-attention-block").passed
     assert finite_diff_check(f_dec, [x], name="grouped-decoupled-block").passed
     assert set(groups) == {1}
+
+
+def _composed_attention(q, k, v, heads, group):
+    """The ops' composition that _multi_head runs forward and records under
+    one rule: head_scores -> softmax_rows -> head_mix per head group, the
+    groups' column blocks joined by concat_cols."""
+    if group == heads:
+        return T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
+    d = q.shape[1] // heads
+    parts = []
+    for h in range(0, heads, group):
+        start, stop = h * d, (h + group) * d
+        scores = T.head_scores(T.slice_cols(q, start, stop), T.slice_cols(k, start, stop), group)
+        parts.append(T.head_mix(T.softmax_rows(scores), T.slice_cols(v, start, stop), group))
+    return T.concat_cols(parts)
+
+
+def _attention_grads(attend, arrays, shared, weights):
+    """Output and leaf gradients of sum(attend(q, k, v) * weights) on fresh
+    leaves; with ``shared`` the queries are the keys, one leaf."""
+    q, k, v = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+    leaves = (q, v) if shared else (q, k, v)
+    out = attend(q, q if shared else k, v)
+    T.backward(T.sum_all(T.mul(out, T.Tensor(weights))))
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("m,group,shared,dtype", [
+    (9, 4, False, np.float64), (9, 1, False, np.float64), (9, 4, True, np.float64),
+    (1, 4, False, np.float64), (1, 1, False, np.float64), (9, 1, True, np.float32)],
+    ids=["all-heads", "one-head", "q-is-k", "cls-only", "cls-only-one-head", "f32"])
+def test_recomputing_attention_rule_matches_the_composed_ops_bitwise(monkeypatch, m, group,
+                                                                     shared, dtype):
+    # m = 1 is the CLS-only query row; with shared keys the two gradients
+    # meet in q in the same order as at the composition's head_scores
+    heads, n, width = 4, 9, 8
+    if group == 1:
+        monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    assert vit._head_group(heads, m, n, np.dtype(dtype).itemsize) == group
+    rng = np.random.default_rng(32)
+    arrays = [rng.standard_normal((rows, width)).astype(dtype) for rows in (n if shared else m,
+                                                                            n, n)]
+    weights = rng.standard_normal((n if shared else m, width)).astype(dtype)
+    out, grads = _attention_grads(lambda q, k, v: vit._multi_head(q, k, v, heads), arrays,
+                                  shared, weights)
+    ref_out, ref_grads = _attention_grads(
+        lambda q, k, v: _composed_attention(q, k, v, heads, group), arrays, shared, weights)
+    assert out.dtype == ref_out.dtype == dtype and out.tobytes() == ref_out.tobytes()
+    assert len(grads) == len(ref_grads) == (2 if shared else 3)
+    for name, g, ref in zip("qv" if shared else "qkv", grads, ref_grads):
+        assert g.dtype == dtype and g.tobytes() == ref.tobytes(), name
 
 
 @pytest.mark.parametrize("n,width,heads,group", [(65, 48, 4, 4), (1226, 64, 4, 1)],
