@@ -389,24 +389,6 @@ def slice_rows(a, start, stop):
     return from_op(a.data[start:stop].copy(), (a,), back)
 
 
-def concat_cols(parts):
-    """2-D parts of equal row counts side by side; each part's gradient is
-    its column block of the output gradient."""
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
-        raise ShapeError("concat_cols parts must be 2-D with equal row counts")
-    for p in parts[1:]:
-        _check_same_dtype(parts[0], p)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def back(g):
-        return tuple(np.ascontiguousarray(g[:, start:stop])
-                     for start, stop in zip(offsets[:-1], offsets[1:]))
-
-    return from_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
-
-
 def slice_cols(a, start, stop):
     """Columns [start, stop) of a 2-D tensor, as a contiguous copy."""
     if a.data.ndim != 2:

@@ -518,10 +518,10 @@ def distill_run(cfg, manifest_path=None):
     validate(cfg)
     records = read_manifest(manifest_path or cfg.manifest)
     distiller = Distiller(cfg)
-    prepared = [prepare_record(rec, distiller.vfm, cfg, i)
-                for i, rec in enumerate(records)]
     if cfg.resume:
         restore_into(distiller, cfg.resume)
+    prepared = [prepare_record(rec, distiller.vfm, cfg, i)
+                for i, rec in enumerate(records)]
     start_step = distiller.step_count
     metrics_path = os.path.join(cfg.report_dir, METRICS_NAME)
     lines = _metrics_history(metrics_path, start_step)

@@ -25,8 +25,8 @@ MLP_RATIO = 2
 # largest score map an attention builds at once. The frozen forward keeps
 # the map resident by writing every head group's scores into one workspace
 # per call (faulted in once, not per head); the student's Tensor path
-# allocates a score and a probability map per group, both freed when the
-# attention returns, and its backward recomputes them in two workspaces
+# allocates a score and a probability map per group, both freed before the
+# next group's, and its backward recomputes them in two workspaces
 HEAD_GROUP_BYTES = 16 * 2 ** 20
 # VitParams' constructor arguments but the seed, in the order its
 # fingerprint digests them
@@ -239,24 +239,21 @@ def _head_group(heads, m, n, itemsize):
 
 def _multi_head(q, k, v, heads):
     """Multi-head attention over head groups of _head_group's size, each
-    group on its column block of q, k and v; the blocks are joined. A result
-    that needs a gradient is one graph record over (q, k, v), so the ops'
-    records, and the probability maps they hold, are freed on return."""
+    group on its column block of q, k and v. Only each group's output array
+    is kept, so its score and probability maps are freed before the next
+    group's are built; the joined result is one graph record over (q, k, v)
+    whose rule recomputes the probabilities."""
     group = _head_group(heads, q.shape[0], k.shape[0], q.data.itemsize)
-    if group == heads:
-        out = T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
-    else:
-        d = q.shape[1] // heads
-        parts = []
-        for h in range(0, heads, group):
-            start, stop = h * d, (h + group) * d
-            scores = T.head_scores(T.slice_cols(q, start, stop), T.slice_cols(k, start, stop),
-                                   group)
-            parts.append(T.head_mix(T.softmax_rows(scores), T.slice_cols(v, start, stop), group))
-        out = T.concat_cols(parts)
-    if not out.requires_grad:
-        return out
-    return T.from_op(out.data, (q, k, v), _attention_back(q.data, k.data, v.data, heads, group))
+    d = q.shape[1] // heads
+    parts = []
+    for h in range(0, heads, group):
+        qh, kh, vh = q, k, v
+        if group < heads:
+            qh, kh, vh = (T.slice_cols(a, h * d, (h + group) * d) for a in (q, k, v))
+        scores = T.head_scores(qh, kh, group)
+        parts.append(T.head_mix(T.softmax_rows(scores), vh, group).data)
+    return T.from_op(np.concatenate(parts, axis=1), (q, k, v),
+                     _attention_back(q.data, k.data, v.data, heads, group))
 
 
 def _attention_back(q, k, v, heads, group):

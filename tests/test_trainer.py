@@ -510,6 +510,22 @@ def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
     assert run_cli(["distill", "--config", str(config)]) == 1
 
 
+def test_a_rejected_resume_fails_before_any_record_is_prepared(tmp_path, monkeypatch):
+    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
+    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    prepared = []
+
+    def spied(*args):
+        prepared.append(args)
+        return prepare_record(*args)
+
+    monkeypatch.setattr(trainer, "prepare_record", spied)
+    other = desk_cfg(tmp_path, epochs=2, seed=5, resume=half.checkpoint_path, manifest=manifest)
+    with pytest.raises(ConfigError, match="section 'seed'"):
+        distill_run(other)
+    assert prepared == []
+
+
 @pytest.mark.parametrize("field,value", [("lr", 2e-3), ("beta1", 0.8), ("beta2", 0.99),
                                          ("eps", 1e-6), ("weight_decay", 0.05),
                                          ("batch_size", 1)])

@@ -542,29 +542,65 @@ def test_head_groups_pass_finite_differences(monkeypatch):
     assert set(groups) == {1}
 
 
-def _composed_attention(q, k, v, heads, group):
+@pytest.mark.parametrize("block", ["standard", "decoupled"])
+def test_each_head_group_frees_its_probability_map_before_the_next(monkeypatch, block):
+    # the groups are joined as arrays, so a group's softmax_rows output (held
+    # by head_mix's record) is freed before the next group's scores are built
+    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    p = tiny_params(width=8, heads=4, seed=23)
+    x = T.Tensor(np.random.default_rng(24).standard_normal((5, 8)), requires_grad=True)
+    probs, alive = [], []
+    head_scores, softmax_rows = T.head_scores, T.softmax_rows
+
+    def spied_scores(*args):
+        alive.append(sum(m() is not None for m in probs))
+        return head_scores(*args)
+
+    def spied_softmax(*args):
+        out = softmax_rows(*args)
+        probs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "head_scores", spied_scores)
+    monkeypatch.setattr(T, "softmax_rows", spied_softmax)
+    outs = (vit.attention_block(x, p, 0),) if block == "standard" else vit.decoupled_block(x, p)
+    assert all(out.requires_grad for out in outs)
+    assert len(probs) == p.heads and alive == [0] * p.heads
+
+
+def _composed_attention(q, k, v, heads, group, weights):
     """The ops' composition that _multi_head runs forward and records under
-    one rule: head_scores -> softmax_rows -> head_mix per head group, the
-    groups' column blocks joined by concat_cols."""
-    if group == heads:
-        return T.head_mix(T.softmax_rows(T.head_scores(q, k, heads)), v, heads)
+    one rule: head_scores -> softmax_rows -> head_mix per head group, on the
+    group's column blocks when it holds fewer than all heads. Returns the
+    groups' outputs joined as arrays and the loss sum(output * weights), one
+    term per group."""
     d = q.shape[1] // heads
-    parts = []
+    parts, loss = [], None
     for h in range(0, heads, group):
         start, stop = h * d, (h + group) * d
-        scores = T.head_scores(T.slice_cols(q, start, stop), T.slice_cols(k, start, stop), group)
-        parts.append(T.head_mix(T.softmax_rows(scores), T.slice_cols(v, start, stop), group))
-    return T.concat_cols(parts)
+        qh, kh, vh = q, k, v
+        if group < heads:
+            qh, kh, vh = (T.slice_cols(a, start, stop) for a in (q, k, v))
+        part = T.head_mix(T.softmax_rows(T.head_scores(qh, kh, group)), vh, group)
+        term = T.sum_all(T.mul(part, T.Tensor(weights[:, start:stop])))
+        loss = term if loss is None else T.add(loss, term)
+        parts.append(part.data)
+    return np.concatenate(parts, axis=1), loss
 
 
-def _attention_grads(attend, arrays, shared, weights):
-    """Output and leaf gradients of sum(attend(q, k, v) * weights) on fresh
-    leaves; with ``shared`` the queries are the keys, one leaf."""
+def _multi_head_loss(q, k, v, heads, weights):
+    out = vit._multi_head(q, k, v, heads)
+    return out.data, T.sum_all(T.mul(out, T.Tensor(weights)))
+
+
+def _attention_grads(attend, arrays, shared):
+    """Output and leaf gradients of attend(q, k, v)'s (output, loss) on
+    fresh leaves; with ``shared`` the queries are the keys, one leaf."""
     q, k, v = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
     leaves = (q, v) if shared else (q, k, v)
-    out = attend(q, q if shared else k, v)
-    T.backward(T.sum_all(T.mul(out, T.Tensor(weights))))
-    return out.data, [t.grad for t in leaves]
+    out, loss = attend(q, q if shared else k, v)
+    T.backward(loss)
+    return out, [t.grad for t in leaves]
 
 
 @pytest.mark.parametrize("m,group,shared,dtype", [
@@ -583,10 +619,10 @@ def test_recomputing_attention_rule_matches_the_composed_ops_bitwise(monkeypatch
     arrays = [rng.standard_normal((rows, width)).astype(dtype) for rows in (n if shared else m,
                                                                             n, n)]
     weights = rng.standard_normal((n if shared else m, width)).astype(dtype)
-    out, grads = _attention_grads(lambda q, k, v: vit._multi_head(q, k, v, heads), arrays,
-                                  shared, weights)
+    out, grads = _attention_grads(lambda q, k, v: _multi_head_loss(q, k, v, heads, weights),
+                                  arrays, shared)
     ref_out, ref_grads = _attention_grads(
-        lambda q, k, v: _composed_attention(q, k, v, heads, group), arrays, shared, weights)
+        lambda q, k, v: _composed_attention(q, k, v, heads, group, weights), arrays, shared)
     assert out.dtype == ref_out.dtype == dtype and out.tobytes() == ref_out.tobytes()
     assert len(grads) == len(ref_grads) == (2 if shared else 3)
     for name, g, ref in zip("qv" if shared else "qkv", grads, ref_grads):
@@ -607,9 +643,10 @@ def test_array_and_tensor_attention_pick_the_same_groups(monkeypatch, n, width, 
 
 def test_paper_shape_blocks_stay_within_their_memory_bound():
     # one attention block and the decoupled block at 1226 tokens, forward and
-    # backward: one (4*1226, 1226) f64 map is 48 MiB, and with all four heads
-    # in one map the traced peak is about 200 MiB; one head per map keeps it
-    # near 135 MiB
+    # backward: one (1226, 1226) f64 map is 11.5 MiB. One head per map, each
+    # group's maps freed before the next, peaks at 43.1 MiB; a forward that
+    # holds every group's probability map until the join peaks at 74.3 MiB,
+    # and a graph that keeps them near 134 MiB
     p = VitParams(patch_size=16, depth=2, width=64, heads=4, input_res=560, seed=28)
     x0 = np.random.default_rng(29).standard_normal((1226, 64))
     gc.collect()
@@ -623,7 +660,7 @@ def test_paper_shape_blocks_stay_within_their_memory_bound():
     finally:
         tracemalloc.stop()
     assert x.grad is not None
-    assert peak < 160 * 2 ** 20, peak / 2 ** 20
+    assert peak < 60 * 2 ** 20, peak / 2 ** 20
 
 
 def test_frozen_attention_holds_one_score_map_at_paper_shape():
