@@ -30,8 +30,10 @@ class SdAttentionStack:
         shape = self.maps.shape
         if len(shape) != 3 or shape[0] < 1 or shape[1] != shape[2]:
             raise ShapeError(f"stack {shape} is not (L, N, N)")
-        if self.maps.min() < 0.0 or np.abs(self.maps.sum(axis=2) - 1.0).max() > 1e-6:
-            raise DistributionError("every stack slice must be row-stochastic")
+        # stated as what must hold, so that a NaN, which fails every
+        # comparison, fails it too
+        if not (self.maps.min() >= 0.0 and np.abs(self.maps.sum(axis=2) - 1.0).max() <= 1e-6):
+            raise DistributionError("every stack slice must be finite and row-stochastic")
 
 
 def vfm_affinity(tokens):

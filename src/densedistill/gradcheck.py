@@ -16,7 +16,6 @@ DEFAULT_TOL = 1e-4
 @dataclass
 class GradCheckReport:
     name: str
-    h: float
     tol: float
     max_rel_errors: list = field(default_factory=list)  # one per checked input
     passed: bool = True
@@ -62,7 +61,7 @@ def finite_diff_check(f, inputs, h=DEFAULT_H, tol=DEFAULT_TOL, name="f"):
     # graph-free probes: the op layer drops backward records for no-grad inputs
     for t in inputs:
         t.requires_grad = False
-    report = GradCheckReport(name=name, h=h, tol=tol)
+    report = GradCheckReport(name=name, tol=tol)
     try:
         for t, ga in zip(inputs, g_ad):
             flat = t.data.reshape(-1)
@@ -104,7 +103,7 @@ def run_gradcheck_suite(seed=0):
         try:
             reports.append(finite_diff_check(f, inputs, name=name))
         except Exception as exc:
-            reports.append(GradCheckReport(name=name, h=DEFAULT_H, tol=DEFAULT_TOL, passed=False,
+            reports.append(GradCheckReport(name=name, tol=DEFAULT_TOL, passed=False,
                                            error=f"{type(exc).__name__}: {exc}"))
 
     def t(*shape, scale=1.0):

@@ -78,7 +78,7 @@ def rcc_loss(region_students, provider_rows, tau):
     for f_s, rows in zip(region_students, provider_rows):
         if rows.ndim != 2 or rows.shape[0] != f_s.shape[0]:
             raise ShapeError(f"region row counts differ: {f_s.shape} vs {rows.shape}")
-        unit, _ = T._unit_rows(rows)
+        unit, _ = T._unit_rows(rows, "provider region rows")
         r_clip = T.cosine_matrix(f_s, f_s)
         p = T._finite(T._softmax_rows(unit @ np.ascontiguousarray(unit.T), tau))
         term = T.kl_rows(p, T.softmax_rows(r_clip, tau))

@@ -30,10 +30,6 @@ class CropBox:
         if not (0.0 <= self.x0 < self.x1 <= 1.0 and 0.0 <= self.y0 < self.y1 <= 1.0):
             raise ParameterError(f"box {self} must sit inside the unit square with positive area")
 
-    @property
-    def area(self):
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 FULL_BOX = CropBox(0.0, 0.0, 1.0, 1.0)
 

@@ -76,14 +76,12 @@ class Tensor:
         return None if self._node is None else self._node._backward
 
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _fail_scalar(self)
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def _fail_scalar(t):
-    raise ShapeError(f"item() needs a single-element tensor, got shape {t.shape}")
 
 
 def _is_number(x):
@@ -566,7 +564,7 @@ def _unit_rows_back(gn, n, norm):
     return (gn - n * np.einsum("ij,ij->i", gn, n)[:, None]) / norm
 
 
-def _unit_rows(x, what="first argument"):
+def _unit_rows(x, what):
     """Array kernel of cosine_matrix: x's rows scaled to unit length, and their
     norms; a zero row of ``what`` raises, and so does a square that overflows
     (an infinite norm, a zero cosine)."""

@@ -259,6 +259,8 @@ def prepare_record(rec, vfm, cfg, index):
         if maps.ndim != 3 or maps.shape[1:] != (n, n):
             raise ConfigError(f"{rec.sd_path}: section 'maps' has shape {maps.shape}, "
                               f"expected (maps, {n}, {n}) for {n} provider tokens")
+        if not np.isfinite(maps).all():
+            raise ConfigError(f"{rec.sd_path}: section 'maps' holds non-finite values")
         sd_stack = SdAttentionStack(maps=maps)
     else:
         if segments.size != n:
@@ -272,10 +274,11 @@ def prepare_record(rec, vfm, cfg, index):
 
 
 class Distiller:
-    """Student + frozen twins + optimizer; one instance per training run."""
+    """Student + frozen twins + optimizer; one instance per training run, of
+    a validated config."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
+        self.cfg = validate(cfg)
         self.student, self.teacher, self.vfm = build_models(cfg)
         self.optimizer = AdamW(self.student.named_parameters(), lr=cfg.lr,
                                weight_decay=cfg.weight_decay, beta1=cfg.beta1,
@@ -433,15 +436,13 @@ def load_student(path):
 
 def restore_into(distiller, path):
     """Load a checkpoint's parameters, optimizer moments and step counter into
-    a distiller; parameters are matched by name and must agree in shape, the
-    checkpoint's seed must be the run's, which the frozen twins and the step
-    randomness are built from, and its optimizer settings and batch size must
-    be the run's, and its moments must cover exactly the run's trainable
-    parameters. Its meta and pixel fields must be the run's student's."""
-    sections = read_tensor(path)
-    params = dict(distiller.student.named_parameters())
-    _check_params(path, sections, {name: p.shape for name, p in params.items()})
-    stored = _stored_fields(path, sections)
+    a distiller. The file is read and checked by ``load_student``; then its
+    meta and pixel fields must be the run's student's, its seed the run's
+    (the frozen twins and the step randomness are built from it), its
+    optimizer settings and batch size the run's, and its moments must cover
+    exactly the run's trainable parameters."""
+    loaded, sections = load_student(path)
+    stored = _student_fields(loaded)
     for name, value in _student_fields(distiller.student).items():
         if stored[name] != value:
             where = "meta" if name in _META_FIELDS else "pixel"
@@ -466,8 +467,8 @@ def restore_into(distiller, path):
         where = "the run" if unmatched[0] in moments else "the checkpoint"
         raise ConfigError(f"{path}: optimizer moments of parameter {unmatched[0]!r} are missing "
                           f"from {where}: the two train different parameters (trainable_layers)")
-    for name, p in params.items():
-        p.data = sections[f"param.{name}"].astype(p.data.dtype)
+    for (_, p), (_, held) in zip(distiller.student.named_parameters(), loaded.named_parameters()):
+        p.data = held.data
     for name, p in opt.params:
         opt.m[name] = sections[f"adam.m.{name}"].astype(p.data.dtype)
         opt.v[name] = sections[f"adam.v.{name}"].astype(p.data.dtype)
@@ -511,13 +512,12 @@ def _metrics_history(path, start_step):
     return lines[:start_step]
 
 
-def distill_run(cfg, manifest_path=None):
+def distill_run(cfg):
     """Train for cfg.epochs passes over the manifest, one optimizer step per
     batch, writing the metrics log, config echo, and a final checkpoint. A
     resumed run keeps the log's lines of the steps before it."""
-    validate(cfg)
-    records = read_manifest(manifest_path or cfg.manifest)
     distiller = Distiller(cfg)
+    records = read_manifest(cfg.manifest)
     if cfg.resume:
         restore_into(distiller, cfg.resume)
     prepared = [prepare_record(rec, distiller.vfm, cfg, i)

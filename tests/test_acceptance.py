@@ -14,7 +14,7 @@ from densedistill.config import RunConfig
 from densedistill.container import read_tensor, write_tensor
 from densedistill.evalsuite import (ablation_coupled_vs_decoupled, class_prototypes,
                                     evaluate_on_suite, miou, prepare_suite,
-                                    shipped_ablation_config, top1_macc, train_variant)
+                                    shipped_ablation_config, top1_macc)
 from densedistill.gradcheck import run_gradcheck_suite
 from densedistill.regions import CropBox, roi_align, weighted_region_pool
 from densedistill.synthdata import make_suite, write_suite
@@ -260,7 +260,8 @@ def shipped_results():
     raw_cfg = replace(cfg, use_sd_completion=False)
     probe = Distiller(cfg)
     classes = class_prototypes(probe.teacher, suite.colors)
-    raw_variant = train_variant(raw_cfg, prepare_suite(suite, probe, raw_cfg), "decoupled")
+    raw_variant = Distiller(raw_cfg)
+    train(raw_variant, prepare_suite(suite, probe, raw_cfg), raw_cfg.epochs)
     raw = evaluate_on_suite(raw_variant.student, suite, classes, raw_cfg, "decoupled")
     return ablation, raw
 

@@ -124,6 +124,14 @@ def test_fuse_rejects_non_stochastic():
         SdAttentionStack(maps=np.ones((1, 3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stack_rejects_non_finite_maps(bad):
+    maps = np.full((2, 4, 4), 0.25)
+    maps[1, 2, 3] = bad
+    with pytest.raises(DistributionError, match="finite and row-stochastic"):
+        SdAttentionStack(maps=maps)
+
+
 @pytest.mark.parametrize("shape", [(4, 4), (0, 4, 4), (2, 4, 3)])
 def test_stack_rejects_a_shape_other_than_l_n_n(shape):
     with pytest.raises(ShapeError):

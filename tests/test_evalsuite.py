@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from densedistill.config import RunConfig
 from densedistill.container import write_tensor
-from densedistill.errors import DegenerateInputError, ParameterError, ShapeError
+from densedistill.errors import DegenerateInputError, EvaluationError, ParameterError, ShapeError
 from densedistill.evalsuite import (
     ClassEmbeddings,
     ablation_coupled_vs_decoupled,
@@ -216,6 +216,21 @@ def test_region_empty_mask_rejected():
     for region in ([[True, True], [False, False]], FULL_BOX):
         with pytest.raises(DegenerateInputError, match="zero-norm region vector"):
             region_classify(dense, [region], classes, n=2)
+
+
+@pytest.mark.parametrize("region", [FULL_BOX, np.ones((2, 2), dtype=bool)], ids=["box", "mask"])
+def test_region_vector_whose_norm_overflows_is_refused(region):
+    # one 1e200 token along class b: its region's mean is finite, but the
+    # mean's square overflows, which once scored every class 0 and said "a"
+    feats = np.zeros((4, 3))
+    feats[:, 0] = 1.0
+    feats[0, 1] = 1e200
+    dense = dense_of(feats, (2, 2))
+    classes = ClassEmbeddings(names=["a", "b"], vectors=np.eye(2, 3))
+    with pytest.raises(EvaluationError):
+        segment_training_free(dense, classes, 2)
+    with pytest.raises(EvaluationError, match="region vector norm overflows"):
+        region_classify(dense, [region], classes, n=2)
 
 
 def test_region_masks_are_connected_components():

@@ -247,6 +247,8 @@ def test_teacher_operands_keep_their_error_classes():
                        (rows[:3], ShapeError), (rows[0], ShapeError)):
         with pytest.raises(error):
             rcc_loss([student], [bad], 1.0)
+    with pytest.raises(DegenerateInputError, match="zero-norm row in provider region rows"):
+        rcc_loss([student], [zero], 1.0)
     for tau in (0.0, -1.0):
         with pytest.raises(ParameterError):
             rcc_loss([student], [rows], tau)

@@ -78,7 +78,7 @@ def test_sample_grid_partition():
     rng = np.random.default_rng(1)
     for _ in range(20):
         boxes = sample_grid(rng, 2, 3)
-        assert abs(sum(b.area for b in boxes) - 1.0) < 1e-12
+        assert abs(sum((b.x1 - b.x0) * (b.y1 - b.y0) for b in boxes) - 1.0) < 1e-12
         # disjoint: pairwise overlap area is zero
         for i, a in enumerate(boxes):
             for b in boxes[i + 1:]:

@@ -16,9 +16,9 @@ from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
 from densedistill.errors import ConfigError, EvaluationError
-from densedistill.evalsuite import (class_prototypes, prepare_suite, save_class_embeddings,
-                                    shipped_ablation_config,
-                                    train_variant)
+from densedistill.evalsuite import (ablation_coupled_vs_decoupled, class_prototypes,
+                                    prepare_suite, save_class_embeddings,
+                                    shipped_ablation_config)
 from densedistill.losses import content_cos_loss, context_loss, rcc_loss, total_loss
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
 from densedistill.tensor import Tensor
@@ -437,7 +437,7 @@ def test_losses_finite_and_consistent(tmp_path):
 def test_epochs_zero_checkpoint_equals_init(tmp_path):
     cfg = desk_cfg(tmp_path, epochs=0)
     suite, manifest = desk_suite(tmp_path, cfg)
-    result = distill_run(cfg, manifest)
+    result = distill_run(replace(cfg, manifest=manifest))
     student, _ = load_student(result.checkpoint_path)
     assert student.state_bytes() == Distiller(cfg).student.state_bytes()
     assert open(result.metrics_path).read() == ""
@@ -446,30 +446,30 @@ def test_epochs_zero_checkpoint_equals_init(tmp_path):
 def test_distill_run_writes_outputs_and_is_deterministic(tmp_path):
     cfg = desk_cfg(tmp_path, epochs=1)
     suite, manifest = desk_suite(tmp_path, cfg)
-    result = distill_run(cfg, manifest)
+    result = distill_run(replace(cfg, manifest=manifest))
     metrics1 = open(result.metrics_path).read()
     assert len(result.reports) == 2  # 4 images / batch 2
     assert os.path.exists(os.path.join(cfg.report_dir, "effective_config.txt"))
-    result2 = distill_run(cfg, manifest)
+    result2 = distill_run(replace(cfg, manifest=manifest))
     assert open(result2.metrics_path).read() == metrics1
 
 
 def test_resume_reproduces_next_step_bitwise(tmp_path):
     cfg_full = desk_cfg(tmp_path, epochs=2)
     suite, manifest = desk_suite(tmp_path, cfg_full)
-    full = distill_run(cfg_full, manifest)
+    full = distill_run(replace(cfg_full, manifest=manifest))
 
     half_dir = tmp_path / "half"
     cfg_half = desk_cfg(tmp_path, epochs=1,
                         checkpoint_dir=str(half_dir / "ckpt"),
                         report_dir=str(half_dir / "rep"))
-    half = distill_run(cfg_half, manifest)
+    half = distill_run(replace(cfg_half, manifest=manifest))
 
     resumed_dir = tmp_path / "resumed"
     cfg_resume = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path,
                           checkpoint_dir=str(resumed_dir / "ckpt"),
                           report_dir=str(resumed_dir / "rep"))
-    resumed = distill_run(cfg_resume, manifest)
+    resumed = distill_run(replace(cfg_resume, manifest=manifest))
 
     steps_per_epoch = len(full.reports) // 2
     assert resumed.reports[0] == full.reports[steps_per_epoch]
@@ -479,29 +479,31 @@ def test_resume_reproduces_next_step_bitwise(tmp_path):
 def test_resume_into_the_same_report_dir_keeps_earlier_metrics(tmp_path):
     cfg_full = desk_cfg(tmp_path / "full", epochs=2)
     _, manifest = desk_suite(tmp_path, cfg_full)
-    full = distill_run(cfg_full, manifest)
-    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
-    resumed = distill_run(desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path), manifest)
+    full = distill_run(replace(cfg_full, manifest=manifest))
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
+    resumed = distill_run(desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path,
+                                   manifest=manifest))
     assert resumed.metrics_path == half.metrics_path
     assert open(resumed.metrics_path).read() == open(full.metrics_path).read()
 
 
 def test_resume_refuses_a_metrics_log_shorter_than_its_step(tmp_path):
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
-    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
     first_line = open(half.metrics_path).readline()
     with open(half.metrics_path, "w") as fh:
         fh.write(first_line)
     checkpoint = open(half.checkpoint_path, "rb").read()
     with pytest.raises(ConfigError, match=re.escape(half.metrics_path)):
-        distill_run(desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path), manifest)
+        distill_run(desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path,
+                             manifest=manifest))
     assert open(half.metrics_path).read() == first_line
     assert open(half.checkpoint_path, "rb").read() == checkpoint
 
 
 def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
-    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
     other = desk_cfg(tmp_path, epochs=2, seed=5, resume=half.checkpoint_path, manifest=manifest)
     with pytest.raises(ConfigError, match=r"checkpoint\.dten: section 'seed' holds 0.* 5"):
         distill_run(other)
@@ -512,7 +514,7 @@ def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
 
 def test_a_rejected_resume_fails_before_any_record_is_prepared(tmp_path, monkeypatch):
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
-    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
     prepared = []
 
     def spied(*args):
@@ -531,7 +533,7 @@ def test_a_rejected_resume_fails_before_any_record_is_prepared(tmp_path, monkeyp
                                          ("batch_size", 1)])
 def test_resume_refuses_a_checkpoint_of_other_optimizer_settings(tmp_path, capsys, field, value):
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
-    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
     checkpoint = open(half.checkpoint_path, "rb").read()
     other = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path, manifest=manifest,
                      **{field: value})
@@ -550,7 +552,7 @@ def test_resume_refuses_a_checkpoint_of_other_optimizer_settings(tmp_path, capsy
     (dict(student_pixel_std=0.9), "pixel", "pixel_std")])
 def test_resume_refuses_a_checkpoint_of_another_student(tmp_path, capsys, over, where, name):
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
-    half = distill_run(desk_cfg(tmp_path, epochs=1), manifest)
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
     checkpoint = open(half.checkpoint_path, "rb").read()
     other = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path, manifest=manifest, **over)
     named = rf"checkpoint\.dten: section '{where}' holds {name} = .*but the run's student"
@@ -567,7 +569,19 @@ def test_distill_run_validates_a_config_built_in_code(tmp_path):
     cfg = desk_cfg(tmp_path, seed=2 ** 31)
     _, manifest = desk_suite(tmp_path, cfg)
     with pytest.raises(ConfigError, match="seed"):
-        distill_run(cfg, manifest)
+        distill_run(replace(cfg, manifest=manifest))
+    assert not os.path.exists(cfg.report_dir)
+
+
+@pytest.mark.parametrize("over", [dict(seed=2 ** 31), dict(epochs=-1), dict(dtype="f16"),
+                                  dict(student_heads=3)], ids=["seed", "epochs", "dtype", "heads"])
+def test_the_ablation_refuses_what_distill_run_refuses(tmp_path, over):
+    cfg = desk_cfg(tmp_path, **over)
+    suite, manifest = desk_suite(tmp_path, desk_cfg())
+    with pytest.raises(ConfigError) as refused:
+        distill_run(replace(cfg, manifest=manifest))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(refused.value))}$"):
+        ablation_coupled_vs_decoupled(cfg, suite)
     assert not os.path.exists(cfg.report_dir)
 
 
@@ -584,15 +598,16 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-@pytest.mark.parametrize("over,name", [(dict(student_depth=3), "'block2."),
-                                       (dict(student_width=32), "'patch.w'")])
+@pytest.mark.parametrize("over,name", [(dict(student_depth=3), "depth"),
+                                       (dict(student_width=32), "width")])
 def test_restore_rejects_checkpoint_of_other_architecture(tmp_path, over, name):
     path = str(tmp_path / "ckpt.dten")
     source = Distiller(desk_cfg(tmp_path))
     save_checkpoint(path, source.student, source.optimizer, 3)
     target = Distiller(desk_cfg(tmp_path, **over))
     before = target.student.state_bytes()
-    with pytest.raises(ConfigError, match=name):
+    named = rf"ckpt\.dten: section 'meta' holds {name} = \d+, but the run's student has {name}"
+    with pytest.raises(ConfigError, match=named):
         restore_into(target, path)
     assert target.student.state_bytes() == before
     assert target.step_count == 0
@@ -601,7 +616,7 @@ def test_restore_rejects_checkpoint_of_other_architecture(tmp_path, over, name):
 def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
     path = str(tmp_path / "ckpt.dten")
     save_checkpoint(path, Distiller(desk_cfg(tmp_path)).student)
-    with pytest.raises(ConfigError, match="'proj'"):
+    with pytest.raises(ConfigError, match="section 'meta' holds embed_dim = 8, but the run's"):
         restore_into(Distiller(desk_cfg(tmp_path, embed_dim=0)), path)
 
 
@@ -692,6 +707,12 @@ def test_checkpoint_with_non_finite_values_rejected(tmp_path, loader, section):
     assert target.step_count == 0
 
 
+# restore_into reads the file through load_student, so both refuse what it
+# refuses; each case runs both (a loop, not a parameter, so a case keeps one id)
+_LOADERS = (lambda cfg, path: load_student(path),
+            lambda cfg, path: restore_into(Distiller(cfg), path))
+
+
 @pytest.mark.parametrize("section,edit", [
     ("param.cls", None), ("meta", None), ("pixel", None),
     ("meta", lambda data: data[:5]), ("pixel", lambda data: data[:1])])
@@ -707,8 +728,9 @@ def test_checkpoint_with_missing_or_short_section_rejected(tmp_path, capsys, sec
     else:
         sections[section] = edit(sections[section])
     write_tensor(path, sections)
-    with pytest.raises(ConfigError, match=rf"broken\.dten.*'{section}'"):
-        load_student(path)
+    for load in _LOADERS:
+        with pytest.raises(ConfigError, match=rf"broken\.dten.*'{section}'"):
+            load(cfg, path)
     classes = str(tmp_path / "classes.dten")
     save_class_embeddings(classes, class_prototypes(source.teacher, suite.colors))
     assert run_cli(["eval-seg", "--checkpoint", path, "--manifest", manifest,
@@ -736,8 +758,9 @@ def test_load_student_refuses_a_field_out_of_range(tmp_path, capsys, where, name
     sections[where][names.index(name)] = value
     write_tensor(path, sections)
     named = rf"^{re.escape(path)}: section '{where}' holds {name} = "
-    with pytest.raises(ConfigError, match=named):
-        load_student(path)
+    for load in _LOADERS:
+        with pytest.raises(ConfigError, match=named):
+            load(cfg, path)
     image = str(tmp_path / "img.dten")
     write_tensor(image, {"image": np.zeros((3, cfg.student_res, cfg.student_res))})
     assert run_cli(["dump-attn", "--checkpoint", path, "--image", image, "--layers", "0",
@@ -819,9 +842,10 @@ def test_train_continues_from_step_count(tmp_path):
 def test_manifest_and_in_memory_suites_train_identically(tmp_path):
     cfg = desk_cfg(tmp_path, epochs=2)
     suite, manifest = desk_suite(tmp_path, cfg)
-    from_manifest, _ = load_student(distill_run(cfg, manifest).checkpoint_path)
-    in_memory = train_variant(cfg, prepare_suite(suite, Distiller(cfg), cfg), "decoupled").student
-    assert from_manifest.state_bytes() == in_memory.state_bytes()
+    from_manifest, _ = load_student(distill_run(replace(cfg, manifest=manifest)).checkpoint_path)
+    in_memory = Distiller(cfg)
+    train(in_memory, prepare_suite(suite, in_memory, cfg), cfg.epochs)
+    assert from_manifest.state_bytes() == in_memory.student.state_bytes()
 
 
 def test_float32_training_path(tmp_path):
@@ -931,6 +955,27 @@ def test_sd_file_sized_for_another_token_count_rejected(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(echo_config(cfg))
     assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+
+
+def test_sd_file_with_non_finite_maps_rejected(tmp_path, capsys):
+    # NaN fails both of the stack's comparisons, so it must be refused apart
+    cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    maps = np.full((3, 16, 16), 1.0 / 16)
+    maps[1, 2, 3] = np.nan
+    sd_path = str(tmp_path / "sd0.dten")
+    write_tensor(sd_path, {"maps": maps})
+    (tmp_path / "man.txt").write_text(
+        f"image={rec.image_path} segments={rec.segments_path} sd={sd_path}\n")
+    named = f"{re.escape(sd_path)}: section 'maps' holds non-finite values"
+    with pytest.raises(ConfigError, match=named):
+        prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    capsys.readouterr()
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {sd_path}: section 'maps'")
 
 
 def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
