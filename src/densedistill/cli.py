@@ -81,7 +81,9 @@ def _cmd_distill(args):
 
 def _eval_records(args):
     """The class embeddings, and per manifest record the image, its segment
-    map and the checkpoint student's decoupled dense features."""
+    map and the checkpoint student's decoupled dense features; an image or a
+    segment map (eval-seg also takes one at image resolution) whose shape
+    does not fit the student is refused naming its file."""
     from .evalsuite import load_class_embeddings
     from .trainer import load_student, read_manifest, section
     from .vit import encode_dense
@@ -94,10 +96,19 @@ def _eval_records(args):
         raise ShapeError(f"{args.classes}: class vectors have width {classes.vectors.shape[1]}, "
                          f"but the checkpoint's dense features have width {width}")
 
+    res, grid = student.input_res, (student.grid_side,) * 2
+    fits = [grid] if args.command == "eval-region" else [grid, (res, res)]
+
     def encoded():
         for rec in records:
             image = section(rec.image_path, read_tensor(rec.image_path), "image")
+            if image.shape != (3, res, res):
+                raise ShapeError(f"{rec.image_path}: section 'image' has shape {image.shape}, "
+                                 f"expected (3, {res}, {res}) for the checkpoint's {res}-px input")
             segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
+            if segments.shape not in fits:
+                raise ShapeError(f"{rec.segments_path}: section 'labels' has shape "
+                                 f"{segments.shape}, expected {' or '.join(map(str, fits))}")
             yield image, segments, encode_dense(image, student, "decoupled")
 
     return classes, encoded()
@@ -128,9 +139,6 @@ def _cmd_eval_region(args):
     k = classes.vectors.shape[0]
     cm = np.zeros((k, k), dtype=np.int64)
     for _, segments, enc in encoded:
-        if segments.shape != enc.grid:
-            raise ShapeError(f"segment map {segments.shape} does not match the "
-                             f"token grid {enc.grid}")
         annotated = regions_from_labels(segments)
         regions = [box if args.regions == "boxes" else mask for box, _, mask in annotated]
         cm = add_region_confusion(cm, enc, classes, regions, [lab for _, lab, _ in annotated])

@@ -32,7 +32,7 @@ from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_
 from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
 from .tensor import Tensor
-from .vit import VitParams, encode_cls, encode_dense, param_shapes
+from .vit import _META, VitParams, encode_cls, encode_dense, param_shapes
 
 # seed-stream tags (second entry of the rng seed sequence)
 STREAM_STUDENT = 0
@@ -242,23 +242,31 @@ class PreparedRecord:
 
 
 def prepare_record(rec, vfm, cfg, index):
+    """A manifest record's arrays, each file checked against the student or
+    the provider before any step runs."""
     image = section(rec.image_path, read_tensor(rec.image_path), "image")
+    res = cfg.student_res
+    if image.shape != (3, res, res):
+        raise ConfigError(f"{rec.image_path}: section 'image' has shape {image.shape}, "
+                          f"expected (3, {res}, {res}) for the student's {res}-px input")
     segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
     n = vfm.grid_side ** 2
     if rec.vfm_path:
         vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
-        if vfm_tokens.ndim != 2 or vfm_tokens.shape[0] != n:
+        if vfm_tokens.ndim != 2 or vfm_tokens.shape[0] != n or vfm_tokens.shape[1] < 1:
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' has shape {vfm_tokens.shape}, "
-                              f"expected ({n}, D) for the provider's {n}-token grid")
+                              f"expected ({n}, D) for the provider's {n}-token grid, D >= 1")
         if not np.isfinite(vfm_tokens).all():
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds non-finite values")
+        if not vfm_tokens.any(axis=1).all():
+            raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds an all-zero row")
     else:
         vfm_tokens = provider_tokens(vfm, image)
     if rec.sd_path:
         maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
-        if maps.ndim != 3 or maps.shape[1:] != (n, n):
+        if maps.ndim != 3 or maps.shape[1:] != (n, n) or maps.shape[0] < 1:
             raise ConfigError(f"{rec.sd_path}: section 'maps' has shape {maps.shape}, "
-                              f"expected (maps, {n}, {n}) for {n} provider tokens")
+                              f"expected (maps, {n}, {n}) for {n} provider tokens, maps >= 1")
         if not np.isfinite(maps).all():
             raise ConfigError(f"{rec.sd_path}: section 'maps' holds non-finite values")
         sd_stack = SdAttentionStack(maps=maps)
@@ -311,11 +319,9 @@ class Distiller:
             l_total=sum(r.l_total for r in reports) / n)
 
 
-# the meta section holds _META_FIELDS (embed_dim 0 = no projection, dtype the
-# index into _DTYPES), the pixel section _PIXEL_FIELDS
-_META_FIELDS = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dtype")
-_PIXEL_FIELDS = ("pixel_mean", "pixel_std")
-_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# the meta section holds vit._META's integers (embed_dim 0 = no projection,
+# dtype the index into tensor._DTYPES), the pixel section its last two
+_META_FIELDS, _PIXEL_FIELDS = _META[:-2], _META[-2:]
 # the values of a stored field a student can be built from; other fields are >= 1
 _FIELD_RANGES = {
     "embed_dim": (">= 0", lambda v: v >= 0),
@@ -369,16 +375,25 @@ def section(path, sections, key, size=None):
 
 def _student_fields(student):
     """The student's meta and pixel fields by name, as a checkpoint holds them."""
-    held = {name: getattr(student, name) for name in _META_FIELDS + _PIXEL_FIELDS}
+    held = student._meta()
     held["embed_dim"] = held["embed_dim"] or 0
-    held["dtype"] = _DTYPES.index(held["dtype"])
+    held["dtype"] = T._DTYPES.index(held["dtype"])
     return held
+
+
+def _integer(path, key, name, value):
+    """Field ``name`` of section ``key`` as an int, if it is a whole number."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{path}: section {key!r} holds {name} = {float(value)!r}, "
+                          f"expected an integer")
+    return int(value)
 
 
 def _stored_fields(path, sections):
     """The meta and pixel fields of the checkpoint read from ``path`` by name;
     a field no student can be built from is refused."""
-    held = dict(zip(_META_FIELDS, map(int, section(path, sections, "meta", len(_META_FIELDS)))))
+    held = {name: _integer(path, "meta", name, value) for name, value
+            in zip(_META_FIELDS, section(path, sections, "meta", len(_META_FIELDS)))}
     held.update(zip(_PIXEL_FIELDS,
                     map(float, section(path, sections, "pixel", len(_PIXEL_FIELDS)))))
     for name, value in held.items():
@@ -425,7 +440,7 @@ def load_student(path):
     the student is built."""
     sections = read_tensor(path)
     held = _stored_fields(path, sections)
-    dtype = _DTYPES[held.pop("dtype")]
+    dtype = T._DTYPES[held.pop("dtype")]
     held["embed_dim"] = held["embed_dim"] or None
     shapes = param_shapes(**{name: value for name, value in held.items()
                              if name not in _PIXEL_FIELDS})
@@ -448,10 +463,10 @@ def restore_into(distiller, path):
             where = "meta" if name in _META_FIELDS else "pixel"
             raise ConfigError(f"{path}: section {where!r} holds {name} = {stored[name]!r}, "
                               f"but the run's student has {name} = {value!r}")
-    step = int(section(path, sections, "step", 1)[0])
+    step = _integer(path, "step", "step", section(path, sections, "step", 1)[0])
     if step < 0:
         raise ConfigError(f"{path}: section 'step' holds {step}, expected >= 0")
-    seed = int(section(path, sections, "seed", 1)[0])
+    seed = _integer(path, "seed", "seed", section(path, sections, "seed", 1)[0])
     if seed != distiller.cfg.seed:
         raise ConfigError(f"{path}: section 'seed' holds {seed}, but the run's seed "
                           f"is {distiller.cfg.seed}")

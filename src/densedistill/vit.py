@@ -11,7 +11,8 @@ forward on plain arrays, without the graph.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,39 +29,16 @@ MLP_RATIO = 2
 # allocates a score and a probability map per group, both freed before the
 # next group's, and its backward recomputes them in two workspaces
 HEAD_GROUP_BYTES = 16 * 2 ** 20
-# VitParams' constructor arguments but the seed, in the order its
-# fingerprint digests them
-_META = ("patch_size", "depth", "width", "heads", "input_res", "embed_dim", "pixel_mean",
-         "pixel_std", "dtype")
-
-
-@dataclass
-class BlockParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    ln1_s: Tensor
-    ln1_o: Tensor
-    ln2_s: Tensor
-    ln2_o: Tensor
-
-    def named(self, prefix):
-        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
+# VitParams' constructor arguments but the seed, in the order a checkpoint
+# stores them and the fingerprint digests them
+_META = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dtype",
+         "pixel_mean", "pixel_std")
 
 
 def param_shapes(patch_size, depth, width, heads, input_res, embed_dim=None):
     """The name -> shape table of an encoder's parameters, in the order
-    ``named_parameters`` lists them and ``VitParams`` draws them; building
-    it allocates no parameter."""
+    ``VitParams`` draws, keeps and lists them; the one place a parameter is
+    named. Building it allocates no parameter."""
     if width % heads != 0:
         raise ParameterError(f"width {width} not divisible by heads {heads}")
     if input_res % patch_size != 0:
@@ -90,7 +68,9 @@ def _initial(name, shape, rng, dtype):
 
 
 class VitParams:
-    """Full parameter set of one encoder, tied to a fixed input resolution."""
+    """Full parameter set of one encoder, tied to a fixed input resolution:
+    one name -> Tensor table in ``param_shapes`` order. ``blocks[i]`` and the
+    embedding attributes are views holding the table's own Tensors."""
 
     def __init__(self, patch_size, depth, width, heads, input_res, embed_dim=None,
                  pixel_mean=0.5, pixel_std=0.5, seed=0, dtype=np.float64):
@@ -127,23 +107,20 @@ class VitParams:
         self._fingerprint = None
         self.grid_side = input_res // patch_size
 
-        held = {name: Tensor(initial(name, shape, self.dtype), requires_grad)
-                for name, shape in shapes.items()}
+        self._table = held = {name: Tensor(initial(name, shape, self.dtype), requires_grad)
+                              for name, shape in shapes.items()}
         self.w_patch, self.b_patch, self.cls_token, self.pos_embed = (
             held[name] for name in ("patch.w", "patch.b", "cls", "pos"))
-        self.blocks = [BlockParams(**{f.name: held[f"block{i}.{f.name}"]
-                                      for f in fields(BlockParams)})
-                       for i in range(depth)]
         self.w_vl = held.get("proj")
+        # "block<i>.<field>" entries, one namespace of fields per block
+        self.blocks = [SimpleNamespace() for _ in range(depth)]
+        for name, p in held.items():
+            prefix, _, field = name.partition(".")
+            if prefix.startswith("block"):
+                setattr(self.blocks[int(prefix[len("block"):])], field, p)
 
     def named_parameters(self):
-        out = [("patch.w", self.w_patch), ("patch.b", self.b_patch),
-               ("cls", self.cls_token), ("pos", self.pos_embed)]
-        for i, b in enumerate(self.blocks):
-            out.extend(b.named(f"block{i}"))
-        if self.w_vl is not None:
-            out.append(("proj", self.w_vl))
-        return out
+        return list(self._table.items())
 
     def clone(self):
         """A trainable copy: every parameter requires grad, no array is shared."""
@@ -167,9 +144,8 @@ class VitParams:
         if not 0 <= n <= self.depth:
             raise ParameterError(f"trainable_layers {n} outside [0, {self.depth}]")
         for i, b in enumerate(self.blocks):
-            flag = i >= self.depth - n
-            for _, p in b.named(""):
-                p.requires_grad = flag
+            for p in vars(b).values():
+                p.requires_grad = i >= self.depth - n
         return self
 
     def state_bytes(self):

@@ -224,6 +224,35 @@ def test_eval_file_without_its_section_exits_one(trained, capsys, key, name):
     assert capsys.readouterr().err.count(f"section '{name}' is missing") == 3
 
 
+def test_eval_image_at_another_resolution_exits_one_naming_it(trained, capsys):
+    cfg, _, result, classes_path = trained
+    path = read_manifest(cfg.manifest)[0].image_path
+    write_tensor(path, {"image": np.full((3, 24, 24), 0.5)})
+    assert _eval_exit_codes(cfg, result, classes_path) == [1, 1, 1]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith(f"error: {path}: section 'image' has shape (3, 24, 24), "
+                               "expected (3, 32, 32)") for line in err)
+
+
+def test_eval_segment_map_off_the_token_grid_exits_one_naming_it(trained, capsys):
+    # eval-seg scores a map at the token grid or the image's resolution;
+    # eval-region needs the token grid
+    cfg, _, result, classes_path = trained
+    path = read_manifest(cfg.manifest)[0].segments_path
+    labels = read_tensor(path)["labels"]
+    write_tensor(path, {"labels": np.kron(labels, np.ones((8, 8), dtype=np.int32))})
+    assert _eval_exit_codes(cfg, result, classes_path) == [0, 1, 1]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: section 'labels' has shape (32, 32), expected (4, 4)"] * 2
+    write_tensor(path, {"labels": labels[:3, :3]})
+    assert _eval_exit_codes(cfg, result, classes_path) == [1, 1, 1]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"error: {path}: section 'labels' has shape (3, 3), "
+                      "expected (4, 4) or (32, 32)")
+    assert err[1:] == [f"error: {path}: section 'labels' has shape (3, 3), expected (4, 4)"] * 2
+
+
 def test_class_width_other_than_the_checkpoint_exits_one(trained, capsys, monkeypatch):
     cfg, _, result, _ = trained
     narrow = os.path.join(cfg.report_dir, "narrow.dten")

@@ -625,7 +625,11 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
     ("step", None, "'step'"), ("step", np.zeros(2, dtype=np.int32), "'step'"),
     ("seed", None, "'seed'"), ("seed", np.zeros(2, dtype=np.int32), "'seed'"),
     ("optim", None, "'optim'"), ("optim", np.zeros(5), "'optim'"),
-    ("step", np.array([-2], dtype=np.int32), "'step' holds -2")])
+    ("step", np.array([-2], dtype=np.int32), "'step' holds -2"),
+    # a step of 1.5 would resume at step 1, a seed of 0.5 pass as the run's 0
+    ("step", np.array([1.5]), r"ckpt\.dten: section 'step' holds step = 1\.5, expected an integer"),
+    ("seed", np.array([0.5]), r"ckpt\.dten: section 'seed' holds seed = 0\.5, expected an integer"),
+    ("step", np.array([np.inf]), r"ckpt\.dten: section 'step' holds step = inf, expected an")])
 def test_restore_rejects_bad_moment_or_step_section(tmp_path, section, value, named):
     path = str(tmp_path / "ckpt.dten")
     source = Distiller(desk_cfg(tmp_path))
@@ -739,11 +743,78 @@ def test_checkpoint_with_missing_or_short_section_rejected(tmp_path, capsys, sec
 
 
 def test_checkpoint_sections_name_every_constructor_field_once():
-    # the sections' field order is a file format of its own; a VitParams
-    # field missing from it would not round-trip through a checkpoint
+    # the sections' field order is a file format of its own, vit._META's; a
+    # VitParams field missing from it would not round-trip through a checkpoint
     held = trainer._META_FIELDS + trainer._PIXEL_FIELDS
+    assert held == vit._META == ("depth", "width", "heads", "patch_size", "input_res",
+                                 "embed_dim", "dtype", "pixel_mean", "pixel_std")
     assert len(set(held)) == len(held)
-    assert sorted(held) == sorted(vit._META)
+
+
+_DEPTH_2_NAMES = [
+    "patch.w", "patch.b", "cls", "pos",
+    "block0.wq", "block0.bq", "block0.wk", "block0.bk", "block0.wv", "block0.bv",
+    "block0.wo", "block0.bo", "block0.w1", "block0.b1", "block0.w2", "block0.b2",
+    "block0.ln1_s", "block0.ln1_o", "block0.ln2_s", "block0.ln2_o",
+    "block1.wq", "block1.bq", "block1.wk", "block1.bk", "block1.wv", "block1.bv",
+    "block1.wo", "block1.bo", "block1.w1", "block1.b1", "block1.w2", "block1.b2",
+    "block1.ln1_s", "block1.ln1_o", "block1.ln2_s", "block1.ln2_o",
+    "proj"]
+
+
+def test_checkpoint_parameters_follow_the_one_parameter_table(tmp_path):
+    # a depth-2 student with projection: its parameter table, the file's
+    # parameter sections and the blocks the forwards read are one thing
+    cfg = desk_cfg(tmp_path)
+    assert (cfg.student_depth, cfg.embed_dim) == (2, 8)
+    source = Distiller(cfg)
+    student = source.student
+    table = dict(student.named_parameters())
+    assert list(table) == list(vit.param_shapes(8, 2, 16, 2, 32, 8)) == _DEPTH_2_NAMES
+    aliases = {"patch.w": student.w_patch, "patch.b": student.b_patch,
+               "cls": student.cls_token, "pos": student.pos_embed, "proj": student.w_vl}
+    for name, held in aliases.items():
+        assert held is table[name], name
+    for i, block in enumerate(student.blocks):
+        assert list(vars(block)) == [name.split(".")[1] for name in _DEPTH_2_NAMES
+                                     if name.startswith(f"block{i}.")]
+        for field, held in vars(block).items():
+            assert held is table[f"block{i}.{field}"], (i, field)
+
+    for _, p in student.named_parameters():
+        p.data = p.data + 0.01
+    path = str(tmp_path / "ckpt.dten")
+    save_checkpoint(path, student, source.optimizer, 1, cfg.seed, cfg.batch_size)
+    assert [key[len("param."):] for key in read_tensor(path)
+            if key.startswith("param.")] == _DEPTH_2_NAMES
+
+    # restore_into writes through named_parameters; the forward reads blocks
+    image = np.random.default_rng(3).uniform(0, 1, (3, 32, 32))
+    target = Distiller(cfg)
+    before = encode_dense(image, target.student, "decoupled").tokens.data
+    restore_into(target, path)
+    after = encode_dense(image, target.student, "decoupled").tokens.data
+    want = encode_dense(image, student, "decoupled").tokens.data
+    assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(after, want)
+
+
+@pytest.mark.parametrize("name,value", [("depth", 2.5), ("width", np.inf), ("heads", np.nan)])
+def test_load_student_refuses_a_meta_field_that_is_not_an_integer(tmp_path, name, value):
+    # a float meta section whose field truncates to a valid integer (depth
+    # 2.5 -> 2, the student's) must not load as that integer
+    cfg = desk_cfg(tmp_path)
+    path = str(tmp_path / "odd.dten")
+    save_checkpoint(path, Distiller(cfg).student)
+    sections = read_tensor(path)
+    sections["meta"] = sections["meta"].astype(np.float64)
+    sections["meta"][trainer._META_FIELDS.index(name)] = value
+    write_tensor(path, sections)
+    named = (rf"^{re.escape(path)}: section 'meta' holds {name} = {re.escape(repr(value))}, "
+             r"expected an integer")
+    for load in _LOADERS:
+        with pytest.raises(ConfigError, match=named):
+            load(cfg, path)
 
 
 @pytest.mark.parametrize("where,name,value", [
@@ -978,6 +1049,50 @@ def test_sd_file_with_non_finite_maps_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {sd_path}: section 'maps'")
 
 
+def test_sd_file_with_zero_maps_rejected(tmp_path, capsys):
+    cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    rec = read_manifest(manifest)[0]
+    sd_path = str(tmp_path / "sd0.dten")
+    write_tensor(sd_path, {"maps": np.zeros((0, 16, 16))})
+    (tmp_path / "man.txt").write_text(
+        f"image={rec.image_path} segments={rec.segments_path} sd={sd_path}\n")
+    named = rf"{re.escape(sd_path)}: section 'maps' has shape \(0, 16, 16\), .*maps >= 1"
+    with pytest.raises(ConfigError, match=named):
+        prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    capsys.readouterr()
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {sd_path}: section 'maps'")
+
+
+def test_image_at_another_resolution_rejected_before_any_step(tmp_path, capsys, monkeypatch):
+    # a 24-px image beside a 32-px student: the provider resizes it, so
+    # only the student's first forward on it would fail
+    cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    recs = read_manifest(manifest)
+    image_path = str(tmp_path / "small.dten")
+    write_tensor(image_path, {"image": np.full((3, 24, 24), 0.5)})
+    (tmp_path / "man.txt").write_text(
+        f"image={recs[0].image_path} segments={recs[0].segments_path}\n"
+        f"image={image_path} segments={recs[1].segments_path}\n")
+    named = rf"{re.escape(image_path)}: section 'image' has shape \(3, 24, 24\), expected"
+    with pytest.raises(ConfigError, match=named):
+        prepare_record(read_manifest(cfg.manifest)[1], Distiller(cfg).vfm, cfg, 1)
+
+    def step_batch(*args, **kwargs):
+        raise AssertionError("a step ran before every record was checked")
+
+    monkeypatch.setattr(Distiller, "step_batch", step_batch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    capsys.readouterr()
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {image_path}: section 'image'")
+
+
 def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
     cfg = desk_cfg(tmp_path, manifest=str(tmp_path / "man.txt"))
     _, manifest = desk_suite(tmp_path, cfg)
@@ -999,7 +1114,9 @@ def _nan_tokens():
     (np.ones((9, 12)), r"has shape \(9, 12\), expected \(16, D\)"),
     (_nan_tokens(), "holds non-finite values"),
     (np.ones(16), r"has shape \(16,\), expected \(16, D\)"),
-], ids=["nine-tokens", "non-finite", "one-d"])
+    (np.ones((16, 0)), r"has shape \(16, 0\), expected \(16, D\) .*, D >= 1"),
+    (np.where(np.arange(16)[:, None] == 3, 0.0, np.ones((16, 12))), "holds an all-zero row"),
+], ids=["nine-tokens", "non-finite", "one-d", "zero-width", "zero-row"])
 def test_malformed_vfm_tokens_rejected_naming_the_file(tmp_path, capsys, tokens, message):
     # 16-token student and provider grids; the vfm file is checked before the
     # segments file, which is sized for 16 tokens
