@@ -69,7 +69,8 @@ def complete_affinity(fused, s_vfm):
     if fused.shape != s_vfm.shape:
         raise ShapeError(f"fused attention {fused.shape} does not match affinity {s_vfm.shape}")
     completed = fused @ s_vfm
-    if completed.min() < -1.0 - 1e-9 or completed.max() > 1.0 + 1e-9:
+    # stated as what must hold, so that a NaN, which fails every comparison, fails it
+    if not (completed.min() >= -1.0 - 1e-9 and completed.max() <= 1.0 + 1e-9):
         raise EvaluationError("completed affinity escaped [-1, 1]")
     return completed
 

@@ -14,20 +14,11 @@ import numpy as np
 from .affinity import dump_attention_analysis
 from .config import parse_config
 from .container import read_tensor
-from .errors import (
-    ConfigError,
-    ContainerError,
-    DegenerateInputError,
-    DistributionError,
-    EvaluationError,
-    ModeError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import ContainerError, EvaluationError, ModeError, ParameterError, ShapeError
 from .gradcheck import run_gradcheck_suite
 
-_VALIDATION_ERRORS = (ConfigError, ParameterError, ShapeError, DistributionError,
-                      DegenerateInputError, EvaluationError, ModeError, ValueError)
+# every other validation error class derives from ValueError
+_VALIDATION_ERRORS = (ValueError, EvaluationError, ModeError)
 
 
 def _build_parser():
@@ -79,6 +70,19 @@ def _cmd_distill(args):
     return 0
 
 
+def _read_image(path, student):
+    """The 'image' section of ``path``, refused naming the file unless it is
+    (3, res, res) at the student's input resolution."""
+    from .trainer import section
+
+    res = student.input_res
+    image = section(path, read_tensor(path), "image")
+    if image.shape != (3, res, res):
+        raise ShapeError(f"{path}: section 'image' has shape {image.shape}, "
+                         f"expected (3, {res}, {res}) for the checkpoint's {res}-px input")
+    return image
+
+
 def _eval_records(args):
     """The class embeddings, and per manifest record the image, its segment
     map and the checkpoint student's decoupled dense features; an image or a
@@ -101,10 +105,7 @@ def _eval_records(args):
 
     def encoded():
         for rec in records:
-            image = section(rec.image_path, read_tensor(rec.image_path), "image")
-            if image.shape != (3, res, res):
-                raise ShapeError(f"{rec.image_path}: section 'image' has shape {image.shape}, "
-                                 f"expected (3, {res}, {res}) for the checkpoint's {res}-px input")
+            image = _read_image(rec.image_path, student)
             segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
             if segments.shape not in fits:
                 raise ShapeError(f"{rec.segments_path}: section 'labels' has shape "
@@ -155,10 +156,10 @@ def _cmd_eval_region(args):
 
 
 def _cmd_dump_attn(args):
-    from .trainer import load_student, section
+    from .trainer import load_student
 
     student, _ = load_student(args.checkpoint)
-    image = section(args.image, read_tensor(args.image), "image")
+    image = _read_image(args.image, student)
     layers = [int(part) for part in args.layers.split(",") if part]
     if not layers:
         raise ParameterError("need at least one layer index")

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .container import read_tensor, write_tensor
-from .errors import DegenerateInputError, EvaluationError, ParameterError, ShapeError
+from .errors import DegenerateInputError, ParameterError, ShapeError
 from .regions import FULL_BOX, CropBox, crop_resize, roi_align
 from .affinity import synth_sd_attention
 from .synthdata import make_suite, pure_canvas
@@ -139,29 +139,24 @@ def macc_from_confusion(cm):
 
 def region_classify(dense, regions, classes, n=4):
     """Label regions (boxes or binary masks) by cosine against the class
-    vectors; boxes pool via RoI-align means, masks via masked token means."""
+    vectors, scored as segment_training_free scores pixels; boxes pool via
+    RoI-align means, masks via masked token means."""
     feats = dense.tokens.data.astype(np.float64)
     h, w = dense.grid
     fmap = Tensor(np.ascontiguousarray(feats.T.reshape(-1, h, w)))
-    labels = []
-    for region in regions:
+    vecs = np.empty((len(regions), feats.shape[1]))
+    for i, region in enumerate(regions):
         if isinstance(region, CropBox):
-            vec = roi_align(fmap, region, n).data.mean(axis=0)
+            vecs[i] = roi_align(fmap, region, n).data.mean(axis=0)
         else:
             mask = np.asarray(region, dtype=bool)
             if mask.shape != (h, w):
                 raise ShapeError(f"mask {mask.shape} does not match grid {(h, w)}")
             if not mask.any():
                 raise DegenerateInputError("empty region mask")
-            vec = feats[mask.reshape(-1)].mean(axis=0)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise DegenerateInputError("zero-norm region vector")
-        if not np.isfinite(norm):
-            raise EvaluationError("region vector norm overflows")
-        labels.append(int(np.argmax(classes.vectors @ (vec / norm))))
-    return np.asarray(labels, dtype=np.int32)
+            vecs[i] = feats[mask.reshape(-1)].mean(axis=0)
+    unit, _ = _unit_rows(vecs, "region vectors")
+    return (classes.vectors @ unit.T).argmax(axis=0).astype(np.int32)
 
 
 def regions_from_labels(labels):

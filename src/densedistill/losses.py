@@ -89,7 +89,7 @@ def rcc_loss(region_students, provider_rows, tau):
 def total_loss(l_content_cos, l_rcc, l_context, lam):
     """Combine the components; returns the backward-ready scalar plus the
     numeric report."""
-    if lam < 0:
+    if not lam >= 0:  # NaN fails >= too
         raise ParameterError(f"context weight must be >= 0, got {lam}")
     for t in (l_content_cos, l_rcc, l_context):
         if t.shape != () or not np.isfinite(t.data).all():

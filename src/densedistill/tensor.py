@@ -432,7 +432,7 @@ def _softmax(x, row_max, out):
 
 def _softmax_rows(x, temperature):
     """Array kernel of softmax_rows: the row softmax of the 2-D array x / temperature."""
-    if not _is_number(temperature) or temperature <= 0:
+    if not _is_number(temperature) or not temperature > 0:  # NaN fails > too
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     if x.ndim != 2:
         raise ShapeError("softmax_rows needs a 2-D tensor")
@@ -566,13 +566,15 @@ def _unit_rows_back(gn, n, norm):
 
 def _unit_rows(x, what):
     """Array kernel of cosine_matrix: x's rows scaled to unit length, and their
-    norms; a zero row of ``what`` raises, and so does a square that overflows
-    (an infinite norm, a zero cosine)."""
+    norms; a zero row of ``what`` raises, and so does a squared norm that is
+    not finite (a NaN, or an overflow: an infinite norm, a zero cosine)."""
     with np.errstate(over="ignore"):
         sq = (x * x).sum(axis=1, keepdims=True)
     if (sq == 0.0).any():
         raise DegenerateInputError(f"zero-norm row in {what}")
-    norm = np.sqrt(_finite(sq))
+    if not np.isfinite(sq).all():
+        raise EvaluationError(f"non-finite squared row norm in {what}")
+    norm = np.sqrt(sq)
     return x / norm, norm
 
 
@@ -612,10 +614,12 @@ def kl_rows(p, q):
         raise ShapeError(f"kl_rows needs equal 2-D shapes, got {p.shape} and {qd.shape}")
     if p.dtype != qd.dtype:
         raise ShapeError(f"mixed dtypes {p.dtype} vs {qd.dtype}")
+    # stated as what must hold, so that a NaN, which fails every comparison,
+    # fails them too
     for x, side in ((p, "first"), (qd, "second")):
-        if (x < 0).any():
-            raise DistributionError(f"negative entries in {side} argument")
-        if np.abs(x.sum(axis=1) - 1.0).max() > 1e-6:
+        if not (x >= 0).all():
+            raise DistributionError(f"negative or NaN entries in {side} argument")
+        if not np.abs(x.sum(axis=1) - 1.0).max() <= 1e-6:
             raise DistributionError(f"rows of {side} argument do not sum to 1")
     r = p.shape[0]
     qc = np.maximum(qd, KL_EPS)

@@ -23,11 +23,10 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
-# largest score map an attention builds at once. The frozen forward keeps
-# the map resident by writing every head group's scores into one workspace
-# per call (faulted in once, not per head); the student's Tensor path
-# allocates a score and a probability map per group, both freed before the
-# next group's, and its backward recomputes them in two workspaces
+# largest score map an attention builds at once. The array side (_head_maps)
+# writes every head group's scores into one workspace per call (faulted in
+# once, not per head); the student's Tensor path allocates a score and a
+# probability map per group, both freed before the next group's
 HEAD_GROUP_BYTES = 16 * 2 ** 20
 # VitParams' constructor arguments but the seed, in the order a checkpoint
 # stores them and the fingerprint digests them
@@ -232,28 +231,37 @@ def _multi_head(q, k, v, heads):
         scores = T.head_scores(qh, kh, group)
         parts.append(T.head_mix(T.softmax_rows(scores), vh, group).data)
     return T.from_op(np.concatenate(parts, axis=1), (q, k, v),
-                     _attention_back(q.data, k.data, v.data, heads, group))
+                     _attention_back(q.data, k.data, v.data, heads))
 
 
-def _attention_back(q, k, v, heads, group):
-    """Gradient rule of _multi_head: each head group's probabilities are
-    recomputed from q and k with the forward's kernels in one (group*m, n)
-    workspace, and the backward of head_mix, softmax_rows and head_scores
-    runs in place in a second. Each group reads contiguous column blocks,
-    as the forward's slice_cols gives them, so the BLAS calls match."""
+def _head_maps(q, k, heads):
+    """Per head group of _head_group's size: its head count, column slice,
+    contiguous scaled-query and key blocks (the student's slice_cols
+    operands) and its (group*m, n) probabilities, softmaxed in place in one
+    workspace that the next group overwrites. A map is checked through its
+    minimum (-inf) and row maxima (NaN, +inf); a finite row's softmax is finite."""
     d = q.shape[1] // heads
+    group = _head_group(heads, q.shape[0], k.shape[0], q.itemsize)
+    qs = q * T._head_scale(q, heads)
+    p = np.empty((group * q.shape[0], k.shape[0]), q.dtype)
+    for h in range(0, heads, group):
+        cols = slice(h * d, (h + group) * d)
+        qh, kh = np.ascontiguousarray(qs[:, cols]), np.ascontiguousarray(k[:, cols])
+        T._head_scores(qh, kh, group, out=p)
+        T._finite(p.min())
+        yield group, cols, qh, kh, T._softmax(p, T._finite(p.max(axis=1, keepdims=True)), p)
+
+
+def _attention_back(q, k, v, heads):
+    """Gradient rule of _multi_head: each head group's probabilities are
+    recomputed by _head_maps, and the backward of head_mix, softmax_rows and
+    head_scores runs in place in a second workspace."""
 
     def back(g):
-        qs = q * T._head_scale(q, heads)
-        p = np.empty((group * q.shape[0], k.shape[0]), q.dtype)
-        w = np.empty_like(p)
-        grads = []
-        for h in range(0, heads, group):
-            qh, kh, vh, gh = (np.ascontiguousarray(a[:, h * d:(h + group) * d])
-                              for a in (qs, k, v, g))
-            T._head_scores(qh, kh, group, out=p)
-            T._softmax(p, p.max(axis=1, keepdims=True), p)
-            _, dv = T._head_mix_back(gh, p, vh, group, out=w)
+        grads, w = [], None  # the first group's _head_mix_back allocates w
+        for group, cols, qh, kh, p in _head_maps(q, k, heads):
+            vh, gh = np.ascontiguousarray(v[:, cols]), np.ascontiguousarray(g[:, cols])
+            w, dv = T._head_mix_back(gh, p, vh, group, out=w)
             grads.append((*T._head_scores_back(T._softmax_back(w, p, out=w), qh, kh, group), dv))
         return [np.concatenate(blocks, axis=1) for blocks in zip(*grads)]
 
@@ -303,20 +311,10 @@ def _layer_norm_array(x, scale, offset):
 
 
 def _attention_array(q, k, v, heads):
-    """_multi_head on plain arrays. Every head group's score map is written
-    to one workspace of the call and softmaxed there in place. A map is
-    checked through its minimum (-inf) and its row maxima (NaN, +inf); the
-    softmax of a finite row is finite."""
-    qs, d = q * T._head_scale(q, heads), q.shape[1] // heads
-    group = _head_group(heads, q.shape[0], k.shape[0], q.itemsize)
-    s = np.empty((group * q.shape[0], k.shape[0]), q.dtype)
+    """_multi_head on plain arrays, over _head_maps' groups."""
     out = np.empty_like(q)
-    for h in range(0, heads, group):
-        cols = slice(h * d, (h + group) * d)
-        T._head_scores(qs[:, cols], k[:, cols], group, out=s)
-        T._finite(s.min())
-        out[:, cols] = T._head_mix(T._softmax(s, T._finite(s.max(axis=1, keepdims=True)), s),
-                                   v[:, cols], group)
+    for group, cols, _, _, p in _head_maps(q, k, heads):
+        out[:, cols] = T._head_mix(p, np.ascontiguousarray(v[:, cols]), group)
     return T._finite(out)
 
 
@@ -388,9 +386,9 @@ def encode_cls(image, params):
 
 def capture_attention(image, params, layers):
     """Per-head attention maps, (1+HW, 1+HW, heads) each, of the blocks
-    ``layers`` in the order given, from one forward. A map comes from its
-    block's queries and keys alone; no block above the deepest requested one
-    runs, nor that block's values, projection or FFN."""
+    ``layers`` in the order given, from one forward holding one head group's
+    map at a time. A map comes from its block's queries and keys alone; no
+    block above the deepest requested one runs, nor its values, projection or FFN."""
     for layer in layers:
         if not 0 <= layer < params.depth:
             raise ParameterError(f"layer {layer} outside [0, {params.depth})")
@@ -403,10 +401,13 @@ def capture_attention(image, params, layers):
         if i in layers:
             b = params.blocks[i]
             h = layer_norm_rows(seq, b.ln1_s, b.ln1_o)
-            q = T.add(T.matmul(h, b.wq), b.bq)
-            k = T.add(T.matmul(h, b.wk), b.bk)
-            attn = T.softmax_rows(T.head_scores(q, k, params.heads)).data
-            maps[i] = np.stack(np.split(attn, params.heads), axis=-1)
+            q = T.add(T.matmul(h, b.wq), b.bq).data
+            k = T.add(T.matmul(h, b.wk), b.bk).data
+            maps[i] = np.empty((len(q), len(k), params.heads), q.dtype)
+            d = q.shape[1] // params.heads
+            for group, cols, _, _, p in _head_maps(q, k, params.heads):
+                maps[i][:, :, cols.start // d:cols.stop // d] = (
+                    p.reshape(group, len(q), len(k)).transpose(1, 2, 0))
         if i < deepest:
             seq = attention_block(seq, params, i)
     return [maps[layer] for layer in layers]

@@ -211,6 +211,16 @@ def test_complete_refuses_a_result_outside_unit_range():
                           np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("side", ["fused", "affinity"])
+def test_complete_refuses_a_nan_input(side):
+    # a NaN fails both range comparisons, so only a check stated as what
+    # must hold refuses it
+    fused, s = np.eye(2), np.array([[1.0, -0.5], [-0.5, 1.0]])
+    (fused if side == "fused" else s)[1, 0] = np.nan
+    with pytest.raises(EvaluationError, match=r"escaped \[-1, 1\]"):
+        complete_affinity(fused, s)
+
+
 # --- synth_sd_attention ----------------------------------------------------------------
 
 def test_synth_sharpness_limit_block_uniform():

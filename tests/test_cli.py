@@ -149,6 +149,19 @@ def test_dump_attn_refuses_bad_layers_before_writing(tmp_path, trained, capsys, 
     assert not out_dir.exists()
 
 
+def test_dump_attn_image_at_another_resolution_exits_one_naming_it(tmp_path, trained, capsys):
+    _, _, result, _ = trained
+    image_path = str(tmp_path / "img.dten")
+    write_tensor(image_path, {"image": np.full((3, 24, 24), 0.5)})
+    out_dir = tmp_path / "dumps"
+    assert run_cli(["dump-attn", "--checkpoint", result.checkpoint_path, "--image", image_path,
+                    "--layers", "0", "--query", "cls", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (f"error: {image_path}: section 'image' has shape "
+                                       "(3, 24, 24), expected (3, 32, 32) for the checkpoint's "
+                                       "32-px input\n")
+    assert not out_dir.exists()
+
+
 def test_corrupt_section_name_is_an_io_error(tmp_path, capsys):
     path = str(tmp_path / "bad.dten")
     write_tensor(path, {"image": np.zeros((3, 4, 4))})

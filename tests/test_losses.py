@@ -212,6 +212,11 @@ def test_total_rejects_negative_lambda():
         total_loss(scalar(0.1), scalar(0.1), scalar(0.1), lam=-1.0)
 
 
+def test_total_rejects_nan_lambda():
+    with pytest.raises(ParameterError, match="context weight must be >= 0"):
+        total_loss(scalar(0.1), scalar(0.1), scalar(0.1), lam=float("nan"))
+
+
 def test_total_rejects_nonscalar():
     with pytest.raises(EvaluationError):
         total_loss(T.Tensor([[0.1, 0.2]]), scalar(0.1), scalar(0.1), lam=0.25)

@@ -112,6 +112,13 @@ def test_softmax_bad_temperature():
         T.softmax_rows(T.Tensor([[1.0, 2.0]]), temperature=0.0)
 
 
+def test_softmax_refuses_a_nan_temperature():
+    with pytest.raises(ParameterError, match="temperature must be > 0"):
+        T.softmax_rows(T.Tensor([[1.0, 2.0]]), temperature=float("nan"))
+    with pytest.raises(ParameterError, match="temperature must be > 0"):
+        T._softmax_rows(np.array([[1.0, 2.0]]), float("nan"))
+
+
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 9))
 def test_softmax_rows_stochastic_property(seed, r, c):
@@ -272,6 +279,15 @@ def test_kl_rejects_non_stochastic():
         T.kl_rows(ok * 2.0, T.Tensor(ok))
     with pytest.raises(DistributionError):
         T.kl_rows(np.array([[1.5, -0.5]]), T.Tensor(ok))
+
+
+def test_kl_refuses_a_nan_target():
+    # a NaN fails every comparison, and its term would be zeroed like a 0's,
+    # scoring the KL of a target with a 0 there
+    q = T.Tensor([[0.3, 0.7], [0.6, 0.4]])
+    p = np.array([[0.5, 0.5], [np.nan, 1.0]])
+    with pytest.raises(DistributionError, match="NaN entries in first argument"):
+        T.kl_rows(p, q)
 
 
 def test_kl_f32_rows_at_the_paper_width():

@@ -333,6 +333,37 @@ def test_pool_errors_surface_with_their_class_and_leave_no_thread(tmp_path, monk
     assert next(ran) < len(sample_grid(np.random.default_rng(5), cfg.grid_lo, cfg.grid_hi))
 
 
+def test_student_failure_cancels_the_queued_crops(tmp_path, monkeypatch):
+    # two pool threads over 9 crops: the student side fails while each
+    # thread holds one crop, and the 7 crops still queued never start
+    cfg = pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    workers, real_cls = 2, trainer.encode_cls
+    started, began, failed = [], threading.Semaphore(0), threading.Event()
+
+    def held_crop(crop, params):
+        started.append(crop)
+        began.release()
+        failed.wait(10)
+        time.sleep(0.05)  # the failure reaches the cancel before this thread is free
+        return real_cls(crop, params)
+
+    def failing_student(image, params, mode="standard"):
+        assert all(began.acquire(timeout=10) for _ in range(workers))
+        failed.set()
+        raise StudentFailure("planted student failure")
+
+    monkeypatch.setattr(trainer, "_crop_workers", lambda n_crops, teacher: workers)
+    monkeypatch.setattr(trainer, "encode_cls", held_crop)
+    monkeypatch.setattr(trainer, "encode_dense", failing_student)
+    with pytest.raises(StudentFailure, match="planted student failure"):
+        distiller.loss_for(prepared, np.random.default_rng(5))
+    assert prepared.crop_targets == {}
+    assert len(started) <= workers
+
+
 # --- teacher crop targets kept per record -------------------------------------------------
 
 def test_warm_records_train_like_fresh_ones(tmp_path, monkeypatch):

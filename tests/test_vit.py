@@ -339,6 +339,50 @@ def test_capture_matches_qk_recomputation():
     assert np.abs(maps.mean(axis=2) - mean).max() < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("res,patch,width,heads,group", [(32, 8, 16, 2, 2), (560, 16, 64, 4, 1)],
+                         ids=["desk", "paper"])
+def test_capture_equals_the_all_heads_map_bitwise(monkeypatch, res, patch, width, heads, group,
+                                                  dtype):
+    # the maps come a head group at a time (one head per map at paper shape)
+    # and equal, bit for bit, the all-heads softmax_rows(head_scores) map
+    p = VitParams(patch_size=patch, depth=1, width=width, heads=heads, input_res=res, seed=31,
+                  dtype=dtype)
+    img = rand_image(np.random.default_rng(32), res)
+    n = (res // patch) ** 2 + 1
+    assert vit._head_group(heads, n, n, np.dtype(dtype).itemsize) == group
+    groups = _spy_groups(monkeypatch)
+    for op in ("head_scores", "softmax_rows"):
+        monkeypatch.setattr(T, op, lambda *args, op=op: pytest.fail(f"capture called {op}"))
+    [maps] = vit.capture_attention(img, p, [0])
+    assert groups == [group] * (heads // group)
+    monkeypatch.undo()
+    b = p.blocks[0]
+    h = vit.layer_norm_rows(vit.patch_embed(img, p), b.ln1_s, b.ln1_o)
+    q, k = T.add(T.matmul(h, b.wq), b.bq), T.add(T.matmul(h, b.wk), b.bk)
+    want = np.stack(np.split(T.softmax_rows(T.head_scores(q, k, heads)).data, heads), axis=-1)
+    assert maps.dtype == dtype and maps.shape == want.shape == (n, n, heads)
+    assert maps.tobytes() == want.tobytes()
+
+
+def test_paper_shape_capture_holds_one_head_group_map_at_a_time():
+    # layers 1 and 3 of a depth-4 encoder at 1226 tokens: the two returned
+    # (1226, 1226, 4) f64 maps are 91.7 MiB. Built one head group at a time
+    # the capture peaks at 118.2 MiB; the all-heads score, probability and
+    # stacked maps of a layer peaked at 191.6 MiB
+    p = VitParams(patch_size=16, depth=4, width=64, heads=4, input_res=560, seed=33).freeze()
+    img = rand_image(np.random.default_rng(34), 560)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        maps = vit.capture_attention(img, p, [1, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(m.nbytes for m in maps) == 2 * 1226 * 1226 * 4 * 8
+    assert peak < 150 * 2 ** 20, peak / 2 ** 20
+
+
 # --- freezing and gradient reach ------------------------------------------------
 
 def test_frozen_params_reject_writes():
