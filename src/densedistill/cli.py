@@ -158,12 +158,20 @@ def _cmd_eval_region(args):
 def _cmd_dump_attn(args):
     from .trainer import load_student
 
-    student, _ = load_student(args.checkpoint)
-    image = _read_image(args.image, student)
-    layers = [int(part) for part in args.layers.split(",") if part]
+    try:
+        layers = [int(part) for part in args.layers.split(",") if part]
+    except ValueError:
+        raise ParameterError(f"--layers takes comma-separated layer indices, "
+                             f"got {args.layers!r}") from None
     if not layers:
         raise ParameterError("need at least one layer index")
-    query = args.query if args.query.lower() == "cls" else int(args.query)
+    try:
+        query = args.query if args.query.lower() == "cls" else int(args.query)
+    except ValueError:
+        raise ParameterError(f"--query takes an image-token index or 'cls', "
+                             f"got {args.query!r}") from None
+    student, _ = load_student(args.checkpoint)
+    image = _read_image(args.image, student)
     written = dump_attention_analysis(student, image, layers, query, args.out)
     for path in written:
         print(path)

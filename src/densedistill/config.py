@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
+from .vit import check_fields, param_shapes
 
 
 @dataclass
@@ -114,19 +115,15 @@ def validate(cfg):
     need(0 <= cfg.seed < 2 ** 31, f"seed must lie in [0, 2**31), got {cfg.seed}")
     need(cfg.batch_size >= 1, "batch_size must be >= 1")
     need(cfg.dtype in ("f32", "f64"), f"dtype must be f32 or f64, got {cfg.dtype!r}")
-    for role in ("student", "vfm"):
-        patch = getattr(cfg, f"{role}_patch")
-        res = getattr(cfg, f"{role}_res")
-        width = getattr(cfg, f"{role}_width")
-        heads = getattr(cfg, f"{role}_heads")
-        depth = getattr(cfg, f"{role}_depth")
-        need(patch >= 1 and res >= patch, f"{role} patch/resolution invalid")
-        need(res % patch == 0, f"{role} resolution {res} not divisible by patch {patch}")
-        need(depth >= 1, f"{role} depth must be >= 1")
-        need(width >= 1 and heads >= 1 and width % heads == 0,
-             f"{role} width {width} not divisible by heads {heads}")
-        need(getattr(cfg, f"{role}_pixel_std") > 0, f"{role} pixel std must be > 0")
-    need(cfg.embed_dim >= 0, "embed_dim must be >= 0")
+    # the encoders' own rules, with the role named
+    for role, embed_dim in (("student", cfg.embed_dim), ("vfm", None)):
+        patch, depth, width, heads, res, mean, std = (getattr(cfg, f"{role}_{name}") for name in (
+            "patch", "depth", "width", "heads", "res", "pixel_mean", "pixel_std"))
+        try:
+            param_shapes(patch, depth, width, heads, res, embed_dim)
+            check_fields(pixel_mean=mean, pixel_std=std)
+        except ParameterError as exc:
+            raise ConfigError(f"{role} {exc}") from None
     s_tokens = (cfg.student_res // cfg.student_patch) ** 2
     v_tokens = (cfg.vfm_res // cfg.vfm_patch) ** 2
     need(s_tokens == v_tokens,

@@ -32,7 +32,7 @@ from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_
 from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
 from .tensor import Tensor
-from .vit import _META, VitParams, encode_cls, encode_dense, param_shapes
+from .vit import _META, VitParams, encode_cls, encode_dense, field_range, param_shapes
 
 # seed-stream tags (second entry of the rng seed sequence)
 STREAM_STUDENT = 0
@@ -142,18 +142,20 @@ def _crop_workers(n_crops, teacher):
     return min(n_crops, cpus)
 
 
-def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
-    """Losses of one prepared record. Variants share the pipeline shape:
+# the training variants, in the order the ablation trains them, and the
+# student mode each trains and is scored in:
+# - "content":   content alone on the decoupled content stream
+# - "coupled":   content and context applied jointly to the standard-mode
+#                dense feature (no RCC)
+# - "decoupled": context on the context stream, content+RCC on content
+VARIANTS = {"content": "decoupled", "coupled": "standard", "decoupled": "decoupled"}
 
-    - "decoupled": context on the context stream, content+RCC on content
-    - "coupled":   content and context applied jointly to the standard-mode
-                   dense feature (no RCC)
-    - "content":   content alone on the decoupled content stream
-    """
-    if variant not in ("decoupled", "coupled", "content"):
-        raise ParameterError(f"unknown variant {variant!r}")
+
+def distill_forward(distiller, prepared, rng):
+    """Losses of one prepared record under the distiller's variant."""
+    student, teacher, cfg, variant = (distiller.student, distiller.teacher, distiller.cfg,
+                                      distiller.variant)
     image, vfm_tokens = prepared.image, prepared.vfm_tokens
-    mode = "standard" if variant == "coupled" else "decoupled"
     boxes = sample_grid(rng, cfg.grid_lo, cfg.grid_hi)
     key = teacher.fingerprint()
     memo = prepared.crop_targets
@@ -168,7 +170,7 @@ def distill_forward(student, teacher, prepared, cfg, rng, variant="decoupled"):
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         crops = (pool.map if workers > 1 else map)(teacher_cls, misses)
         try:
-            enc = encode_dense(image, student, mode)
+            enc = encode_dense(image, student, VARIANTS[variant])
             ctx_stream = enc.tokens if variant == "coupled" else enc.context
             s_hat = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
             content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
@@ -283,10 +285,12 @@ def prepare_record(rec, vfm, cfg, index):
 
 class Distiller:
     """Student + frozen twins + optimizer; one instance per training run, of
-    a validated config."""
+    a validated config and one of ``VARIANTS``."""
 
-    def __init__(self, cfg):
-        self.cfg = validate(cfg)
+    def __init__(self, cfg, variant="decoupled"):
+        if variant not in VARIANTS:
+            raise ParameterError(f"unknown variant {variant!r}, expected one of {list(VARIANTS)}")
+        self.cfg, self.variant = validate(cfg), variant
         self.student, self.teacher, self.vfm = build_models(cfg)
         self.optimizer = AdamW(self.student.named_parameters(), lr=cfg.lr,
                                weight_decay=cfg.weight_decay, beta1=cfg.beta1,
@@ -297,17 +301,16 @@ class Distiller:
         """Optimizer steps taken, the one counter ``train`` resumes from."""
         return self.optimizer.t
 
-    def loss_for(self, prepared, rng, variant="decoupled"):
-        return distill_forward(self.student, self.teacher, prepared, self.cfg, rng,
-                               variant=variant)
+    def loss_for(self, prepared, rng):
+        return distill_forward(self, prepared, rng)
 
-    def step_batch(self, prepared_list, rng, variant="decoupled"):
+    def step_batch(self, prepared_list, rng):
         """Gradient accumulation over a batch, then one optimizer step;
         reports the mean loss components."""
         self.optimizer.zero_grad()
         reports = []
         for prepared in prepared_list:
-            total, report = self.loss_for(prepared, rng, variant)
+            total, report = self.loss_for(prepared, rng)
             T.backward(T.mul_scalar(total, 1.0 / len(prepared_list)))
             reports.append(report)
         self.optimizer.step()
@@ -322,14 +325,9 @@ class Distiller:
 # the meta section holds vit._META's integers (embed_dim 0 = no projection,
 # dtype the index into tensor._DTYPES), the pixel section its last two
 _META_FIELDS, _PIXEL_FIELDS = _META[:-2], _META[-2:]
-# the values of a stored field a student can be built from; other fields are >= 1
-_FIELD_RANGES = {
-    "embed_dim": (">= 0", lambda v: v >= 0),
-    "dtype": ("0 (f32) or 1 (f64)", lambda v: v in (0, 1)),
-    "pixel_mean": ("finite", np.isfinite),
-    "pixel_std": ("finite and > 0", lambda v: np.isfinite(v) and v > 0),
-}
-_POSITIVE = (">= 1", lambda v: v >= 1)
+# a stored dtype is an index into tensor._DTYPES; vit.field_range gives the
+# values of every other stored field a student can be built from
+_DTYPE_RANGE = ("0 (f32) or 1 (f64)", lambda v: v in (0, 1))
 
 
 # the optim section: the optimizer's settings, then the batch size; a
@@ -397,7 +395,7 @@ def _stored_fields(path, sections):
     held.update(zip(_PIXEL_FIELDS,
                     map(float, section(path, sections, "pixel", len(_PIXEL_FIELDS)))))
     for name, value in held.items():
-        want, ok = _FIELD_RANGES.get(name, _POSITIVE)
+        want, ok = _DTYPE_RANGE if name == "dtype" else field_range(name)
         if not ok(value):
             where = "meta" if name in _META_FIELDS else "pixel"
             raise ConfigError(f"{path}: section {where!r} holds {name} = {value!r}, "
@@ -442,8 +440,11 @@ def load_student(path):
     held = _stored_fields(path, sections)
     dtype = T._DTYPES[held.pop("dtype")]
     held["embed_dim"] = held["embed_dim"] or None
-    shapes = param_shapes(**{name: value for name, value in held.items()
-                             if name not in _PIXEL_FIELDS})
+    try:
+        shapes = param_shapes(**{name: value for name, value in held.items()
+                                 if name not in _PIXEL_FIELDS})
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: section 'meta' holds {exc}") from None
     _check_params(path, sections, shapes)
     arrays = {name: sections[f"param.{name}"] for name in shapes}
     return VitParams._of_arrays(arrays, **held, dtype=dtype), sections
@@ -491,7 +492,7 @@ def restore_into(distiller, path):
     return distiller
 
 
-def train(distiller, prepared, epochs, variant="decoupled"):
+def train(distiller, prepared, epochs):
     """The training loop: ``epochs`` passes over ``prepared`` in record order,
     one optimizer step per ``cfg.batch_size`` records. Steps before
     ``distiller.step_count`` are skipped, so resuming is ``restore_into``
@@ -502,8 +503,7 @@ def train(distiller, prepared, epochs, variant="decoupled"):
     for idx in range(distiller.step_count, epochs * per_epoch):
         lo = idx % per_epoch * cfg.batch_size
         rng = np.random.default_rng([cfg.seed, STREAM_STEP, idx])
-        reports.append(distiller.step_batch(prepared[lo:lo + cfg.batch_size], rng,
-                                            variant=variant))
+        reports.append(distiller.step_batch(prepared[lo:lo + cfg.batch_size], rng))
     return reports
 
 

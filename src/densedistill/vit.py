@@ -11,6 +11,7 @@ forward on plain arrays, without the graph.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -34,10 +35,35 @@ _META = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dty
          "pixel_mean", "pixel_std")
 
 
+# what a constructor field must hold for an encoder to be built from it; the
+# integer fields not named here are >= 1 (embed_dim 0 or None: no projection)
+_FIELD_RANGES = {
+    "embed_dim": (">= 0", lambda v: v is None or v >= 0),
+    "pixel_mean": ("finite", math.isfinite),
+    "pixel_std": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+}
+
+
+def field_range(name):
+    """(what constructor field ``name`` must hold, the test of a value)."""
+    return _FIELD_RANGES.get(name, (">= 1", lambda v: v >= 1))
+
+
+def check_fields(**held):
+    """Refuse the first constructor field, by name, outside its range."""
+    for name, value in held.items():
+        want, ok = field_range(name)
+        if not ok(value):
+            raise ParameterError(f"{name} = {value!r}, expected {want}")
+
+
 def param_shapes(patch_size, depth, width, heads, input_res, embed_dim=None):
     """The name -> shape table of an encoder's parameters, in the order
     ``VitParams`` draws, keeps and lists them; the one place a parameter is
-    named. Building it allocates no parameter."""
+    named. Building it allocates no parameter; fields no encoder can be
+    built from are refused."""
+    check_fields(patch_size=patch_size, depth=depth, width=width, heads=heads,
+                 input_res=input_res, embed_dim=embed_dim)
     if width % heads != 0:
         raise ParameterError(f"width {width} not divisible by heads {heads}")
     if input_res % patch_size != 0:
@@ -93,6 +119,7 @@ class VitParams:
     def _build(self, initial, requires_grad, patch_size, depth, width, heads, input_res,
                embed_dim=None, pixel_mean=0.5, pixel_std=0.5, dtype=np.float64):
         shapes = param_shapes(patch_size, depth, width, heads, input_res, embed_dim)
+        check_fields(pixel_mean=pixel_mean, pixel_std=pixel_std)
         self.patch_size = patch_size
         self.depth = depth
         self.width = width

@@ -262,7 +262,7 @@ def shipped_results():
     classes = class_prototypes(probe.teacher, suite.colors)
     raw_variant = Distiller(raw_cfg)
     train(raw_variant, prepare_suite(suite, probe, raw_cfg), raw_cfg.epochs)
-    raw = evaluate_on_suite(raw_variant.student, suite, classes, raw_cfg, "decoupled")
+    raw = evaluate_on_suite(raw_variant, suite, classes)
     return ablation, raw
 
 
@@ -271,13 +271,13 @@ def test_criterion_6_directional_ablation(shipped_results):
     a = ablation
     ok = (a.decoupled.macc > a.coupled.macc
           and a.decoupled.miou > a.coupled.miou
-          and a.content_only.macc > a.baseline.macc
-          and a.content_only.miou >= a.baseline.miou - 0.02)
+          and a.content.macc > a.baseline.macc
+          and a.content.miou >= a.baseline.miou - 0.02)
     report(6, "directional-ablation", ok,
            f"(decoupled {a.decoupled.macc:.3f}/{a.decoupled.miou:.3f} > "
            f"coupled {a.coupled.macc:.3f}/{a.coupled.miou:.3f}; "
-           f"content mAcc {a.content_only.macc:.3f} > baseline {a.baseline.macc:.3f}, "
-           f"content mIoU {a.content_only.miou:.3f} >= {a.baseline.miou:.3f}-0.02)")
+           f"content mAcc {a.content.macc:.3f} > baseline {a.baseline.macc:.3f}, "
+           f"content mIoU {a.content.miou:.3f} >= {a.baseline.miou:.3f}-0.02)")
 
 
 def test_criterion_7_completion_benefit(shipped_results):

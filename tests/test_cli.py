@@ -149,6 +149,21 @@ def test_dump_attn_refuses_bad_layers_before_writing(tmp_path, trained, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("layers,query,message", [
+    ("0,x", "cls", "--layers takes comma-separated layer indices, got '0,x'"),
+    ("0", "abc", "--query takes an image-token index or 'cls', got 'abc'")])
+def test_dump_attn_names_the_option_it_cannot_parse(tmp_path, trained, capsys, layers, query,
+                                                    message):
+    cfg, suite, result, _ = trained
+    image_path = str(tmp_path / "img.dten")
+    write_tensor(image_path, {"image": suite.samples[0].image})
+    out_dir = tmp_path / "dumps"
+    assert run_cli(["dump-attn", "--checkpoint", result.checkpoint_path, "--image", image_path,
+                    "--layers", layers, "--query", query, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_dump_attn_image_at_another_resolution_exits_one_naming_it(tmp_path, trained, capsys):
     _, _, result, _ = trained
     image_path = str(tmp_path / "img.dten")

@@ -94,3 +94,13 @@ def test_bool_parsing():
     assert parse_config_text("use_sd_completion = false\n").use_sd_completion is False
     with pytest.raises(ConfigError):
         parse_config_text("use_sd_completion = 1\n")
+
+
+@pytest.mark.parametrize("over,message", [
+    ({"student_heads": 3}, "student width 64 not divisible by heads 3"),
+    ({"vfm_depth": 0}, "vfm depth = 0, expected >= 1"),
+    ({"vfm_pixel_std": 0.0}, "vfm pixel_std = 0.0, expected finite and > 0"),
+    ({"embed_dim": -1}, "student embed_dim = -1, expected >= 0")])
+def test_encoder_field_refused_by_the_encoder_rule_naming_the_role(over, message):
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        validate(RunConfig(**over))

@@ -11,7 +11,9 @@ from densedistill.config import RunConfig
 from densedistill.container import write_tensor
 from densedistill.errors import DegenerateInputError, EvaluationError, ParameterError, ShapeError
 from densedistill.evalsuite import (
+    AblationReport,
     ClassEmbeddings,
+    VariantMetrics,
     ablation_coupled_vs_decoupled,
     add_confusion,
     add_region_confusion,
@@ -482,8 +484,24 @@ def test_ablation_mini_deterministic():
     a = ablation_coupled_vs_decoupled(cfg, suite)
     b = ablation_coupled_vs_decoupled(cfg, suite)
     assert a == b
-    for m in (a.baseline, a.content_only, a.coupled, a.decoupled):
+    for m in (a.baseline, a.content, a.coupled, a.decoupled):
         assert 0.0 <= m.macc <= 1.0 and 0.0 <= m.miou <= 1.0
+
+
+def test_ablation_report_text_and_summary():
+    # what `densedistill ablate` prints: the table, then the summary lines in key order
+    report = AblationReport(VariantMetrics(0.125, 0.25), VariantMetrics(0.5, 0.0625),
+                            VariantMetrics(0.75, 0.375), VariantMetrics(1.0, 0.8125))
+    assert report.text() == ("variant                  mAcc    mIoU\n"
+                             "baseline(untrained)      0.1250  0.2500\n"
+                             "content-only             0.5000  0.0625\n"
+                             "coupled(single-feature)  0.7500  0.3750\n"
+                             "decoupled(full)          1.0000  0.8125")
+    assert list(report.summary().items()) == [
+        ("baseline_macc", 0.125), ("baseline_miou", 0.25),
+        ("content_macc", 0.5), ("content_miou", 0.0625),
+        ("coupled_macc", 0.75), ("coupled_miou", 0.375),
+        ("decoupled_macc", 1.0), ("decoupled_miou", 0.8125)]
 
 
 def test_ablation_encodes_each_record_box_once_per_variant(monkeypatch):

@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports. ``__init__`` is
-exempt: its imports are the package's re-exports."""
+"""Every module of the package uses each name it imports (``__init__`` is
+exempt: its imports are the package's re-exports), every engine op has a
+caller, and every config field has a reader."""
 
 import ast
 import pathlib
+from dataclasses import fields
 
 import pytest
 
 import densedistill
+from densedistill.config import RunConfig
 
 MODULES = sorted(p for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -95,3 +98,33 @@ def test_every_tensor_op_has_a_caller():
                for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")
                if p.name != "gradcheck.py"}
     assert tensor_ops_without_caller(sources) == []
+
+
+def unread_fields(names, sources):
+    """The names among ``names`` that no source text of ``sources`` reads as
+    an attribute (``cfg.lam``) or holds as a string constant (``getattr(cfg,
+    "lam")``)."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(set(names) - read)
+
+
+def test_unread_field_finder():
+    sources = ["def f(cfg):\n    return cfg.lam, getattr(cfg, 'tau')\n",
+               "x = 'seed of ' + cfg.seeds\n"]
+    assert unread_fields(["lam", "tau", "seed", "roi_n"], sources) == ["roi_n", "seed"]
+
+
+def test_every_config_field_is_read_outside_config():
+    """A RunConfig field that only config.py reads is a dead config key:
+    parsed, validated and echoed, but it changes no run. Delete it, or
+    read it."""
+    sources = [path.read_text(encoding="utf-8")
+               for path in pathlib.Path(densedistill.__file__).parent.glob("*.py")
+               if path.name != "config.py"]
+    assert unread_fields([f.name for f in fields(RunConfig)], sources) == []

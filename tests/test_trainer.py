@@ -15,7 +15,7 @@ from densedistill import regions, trainer, vit
 from densedistill.cli import run_cli
 from densedistill.config import RunConfig, echo_config
 from densedistill.container import read_tensor, write_tensor
-from densedistill.errors import ConfigError, EvaluationError
+from densedistill.errors import ConfigError, EvaluationError, ParameterError
 from densedistill.evalsuite import (ablation_coupled_vs_decoupled, class_prototypes,
                                     prepare_suite, save_class_embeddings,
                                     shipped_ablation_config)
@@ -127,13 +127,21 @@ def test_adamw_class_skips_frozen_and_decays():
 
 # --- pipeline wiring ----------------------------------------------------------------------
 
+def test_unknown_variant_refused_before_any_model_is_built(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(trainer, "build_models", lambda cfg: built.append(cfg))
+    with pytest.raises(ParameterError, match="unknown variant 'decupled'"):
+        Distiller(desk_cfg(tmp_path), "decupled")
+    assert built == []
+
+
 def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
     cfg = desk_cfg(tmp_path, lam=0.0, grid_lo=1, grid_hi=1)
     suite, manifest = desk_suite(tmp_path, cfg)
     distiller = Distiller(cfg)
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
 
-    total, _ = distiller.loss_for(prepared, np.random.default_rng(99), "decoupled")
+    total, _ = distiller.loss_for(prepared, np.random.default_rng(99))
     T.backward(total)
     grads_a = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
@@ -165,10 +173,10 @@ def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
 def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     cfg = desk_cfg(tmp_path, lam=0.5, grid_lo=1, grid_hi=2)
     suite, manifest = desk_suite(tmp_path, cfg)
-    distiller = Distiller(cfg)
+    distiller = Distiller(cfg, variant)
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
 
-    total, report_a = distiller.loss_for(prepared, np.random.default_rng(7), variant)
+    total, report_a = distiller.loss_for(prepared, np.random.default_rng(7))
     T.backward(total)
     grads_a = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
@@ -223,12 +231,12 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
         pytest.skip("the pool needs two CPUs")
     cfg = pool_cfg(tmp_path, lam=0.5)
     _, manifest = desk_suite(tmp_path, cfg, n_images=1)
-    distiller = Distiller(cfg)
+    distiller = Distiller(cfg, variant)
     assert distiller.teacher.grid_side ** 2 >= trainer.POOL_MIN_TOKENS
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
     threads = record_crop_threads(monkeypatch)
 
-    total, report_a = distiller.loss_for(prepared, np.random.default_rng(5), variant)
+    total, report_a = distiller.loss_for(prepared, np.random.default_rng(5))
     T.backward(total)
     grads_a = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
@@ -848,6 +856,20 @@ def test_load_student_refuses_a_meta_field_that_is_not_an_integer(tmp_path, name
             load(cfg, path)
 
 
+def test_load_student_refuses_meta_fields_that_build_no_encoder(tmp_path):
+    # each field in range, but the width (16) is not divisible by the heads
+    cfg = desk_cfg(tmp_path)
+    path = str(tmp_path / "odd.dten")
+    save_checkpoint(path, Distiller(cfg).student)
+    sections = read_tensor(path)
+    sections["meta"][trainer._META_FIELDS.index("heads")] = 3
+    write_tensor(path, sections)
+    named = rf"^{re.escape(path)}: section 'meta' holds width 16 not divisible by heads 3$"
+    for load in _LOADERS:
+        with pytest.raises(ConfigError, match=named):
+            load(cfg, path)
+
+
 @pytest.mark.parametrize("where,name,value", [
     ("meta", "heads", 0), ("meta", "patch_size", 0), ("meta", "dtype", 2),
     ("meta", "embed_dim", -1), ("pixel", "pixel_std", 0.0)])
@@ -1194,7 +1216,7 @@ def test_a_training_step_dispatches_no_graph_free_op(monkeypatch, variant):
     trainable each op a training step dispatches records a gradient rule."""
     cfg, suite = shipped_ablation_config()
     cfg = replace(cfg, trainable_layers=-1)
-    distiller = Distiller(cfg)
+    distiller = Distiller(cfg, variant)
     prepared = prepare_suite(replace(suite, samples=suite.samples[:1]), distiller, cfg)[0]
     dispatch, calls, graph_free = T.from_op, [], []
 
@@ -1208,6 +1230,6 @@ def test_a_training_step_dispatches_no_graph_free_op(monkeypatch, variant):
     monkeypatch.setattr(T, "from_op", audited)
     monkeypatch.setattr(regions, "from_op", audited)
     rng = np.random.default_rng([cfg.seed, trainer.STREAM_STEP, 0])
-    distiller.loss_for(prepared, rng, variant)
+    distiller.loss_for(prepared, rng)
     assert len(calls) > 300
     assert graph_free == []

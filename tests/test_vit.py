@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -98,6 +99,18 @@ def test_params_validation():
         VitParams(patch_size=4, depth=1, width=6, heads=4, input_res=8)
     with pytest.raises(ParameterError):
         VitParams(patch_size=3, depth=1, width=4, heads=1, input_res=8)
+
+
+@pytest.mark.parametrize("name,value,want", [
+    ("heads", 0, ">= 1"), ("patch_size", 0, ">= 1"), ("depth", 0, ">= 1"), ("width", 0, ">= 1"),
+    ("input_res", -8, ">= 1"), ("embed_dim", -1, ">= 0"), ("pixel_std", 0.0, "finite and > 0"),
+    ("pixel_std", float("nan"), "finite and > 0"), ("pixel_mean", float("inf"), "finite")])
+def test_params_refuse_a_field_no_encoder_can_be_built_from(name, value, want):
+    fields = dict(patch_size=4, depth=1, width=8, heads=2, input_res=8)
+    fields[name] = value
+    with pytest.raises(ParameterError, match=rf"^{name} = {re.escape(repr(value))}, "
+                                             rf"expected {re.escape(want)}$"):
+        VitParams(**fields)
 
 
 # --- attention_block ----------------------------------------------------------
