@@ -75,7 +75,7 @@ def complete_affinity(fused, s_vfm):
     return completed
 
 
-def synth_sd_attention(segmentation, sharpness, rng, num_maps=3, noise_std=0.25):
+def synth_sd_attention(segmentation, sharpness, rng, num_maps, noise_std):
     """Synthetic stand-in for an ingested self-attention stack: row-stochastic
     maps concentrated inside ground-truth segments.
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParameterError
-from .vit import check_fields, param_shapes
+from .vit import param_shapes
 
 
 @dataclass
@@ -24,9 +24,6 @@ class RunConfig:
     roi_n: int = 4
     lr: float = 1e-5
     weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 6
     batch_size: int = 2
     seed: int = 0
@@ -42,11 +39,6 @@ class RunConfig:
     vfm_depth: int = 3
     vfm_width: int = 48
     vfm_heads: int = 4
-    student_pixel_mean: float = 0.5
-    student_pixel_std: float = 0.5
-    vfm_pixel_mean: float = 0.45
-    vfm_pixel_std: float = 0.27
-    trainable_layers: int = -1   # -1 = all blocks
     sd_maps: int = 3
     sd_sharpness: float = 4.0
     sd_noise: float = 0.5
@@ -57,17 +49,13 @@ class RunConfig:
     resume: str = ""
 
 
-# config keys differ from field names only for the reserved word
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+# config keys differ from field names only for the reserved word; each field
+# has that one key
+_FIELD_TO_KEY = {"lam": "lambda"}
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _field_for(key):
-    name = _KEY_TO_FIELD.get(key, key)
-    if name not in _FIELDS:
-        raise ConfigError(f"unknown config key {key!r}")
-    return name
+_KEY_TO_FIELD = {_FIELD_TO_KEY.get(name, name): name for name in _FIELDS}
+# the values a field of each kind takes; a bool is no number here
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _parse_value(key, name, raw):
@@ -93,6 +81,8 @@ def validate(cfg):
 
     for name, kind in _FIELDS.items():
         key, value = _FIELD_TO_KEY.get(name, name), getattr(cfg, name)
+        need(isinstance(value, _TYPES[kind]) and (kind == "bool" or not isinstance(value, bool)),
+             f"{key} must be {kind}, got {value!r}")
         if kind == "float":
             need(math.isfinite(value), f"{key} must be finite, got {value}")
         elif kind == "str":
@@ -108,8 +98,6 @@ def validate(cfg):
     need(cfg.roi_n >= 1, "roi_n must be >= 1")
     need(cfg.lr > 0, f"lr must be > 0, got {cfg.lr}")
     need(cfg.weight_decay >= 0, "weight_decay must be >= 0")
-    need(0 < cfg.beta1 < 1 and 0 < cfg.beta2 < 1, "betas must lie in (0, 1)")
-    need(cfg.eps > 0, "eps must be > 0")
     need(cfg.epochs >= 0, "epochs must be >= 0")
     # checkpoints store the seed as an int32 section
     need(0 <= cfg.seed < 2 ** 31, f"seed must lie in [0, 2**31), got {cfg.seed}")
@@ -117,19 +105,15 @@ def validate(cfg):
     need(cfg.dtype in ("f32", "f64"), f"dtype must be f32 or f64, got {cfg.dtype!r}")
     # the encoders' own rules, with the role named
     for role, embed_dim in (("student", cfg.embed_dim), ("vfm", None)):
-        patch, depth, width, heads, res, mean, std = (getattr(cfg, f"{role}_{name}") for name in (
-            "patch", "depth", "width", "heads", "res", "pixel_mean", "pixel_std"))
         try:
-            param_shapes(patch, depth, width, heads, res, embed_dim)
-            check_fields(pixel_mean=mean, pixel_std=std)
+            param_shapes(*(getattr(cfg, f"{role}_{name}") for name in (
+                "patch", "depth", "width", "heads", "res")), embed_dim)
         except ParameterError as exc:
             raise ConfigError(f"{role} {exc}") from None
     s_tokens = (cfg.student_res // cfg.student_patch) ** 2
     v_tokens = (cfg.vfm_res // cfg.vfm_patch) ** 2
     need(s_tokens == v_tokens,
          f"token counts differ: student {s_tokens} vs provider {v_tokens}")
-    need(cfg.trainable_layers == -1 or 0 <= cfg.trainable_layers <= cfg.student_depth,
-         f"trainable_layers {cfg.trainable_layers} outside -1 or [0, {cfg.student_depth}]")
     need(cfg.sd_maps >= 1, "sd_maps must be >= 1")
     need(cfg.sd_sharpness >= 0, "sd_sharpness must be >= 0")
     need(cfg.sd_noise >= 0, "sd_noise must be >= 0")
@@ -145,7 +129,9 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        name = _field_for(key)
+        name = _KEY_TO_FIELD.get(key)
+        if name is None:
+            raise ConfigError(f"unknown config key {key!r}")
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[name] = _parse_value(key, name, raw)

@@ -272,7 +272,7 @@ def evaluate_on_suite(distiller, suite, classes):
         enc = encode_dense(sample.image, distiller.student, VARIANTS[distiller.variant])
         seg_cm = add_confusion(seg_cm, enc, classes, sample.segments, suite.res)
         region_cm = add_region_confusion(region_cm, enc, classes, [b for b, _ in sample.boxes],
-                                         [lab for _, lab in sample.boxes], n=distiller.cfg.roi_n)
+                                         [lab for _, lab in sample.boxes])
     return VariantMetrics(macc=macc_from_confusion(region_cm),
                           miou=miou_from_confusion(seg_cm)[0])
 

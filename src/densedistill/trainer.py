@@ -44,6 +44,11 @@ CHECKPOINT_NAME = "checkpoint.dten"
 METRICS_NAME = "metrics.log"
 CONFIG_ECHO_NAME = "effective_config.txt"
 
+# pixel normalisation (mean, std) of the student and of the provider; the
+# paper takes each fixed from its pretrained model
+STUDENT_PIXEL = (0.5, 0.5)
+PROVIDER_PIXEL = (0.45, 0.27)
+
 # Teacher grids from this many tokens encode a step's crops on a thread pool.
 # A crop forward releases the GIL only inside numpy calls on large enough
 # operands: on a 2-core host two threads ran 16 width-48 crops 0.85-1.16x as
@@ -73,7 +78,7 @@ def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):
 class AdamW:
     """Optimizer over named parameters; moments mirror parameter shapes."""
 
-    def __init__(self, named_params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = [(name, p) for name, p in named_params if p.requires_grad]
         self.lr, self.weight_decay = lr, weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -101,15 +106,13 @@ def build_models(cfg):
     student = VitParams(
         patch_size=cfg.student_patch, depth=cfg.student_depth, width=cfg.student_width,
         heads=cfg.student_heads, input_res=cfg.student_res,
-        embed_dim=cfg.embed_dim or None, pixel_mean=cfg.student_pixel_mean,
-        pixel_std=cfg.student_pixel_std, seed=[cfg.seed, STREAM_STUDENT], dtype=dtype)
+        embed_dim=cfg.embed_dim or None, pixel_mean=STUDENT_PIXEL[0],
+        pixel_std=STUDENT_PIXEL[1], seed=[cfg.seed, STREAM_STUDENT], dtype=dtype)
     teacher = student.clone().freeze()
-    if cfg.trainable_layers != -1:
-        student.set_trainable_layers(cfg.trainable_layers)
     vfm = VitParams(
         patch_size=cfg.vfm_patch, depth=cfg.vfm_depth, width=cfg.vfm_width,
         heads=cfg.vfm_heads, input_res=cfg.vfm_res, embed_dim=None,
-        pixel_mean=cfg.vfm_pixel_mean, pixel_std=cfg.vfm_pixel_std,
+        pixel_mean=PROVIDER_PIXEL[0], pixel_std=PROVIDER_PIXEL[1],
         seed=[cfg.seed, STREAM_PROVIDER], dtype=dtype).freeze()
     return student, teacher, vfm
 
@@ -293,8 +296,7 @@ class Distiller:
         self.cfg, self.variant = validate(cfg), variant
         self.student, self.teacher, self.vfm = build_models(cfg)
         self.optimizer = AdamW(self.student.named_parameters(), lr=cfg.lr,
-                               weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                               beta2=cfg.beta2, eps=cfg.eps)
+                               weight_decay=cfg.weight_decay)
 
     @property
     def step_count(self):
@@ -322,32 +324,35 @@ class Distiller:
             l_total=sum(r.l_total for r in reports) / n)
 
 
-# the meta section holds vit._META's integers (embed_dim 0 = no projection,
-# dtype the index into tensor._DTYPES), the pixel section its last two
-_META_FIELDS, _PIXEL_FIELDS = _META[:-2], _META[-2:]
+# the sections a checkpoint holds ahead of its parameters, in file order, each
+# with its fields and dtype: meta holds vit._META's integers (embed_dim 0 = no
+# projection, dtype the index into tensor._DTYPES), pixel its last two, optim
+# the optimizer's settings, then the batch size
+_HEADER = {"meta": (_META[:-2], np.int32), "pixel": (_META[-2:], np.float64),
+           "step": (("step",), np.int32), "seed": (("seed",), np.int32),
+           "optim": (("lr", "beta1", "beta2", "eps", "weight_decay", "batch_size"), np.float64)}
+_META_FIELDS, _PIXEL_FIELDS = _HEADER["meta"][0], _HEADER["pixel"][0]
 # a stored dtype is an index into tensor._DTYPES; vit.field_range gives the
 # values of every other stored field a student can be built from
 _DTYPE_RANGE = ("0 (f32) or 1 (f64)", lambda v: v in (0, 1))
 
 
-# the optim section: the optimizer's settings, then the batch size; a
-# resumed run must share all of them
-_OPTIM_FIELDS = ("lr", "beta1", "beta2", "eps", "weight_decay")
+def _header(student, optimizer, step, seed, batch_size):
+    """The header sections, by name, of a checkpoint of these values: each
+    section of _HEADER whose fields are all given."""
+    held = {**_student_fields(student), "step": step, "seed": seed, "batch_size": batch_size}
+    if optimizer is not None:
+        held.update((name, getattr(optimizer, name)) for name in _HEADER["optim"][0][:-1])
+    return {key: np.array([held[name] for name in names], dtype)
+            for key, (names, dtype) in _HEADER.items()
+            if all(held.get(name) is not None for name in names)}
 
 
 def save_checkpoint(path, student, optimizer=None, step=0, seed=None, batch_size=None):
     """Write the student (and optimizer moments, when given) with the step
     counter. With ``seed``, also the run seed; with the optimizer and
     ``batch_size``, also the optim section. ``restore_into`` requires both."""
-    held = _student_fields(student)
-    sections = [("meta", np.array([held[f] for f in _META_FIELDS], dtype=np.int32)),
-                ("pixel", np.array([held[f] for f in _PIXEL_FIELDS]))]
-    sections.append(("step", np.array([step], dtype=np.int32)))
-    if seed is not None:
-        sections.append(("seed", np.array([seed], dtype=np.int32)))
-    if optimizer is not None and batch_size is not None:
-        sections.append(("optim", np.array(
-            [getattr(optimizer, f) for f in _OPTIM_FIELDS] + [batch_size], dtype=np.float64)))
+    sections = list(_header(student, optimizer, step, seed, batch_size).items())
     for name, p in student.named_parameters():
         sections.append((f"param.{name}", p.data))
     if optimizer is not None:
@@ -453,41 +458,29 @@ def load_student(path):
 def restore_into(distiller, path):
     """Load a checkpoint's parameters, optimizer moments and step counter into
     a distiller. The file is read and checked by ``load_student``; then its
-    meta and pixel fields must be the run's student's, its seed the run's
-    (the frozen twins and the step randomness are built from it), its
-    optimizer settings and batch size the run's, and its moments must cover
-    exactly the run's trainable parameters."""
+    meta, pixel, seed and optim sections must hold what this run would write
+    (the frozen twins and the step randomness are built from the seed), and
+    it must hold moments for every parameter the run trains."""
     loaded, sections = load_student(path)
-    stored = _student_fields(loaded)
-    for name, value in _student_fields(distiller.student).items():
-        if stored[name] != value:
-            where = "meta" if name in _META_FIELDS else "pixel"
-            raise ConfigError(f"{path}: section {where!r} holds {name} = {stored[name]!r}, "
-                              f"but the run's student has {name} = {value!r}")
+    opt = distiller.optimizer
+    run = _header(distiller.student, opt, None, distiller.cfg.seed, distiller.cfg.batch_size)
+    for key, want in run.items():
+        names = _HEADER[key][0]
+        stored = section(path, sections, key, len(names)).tolist()
+        for name, held, value in zip(names, stored, want.tolist()):
+            if held != value:
+                raise ConfigError(f"{path}: section {key!r} holds {name} = {held!r}, "
+                                  f"but the run has {name} = {value!r}")
     step = _integer(path, "step", "step", section(path, sections, "step", 1)[0])
     if step < 0:
         raise ConfigError(f"{path}: section 'step' holds {step}, expected >= 0")
-    seed = _integer(path, "seed", "seed", section(path, sections, "seed", 1)[0])
-    if seed != distiller.cfg.seed:
-        raise ConfigError(f"{path}: section 'seed' holds {seed}, but the run's seed "
-                          f"is {distiller.cfg.seed}")
-    stored = section(path, sections, "optim", len(_OPTIM_FIELDS) + 1)
-    for field, held in zip(_OPTIM_FIELDS + ("batch_size",), stored):
-        if held != getattr(distiller.cfg, field):
-            raise ConfigError(f"{path}: section 'optim' holds {field} = {float(held)!r}, "
-                              f"but the run's {field} is {getattr(distiller.cfg, field)!r}")
-    opt = distiller.optimizer
-    moments = {key[len("adam.m."):] for key in sections if key.startswith("adam.m.")}
-    unmatched = sorted(moments ^ opt.m.keys())
-    if unmatched:
-        where = "the run" if unmatched[0] in moments else "the checkpoint"
-        raise ConfigError(f"{path}: optimizer moments of parameter {unmatched[0]!r} are missing "
-                          f"from {where}: the two train different parameters (trainable_layers)")
+    # load_student refused a moment section without its pair
+    moments = {name: (section(path, sections, f"adam.m.{name}"), sections[f"adam.v.{name}"])
+               for name in opt.m}
     for (_, p), (_, held) in zip(distiller.student.named_parameters(), loaded.named_parameters()):
         p.data = held.data
     for name, p in opt.params:
-        opt.m[name] = sections[f"adam.m.{name}"].astype(p.data.dtype)
-        opt.v[name] = sections[f"adam.v.{name}"].astype(p.data.dtype)
+        opt.m[name], opt.v[name] = (moment.astype(p.data.dtype) for moment in moments[name])
     opt.t = step
     return distiller
 

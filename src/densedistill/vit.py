@@ -117,7 +117,7 @@ class VitParams:
         return {name: getattr(self, name) for name in _META}
 
     def _build(self, initial, requires_grad, patch_size, depth, width, heads, input_res,
-               embed_dim=None, pixel_mean=0.5, pixel_std=0.5, dtype=np.float64):
+               embed_dim, pixel_mean, pixel_std, dtype):
         shapes = param_shapes(patch_size, depth, width, heads, input_res, embed_dim)
         check_fields(pixel_mean=pixel_mean, pixel_std=pixel_std)
         self.patch_size = patch_size
@@ -160,18 +160,6 @@ class VitParams:
             p.requires_grad = False
             p.grad = None
             p.data.flags.writeable = False
-        return self
-
-    def set_trainable_layers(self, n):
-        """Restrict updates to the last n blocks (-1 = all). Embeddings and
-        the V-L projection stay trainable; they are not encoder layers."""
-        if n == -1:
-            n = self.depth
-        if not 0 <= n <= self.depth:
-            raise ParameterError(f"trainable_layers {n} outside [0, {self.depth}]")
-        for i, b in enumerate(self.blocks):
-            for p in vars(b).values():
-                p.requires_grad = i >= self.depth - n
         return self
 
     def state_bytes(self):

@@ -242,7 +242,7 @@ def test_synth_zero_sharpness_uniform():
 
 def test_synth_empty_map_rejected():
     with pytest.raises(ParameterError):
-        synth_sd_attention(np.zeros((0, 0), dtype=int), 1.0, np.random.default_rng(0))
+        synth_sd_attention(np.zeros((0, 0), dtype=int), 1.0, np.random.default_rng(0), 3, 0.5)
 
 
 def test_completion_raises_within_segment_mass():

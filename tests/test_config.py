@@ -1,4 +1,7 @@
-"""Config grammar: defaults, validation, echo round-trip."""
+"""Config grammar: defaults, validation, echo round-trip, the README's key table."""
+
+import itertools
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,29 @@ def test_unknown_key_rejected():
         parse_config_text("lamda = 0.25\n")
 
 
+# fixed in the code (AdamW's betas and eps, the two pixel normalisations,
+# every block trains); lam is the field's name, whose key is lambda
+@pytest.mark.parametrize("key", [
+    "beta1", "beta2", "eps", "student_pixel_mean", "student_pixel_std", "vfm_pixel_mean",
+    "vfm_pixel_std", "trainable_layers", "lam"])
+def test_a_key_the_config_does_not_hold_is_refused_as_unknown(key):
+    with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
+        parse_config_text(f"{key} = 0.3\n")
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("epochs", 1.5, "int"), ("batch_size", 1.5, "int"), ("student_depth", 3.0, "int"),
+    ("roi_n", True, "int"), ("lr", True, "float"), ("tau", "1.0", "float"),
+    ("use_sd_completion", 1, "bool"), ("dtype", None, "str"), ("manifest", 3, "str")])
+def test_a_config_built_in_code_refuses_a_value_of_another_type(field, value, kind):
+    with pytest.raises(ConfigError, match=rf"^{field} must be {kind}, got {value!r}$"):
+        validate(RunConfig(**{field: value}))
+
+
+def test_a_float_field_takes_an_int():
+    assert validate(RunConfig(lam=1, lr=1)).lam == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 31])
 def test_seed_outside_the_checkpoint_range_rejected(seed):
     with pytest.raises(ConfigError, match="seed"):
@@ -37,9 +63,8 @@ def test_seed_outside_the_checkpoint_range_rejected(seed):
 
 
 @pytest.mark.parametrize("key,raw", [
-    ("tau", "inf"), ("lambda", "inf"), ("lr", "inf"), ("eps", "inf"), ("weight_decay", "inf"),
-    ("sd_sharpness", "inf"), ("student_pixel_std", "inf"), ("vfm_pixel_mean", "nan"),
-    ("beta1", "nan"), ("sd_noise", "-inf")])
+    ("tau", "inf"), ("lambda", "inf"), ("lr", "inf"), ("weight_decay", "inf"),
+    ("sd_sharpness", "inf"), ("sd_noise", "-inf")])
 def test_non_finite_float_rejected_naming_the_key(key, raw, tmp_path, capsys):
     with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
         parse_config_text(f"{key} = {raw}\n")
@@ -99,8 +124,20 @@ def test_bool_parsing():
 @pytest.mark.parametrize("over,message", [
     ({"student_heads": 3}, "student width 64 not divisible by heads 3"),
     ({"vfm_depth": 0}, "vfm depth = 0, expected >= 1"),
-    ({"vfm_pixel_std": 0.0}, "vfm pixel_std = 0.0, expected finite and > 0"),
+    ({"vfm_heads": 5}, "vfm width 48 not divisible by heads 5"),
     ({"embed_dim": -1}, "student embed_dim = -1, expected >= 0")])
 def test_encoder_field_refused_by_the_encoder_rule_naming_the_role(over, message):
     with pytest.raises(ConfigError, match=rf"^{message}$"):
         validate(RunConfig(**over))
+
+
+def test_the_readme_config_table_lists_every_key_with_its_default():
+    # a key added, removed or re-defaulted without its README line fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    _, table = readme.split("| key | default | meaning |\n|---|---|---|\n", 1)
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()):
+        key, default, meaning = (cell.strip() for cell in line.strip("|").split("|"))
+        assert meaning, key
+        rows.append(f"{key.strip('`')} = {default.strip('`')}\n")
+    assert "".join(rows) == echo_config(RunConfig())

@@ -540,15 +540,32 @@ def test_resume_refuses_a_metrics_log_shorter_than_its_step(tmp_path):
     assert open(half.checkpoint_path, "rb").read() == checkpoint
 
 
-def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
-    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
-    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
-    other = desk_cfg(tmp_path, epochs=2, seed=5, resume=half.checkpoint_path, manifest=manifest)
-    with pytest.raises(ConfigError, match=r"checkpoint\.dten: section 'seed' holds 0.* 5"):
+def _refused_resume(tmp_path, capsys, resume, manifest, named, **over):
+    """Resuming from ``resume`` with the desk config (``over`` applied) is
+    refused with ``named`` by restore_into, which leaves the run's student
+    and step as they were, by distill_run and on the CLI; the file is kept."""
+    checkpoint = open(resume, "rb").read()
+    other = desk_cfg(tmp_path, epochs=2, resume=resume, manifest=manifest, **over)
+    target = Distiller(other)
+    before = target.student.state_bytes()
+    with pytest.raises(ConfigError, match=named):
+        restore_into(target, resume)
+    assert target.student.state_bytes() == before
+    assert target.step_count == 0
+    with pytest.raises(ConfigError, match=named):
         distill_run(other)
     config = tmp_path / "other.cfg"
     config.write_text(echo_config(other))
     assert run_cli(["distill", "--config", str(config)]) == 1
+    assert re.search(named, capsys.readouterr().err)
+    assert open(resume, "rb").read() == checkpoint
+
+
+def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path, capsys):
+    _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
+    half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
+    named = r"checkpoint\.dten: section 'seed' holds seed = 0, but the run has seed = 5$"
+    _refused_resume(tmp_path, capsys, half.checkpoint_path, manifest, named, seed=5)
 
 
 def test_a_rejected_resume_fails_before_any_record_is_prepared(tmp_path, monkeypatch):
@@ -567,41 +584,44 @@ def test_a_rejected_resume_fails_before_any_record_is_prepared(tmp_path, monkeyp
     assert prepared == []
 
 
+def _header_edited(tmp_path, path, where, name, value):
+    """A copy of the checkpoint at ``path`` whose field ``name`` of section
+    ``where`` holds ``value``: what a run of other settings would have written."""
+    sections = read_tensor(path)
+    sections[where][trainer._HEADER[where][0].index(name)] = value
+    copy = str(tmp_path / "edited" / "checkpoint.dten")
+    os.makedirs(os.path.dirname(copy), exist_ok=True)
+    write_tensor(copy, sections)
+    return copy
+
+
 @pytest.mark.parametrize("field,value", [("lr", 2e-3), ("beta1", 0.8), ("beta2", 0.99),
                                          ("eps", 1e-6), ("weight_decay", 0.05),
                                          ("batch_size", 1)])
 def test_resume_refuses_a_checkpoint_of_other_optimizer_settings(tmp_path, capsys, field, value):
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
     half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
-    checkpoint = open(half.checkpoint_path, "rb").read()
-    other = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path, manifest=manifest,
-                     **{field: value})
-    with pytest.raises(ConfigError, match=rf"checkpoint\.dten: section 'optim' holds {field} = "):
-        distill_run(other)
-    config = tmp_path / "other.cfg"
-    config.write_text(echo_config(other))
-    assert run_cli(["distill", "--config", str(config)]) == 1
-    assert f"section 'optim' holds {field}" in capsys.readouterr().err
-    assert open(half.checkpoint_path, "rb").read() == checkpoint
+    # the run's own value is the one its first half wrote
+    held = read_tensor(half.checkpoint_path)["optim"][trainer._HEADER["optim"][0].index(field)]
+    resume = _header_edited(tmp_path, half.checkpoint_path, "optim", field, value)
+    named = (rf"checkpoint\.dten: section 'optim' holds {field} = {re.escape(repr(float(value)))}, "
+             rf"but the run has {field} = {re.escape(repr(float(held)))}$")
+    _refused_resume(tmp_path, capsys, resume, manifest, named)
 
 
 @pytest.mark.parametrize("over,where,name", [
     (dict(student_heads=4), "meta", "heads"), (dict(dtype="f32"), "meta", "dtype"),
-    (dict(student_pixel_mean=0.3), "pixel", "pixel_mean"),
-    (dict(student_pixel_std=0.9), "pixel", "pixel_std")])
+    (dict(pixel_mean=0.3), "pixel", "pixel_mean"), (dict(pixel_std=0.9), "pixel", "pixel_std")])
 def test_resume_refuses_a_checkpoint_of_another_student(tmp_path, capsys, over, where, name):
+    # meta fields differ through the run's config; the pixel normalisation is
+    # fixed, so the checkpoint's is written into a copy
     _, manifest = desk_suite(tmp_path, desk_cfg(tmp_path))
     half = distill_run(desk_cfg(tmp_path, epochs=1, manifest=manifest))
-    checkpoint = open(half.checkpoint_path, "rb").read()
-    other = desk_cfg(tmp_path, epochs=2, resume=half.checkpoint_path, manifest=manifest, **over)
-    named = rf"checkpoint\.dten: section '{where}' holds {name} = .*but the run's student"
-    with pytest.raises(ConfigError, match=named):
-        distill_run(other)
-    config = tmp_path / "other.cfg"
-    config.write_text(echo_config(other))
-    assert run_cli(["distill", "--config", str(config)]) == 1
-    assert f"section '{where}' holds {name}" in capsys.readouterr().err
-    assert open(half.checkpoint_path, "rb").read() == checkpoint
+    resume = half.checkpoint_path
+    if where == "pixel":
+        resume, over = _header_edited(tmp_path, resume, where, name, over[name]), {}
+    named = rf"checkpoint\.dten: section '{where}' holds {name} = .*, but the run has {name} = "
+    _refused_resume(tmp_path, capsys, resume, manifest, named, **over)
 
 
 def test_distill_run_validates_a_config_built_in_code(tmp_path):
@@ -645,7 +665,7 @@ def test_restore_rejects_checkpoint_of_other_architecture(tmp_path, over, name):
     save_checkpoint(path, source.student, source.optimizer, 3)
     target = Distiller(desk_cfg(tmp_path, **over))
     before = target.student.state_bytes()
-    named = rf"ckpt\.dten: section 'meta' holds {name} = \d+, but the run's student has {name}"
+    named = rf"ckpt\.dten: section 'meta' holds {name} = \d+, but the run has {name} = \d+$"
     with pytest.raises(ConfigError, match=named):
         restore_into(target, path)
     assert target.student.state_bytes() == before
@@ -655,7 +675,7 @@ def test_restore_rejects_checkpoint_of_other_architecture(tmp_path, over, name):
 def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
     path = str(tmp_path / "ckpt.dten")
     save_checkpoint(path, Distiller(desk_cfg(tmp_path)).student)
-    with pytest.raises(ConfigError, match="section 'meta' holds embed_dim = 8, but the run's"):
+    with pytest.raises(ConfigError, match="section 'meta' holds embed_dim = 8, but the run has"):
         restore_into(Distiller(desk_cfg(tmp_path, embed_dim=0)), path)
 
 
@@ -665,9 +685,9 @@ def test_restore_rejects_extra_checkpoint_parameter(tmp_path):
     ("seed", None, "'seed'"), ("seed", np.zeros(2, dtype=np.int32), "'seed'"),
     ("optim", None, "'optim'"), ("optim", np.zeros(5), "'optim'"),
     ("step", np.array([-2], dtype=np.int32), "'step' holds -2"),
-    # a step of 1.5 would resume at step 1, a seed of 0.5 pass as the run's 0
+    # a step of 1.5 would resume at step 1; a seed of 0.5 is not the run's 0
     ("step", np.array([1.5]), r"ckpt\.dten: section 'step' holds step = 1\.5, expected an integer"),
-    ("seed", np.array([0.5]), r"ckpt\.dten: section 'seed' holds seed = 0\.5, expected an integer"),
+    ("seed", np.array([0.5]), r"ckpt\.dten: section 'seed' holds seed = 0\.5, but the run has seed = 0$"),
     ("step", np.array([np.inf]), r"ckpt\.dten: section 'step' holds step = inf, expected an")])
 def test_restore_rejects_bad_moment_or_step_section(tmp_path, section, value, named):
     path = str(tmp_path / "ckpt.dten")
@@ -928,16 +948,18 @@ def test_step_count_is_the_optimizer_step(tmp_path):
         rebuilt.step_count = 0
 
 
-@pytest.mark.parametrize("saved,resumed,where", [(1, -1, "the checkpoint"),
-                                                 (-1, 1, "the run")])
-def test_restore_rejects_moments_of_other_trainable_layers(tmp_path, saved, resumed, where):
+def test_restore_rejects_a_checkpoint_lacking_moments(tmp_path):
+    # every block trains, so a checkpoint without a parameter's moment pair
+    # cannot continue its optimisation
     path = str(tmp_path / "ckpt.dten")
-    source = Distiller(desk_cfg(tmp_path, trainable_layers=saved))
+    source = Distiller(desk_cfg(tmp_path))
     save_checkpoint(path, source.student, source.optimizer, 2, 0, source.cfg.batch_size)
-    target = Distiller(desk_cfg(tmp_path, trainable_layers=resumed))
+    sections = read_tensor(path)
+    del sections["adam.m.block0.wq"], sections["adam.v.block0.wq"]
+    write_tensor(path, sections)
+    target = Distiller(desk_cfg(tmp_path))
     before = target.student.state_bytes()
-    named = rf"ckpt\.dten: optimizer moments of parameter 'block0\..*{where}"
-    with pytest.raises(ConfigError, match=named):
+    with pytest.raises(ConfigError, match=r"ckpt\.dten: section 'adam\.m\.block0\.wq' is missing$"):
         restore_into(target, path)
     assert target.student.state_bytes() == before
     assert target.step_count == 0
@@ -990,20 +1012,6 @@ def test_no_projection_path(tmp_path):
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
     report, = train(distiller, [prepared], 1)
     assert np.isfinite(report.l_total)
-
-
-def test_trainable_layers_restricts_updates(tmp_path):
-    cfg = desk_cfg(tmp_path, trainable_layers=1)
-    suite, manifest = desk_suite(tmp_path, cfg)
-    distiller = Distiller(cfg)
-    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
-    total, _ = distiller.loss_for(prepared, np.random.default_rng(0))
-    T.backward(total)
-    for name, p in distiller.student.named_parameters():
-        if name.startswith("block0."):
-            assert p.grad is None, name
-    assert distiller.student.blocks[1].wq.grad is not None
-    assert distiller.student.w_patch.grad is not None  # embeddings stay trainable
 
 
 def test_manifest_parsing_errors(tmp_path):
@@ -1212,10 +1220,9 @@ def test_manifest_file_without_its_section_rejected(tmp_path, key, name):
 
 @pytest.mark.parametrize("variant", ["decoupled", "coupled", "content"])
 def test_a_training_step_dispatches_no_graph_free_op(monkeypatch, variant):
-    """Teacher targets and provider rows are arrays, so with every layer
-    trainable each op a training step dispatches records a gradient rule."""
+    """Teacher targets and provider rows are arrays, so each op a training
+    step dispatches records a gradient rule."""
     cfg, suite = shipped_ablation_config()
-    cfg = replace(cfg, trainable_layers=-1)
     distiller = Distiller(cfg, variant)
     prepared = prepare_suite(replace(suite, samples=suite.samples[:1]), distiller, cfg)[0]
     dispatch, calls, graph_free = T.from_op, [], []

@@ -423,7 +423,6 @@ def test_fingerprint_identifies_frozen_weights_and_normalisation():
 def test_clone_is_a_trainable_copy_sharing_no_array():
     p = VitParams(patch_size=4, depth=2, width=8, heads=2, input_res=8, embed_dim=4,
                   pixel_std=0.25, seed=3, dtype=np.float32)
-    p.set_trainable_layers(1)
     p.freeze()
     twin = p.clone()
     assert not twin.frozen and twin.state_bytes() == p.state_bytes()
