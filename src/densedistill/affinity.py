@@ -45,9 +45,11 @@ def vfm_affinity(tokens):
         raise ShapeError(f"expected (N, D) tokens, got {arr.shape}")
     unit, _ = _unit_rows(arr, "provider tokens")
     sim = unit @ unit.T
-    sim = np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(sim, 1.0)
-    return sim
+    sym = sim + sim.T
+    sym /= 2.0
+    np.clip(sym, -1.0, 1.0, out=sym)
+    np.fill_diagonal(sym, 1.0)
+    return sym
 
 
 def fuse_sd_attention(stack):

@@ -7,7 +7,7 @@ serializes a config so that parse(echo(cfg)) == cfg.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParameterError
@@ -84,7 +84,9 @@ def validate(cfg):
         need(isinstance(value, _TYPES[kind]) and (kind == "bool" or not isinstance(value, bool)),
              f"{key} must be {kind}, got {value!r}")
         if kind == "float":
-            need(math.isfinite(value), f"{key} must be finite, got {value}")
+            # a comparison, not math.isfinite: NaN fails it, and an int past
+            # the float range compares exactly instead of overflowing
+            need(abs(value) <= sys.float_info.max, f"{key} must be finite, got {value}")
         elif kind == "str":
             # what the config grammar cannot carry, so that echo_config round-trips
             need("#" not in value, f"{key} must not hold '#', got {value!r}")

@@ -633,7 +633,11 @@ def kl_rows(p, q):
 
     def back(g):
         gs = g / r
-        dq = np.where(qd > KL_EPS, -p / qc, 0.0)
-        return (gs * dq,)
+        # one (r, c) working array, updated in place
+        dq = np.negative(p)
+        dq /= qc
+        dq[~(qd > KL_EPS)] = 0.0
+        dq *= gs
+        return (dq,)
 
     return from_op(out, (q,), back)

@@ -13,6 +13,14 @@ the boxes its record has not seen under that teacher. Those are encoded one
 crop at a time, on a thread pool or on the calling thread, and every target
 is read back in box order, so neither the memo nor the pool size changes a
 bit. ``train`` is the one training loop; every caller goes through it.
+
+``distill_run`` checks every record's files before step 0 and keeps nothing
+of them; each step prepares its own records and drops them after it, so a
+run holds one batch of prepared records at a time, and only the crop-target
+memos, keyed by record index, outlive their step. A record's first step
+replaces its SD stack by the context target. A revisit prepares the record
+again, bitwise as before: its image comes from a file and its SD rng from
+its index.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 from .affinity import SdAttentionStack, complete_affinity, fuse_sd_attention, synth_sd_attention, vfm_affinity
 from .config import echo_config, validate
 from .container import atomic_write_text, read_tensor, write_tensor
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, DistributionError, ParameterError, ShapeError
 from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
 from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
@@ -175,7 +183,10 @@ def distill_forward(distiller, prepared, rng):
         try:
             enc = encode_dense(image, student, VARIANTS[variant])
             ctx_stream = enc.tokens if variant == "coupled" else enc.context
-            s_hat = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
+            if prepared.context_target is None:
+                # the target depends on the record alone; the stack is not read again
+                prepared.context_target = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
+                prepared.sd_stack = None
             content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
             region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
         except BaseException:
@@ -186,7 +197,7 @@ def distill_forward(distiller, prepared, rng):
         memo.update(((key, box), cls) for box, cls in zip(misses, crops))
     region_teacher = [memo[key, box] for box in boxes]
 
-    l_ctx = context_loss(ctx_stream, s_hat, cfg.tau)
+    l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)
     l_cos = content_cos_loss(region_students, region_teacher)
     dtype = enc.tokens.data.dtype
     if variant == "decoupled":
@@ -240,22 +251,29 @@ def read_manifest(path):
 class PreparedRecord:
     image: np.ndarray
     vfm_tokens: np.ndarray
-    sd_stack: SdAttentionStack
+    # None once its first step has stored context_target
+    sd_stack: SdAttentionStack | None
     # frozen-teacher crop embeddings, (teacher fingerprint, CropBox) -> (E,)
     # CLS array; at most (sum of n over [grid_lo, grid_hi])^2 boxes per teacher
     crop_targets: dict = field(default_factory=dict)
+    # context_teacher(vfm_tokens, sd_stack, cfg), stored by the first step
+    context_target: np.ndarray | None = None
 
 
-def prepare_record(rec, vfm, cfg, index):
-    """A manifest record's arrays, each file checked against the student or
-    the provider before any step runs."""
+def read_record(rec, vfm, cfg):
+    """A manifest record's files, each checked against the student or the
+    provider: the image, the segment labels, and the provider tokens and SD
+    stack when the record names their files (else None)."""
     image = section(rec.image_path, read_tensor(rec.image_path), "image")
     res = cfg.student_res
     if image.shape != (3, res, res):
         raise ConfigError(f"{rec.image_path}: section 'image' has shape {image.shape}, "
                           f"expected (3, {res}, {res}) for the student's {res}-px input")
+    if not np.isfinite(image).all():
+        raise ConfigError(f"{rec.image_path}: section 'image' holds non-finite values")
     segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
     n = vfm.grid_side ** 2
+    vfm_tokens = sd_stack = None
     if rec.vfm_path:
         vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
         if vfm_tokens.ndim != 2 or vfm_tokens.shape[0] != n or vfm_tokens.shape[1] < 1:
@@ -265,8 +283,6 @@ def prepare_record(rec, vfm, cfg, index):
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds non-finite values")
         if not vfm_tokens.any(axis=1).all():
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds an all-zero row")
-    else:
-        vfm_tokens = provider_tokens(vfm, image)
     if rec.sd_path:
         maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
         if maps.ndim != 3 or maps.shape[1:] != (n, n) or maps.shape[0] < 1:
@@ -274,16 +290,50 @@ def prepare_record(rec, vfm, cfg, index):
                               f"expected (maps, {n}, {n}) for {n} provider tokens, maps >= 1")
         if not np.isfinite(maps).all():
             raise ConfigError(f"{rec.sd_path}: section 'maps' holds non-finite values")
-        sd_stack = SdAttentionStack(maps=maps)
-    else:
-        if segments.size != n:
-            raise ConfigError(f"{rec.segments_path}: section 'labels' has shape "
-                              f"{segments.shape}, expected {n} labels for {n} provider tokens")
+        try:
+            sd_stack = SdAttentionStack(maps=maps)
+        except DistributionError:
+            raise ConfigError(f"{rec.sd_path}: section 'maps' holds a map that is not "
+                              f"row-stochastic") from None
+    elif segments.size != n:
+        raise ConfigError(f"{rec.segments_path}: section 'labels' has shape "
+                          f"{segments.shape}, expected {n} labels for {n} provider tokens")
+    return image, segments, vfm_tokens, sd_stack
+
+
+def prepare_record(rec, vfm, cfg, index):
+    """A manifest record's arrays, read and checked by ``read_record``; the
+    provider tokens and the SD stack its files do not give are computed."""
+    image, segments, vfm_tokens, sd_stack = read_record(rec, vfm, cfg)
+    if vfm_tokens is None:
+        vfm_tokens = provider_tokens(vfm, image)
+    if sd_stack is None:
         sd_stack = synth_sd_attention(
             segments, cfg.sd_sharpness,
             np.random.default_rng([cfg.seed, STREAM_SD, index]),
             num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
     return PreparedRecord(image=image, vfm_tokens=vfm_tokens, sd_stack=sd_stack)
+
+
+class ManifestRecords:
+    """The records of a manifest as ``train`` reads them: a slice prepares
+    its records when it is taken, and the caller drops it after its step.
+    Only each record's crop-target memo is kept, keyed by record index."""
+
+    def __init__(self, records, vfm, cfg):
+        self.records, self.vfm, self.cfg = records, vfm, cfg
+        self.crop_targets = {}
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, span):
+        batch = []
+        for i in range(*span.indices(len(self.records))):
+            prepared = prepare_record(self.records[i], self.vfm, self.cfg, i)
+            prepared.crop_targets = self.crop_targets.setdefault(i, prepared.crop_targets)
+            batch.append(prepared)
+        return batch
 
 
 class Distiller:
@@ -487,7 +537,9 @@ def restore_into(distiller, path):
 
 def train(distiller, prepared, epochs):
     """The training loop: ``epochs`` passes over ``prepared`` in record order,
-    one optimizer step per ``cfg.batch_size`` records. Steps before
+    one optimizer step per ``cfg.batch_size`` records. ``prepared`` is a list
+    of prepared records or a ``ManifestRecords``; a step takes one slice of
+    it and keeps no reference to the slice after it. Steps before
     ``distiller.step_count`` are skipped, so resuming is ``restore_into``
     then ``train``. Returns the reports of the steps run."""
     cfg = distiller.cfg
@@ -522,18 +574,19 @@ def _metrics_history(path, start_step):
 
 def distill_run(cfg):
     """Train for cfg.epochs passes over the manifest, one optimizer step per
-    batch, writing the metrics log, config echo, and a final checkpoint. A
-    resumed run keeps the log's lines of the steps before it."""
+    batch, writing the metrics log, config echo, and a final checkpoint.
+    Every record's files are checked before step 0; each step prepares its
+    own records. A resumed run keeps the log's lines of the steps before it."""
     distiller = Distiller(cfg)
     records = read_manifest(cfg.manifest)
     if cfg.resume:
         restore_into(distiller, cfg.resume)
-    prepared = [prepare_record(rec, distiller.vfm, cfg, i)
-                for i, rec in enumerate(records)]
+    for rec in records:
+        read_record(rec, distiller.vfm, cfg)
     start_step = distiller.step_count
     metrics_path = os.path.join(cfg.report_dir, METRICS_NAME)
     lines = _metrics_history(metrics_path, start_step)
-    reports = train(distiller, prepared, cfg.epochs)
+    reports = train(distiller, ManifestRecords(records, distiller.vfm, cfg), cfg.epochs)
     lines += [report.line(idx) for idx, report in enumerate(reports, start=start_step)]
     os.makedirs(cfg.report_dir, exist_ok=True)
     os.makedirs(cfg.checkpoint_dir, exist_ok=True)

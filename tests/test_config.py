@@ -1,6 +1,7 @@
 """Config grammar: defaults, validation, echo round-trip, the README's key table."""
 
 import itertools
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,14 @@ def test_non_finite_float_rejected_naming_the_key(key, raw, tmp_path, capsys):
     config.write_text(f"{key} = {raw}\n")
     assert run_cli(["distill", "--config", str(config)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
+def test_an_int_past_the_float_range_rejected_naming_the_key(name):
+    # math.isfinite would raise OverflowError converting it to a float
+    key = "lambda" if name == "lam" else name
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite, got 1000"):
+        validate(RunConfig(**{name: 10 ** 400}))
 
 
 def test_unparsable_value():

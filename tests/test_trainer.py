@@ -5,6 +5,8 @@ import os
 import re
 import threading
 import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +177,7 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     suite, manifest = desk_suite(tmp_path, cfg)
     distiller = Distiller(cfg, variant)
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    stack = prepared.sd_stack  # the step replaces it by the target it completes
 
     total, report_a = distiller.loss_for(prepared, np.random.default_rng(7))
     T.backward(total)
@@ -192,7 +195,7 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     f_s = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
     f_t = [encode_cls(crop_resize(prepared.image, box, cfg.student_res), distiller.teacher)
            for box in boxes]
-    s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
+    s_hat = context_teacher(prepared.vfm_tokens, stack, cfg)
     manual, report_b = total_loss(content_cos_loss(f_s, f_t), Tensor(np.zeros(())),
                                   context_loss(ctx, s_hat, cfg.tau),
                                   lam=cfg.lam if variant == "coupled" else 0.0)
@@ -234,6 +237,7 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
     distiller = Distiller(cfg, variant)
     assert distiller.teacher.grid_side ** 2 >= trainer.POOL_MIN_TOKENS
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    stack = prepared.sd_stack  # the step replaces it by the target it completes
     threads = record_crop_threads(monkeypatch)
 
     total, report_a = distiller.loss_for(prepared, np.random.default_rng(5))
@@ -262,7 +266,7 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
                          cfg.tau)
     else:
         l_rcc = Tensor(np.zeros(()))
-    s_hat = context_teacher(prepared.vfm_tokens, prepared.sd_stack, cfg)
+    s_hat = context_teacher(prepared.vfm_tokens, stack, cfg)
     manual, report_b = total_loss(content_cos_loss(f_s, f_t), l_rcc,
                                   context_loss(ctx, s_hat, cfg.tau),
                                   lam=0.0 if variant == "content" else cfg.lam)
@@ -427,6 +431,25 @@ def test_step_whose_boxes_all_hit_starts_no_pool(tmp_path, monkeypatch):
     assert again == first and threads == []
 
 
+# --- the context target stored per record ---------------------------------------------------
+
+def test_first_step_stores_the_context_target_in_place_of_the_stack(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    stack = prepared.sd_stack
+    _, first = distiller.loss_for(prepared, np.random.default_rng(5))
+    assert prepared.sd_stack is None
+    want = context_teacher(prepared.vfm_tokens, stack, cfg)
+    assert prepared.context_target.tobytes() == want.tobytes()
+
+    calls = []
+    monkeypatch.setattr(trainer, "context_teacher", lambda *args: calls.append(args))
+    _, again = distiller.loss_for(prepared, np.random.default_rng(5))
+    assert calls == [] and again == first
+
+
 def test_same_seed_runs_bitwise_identical(tmp_path):
     cfg = desk_cfg(tmp_path, batch_size=1)
     suite, manifest = desk_suite(tmp_path, cfg)
@@ -538,6 +561,85 @@ def test_resume_refuses_a_metrics_log_shorter_than_its_step(tmp_path):
                              manifest=manifest))
     assert open(half.metrics_path).read() == first_line
     assert open(half.checkpoint_path, "rb").read() == checkpoint
+
+
+# --- records prepared when their step comes ---------------------------------------------------
+
+def test_a_resumed_run_prepares_only_the_records_of_its_steps(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path, batch_size=1)
+    _, manifest = desk_suite(tmp_path, cfg)
+    records = read_manifest(manifest)
+    full = distill_run(desk_cfg(tmp_path / "full", batch_size=1, manifest=manifest))
+    # the first two records alone: a checkpoint at step 2 of the full manifest
+    head = tmp_path / "head.txt"
+    head.write_text("".join(f"image={r.image_path} segments={r.segments_path}\n"
+                            for r in records[:2]))
+    half = distill_run(replace(cfg, manifest=str(head)))
+    indices = []
+
+    def spied(rec, vfm, cfg, index):
+        indices.append(index)
+        return prepare_record(rec, vfm, cfg, index)
+
+    monkeypatch.setattr(trainer, "prepare_record", spied)
+    resumed = distill_run(replace(cfg, manifest=manifest, resume=half.checkpoint_path))
+    assert indices == [2, 3]
+    assert open(resumed.metrics_path).read() == open(full.metrics_path).read()
+
+
+def test_a_step_starts_after_the_records_of_the_step_before_are_freed(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path, batch_size=1, epochs=2)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=3)
+    real = Distiller.step_batch
+    held, dead = [], []
+
+    def step_batch(distiller, prepared_list, rng):
+        dead.append([ref() is None for ref in held])
+        held[:] = [weakref.ref(prepared) for prepared in prepared_list]
+        return real(distiller, prepared_list, rng)
+
+    monkeypatch.setattr(Distiller, "step_batch", step_batch)
+    distill_run(replace(cfg, manifest=manifest))
+    assert dead == [[]] + [[True]] * 5
+
+
+def test_distill_run_trains_like_a_resident_record_list(tmp_path):
+    cfg = desk_cfg(tmp_path, epochs=2, grid_lo=1, grid_hi=3)
+    _, manifest = desk_suite(tmp_path, cfg)
+    result = distill_run(replace(cfg, manifest=manifest))
+    distiller = Distiller(cfg)
+    resident = [prepare_record(r, distiller.vfm, cfg, i)
+                for i, r in enumerate(read_manifest(manifest))]
+    reports = train(distiller, resident, cfg.epochs)
+    assert open(result.metrics_path).read() == "".join(
+        report.line(i) + "\n" for i, report in enumerate(reports))
+    assert load_student(result.checkpoint_path)[0].state_bytes() == distiller.student.state_bytes()
+
+
+def test_run_memory_does_not_grow_with_the_manifest(tmp_path):
+    # a fixed crop grid, so that every step works on the same shapes
+    cfg = desk_cfg(tmp_path, student_res=64, vfm_res=32, grid_lo=2, grid_hi=2)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=6)
+    records = read_manifest(manifest)
+    prepared = prepare_record(records[0], Distiller(cfg).vfm, cfg, 0)
+    record_bytes = (prepared.image.nbytes + prepared.vfm_tokens.nbytes
+                    + prepared.sd_stack.maps.nbytes)
+
+    def peak(n):
+        path = tmp_path / f"man{n}.txt"
+        path.write_text("".join(f"image={r.image_path} segments={r.segments_path}\n"
+                                for r in records[:n]))
+        run_cfg = replace(cfg, manifest=str(path), report_dir=str(tmp_path / f"rep{n}"))
+        tracemalloc.start()
+        try:
+            distill_run(run_cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # lazy set-up outside the measured runs
+    two, six = peak(2), peak(6)
+    assert six - two < record_bytes, (two, six, record_bytes)
 
 
 def _refused_resume(tmp_path, capsys, resume, manifest, named, **over):
@@ -1152,6 +1254,58 @@ def test_image_at_another_resolution_rejected_before_any_step(tmp_path, capsys, 
     capsys.readouterr()
     assert run_cli(["distill", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {image_path}: section 'image'")
+
+
+def _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named):
+    """distill_run of ``cfg`` on the CLI exits 1 naming ``named`` before any step."""
+    def step_batch(*args, **kwargs):
+        raise AssertionError("a step ran before every record was checked")
+
+    monkeypatch.setattr(Distiller, "step_batch", step_batch)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    capsys.readouterr()
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 1
+    assert re.match(f"error: {named}", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("with_vfm", [False, True], ids=["provider-forward", "vfm-file"])
+def test_non_finite_image_rejected_before_any_step(tmp_path, capsys, monkeypatch, with_vfm):
+    # batch 1: the good first record's step would run before the second is prepared
+    cfg = desk_cfg(tmp_path, batch_size=1, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    recs = read_manifest(manifest)
+    image = read_tensor(recs[1].image_path)["image"]
+    image[1, 5, 7] = np.nan
+    image_path = str(tmp_path / "nan.dten")
+    write_tensor(image_path, {"image": image})
+    vfm = ""
+    if with_vfm:
+        vfm = f" vfm={tmp_path / 'vfm1.dten'}"
+        write_tensor(str(tmp_path / "vfm1.dten"), {"tokens": np.ones((16, 12))})
+    (tmp_path / "man.txt").write_text(
+        f"image={recs[0].image_path} segments={recs[0].segments_path}\n"
+        f"image={image_path} segments={recs[1].segments_path}{vfm}\n")
+    named = f"{re.escape(image_path)}: section 'image' holds non-finite values"
+    with pytest.raises(ConfigError, match=named):
+        prepare_record(read_manifest(cfg.manifest)[1], Distiller(cfg).vfm, cfg, 1)
+    _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named)
+
+
+def test_sd_file_whose_rows_do_not_sum_to_one_rejected_before_any_step(tmp_path, capsys,
+                                                                         monkeypatch):
+    cfg = desk_cfg(tmp_path, batch_size=1, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    recs = read_manifest(manifest)
+    sd_path = str(tmp_path / "sd1.dten")
+    write_tensor(sd_path, {"maps": np.full((3, 16, 16), 1.0 / 15)})
+    (tmp_path / "man.txt").write_text(
+        f"image={recs[0].image_path} segments={recs[0].segments_path}\n"
+        f"image={recs[1].image_path} segments={recs[1].segments_path} sd={sd_path}\n")
+    named = f"{re.escape(sd_path)}: section 'maps' holds a map that is not row-stochastic"
+    with pytest.raises(ConfigError, match=named):
+        prepare_record(read_manifest(cfg.manifest)[1], Distiller(cfg).vfm, cfg, 1)
+    _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named)
 
 
 def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
