@@ -16,7 +16,7 @@ import numpy as np
 from .container import write_pgm, write_tensor
 from .errors import DistributionError, EvaluationError, ParameterError, ShapeError
 from .regions import FULL_BOX, crop_resize
-from .tensor import _softmax_rows, _unit_rows
+from .tensor import _softmax, _unit_rows
 from .vit import capture_attention
 
 
@@ -92,14 +92,16 @@ def synth_sd_attention(segmentation, sharpness, rng, num_maps, noise_std):
     if num_maps < 1:
         raise ParameterError("num_maps must be >= 1")
     flat = labels.reshape(-1)
-    same = (flat[:, None] == flat[None, :]).astype(np.float64)
     hw = flat.size
+    same = sharpness * (flat[:, None] == flat[None, :]).astype(np.float64)
     maps = np.empty((num_maps, hw, hw))
+    logits = np.empty((hw, hw)) if noise_std else same
     for i in range(num_maps):
-        logits = sharpness * same
         if noise_std:
-            logits = logits + noise_std * rng.standard_normal((hw, hw))
-        maps[i] = _softmax_rows(logits, 1.0)
+            rng.standard_normal(out=logits)
+            logits *= noise_std
+            logits += same
+        _softmax(logits, logits.max(axis=1, keepdims=True), maps[i])
     return SdAttentionStack(maps=maps)
 
 

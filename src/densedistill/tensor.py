@@ -430,15 +430,19 @@ def _softmax(x, row_max, out):
     return out
 
 
-def _softmax_rows(x, temperature):
-    """Array kernel of softmax_rows: the row softmax of the 2-D array x / temperature."""
+def _softmax_rows(x, temperature, out=None):
+    """Array kernel of softmax_rows: the row softmax of the 2-D array x /
+    temperature, written to ``out`` (None allocates; ``x`` itself works in
+    place). At any temperature but 1, x / temperature is written to
+    ``out`` first."""
     if not _is_number(temperature) or not temperature > 0:  # NaN fails > too
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     if x.ndim != 2:
         raise ShapeError("softmax_rows needs a 2-D tensor")
     tau = x.dtype.type(temperature)
-    xs = x if tau == 1 else x / tau
-    return _softmax(xs, xs.max(axis=1, keepdims=True), None if tau == 1 else xs)
+    if tau != 1:
+        x = out = np.divide(x, tau, out=out)
+    return _softmax(x, x.max(axis=1, keepdims=True), out)
 
 
 def _softmax_back(g, p, out=None):
@@ -450,9 +454,11 @@ def _softmax_back(g, p, out=None):
     return dx
 
 
-def softmax_rows(x, temperature=1.0):
-    """Row softmax at the given temperature, with per-row max subtraction."""
-    out = _softmax_rows(x.data, temperature)
+def softmax_rows(x, temperature=1.0, out=None):
+    """Row softmax at the given temperature, with per-row max subtraction,
+    written to the array ``out`` (None allocates; ``x``'s own array works in
+    place when nothing else reads it)."""
+    out = _softmax_rows(x.data, temperature, out)
     tau = x.data.dtype.type(temperature)
 
     def back(g):
@@ -500,19 +506,20 @@ def _head_scores(qs, k, heads, out=None):
     return out
 
 
-def head_scores(q, k, heads):
+def head_scores(q, k, heads, out=None):
     """Scaled per-head scores q_h k_h^T / sqrt(d) of (m, c) queries against
     (n, c) keys, each split into ``heads`` column blocks of width d. Head h
     fills rows [h*m, (h+1)*m) of the (heads*m, n) result, so one row
     softmax normalizes every head. The scale is applied to the queries,
-    not to the score map."""
+    not to the score map. The result is written to the array ``out`` (None
+    allocates)."""
     _check_heads(q, k, heads, "head_scores")
     c = q.shape[1]
     if k.shape[1] != c or c % heads != 0:
         raise ShapeError(f"head_scores needs equal widths divisible by {heads} heads, "
                          f"got {q.shape} and {k.shape}")
     qs, kd = q.data * _head_scale(q.data, heads), k.data
-    return from_op(_head_scores(qs, kd, heads), (q, k),
+    return from_op(_head_scores(qs, kd, heads, out), (q, k),
                    lambda g: _head_scores_back(g, qs, kd, heads))
 
 

@@ -39,6 +39,7 @@ from .errors import ConfigError, DistributionError, ParameterError, ShapeError
 from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
 from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
+from . import vit
 from .tensor import Tensor
 from .vit import _META, VitParams, encode_cls, encode_dense, field_range, param_shapes
 
@@ -146,11 +147,7 @@ def _crop_workers(n_crops, teacher):
     this process may use."""
     if teacher.grid_side ** 2 < POOL_MIN_TOKENS:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_crops, cpus)
+    return min(n_crops, vit.usable_cpus())
 
 
 # the training variants, in the order the ablation trains them, and the

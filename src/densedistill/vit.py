@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -24,10 +26,10 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
-# largest score map an attention builds at once. The array side (_head_maps)
-# writes every head group's scores into one workspace per call (faulted in
-# once, not per head); the student's Tensor path allocates a score and a
-# probability map per group, both freed before the next group's
+# largest score map an attention builds at once. Both sides write a head
+# group's scores and softmax them in place in one workspace that the next
+# group overwrites (faulted in once, not per head): one per call on the array
+# side (_head_maps), one per lane on the student's Tensor side (_multi_head)
 HEAD_GROUP_BYTES = 16 * 2 ** 20
 # VitParams' constructor arguments but the seed, in the order a checkpoint
 # stores them and the fingerprint digests them
@@ -227,24 +229,53 @@ def _head_group(heads, m, n, itemsize):
     return heads if heads * m * n * itemsize <= HEAD_GROUP_BYTES else 1
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the CPU count (at least 1)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _multi_head(q, k, v, heads):
     """Multi-head attention over head groups of _head_group's size, each
-    group on its column block of q, k and v. Only each group's output array
-    is kept, so its score and probability maps are freed before the next
-    group's are built; the joined result is one graph record over (q, k, v)
-    whose rule recomputes the probabilities."""
-    group = _head_group(heads, q.shape[0], k.shape[0], q.data.itemsize)
+    group on its column block of q, k and v, its scores written and
+    softmaxed in place in its lane's (group*m, n) workspace. When no operand
+    needs a gradient the groups run on min(groups, usable_cpus()) lanes: lane
+    j takes groups j, j+lanes, ..., lane 0 on the calling thread, and every
+    workspace is allocated here before any lane starts. With a gradient one
+    lane runs every group (in training the crop pool holds the other CPUs).
+    Only each group's output array is kept; the groups are joined in order
+    into one graph record over (q, k, v) whose rule recomputes the
+    probabilities."""
+    m, n = q.shape[0], k.shape[0]
+    group = _head_group(heads, m, n, q.data.itemsize)
     d = q.shape[1] // heads
-    parts = []
-    for h in range(0, heads, group):
-        qh, kh, vh = q, k, v
-        if group < heads:
-            qh, kh, vh = (T.slice_cols(a, h * d, (h + group) * d) for a in (q, k, v))
-        # kept a named local: inlined into softmax_rows, each score map is
-        # freed one statement earlier, and a paper-shape eval forward ran 23%
-        # slower (1 BLAS thread); no test holds this in place
-        scores = T.head_scores(qh, kh, group)
-        parts.append(T.head_mix(T.softmax_rows(scores), vh, group).data)
+    groups = heads // group
+    grad = q.requires_grad or k.requires_grad or v.requires_grad
+    lanes = 1 if grad else min(groups, usable_cpus())
+    work = [np.empty((group * m, n), q.data.dtype) for _ in range(lanes)]
+    parts = [None] * groups
+
+    def lane(j):
+        for i in range(j, groups, lanes):
+            qh, kh, vh = q, k, v
+            if group < heads:
+                qh, kh, vh = (T.slice_cols(a, i * group * d, (i + 1) * group * d)
+                              for a in (q, k, v))
+            p = T.softmax_rows(T.head_scores(qh, kh, group, out=work[j]), out=work[j])
+            parts[i] = T.head_mix(p, vh, group).data
+
+    if lanes == 1:
+        lane(0)
+    else:
+        # leaving the block joins every pool thread, also when a lane raises
+        with ThreadPoolExecutor(lanes - 1) as pool:
+            others = [pool.submit(lane, j) for j in range(1, lanes)]
+            lane(0)
+            for other in others:
+                other.result()
     return T.from_op(np.concatenate(parts, axis=1), (q, k, v),
                      _attention_back(q.data, k.data, v.data, heads))
 

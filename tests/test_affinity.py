@@ -16,6 +16,7 @@ from densedistill.affinity import (
 from densedistill.container import read_tensor
 from densedistill.errors import (DegenerateInputError, DistributionError, EvaluationError,
                                  ParameterError, ShapeError)
+from densedistill.tensor import _softmax_rows
 from densedistill.vit import VitParams, capture_attention
 
 
@@ -238,6 +239,24 @@ def test_synth_zero_sharpness_uniform():
     stack = synth_sd_attention(seg, sharpness=0.0, rng=np.random.default_rng(0),
                                num_maps=1, noise_std=0.0)
     np.testing.assert_allclose(stack.maps, 0.25)
+
+
+@pytest.mark.parametrize("sharpness,noise_std", [(4.0, 0.5), (2.5, 0.0), (0.0, 1.0)])
+def test_synth_maps_equal_the_per_map_formula_bitwise(sharpness, noise_std):
+    # the stack is written in place; each map is still the row softmax of
+    # sharpness * same + noise_std * noise, drawn map by map
+    seg = np.random.default_rng(60).integers(0, 3, size=(5, 6))
+    flat = seg.reshape(-1)
+    same = (flat[:, None] == flat[None, :]).astype(np.float64)
+    rng = np.random.default_rng(61)
+    want = []
+    for _ in range(3):
+        logits = sharpness * same
+        if noise_std:
+            logits = logits + noise_std * rng.standard_normal(same.shape)
+        want.append(_softmax_rows(logits, 1.0))
+    stack = synth_sd_attention(seg, sharpness, np.random.default_rng(61), 3, noise_std)
+    assert stack.maps.tobytes() == np.stack(want).tobytes()
 
 
 def test_synth_empty_map_rejected():

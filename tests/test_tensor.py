@@ -119,6 +119,29 @@ def test_softmax_refuses_a_nan_temperature():
         T._softmax_rows(np.array([[1.0, 2.0]]), float("nan"))
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.7], ids=["tau=1", "tau=0.7"])
+def test_softmax_rows_writes_its_out_array_bitwise(tau):
+    # x / tau and its softmax go to out, which may be x's own array; the
+    # values are x / tau's, as when softmax_rows allocates
+    x = np.random.default_rng(8).standard_normal((4, 6)) * 5.0
+    want = T.softmax_rows(T.Tensor(x), tau).data
+    assert want.tobytes() == T._softmax(x / tau, (x / tau).max(axis=1, keepdims=True),
+                                        None).tobytes()
+    buf = np.full_like(x, np.nan)
+    assert T.softmax_rows(T.Tensor(x), tau, out=buf).data is buf
+    own = T.Tensor(x.copy())
+    assert T.softmax_rows(own, tau, out=own.data).data is own.data
+    assert buf.tobytes() == own.data.tobytes() == want.tobytes()
+
+
+def test_head_scores_writes_its_out_array():
+    q, k = np.random.default_rng(9).standard_normal((2, 5, 8))
+    want = T.head_scores(T.Tensor(q), T.Tensor(k), 4).data
+    buf = np.full_like(want, np.nan)
+    assert T.head_scores(T.Tensor(q), T.Tensor(k), 4, out=buf).data is buf
+    assert buf.tobytes() == want.tobytes()
+
+
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 9))
 def test_softmax_rows_stochastic_property(seed, r, c):

@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import threading
 import tracemalloc
 import weakref
 
@@ -462,8 +463,8 @@ def _decoupled_graph(monkeypatch):
     def spy(name):
         op = getattr(T, name)
 
-        def spied(*args):
-            out = op(*args)
+        def spied(*args, **kwargs):
+            out = op(*args, **kwargs)
             maps[name].append(weakref.ref(out.data))
             return out
 
@@ -600,28 +601,28 @@ def test_head_groups_pass_finite_differences(monkeypatch):
 
 @pytest.mark.parametrize("block", ["standard", "decoupled"])
 def test_each_head_group_frees_its_probability_map_before_the_next(monkeypatch, block):
-    # the groups are joined as arrays, so a group's softmax_rows output (held
-    # by head_mix's record) is freed before the next group's scores are built
+    # a grad call runs every group on one lane: each group's scores and
+    # probabilities overwrite the one workspace of the call, which no graph
+    # record keeps, so no map outlives the call
     monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
     p = tiny_params(width=8, heads=4, seed=23)
     x = T.Tensor(np.random.default_rng(24).standard_normal((5, 8)), requires_grad=True)
-    probs, alive = [], []
-    head_scores, softmax_rows = T.head_scores, T.softmax_rows
+    maps, shared = [], []
 
-    def spied_scores(*args):
-        alive.append(sum(m() is not None for m in probs))
-        return head_scores(*args)
+    def spy(op):
+        def spied(*args, **kwargs):
+            out = op(*args, **kwargs)
+            maps.append(weakref.ref(out.data))
+            shared.append(np.shares_memory(out.data, maps[0]()))
+            return out
+        return spied
 
-    def spied_softmax(*args):
-        out = softmax_rows(*args)
-        probs.append(weakref.ref(out.data))
-        return out
-
-    monkeypatch.setattr(T, "head_scores", spied_scores)
-    monkeypatch.setattr(T, "softmax_rows", spied_softmax)
+    monkeypatch.setattr(T, "head_scores", spy(T.head_scores))
+    monkeypatch.setattr(T, "softmax_rows", spy(T.softmax_rows))
     outs = (vit.attention_block(x, p, 0),) if block == "standard" else vit.decoupled_block(x, p)
     assert all(out.requires_grad for out in outs)
-    assert len(probs) == p.heads and alive == [0] * p.heads
+    assert len(shared) == 2 * p.heads and all(shared)
+    assert [m() for m in maps if m() is not None] == []
 
 
 def _composed_attention(q, k, v, heads, group, weights):
@@ -734,6 +735,100 @@ def test_frozen_attention_holds_one_score_map_at_paper_shape():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * score_map, peak / score_map
+
+
+# --- head-group lanes ----------------------------------------------------------
+
+def _no_grad(p):
+    """A copy of trainable params whose parameters need no gradient, as a
+    loaded student's."""
+    return VitParams._of_arrays({name: t.data for name, t in p.named_parameters()}, **p._meta())
+
+
+def _counted_pools(monkeypatch):
+    """Sizes of the pools vit constructs from here on, in order."""
+    sizes = []
+    pool = vit.ThreadPoolExecutor
+
+    def counted(workers):
+        sizes.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(vit, "ThreadPoolExecutor", counted)
+    return sizes
+
+
+def test_head_group_lanes_leave_no_grad_outputs_bitwise_unchanged(monkeypatch):
+    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    p = _no_grad(tiny_params(depth=2, width=16, heads=4, res=16, patch=4, embed=8, seed=40))
+    img = rand_image(np.random.default_rng(41), 16)
+    pools = _counted_pools(monkeypatch)
+
+    def features(cpus):
+        monkeypatch.setattr(vit, "usable_cpus", lambda: cpus)
+        out = {}
+        for mode in ("standard", "decoupled"):
+            enc = vit.encode_dense(img, p, mode)
+            assert not enc.tokens.requires_grad
+            out[mode] = [enc.tokens.data.tobytes()]
+            if enc.context is not None:
+                out[mode].append(enc.context.data.tobytes())
+        return out
+
+    one = features(1)
+    assert pools == []
+    assert features(2) == one
+    assert pools == [1] * 2 * p.depth  # one helper thread per attention call
+
+
+def test_grad_forward_runs_one_lane(monkeypatch):
+    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(vit, "ThreadPoolExecutor",
+                        lambda workers: pytest.fail("a grad forward built a pool"))
+    p = tiny_params(depth=2, width=16, heads=4, res=16, patch=4, seed=42)
+    img = rand_image(np.random.default_rng(43), 16)
+    for mode in ("standard", "decoupled"):
+        assert vit.encode_dense(img, p, mode).tokens.requires_grad
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad_head", [0, 1], ids=["lane-0", "lane-1"])
+def test_a_lane_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch,
+                                                                          bad_head):
+    # on 2 lanes, lane 0 runs heads 0 and 2 and lane 1 heads 1 and 3; scores
+    # of 1e200 * 1e200 overflow in the bad head alone
+    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    q, k, v = np.random.default_rng(44).standard_normal((3, 6, 8))
+    q[:, 2 * bad_head:2 * bad_head + 2] = k[:, 2 * bad_head:2 * bad_head + 2] = 1e200
+    threads = threading.active_count()
+    with pytest.raises(EvaluationError):
+        vit._multi_head(T.Tensor(q), T.Tensor(k), T.Tensor(v), 4)
+    assert threading.active_count() == threads
+
+
+def test_no_grad_lanes_hold_one_workspace_each_at_paper_shape(monkeypatch):
+    # 2 lanes of one head per map at 1226 tokens hold two caller-allocated
+    # workspaces. Beside them: the block's q, k, v and layer norm (0.2 map)
+    # and, per lane, its column blocks and a 1.5 MB finiteness mask (0.18
+    # map), so the peak reads 2.47-2.59 maps as the lanes' masks overlap or
+    # not. Any third map (a workspace per group, or fresh score and
+    # probability maps per lane) reaches 3
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    pools = _counted_pools(monkeypatch)
+    p = _no_grad(VitParams(patch_size=16, depth=1, width=64, heads=4, input_res=560, seed=45))
+    x = T.Tensor(np.random.default_rng(46).standard_normal((1226, 64)))
+    score_map = 1226 * 1226 * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        vit.attention_block(x, p, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pools == [1]
+    assert peak < 2.75 * score_map, peak / score_map
 
 
 # --- frozen forward on plain arrays ---------------------------------------------
