@@ -58,10 +58,11 @@ CONFIG_ECHO_NAME = "effective_config.txt"
 STUDENT_PIXEL = (0.5, 0.5)
 PROVIDER_PIXEL = (0.45, 0.27)
 
-# Teacher grids from this many tokens encode a step's crops on a thread pool.
-# A crop forward releases the GIL only inside numpy calls on large enough
-# operands: on a 2-core host two threads ran 16 width-48 crops 0.85-1.16x as
-# fast as one at 64-256 tokens, and 1.5-1.9x from 400 tokens up.
+# Grids from this many tokens run their work on a thread pool: a step's
+# teacher crops, and a record's provider forward beside its SD synthesis. A
+# forward releases the GIL only inside numpy calls on large enough operands:
+# on a 2-core host two threads ran 16 width-48 crops 0.85-1.16x as fast as
+# one at 64-256 tokens, and 1.5-1.9x from 400 tokens up.
 POOL_MIN_TOKENS = 512
 
 
@@ -141,13 +142,13 @@ def context_teacher(vfm_tokens, sd_stack, cfg):
     return s_vfm
 
 
-def _crop_workers(n_crops, teacher):
-    """Threads for one step's teacher crop forwards: one (the calling thread)
-    below POOL_MIN_TOKENS teacher tokens, else one per crop up to the CPUs
-    this process may use."""
-    if teacher.grid_side ** 2 < POOL_MIN_TOKENS:
+def _pool_threads(tasks, params):
+    """Threads for independent tasks that each run a forward of ``params``:
+    one (the calling thread) below POOL_MIN_TOKENS tokens, else one per task
+    up to the CPUs this process may use."""
+    if params.grid_side ** 2 < POOL_MIN_TOKENS:
         return 1
-    return min(n_crops, vit.usable_cpus())
+    return min(tasks, vit.usable_cpus())
 
 
 # the training variants, in the order the ablation trains them, and the
@@ -174,7 +175,7 @@ def distill_forward(distiller, prepared, rng):
 
     # the crops are independent of each other and of the student, so on a
     # pool they run while the student side runs here; map yields box order
-    workers = _crop_workers(len(misses), teacher)
+    workers = _pool_threads(len(misses), teacher)
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         crops = (pool.map if workers > 1 else map)(teacher_cls, misses)
         try:
@@ -186,6 +187,7 @@ def distill_forward(distiller, prepared, rng):
                 prepared.sd_stack = None
             content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
             region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+            l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)
         except BaseException:
             # drop the crops still queued instead of running them before raising
             if pool is not None:
@@ -194,7 +196,6 @@ def distill_forward(distiller, prepared, rng):
         memo.update(((key, box), cls) for box, cls in zip(misses, crops))
     region_teacher = [memo[key, box] for box in boxes]
 
-    l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)
     l_cos = content_cos_loss(region_students, region_teacher)
     dtype = enc.tokens.data.dtype
     if variant == "decoupled":
@@ -302,13 +303,18 @@ def prepare_record(rec, vfm, cfg, index):
     """A manifest record's arrays, read and checked by ``read_record``; the
     provider tokens and the SD stack its files do not give are computed."""
     image, segments, vfm_tokens, sd_stack = read_record(rec, vfm, cfg)
-    if vfm_tokens is None:
-        vfm_tokens = provider_tokens(vfm, image)
-    if sd_stack is None:
-        sd_stack = synth_sd_attention(
-            segments, cfg.sd_sharpness,
-            np.random.default_rng([cfg.seed, STREAM_SD, index]),
-            num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
+    # the two read disjoint inputs, so when both are computed the provider
+    # forward may run on a pool thread while the stack is synthesised here
+    pooled = vfm_tokens is None and sd_stack is None and _pool_threads(2, vfm) > 1
+    with ThreadPoolExecutor(1) if pooled else contextlib.nullcontext() as pool:
+        provider = pool.submit(provider_tokens, vfm, image) if pooled else None
+        if sd_stack is None:
+            sd_stack = synth_sd_attention(
+                segments, cfg.sd_sharpness,
+                np.random.default_rng([cfg.seed, STREAM_SD, index]),
+                num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
+        if vfm_tokens is None:
+            vfm_tokens = provider.result() if pooled else provider_tokens(vfm, image)
     return PreparedRecord(image=image, vfm_tokens=vfm_tokens, sd_stack=sd_stack)
 
 

@@ -367,7 +367,7 @@ def test_student_failure_cancels_the_queued_crops(tmp_path, monkeypatch):
         failed.set()
         raise StudentFailure("planted student failure")
 
-    monkeypatch.setattr(trainer, "_crop_workers", lambda n_crops, teacher: workers)
+    monkeypatch.setattr(trainer, "_pool_threads", lambda tasks, params: workers)
     monkeypatch.setattr(trainer, "encode_cls", held_crop)
     monkeypatch.setattr(trainer, "encode_dense", failing_student)
     with pytest.raises(StudentFailure, match="planted student failure"):
@@ -429,6 +429,85 @@ def test_step_whose_boxes_all_hit_starts_no_pool(tmp_path, monkeypatch):
     threads = record_crop_threads(monkeypatch)
     _, again = distiller.loss_for(prepared, np.random.default_rng(5))
     assert again == first and threads == []
+
+
+# --- a record's provider forward beside its SD synthesis -------------------------------------
+
+def record_provider_threads(monkeypatch, fail=False):
+    threads = []
+    real = trainer.provider_tokens
+
+    def recording(vfm, image):
+        threads.append(threading.get_ident())
+        if fail:
+            raise EvaluationError("planted provider failure")
+        return real(vfm, image)
+
+    monkeypatch.setattr(trainer, "provider_tokens", recording)
+    return threads
+
+
+def test_provider_beside_the_synthesis_prepares_the_same_bytes(tmp_path, monkeypatch):
+    cfg = pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    vfm = trainer.build_models(cfg)[2]
+    assert vfm.grid_side ** 2 >= trainer.POOL_MIN_TOKENS
+    record = read_manifest(manifest)[0]
+    threads = record_provider_threads(monkeypatch)
+    prepared = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(vit, "usable_cpus", lambda cpus=cpus: cpus)
+        prepared.append(prepare_record(record, vfm, cfg, 0))
+    # one CPU: on the calling thread; two: on a pool thread
+    assert threads[0] == threading.get_ident() != threads[1]
+    one, two = prepared
+    for a, b in [(one.image, two.image), (one.vfm_tokens, two.vfm_tokens),
+                 (one.sd_stack.maps, two.sd_stack.maps)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_provider_failure_beside_the_synthesis_surfaces_and_leaves_no_thread(tmp_path,
+                                                                             monkeypatch):
+    cfg = pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    vfm = trainer.build_models(cfg)[2]
+    record = read_manifest(manifest)[0]
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    threads = record_provider_threads(monkeypatch, fail=True)
+    before = threading.active_count()
+    with pytest.raises(EvaluationError, match="planted provider failure"):
+        prepare_record(record, vfm, cfg, 0)
+    assert threading.active_count() == before
+    assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+
+@pytest.mark.parametrize("case", ["desk", "vfm-and-sd-files", "sd-file", "one-cpu"])
+def test_record_prepared_without_a_pool(tmp_path, monkeypatch, case):
+    cfg = desk_cfg(tmp_path) if case == "desk" else pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    vfm = trainer.build_models(cfg)[2]
+    record = read_manifest(manifest)[0]
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 1)
+    want = prepare_record(record, vfm, cfg, 0)
+    if case in ("vfm-and-sd-files", "sd-file"):
+        vfm_path, sd_path = str(tmp_path / "vfm0.dten"), str(tmp_path / "sd0.dten")
+        write_tensor(vfm_path, {"tokens": want.vfm_tokens})
+        write_tensor(sd_path, {"maps": want.sd_stack.maps})
+        files = f" sd={sd_path}" + (f" vfm={vfm_path}" if case == "vfm-and-sd-files" else "")
+        (tmp_path / "man.txt").write_text(
+            f"image={record.image_path} segments={record.segments_path}{files}\n")
+        record = read_manifest(str(tmp_path / "man.txt"))[0]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 1 if case == "one-cpu" else 2)
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+    threads = record_provider_threads(monkeypatch)
+    got = prepare_record(record, vfm, cfg, 0)
+    assert threads == ([] if case == "vfm-and-sd-files" else [threading.get_ident()])
+    np.testing.assert_array_equal(got.vfm_tokens, want.vfm_tokens)
+    np.testing.assert_array_equal(got.sd_stack.maps, want.sd_stack.maps)
 
 
 # --- the context target stored per record ---------------------------------------------------
