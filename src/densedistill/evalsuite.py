@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .container import read_tensor, write_tensor
 from .errors import DegenerateInputError, ParameterError, ShapeError
@@ -162,23 +161,50 @@ def region_classify(dense, regions, classes, n=4):
 def regions_from_labels(labels):
     """Connected components (4-neighbor) of a label map, the dataset-annotation
     stand-in: (normalized bounding box, label, pixel mask) per component, in
-    raster order of each component's first pixel."""
+    raster order of each component's first pixel.
+
+    Each row splits into runs of one value, numbered in raster order. Runs of
+    one value in adjacent rows that share a column are joined by union-find,
+    each component keeping its lowest-numbered run, which starts at its first
+    pixel, as its root."""
     labels = np.asarray(labels)
     h, w = labels.shape
-    comp = np.zeros((h, w), dtype=np.int64)
-    values = []
-    for value in np.unique(labels):
-        part, count = ndimage.label(labels == value)
-        comp[part > 0] = part[part > 0] + len(values)
-        values += [int(value)] * count
-    ids, first = np.unique(comp, return_index=True)
-    slices = ndimage.find_objects(comp)
-    out = []
-    for i in ids[np.argsort(first)]:
-        ys, xs = slices[i - 1]
-        box = CropBox(xs.start / w, ys.start / h, xs.stop / w, ys.stop / h)
-        out.append((box, values[i - 1], comp == i))
-    return out
+    if labels.size == 0:
+        return []
+    flat = labels.reshape(-1)
+    starts = np.ones(h * w, dtype=bool)
+    starts[1:] = flat[1:] != flat[:-1]
+    starts[::w] = True
+    run = np.cumsum(starts) - 1
+    same = (labels[1:] == labels[:-1]).reshape(-1)
+    runs = int(run[-1]) + 1
+    links = np.unique(run[:-w][same] * runs + run[w:][same])
+    parent = list(range(runs))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for link in links.tolist():
+        a, b = find(link // runs), find(link % runs)
+        parent[max(a, b)] = min(a, b)
+    roots, of_run = np.unique([find(i) for i in range(runs)], return_inverse=True)
+    # a component's box spans its runs: each run lies in one row, from its
+    # first pixel to the next run's (a row's first pixel starts a run)
+    start = np.flatnonzero(starts)
+    row, col0 = np.divmod(start, w)
+    col1 = np.append(start[1:], h * w) - row * w
+    k = len(roots)
+    x0, y0, x1, y1 = np.full(k, w), row[roots], np.zeros(k, np.int64), np.zeros(k, np.int64)
+    np.minimum.at(x0, of_run, col0)
+    np.maximum.at(x1, of_run, col1)
+    np.maximum.at(y1, of_run, row + 1)
+    comp = of_run[run].reshape(h, w)
+    return [(CropBox(c0 / w, r0 / h, c1 / w, r1 / h), int(flat[start[root]]), comp == i)
+            for i, (root, c0, r0, c1, r1)
+            in enumerate(zip(roots.tolist(), x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist()))]
 
 
 def top1_macc(pred, gt):

@@ -44,7 +44,8 @@ def context_loss(x_context, s_hat_vfm, tau):
         raise ShapeError(f"teacher affinity {teacher.shape} vs {hw} tokens")
     s_clip = T.cosine_matrix(x_context, x_context)
     p = T._finite(T._softmax_rows(teacher, tau))
-    return T.kl_rows(p, T.softmax_rows(s_clip, tau))
+    # the cosine op's record keeps only the unit rows, so its array is free
+    return T.kl_rows(p, T.softmax_rows(s_clip, tau, out=s_clip.data))
 
 
 def content_cos_loss(region_students, teacher_vectors):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     DegenerateInputError,
@@ -290,9 +289,111 @@ def sqrt(a):
     return from_op(out, (a,), lambda g: (g * (0.5 / out),))
 
 
+# Cephes ndtr.c erf/erfc, the algorithm scipy.special.erf runs. The |x| <= 1
+# coefficients are 0-d arrays: numpy adds one to an array sooner than a float.
+_ERF_T = tuple(np.array(c) for c in (
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4))
+_ERF_U = tuple(np.array(c) for c in (   # leading coefficient 1 left implicit
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4))
+# erfc's exp(-a^2) P(a)/Q(a) below 8 and R(a)/S(a) from 8, one (numerator,
+# denominator) column per Horner step. Leading zeros pad R and S to 9 steps
+# and Q and S carry their implicit leading 1; 0*a + c and 1*a + c round as c
+# and a + c, so each column evaluates as Cephes' polevl/p1evl does.
+_ERFC_PQ = np.array([
+    (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2),
+    (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2)]).T
+_ERFC_RS = np.array([
+    (0.0, 0.0, 0.0, 5.64189583547755073984E-1, 1.27536670759978104416E0,
+     5.01905042251180477414E0, 6.16021097993053585195E0, 7.40974269950448939160E0,
+     2.97886665372100240670E0),
+    (0.0, 0.0, 1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+     1.20489539808096656605E1, 1.70814450747565897222E1, 9.60896809063285878198E0,
+     3.36907645100081516050E0)]).T
+_MAXLOG = 7.09782712893383996843E2   # erfc(a) is 0 once a^2 exceeds it
+_ERF_BLOCK = 16384   # elements per block, so its polynomial buffers stay in cache
+
+
+def _horner(acc, z, coefs):
+    """Cephes' Horner steps in place: acc = acc * z + c for each c in turn."""
+    for c in coefs:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _erfc_tail(a):
+    """erfc of a float64 array of values > 1, as Cephes computes it.
+
+    exp(-a^2) is the C library's (``math.exp``), the one Cephes calls;
+    numpy's vectorised exp rounds some of these inputs differently."""
+    with np.errstate(over="ignore"):
+        z = a * a
+    under = z > _MAXLOG
+    e = np.array([math.exp(-v) for v in z.tolist()])
+    a = np.where(under, 1.0, a)  # finite, so no inf * 0 where the result is 0 anyway
+    coefs = np.where(a < 8.0, _ERFC_PQ[:, :, None], _ERFC_RS[:, :, None])
+    pq = _horner(coefs[0].copy(), a, coefs[1:])
+    y = e * pq[0]
+    y /= pq[1]
+    y[under] = 0.0
+    return y
+
+
+def _erf(x, out=None):
+    """Error function of a float32 or float64 array, bitwise equal to
+    ``scipy.special.erf``: a port of Cephes ``ndtr.c``, computed in float64
+    and written to the C- or F-contiguous array ``out`` (None allocates;
+    ``x``'s own array works in place).
+
+    |x| <= 1 takes x * T(x^2) / U(x^2) and |x| > 1 takes +-(1 - erfc(|x|)),
+    each Horner step in Cephes' order, so every rounding matches the C code.
+    x^2 <= 1 exactly when |x| <= 1, so one max per block finds the rare
+    |x| > 1 elements, which erfc then overwrites. A NaN fails that test as
+    well and comes out as a positive quiet NaN, as Cephes returns it."""
+    x = np.asarray(x)
+    if out is None:
+        out = np.empty_like(x)
+    # both in memory order, so flat[i] and dest[i] are one element
+    flat, dest = x.ravel(order="K"), out.ravel(order="K")
+    n = flat.size
+    z, t, u = np.empty((3, min(n, _ERF_BLOCK)))
+    for lo in range(0, n, _ERF_BLOCK):
+        xb = flat[lo:lo + _ERF_BLOCK]
+        m = xb.size
+        zb, tb, ub = z[:m], t[:m], u[:m]
+        np.multiply(xb, xb, out=zb, dtype=np.float64)
+        big = None
+        if not np.maximum.reduce(zb) <= 1.0:
+            big = np.flatnonzero(zb > 1.0)
+            xs = xb[big].astype(np.float64)
+            np.minimum(zb, 1.0, out=zb)  # keeps the values erfc overwrites finite
+        np.multiply(zb, _ERF_T[0], out=tb)
+        tb += _ERF_T[1]
+        _horner(tb, zb, _ERF_T[2:])
+        np.add(zb, _ERF_U[0], out=ub)
+        _horner(ub, zb, _ERF_U[1:])
+        np.multiply(xb, tb, out=tb)
+        ob = dest[lo:lo + m]
+        np.divide(tb, ub, out=ob)
+        if big is not None:
+            ob[big] = np.copysign(1.0 - _erfc_tail(np.abs(xs)), xs)
+            ob[np.isnan(ob)] = np.nan
+    return out
+
+
 def _gelu_cdf(x):
     """Standard normal CDF, the gate of the exact GELU x * cdf(x)."""
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = x / math.sqrt(2.0)
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def gelu(a):
@@ -629,11 +730,11 @@ def kl_rows(p, q):
         if not np.abs(x.sum(axis=1) - 1.0).max() <= 1e-6:
             raise DistributionError(f"rows of {side} argument do not sum to 1")
     r = p.shape[0]
-    qc = np.maximum(qd, KL_EPS)
     pos = p > 0
-    terms = np.zeros_like(p)
-    np.log(p, out=terms, where=pos)
-    terms -= np.log(qc)
+    # log max(q, eps), then log p minus it, then times p; backward keeps neither
+    terms = np.maximum(qd, KL_EPS)
+    np.log(terms, out=terms)
+    np.subtract(np.log(p, where=pos, out=np.zeros_like(p)), terms, out=terms)
     terms *= p
     terms[~pos] = 0.0
     out = np.asarray(terms.sum() / r, dtype=p.dtype)
@@ -642,7 +743,7 @@ def kl_rows(p, q):
         gs = g / r
         # one (r, c) working array, updated in place
         dq = np.negative(p)
-        dq /= qc
+        dq /= np.maximum(qd, KL_EPS)
         dq[~(qd > KL_EPS)] = 0.0
         dq *= gs
         return (dq,)

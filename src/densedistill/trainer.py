@@ -179,12 +179,13 @@ def distill_forward(distiller, prepared, rng):
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         crops = (pool.map if workers > 1 else map)(teacher_cls, misses)
         try:
-            enc = encode_dense(image, student, VARIANTS[variant])
-            ctx_stream = enc.tokens if variant == "coupled" else enc.context
             if prepared.context_target is None:
-                # the target depends on the record alone; the stack is not read again
+                # the target depends on the record alone; the stack is not read
+                # again, so it is dropped before the student's graph is built
                 prepared.context_target = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
                 prepared.sd_stack = None
+            enc = encode_dense(image, student, VARIANTS[variant])
+            ctx_stream = enc.tokens if variant == "coupled" else enc.context
             content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
             region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
             l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)

@@ -267,6 +267,51 @@ def _connected(mask):
     return bool(reach.all())
 
 
+def ndimage_regions(labels):
+    """The same annotation through scipy's labeller: components of each value
+    by ``ndimage.label`` (4-neighbour by default), boxes by ``find_objects``."""
+    from scipy import ndimage
+
+    h, w = labels.shape
+    comp = np.zeros((h, w), dtype=np.int64)
+    values = []
+    for value in np.unique(labels):
+        part, count = ndimage.label(labels == value)
+        comp[part > 0] = part[part > 0] + len(values)
+        values += [int(value)] * count
+    ids, first = np.unique(comp, return_index=True)
+    slices = ndimage.find_objects(comp)
+    out = []
+    for i in ids[np.argsort(first)]:
+        ys, xs = slices[i - 1]
+        out.append((CropBox(xs.start / w, ys.start / h, xs.stop / w, ys.stop / h),
+                    values[i - 1], comp == i))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["random", "blocky"])
+def test_regions_from_labels_match_ndimage(kind):
+    rng = np.random.default_rng(17 if kind == "random" else 18)
+    total = 0
+    for _ in range(150):
+        h, w = (int(v) for v in rng.integers(1, 48, 2))
+        k = int(rng.integers(1, 6))
+        if kind == "random":
+            labels = rng.integers(0, k, (h, w)).astype(rng.choice([np.int32, np.int64]))
+        else:
+            block = int(rng.integers(2, 12))
+            coarse = rng.integers(0, k, (-(-h // block), -(-w // block)))
+            labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:h, :w]
+        got, want = regions_from_labels(labels), ndimage_regions(labels)
+        assert len(got) == len(want)
+        for (box, lab, mask), (box2, lab2, mask2) in zip(got, want):
+            assert box == box2 and all(type(v) is float for v in vars(box).values())
+            assert lab == lab2 and type(lab) is int
+            assert mask.dtype == mask2.dtype and np.array_equal(mask, mask2)
+        total += len(got)
+    assert total > 1000
+
+
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.integers(1, 9), st.integers(1, 4),
        st.integers(1, 3))

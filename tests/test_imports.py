@@ -1,9 +1,12 @@
 """Every module of the package uses each name it imports (``__init__`` is
 exempt: its imports are the package's re-exports), every engine op has a
-caller, and every config field has a reader."""
+caller, every config field has a reader, and the runtime needs numpy alone."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -128,3 +131,32 @@ def test_every_config_field_is_read_outside_config():
                for path in pathlib.Path(densedistill.__file__).parent.glob("*.py")
                if path.name != "config.py"]
     assert unread_fields([f.name for f in fields(RunConfig)], sources) == []
+
+
+def test_the_runtime_loads_no_scipy():
+    """Importing every module and running the CLI's --help, in a fresh
+    interpreter, loads numpy and no scipy module."""
+    script = (
+        "import importlib, pkgutil, runpy, sys\n"
+        "import densedistill\n"
+        "for m in pkgutil.iter_modules(densedistill.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('densedistill.' + m.name)\n"
+        "sys.argv = ['densedistill', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('densedistill', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy' in sys.modules, len([m for m in sys.modules if m.startswith('densedistill.')]))\n"
+    )
+    src = str(pathlib.Path(densedistill.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "usage: densedistill" in proc.stdout
+    assert lines[-2] == "[]"
+    # run_module executes __main__ without registering it as a submodule
+    assert lines[-1] == f"True {sum(p.name != '__main__.py' for p in MODULES)}"

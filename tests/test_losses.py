@@ -72,6 +72,27 @@ def test_context_teacher_detached():
     np.testing.assert_array_equal(teacher, before)
 
 
+def test_context_loss_matches_the_composed_ops_bitwise():
+    # the student softmax overwrites the cosine matrix in place
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((6, 5))
+    teacher = np.clip(rng.uniform(-1, 1, (6, 6)), -1, 1)
+
+    def run(in_place):
+        x = T.Tensor(x0.copy(), requires_grad=True)
+        if in_place:
+            loss = context_loss(x, teacher, tau=0.5)
+        else:
+            q = T.softmax_rows(T.cosine_matrix(x, x), 0.5)
+            loss = T.kl_rows(T._softmax_rows(teacher, 0.5), q)
+        T.backward(loss)
+        return loss.item(), x.grad
+
+    (loss, grad), (want, want_grad) = run(True), run(False)
+    assert loss == want
+    np.testing.assert_array_equal(grad, want_grad)
+
+
 # --- content_cos_loss ------------------------------------------------------------
 
 def test_content_zero_when_aligned():

@@ -338,6 +338,74 @@ def test_kl_nonnegative_property(seed, r, c):
     assert abs(T.kl_rows(p, T.Tensor(p)).item()) <= 1e-9
 
 
+def test_kl_rule_keeps_only_its_two_arguments():
+    # the clamped copy of q is recomputed in backward, not held in the graph
+    rng = np.random.default_rng(6)
+    p = stochastic(rng, 3, 4)
+    q = T.softmax_rows(T.Tensor(rng.standard_normal((3, 4)), requires_grad=True))
+    loss = T.kl_rows(p, q)
+    rule = loss._node._backward
+    held = [cell.cell_contents for cell in rule.__closure__
+            if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.ndim == 2]
+    assert sorted(map(id, held)) == sorted([id(p), id(q.data)])
+
+
+# --- erf ---------------------------------------------------------------------
+
+def _erf_edges():
+    """Where Cephes changes branch or rounding regime: 0, the |x| = 1 switch
+    to erfc, the 8 switch from P/Q to R/S, the MAXLOG cut (x^2 = MAXLOG, near
+    26.64), subnormals and infinities, each with its neighbours and negation."""
+    cut = math.sqrt(7.09782712893383996843E2)
+    points = [0.0, 1.0, 8.0, cut, 26.64, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 3.0]
+    near = [np.nextafter(v, d) for v in points for d in (-np.inf, np.inf)]
+    values = np.array(points + near + [np.inf])
+    return np.concatenate([values, -values])
+
+
+def _assert_erf_matches_scipy(x):
+    import scipy.special
+
+    got, want = T._erf(x), scipy.special.erf(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # bitwise, signed zeros included
+    bits = np.int64 if x.dtype == np.float64 else np.int32
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_erf_is_bitwise_scipy_erf(dtype):
+    rng = np.random.default_rng(11)
+    draws = [
+        rng.standard_normal(400_000),
+        rng.uniform(-40.0, 40.0, 400_000),     # mostly the erfc branch
+        rng.uniform(-9.0, 9.0, 200_000),       # both erfc polynomials
+        np.copysign(10.0 ** rng.uniform(-320, 2, 100_000), rng.standard_normal(100_000)),
+        _erf_edges(),
+    ]
+    x = np.concatenate(draws).astype(dtype)
+    assert x.size >= 1_000_000
+    _assert_erf_matches_scipy(x)
+    _assert_erf_matches_scipy(x[:1000].reshape(40, 25).T)    # an F-ordered operand
+    if dtype == np.float64:
+        with np.errstate(over="ignore"):   # x^2 overflows; erf is still +-1
+            _assert_erf_matches_scipy(np.array([1e200, -1e300, 1.7e308]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_erf_writes_its_out_array_and_propagates_nan(dtype):
+    x = np.array([[np.nan, 0.3, -2.5], [3.0, -np.nan, 1.0]], dtype=dtype)
+    got = T._erf(x)
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 1])
+    # a NaN fails the |x| <= 1 test too, so the erfc elements beside it stay exact
+    finite = ~np.isnan(x)
+    np.testing.assert_array_equal(got[finite], T._erf(x[finite]))
+    _assert_erf_matches_scipy(x)
+    again = x.copy()
+    assert T._erf(again, out=again) is again
+    np.testing.assert_array_equal(again, got)
+
+
 # --- backward ----------------------------------------------------------------
 
 def test_backward_linear():

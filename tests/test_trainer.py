@@ -529,6 +529,23 @@ def test_first_step_stores_the_context_target_in_place_of_the_stack(tmp_path, mo
     assert calls == [] and again == first
 
 
+def test_the_stack_is_dropped_before_the_student_forward(tmp_path, monkeypatch):
+    # the (layers, N, N) stack and the student's graph are never alive together
+    cfg = desk_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    seen = []
+
+    def encode(*args):
+        seen.append((prepared.sd_stack, prepared.context_target is not None))
+        return encode_dense(*args)
+
+    monkeypatch.setattr(trainer, "encode_dense", encode)
+    distiller.loss_for(prepared, np.random.default_rng(5))
+    assert seen == [(None, True)]
+
+
 def test_same_seed_runs_bitwise_identical(tmp_path):
     cfg = desk_cfg(tmp_path, batch_size=1)
     suite, manifest = desk_suite(tmp_path, cfg)
