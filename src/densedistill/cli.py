@@ -14,7 +14,8 @@ import numpy as np
 from .affinity import dump_attention_analysis
 from .config import parse_config
 from .container import read_tensor
-from .errors import ContainerError, EvaluationError, ModeError, ParameterError, ShapeError
+from .errors import (ConfigError, ContainerError, EvaluationError, ModeError, ParameterError,
+                     ShapeError)
 from .gradcheck import run_gradcheck_suite
 
 # every other validation error class derives from ValueError
@@ -72,7 +73,7 @@ def _cmd_distill(args):
 
 def _read_image(path, student):
     """The 'image' section of ``path``, refused naming the file unless it is
-    (3, res, res) at the student's input resolution."""
+    finite and (3, res, res) at the student's input resolution."""
     from .trainer import section
 
     res = student.input_res
@@ -80,6 +81,8 @@ def _read_image(path, student):
     if image.shape != (3, res, res):
         raise ShapeError(f"{path}: section 'image' has shape {image.shape}, "
                          f"expected (3, {res}, {res}) for the checkpoint's {res}-px input")
+    if not np.isfinite(image).all():
+        raise ConfigError(f"{path}: section 'image' holds non-finite values")
     return image
 
 

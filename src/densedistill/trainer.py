@@ -10,9 +10,11 @@ reproducible, metrics log included. A teacher crop target depends only on
 the image, the box and the frozen teacher, so each record keeps the ones it
 has computed, keyed by (teacher fingerprint, box), and a step encodes only
 the boxes its record has not seen under that teacher. Those are encoded one
-crop at a time, on a thread pool or on the calling thread, and every target
-is read back in box order, so neither the memo nor the pool size changes a
-bit. ``train`` is the one training loop; every caller goes through it.
+crop at a time, on pool threads beside the student's forward or on the
+calling thread (``vit._beside``, sized by ``_pool_threads``, as is a
+record's provider forward beside its SD synthesis), and every target is read
+back in box order, so neither the memo nor the pool size changes a bit.
+``train`` is the one training loop; every caller goes through it.
 
 ``distill_run`` checks every record's files before step 0 and keeps nothing
 of them; each step prepares its own records and drops them after it, so a
@@ -25,9 +27,7 @@ its index.
 
 from __future__ import annotations
 
-import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +41,7 @@ from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
 from . import vit
 from .tensor import Tensor
-from .vit import _META, VitParams, encode_cls, encode_dense, field_range, param_shapes
+from .vit import _META, VitParams, _beside, encode_cls, encode_dense, field_range, param_shapes
 
 # seed-stream tags (second entry of the rng seed sequence)
 STREAM_STUDENT = 0
@@ -143,12 +143,11 @@ def context_teacher(vfm_tokens, sd_stack, cfg):
 
 
 def _pool_threads(tasks, params):
-    """Threads for independent tasks that each run a forward of ``params``:
-    one (the calling thread) below POOL_MIN_TOKENS tokens, else one per task
-    up to the CPUs this process may use."""
-    if params.grid_side ** 2 < POOL_MIN_TOKENS:
-        return 1
-    return min(tasks, vit.usable_cpus())
+    """Pool threads for independent tasks that each run a forward of
+    ``params``: min(tasks, CPUs this process may use), or 0 (the calling
+    thread runs them) when that is under two or below POOL_MIN_TOKENS tokens."""
+    threads = 0 if params.grid_side ** 2 < POOL_MIN_TOKENS else min(tasks, vit.usable_cpus())
+    return threads if threads > 1 else 0
 
 
 # the training variants, in the order the ablation trains them, and the
@@ -174,26 +173,18 @@ def distill_forward(distiller, prepared, rng):
         return encode_cls(crop_resize(image, box, teacher.input_res), teacher)
 
     # the crops are independent of each other and of the student, so on a
-    # pool they run while the student side runs here; map yields box order
-    workers = _pool_threads(len(misses), teacher)
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        crops = (pool.map if workers > 1 else map)(teacher_cls, misses)
-        try:
-            if prepared.context_target is None:
-                # the target depends on the record alone; the stack is not read
-                # again, so it is dropped before the student's graph is built
-                prepared.context_target = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
-                prepared.sd_stack = None
-            enc = encode_dense(image, student, VARIANTS[variant])
-            ctx_stream = enc.tokens if variant == "coupled" else enc.context
-            content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
-            region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
-            l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)
-        except BaseException:
-            # drop the crops still queued instead of running them before raising
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-            raise
+    # pool they run while the student side runs here, read back in box order
+    with _beside(teacher_cls, misses, _pool_threads(len(misses), teacher)) as crops:
+        if prepared.context_target is None:
+            # the target depends on the record alone; the stack is not read
+            # again, so it is dropped before the student's graph is built
+            prepared.context_target = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
+            prepared.sd_stack = None
+        enc = encode_dense(image, student, VARIANTS[variant])
+        ctx_stream = enc.tokens if variant == "coupled" else enc.context
+        content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
+        region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+        l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)
         memo.update(((key, box), cls) for box, cls in zip(misses, crops))
     region_teacher = [memo[key, box] for box in boxes]
 
@@ -306,16 +297,15 @@ def prepare_record(rec, vfm, cfg, index):
     image, segments, vfm_tokens, sd_stack = read_record(rec, vfm, cfg)
     # the two read disjoint inputs, so when both are computed the provider
     # forward may run on a pool thread while the stack is synthesised here
-    pooled = vfm_tokens is None and sd_stack is None and _pool_threads(2, vfm) > 1
-    with ThreadPoolExecutor(1) if pooled else contextlib.nullcontext() as pool:
-        provider = pool.submit(provider_tokens, vfm, image) if pooled else None
+    both = vfm_tokens is None and sd_stack is None
+    with _beside(lambda im: provider_tokens(vfm, im), [image] if vfm_tokens is None else [],
+                 min(1, _pool_threads(2, vfm)) if both else 0) as provider:
         if sd_stack is None:
             sd_stack = synth_sd_attention(
                 segments, cfg.sd_sharpness,
                 np.random.default_rng([cfg.seed, STREAM_SD, index]),
                 num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
-        if vfm_tokens is None:
-            vfm_tokens = provider.result() if pooled else provider_tokens(vfm, image)
+        vfm_tokens = next(provider, vfm_tokens)
     return PreparedRecord(image=image, vfm_tokens=vfm_tokens, sd_stack=sd_stack)
 
 

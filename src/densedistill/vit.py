@@ -10,6 +10,7 @@ forward on plain arrays, without the graph.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -238,17 +239,33 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _beside(fn, items, threads):
+    """Map ``fn`` over ``items`` on ``threads`` pool threads beside the
+    ``with`` block, which reads the results in item order; with 0 threads each
+    item runs on the calling thread when it is read. Leaving the block, also
+    by a raise, drops the items not yet started and joins every thread."""
+    if not threads:
+        yield map(fn, items)
+        return
+    pool = ThreadPoolExecutor(threads)
+    try:
+        yield pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _multi_head(q, k, v, heads):
     """Multi-head attention over head groups of _head_group's size, each
     group on its column block of q, k and v, its scores written and
     softmaxed in place in its lane's (group*m, n) workspace. When no operand
     needs a gradient the groups run on min(groups, usable_cpus()) lanes: lane
-    j takes groups j, j+lanes, ..., lane 0 on the calling thread, and every
-    workspace is allocated here before any lane starts. With a gradient one
-    lane runs every group (in training the crop pool holds the other CPUs).
-    Only each group's output array is kept; the groups are joined in order
-    into one graph record over (q, k, v) whose rule recomputes the
-    probabilities."""
+    j takes groups j, j+lanes, ..., lane 0 on the calling thread and the
+    others _beside it, every workspace allocated here before any lane starts.
+    With a gradient one lane runs every group (in training the crop pool
+    holds the other CPUs). Only each group's output array is kept; the groups
+    are joined in order into one graph record over (q, k, v) whose rule
+    recomputes the probabilities."""
     m, n = q.shape[0], k.shape[0]
     group = _head_group(heads, m, n, q.data.itemsize)
     d = q.shape[1] // heads
@@ -267,15 +284,9 @@ def _multi_head(q, k, v, heads):
             p = T.softmax_rows(T.head_scores(qh, kh, group, out=work[j]), out=work[j])
             parts[i] = T.head_mix(p, vh, group).data
 
-    if lanes == 1:
+    with _beside(lane, range(1, lanes), lanes - 1) as others:
         lane(0)
-    else:
-        # leaving the block joins every pool thread, also when a lane raises
-        with ThreadPoolExecutor(lanes - 1) as pool:
-            others = [pool.submit(lane, j) for j in range(1, lanes)]
-            lane(0)
-            for other in others:
-                other.result()
+        list(others)  # a lane's raise surfaces here
     return T.from_op(np.concatenate(parts, axis=1), (q, k, v),
                      _attention_back(q.data, k.data, v.data, heads))
 

@@ -177,6 +177,24 @@ def test_dump_attn_image_at_another_resolution_exits_one_naming_it(tmp_path, tra
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["dump-attn", "eval-seg", "eval-region"])
+def test_non_finite_image_exits_one_naming_it(tmp_path, trained, capsys, command):
+    cfg, suite, result, classes_path = trained
+    path = read_manifest(cfg.manifest)[0].image_path
+    image = suite.samples[0].image.copy()
+    image[1, 2, 3] = np.nan
+    write_tensor(path, {"image": image})
+    if command == "dump-attn":
+        args = ["--image", path, "--layers", "0", "--query", "cls",
+                "--out", str(tmp_path / "dumps")]
+    else:
+        args = ["--manifest", cfg.manifest, "--classes", classes_path]
+        args += ["--regions", "boxes"] if command == "eval-region" else []
+    assert run_cli([command, "--checkpoint", result.checkpoint_path] + args) == 1
+    assert capsys.readouterr().err == f"error: {path}: section 'image' holds non-finite values\n"
+    assert not (tmp_path / "dumps").exists()
+
+
 def test_corrupt_section_name_is_an_io_error(tmp_path, capsys):
     path = str(tmp_path / "bad.dten")
     write_tensor(path, {"image": np.zeros((3, 4, 4))})

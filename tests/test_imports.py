@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports (``__init__`` is
 exempt: its imports are the package's re-exports), every engine op has a
-caller, every config field has a reader, and the runtime needs numpy alone."""
+caller, every config field has a reader, only ``vit`` imports a thread
+library, and the runtime needs numpy alone."""
 
 import ast
 import os
@@ -101,6 +102,40 @@ def test_every_tensor_op_has_a_caller():
                for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")
                if p.name != "gradcheck.py"}
     assert tensor_ops_without_caller(sources) == []
+
+
+def thread_importers(sources):
+    """The names of ``sources`` (name -> source text) whose module imports
+    ``threading`` or ``concurrent.futures``, in any spelling."""
+    found = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules):
+                found.add(name)
+    return sorted(found)
+
+
+def test_thread_importer_finder():
+    sources = {"a.py": "import threading\n",
+               "b.py": "from concurrent.futures import ThreadPoolExecutor\n",
+               "c.py": "from concurrent import futures\n",
+               "d.py": "import os, concurrent.futures as cf\n",
+               "e.py": "from .threading import lock\nimport threadingx\nx = 'threading'\n"}
+    assert thread_importers(sources) == ["a.py", "b.py", "c.py", "d.py"]
+
+
+def test_only_vit_starts_threads():
+    """``vit._beside`` is the one way the package runs work beside the
+    calling thread, so no other module imports a thread library."""
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
+    assert thread_importers(sources) == ["vit.py"]
 
 
 def unread_fields(names, sources):

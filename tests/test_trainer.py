@@ -425,7 +425,7 @@ def test_step_whose_boxes_all_hit_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a crop pool was started")
 
-    monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(vit, "ThreadPoolExecutor", no_pool)
     threads = record_crop_threads(monkeypatch)
     _, again = distiller.loss_for(prepared, np.random.default_rng(5))
     assert again == first and threads == []
@@ -502,7 +502,7 @@ def test_record_prepared_without_a_pool(tmp_path, monkeypatch, case):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(vit, "usable_cpus", lambda: 1 if case == "one-cpu" else 2)
-    monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(vit, "ThreadPoolExecutor", no_pool)
     threads = record_provider_threads(monkeypatch)
     got = prepare_record(record, vfm, cfg, 0)
     assert threads == ([] if case == "vfm-and-sd-files" else [threading.get_ident()])

@@ -4,6 +4,7 @@ import gc
 import math
 import re
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -735,6 +736,77 @@ def test_frozen_attention_holds_one_score_map_at_paper_shape():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * score_map, peak / score_map
+
+
+# --- work beside the calling thread ------------------------------------------------
+
+class Planted(Exception):
+    pass
+
+
+def _recorded(started, hold=0.0, raising=None):
+    """An item function that records each item as it starts, then sleeps
+    ``hold`` seconds, raises Planted at item ``raising`` and returns item^2."""
+
+    def fn(i):
+        started.append(i)
+        if i == raising:
+            raise Planted(f"planted failure of item {i}")
+        time.sleep(hold)
+        return i * i
+
+    return fn
+
+
+@pytest.mark.parametrize("threads", [0, 1, 2])
+def test_beside_reads_the_results_in_item_order(threads):
+    before = threading.active_count()
+
+    def late_first(i):
+        time.sleep(0.01 * (4 - i))  # on a pool the later items finish first
+        return i * i
+
+    with vit._beside(late_first, range(5), threads) as results:
+        assert list(results) == [0, 1, 4, 9, 16]
+    assert threading.active_count() == before
+
+
+def test_beside_with_no_thread_runs_each_item_here_when_it_is_read():
+    before, here = threading.active_count(), threading.get_ident()
+    started = []
+    with vit._beside(lambda i: started.append((i, threading.get_ident())) or i, range(3),
+                     0) as results:
+        assert started == []
+        for i in range(3):
+            assert next(results) == i
+            assert started == [(j, here) for j in range(i + 1)]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [0, 1, 2])
+def test_beside_surfaces_an_item_raise_and_never_starts_the_items_queued_behind_it(threads):
+    # item 0 raises at once and frees its thread, which may take the next
+    # queued item and hold it; the items queued behind those are dropped
+    before, started = threading.active_count(), []
+    with pytest.raises(Planted, match="item 0"):
+        with vit._beside(_recorded(started, hold=0.2, raising=0), range(8), threads) as results:
+            list(results)
+    assert threading.active_count() == before
+    assert 0 in started and set(started) <= set(range(threads + 1))
+
+
+@pytest.mark.parametrize("threads", [0, 1, 2])
+def test_beside_drops_the_queued_items_on_a_raise_in_the_block(threads):
+    # each thread holds one item while the block raises; the rest never start
+    before, started = threading.active_count(), []
+    with pytest.raises(Planted):
+        with vit._beside(_recorded(started, hold=0.2), range(8), threads):
+            deadline = time.monotonic() + 10
+            while len(started) < threads and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise Planted("planted failure of the block")
+    assert threading.active_count() == before
+    assert sorted(started) == list(range(threads))
 
 
 # --- head-group lanes ----------------------------------------------------------
