@@ -71,28 +71,14 @@ def _cmd_distill(args):
     return 0
 
 
-def _read_image(path, student):
-    """The 'image' section of ``path``, refused naming the file unless it is
-    finite and (3, res, res) at the student's input resolution."""
-    from .trainer import section
-
-    res = student.input_res
-    image = section(path, read_tensor(path), "image")
-    if image.shape != (3, res, res):
-        raise ShapeError(f"{path}: section 'image' has shape {image.shape}, "
-                         f"expected (3, {res}, {res}) for the checkpoint's {res}-px input")
-    if not np.isfinite(image).all():
-        raise ConfigError(f"{path}: section 'image' holds non-finite values")
-    return image
-
-
 def _eval_records(args):
     """The class embeddings, and per manifest record the image, its segment
     map and the checkpoint student's decoupled dense features; an image or a
     segment map (eval-seg also takes one at image resolution) whose shape
-    does not fit the student is refused naming its file."""
+    does not fit the student, or a label outside the class file's range, is
+    refused naming its file."""
     from .evalsuite import load_class_embeddings
-    from .trainer import load_student, read_manifest, section
+    from .trainer import image_section, load_student, read_manifest, section
     from .vit import encode_dense
 
     student, _ = load_student(args.checkpoint)
@@ -103,16 +89,20 @@ def _eval_records(args):
         raise ShapeError(f"{args.classes}: class vectors have width {classes.vectors.shape[1]}, "
                          f"but the checkpoint's dense features have width {width}")
 
-    res, grid = student.input_res, (student.grid_side,) * 2
+    k, res, grid = classes.vectors.shape[0], student.input_res, (student.grid_side,) * 2
     fits = [grid] if args.command == "eval-region" else [grid, (res, res)]
 
     def encoded():
         for rec in records:
-            image = _read_image(rec.image_path, student)
+            image = image_section(rec.image_path, read_tensor(rec.image_path), res)
             segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
             if segments.shape not in fits:
                 raise ShapeError(f"{rec.segments_path}: section 'labels' has shape "
                                  f"{segments.shape}, expected {' or '.join(map(str, fits))}")
+            bad = segments[(segments < 0) | (segments >= k)]
+            if bad.size:
+                raise ConfigError(f"{rec.segments_path}: section 'labels' holds label {bad[0]}, "
+                                  f"outside the class file's [0, {k})")
             yield image, segments, encode_dense(image, student, "decoupled")
 
     return classes, encoded()
@@ -159,7 +149,7 @@ def _cmd_eval_region(args):
 
 
 def _cmd_dump_attn(args):
-    from .trainer import load_student
+    from .trainer import image_section, load_student
 
     try:
         layers = [int(part) for part in args.layers.split(",") if part]
@@ -174,7 +164,7 @@ def _cmd_dump_attn(args):
         raise ParameterError(f"--query takes an image-token index or 'cls', "
                              f"got {args.query!r}") from None
     student, _ = load_student(args.checkpoint)
-    image = _read_image(args.image, student)
+    image = image_section(args.image, read_tensor(args.image), student.input_res)
     written = dump_attention_analysis(student, image, layers, query, args.out)
     for path in written:
         print(path)

@@ -163,48 +163,30 @@ def regions_from_labels(labels):
     stand-in: (normalized bounding box, label, pixel mask) per component, in
     raster order of each component's first pixel.
 
-    Each row splits into runs of one value, numbered in raster order. Runs of
-    one value in adjacent rows that share a column are joined by union-find,
-    each component keeping its lowest-numbered run, which starts at its first
-    pixel, as its root."""
+    A raster scan starts a component at each pixel no component holds yet;
+    a stack of its pixels grows it over their 4-neighbours of equal value."""
     labels = np.asarray(labels)
     h, w = labels.shape
-    if labels.size == 0:
-        return []
-    flat = labels.reshape(-1)
-    starts = np.ones(h * w, dtype=bool)
-    starts[1:] = flat[1:] != flat[:-1]
-    starts[::w] = True
-    run = np.cumsum(starts) - 1
-    same = (labels[1:] == labels[:-1]).reshape(-1)
-    runs = int(run[-1]) + 1
-    links = np.unique(run[:-w][same] * runs + run[w:][same])
-    parent = list(range(runs))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for link in links.tolist():
-        a, b = find(link // runs), find(link % runs)
-        parent[max(a, b)] = min(a, b)
-    roots, of_run = np.unique([find(i) for i in range(runs)], return_inverse=True)
-    # a component's box spans its runs: each run lies in one row, from its
-    # first pixel to the next run's (a row's first pixel starts a run)
-    start = np.flatnonzero(starts)
-    row, col0 = np.divmod(start, w)
-    col1 = np.append(start[1:], h * w) - row * w
-    k = len(roots)
-    x0, y0, x1, y1 = np.full(k, w), row[roots], np.zeros(k, np.int64), np.zeros(k, np.int64)
-    np.minimum.at(x0, of_run, col0)
-    np.maximum.at(x1, of_run, col1)
-    np.maximum.at(y1, of_run, row + 1)
-    comp = of_run[run].reshape(h, w)
-    return [(CropBox(c0 / w, r0 / h, c1 / w, r1 / h), int(flat[start[root]]), comp == i)
-            for i, (root, c0, r0, c1, r1)
-            in enumerate(zip(roots.tolist(), x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist()))]
+    values, comp, found = labels.tolist(), [[-1] * w for _ in range(h)], []
+    for y in range(h):
+        for x in range(w):
+            if comp[y][x] >= 0:
+                continue
+            i, value, stack, rows, cols = len(found), values[y][x], [(y, x)], [], []
+            comp[y][x] = i
+            while stack:
+                r, c = stack.pop()
+                rows.append(r)
+                cols.append(c)
+                for rn, cn in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if (0 <= rn < h and 0 <= cn < w and comp[rn][cn] < 0
+                            and values[rn][cn] == value):
+                        comp[rn][cn] = i
+                        stack.append((rn, cn))
+            found.append((CropBox(min(cols) / w, y / h, (max(cols) + 1) / w, (max(rows) + 1) / h),
+                          int(value)))
+    comp = np.array(comp)
+    return [(box, value, comp == i) for i, (box, value) in enumerate(found)]
 
 
 def top1_macc(pred, gt):

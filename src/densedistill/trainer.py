@@ -252,17 +252,12 @@ class PreparedRecord:
 
 def read_record(rec, vfm, cfg):
     """A manifest record's files, each checked against the student or the
-    provider: the image, the segment labels, and the provider tokens and SD
-    stack when the record names their files (else None)."""
-    image = section(rec.image_path, read_tensor(rec.image_path), "image")
-    res = cfg.student_res
-    if image.shape != (3, res, res):
-        raise ConfigError(f"{rec.image_path}: section 'image' has shape {image.shape}, "
-                          f"expected (3, {res}, {res}) for the student's {res}-px input")
-    if not np.isfinite(image).all():
-        raise ConfigError(f"{rec.image_path}: section 'image' holds non-finite values")
+    provider: the image, the segment labels (on the provider's grid when the
+    SD stack is synthesised from them), and the provider tokens and SD stack
+    when the record names their files (else None)."""
+    image = image_section(rec.image_path, read_tensor(rec.image_path), cfg.student_res)
     segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
-    n = vfm.grid_side ** 2
+    n, grid = vfm.grid_side ** 2, (vfm.grid_side,) * 2
     vfm_tokens = sd_stack = None
     if rec.vfm_path:
         vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
@@ -285,9 +280,9 @@ def read_record(rec, vfm, cfg):
         except DistributionError:
             raise ConfigError(f"{rec.sd_path}: section 'maps' holds a map that is not "
                               f"row-stochastic") from None
-    elif segments.size != n:
-        raise ConfigError(f"{rec.segments_path}: section 'labels' has shape "
-                          f"{segments.shape}, expected {n} labels for {n} provider tokens")
+    elif segments.shape != grid:
+        raise ConfigError(f"{rec.segments_path}: section 'labels' has shape {segments.shape}, "
+                          f"expected {grid} for {n} provider tokens")
     return image, segments, vfm_tokens, sd_stack
 
 
@@ -418,6 +413,18 @@ def section(path, sections, key, size=None):
     if data.size != size:
         raise ConfigError(f"{path}: section {key!r} has {data.size} entries, expected {size}")
     return data
+
+
+def image_section(path, sections, res):
+    """Section 'image' of the file read from ``path``, refused naming the file
+    unless it is finite and (3, res, res), the student's input."""
+    image = section(path, sections, "image")
+    if image.shape != (3, res, res):
+        raise ConfigError(f"{path}: section 'image' has shape {image.shape}, "
+                          f"expected (3, {res}, {res}) for the student's {res}-px input")
+    if not np.isfinite(image).all():
+        raise ConfigError(f"{path}: section 'image' holds non-finite values")
+    return image
 
 
 def _student_fields(student):

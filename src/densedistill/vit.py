@@ -325,18 +325,11 @@ def _attention_back(q, k, v, heads):
     return back
 
 
-def attention_block(x, params, layer, queries=None):
-    """Standard block: pre-norm attention with residual, pre-norm FFN with residual.
-
-    With ``queries`` set, only the first ``queries`` rows are computed (their
-    queries, residual and FFN) while keys and values span every row."""
+def attention_block(x, params, layer):
+    """Standard block: pre-norm attention with residual, pre-norm FFN with residual."""
     b = params.blocks[layer]
     h = layer_norm_rows(x, b.ln1_s, b.ln1_o)
-    if queries is not None:
-        x, hq = T.slice_rows(x, 0, queries), T.slice_rows(h, 0, queries)
-    else:
-        hq = h
-    q = T.add(T.matmul(hq, b.wq), b.bq)
+    q = T.add(T.matmul(h, b.wq), b.bq)
     k = T.add(T.matmul(h, b.wk), b.bk)
     v = T.add(T.matmul(h, b.wv), b.bv)
     y = T.add(x, T.add(T.matmul(_multi_head(q, k, v, params.heads), b.wo), b.bo))

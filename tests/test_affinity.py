@@ -320,9 +320,9 @@ def test_dump_runs_one_forward_for_every_layer(tmp_path, monkeypatch):
     means = [capture_attention(image, params, [layer])[0].mean(axis=2) for layer in range(4)]
     block, ran = vit.attention_block, []
 
-    def counted(x, p, layer, queries=None):
+    def counted(x, p, layer):
         ran.append(layer)
-        return block(x, p, layer, queries)
+        return block(x, p, layer)
 
     monkeypatch.setattr(vit, "attention_block", counted)
     dump_attention_analysis(params, image, layers=[0, 1, 2, 3], query_index="cls",

@@ -172,7 +172,7 @@ def test_dump_attn_image_at_another_resolution_exits_one_naming_it(tmp_path, tra
     assert run_cli(["dump-attn", "--checkpoint", result.checkpoint_path, "--image", image_path,
                     "--layers", "0", "--query", "cls", "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err == (f"error: {image_path}: section 'image' has shape "
-                                       "(3, 24, 24), expected (3, 32, 32) for the checkpoint's "
+                                       "(3, 24, 24), expected (3, 32, 32) for the student's "
                                        "32-px input\n")
     assert not out_dir.exists()
 
@@ -257,8 +257,23 @@ def test_out_of_range_segment_label_exits_one(trained, capsys, bad):
     labels[0, 0] = bad
     write_tensor(path, {"labels": labels})
     assert _eval_exit_codes(cfg, result, classes_path) == [1, 1, 1]
-    err = capsys.readouterr().err
-    assert err.count(f"error: ground-truth label {bad} outside [0, 3)") == 3
+    assert capsys.readouterr().err == (f"error: {path}: section 'labels' holds label {bad}, "
+                                       "outside the class file's [0, 3)\n") * 3
+
+
+def test_out_of_range_label_at_image_resolution_exits_one_naming_its_file(trained, capsys):
+    # eval-seg takes a map at the image's resolution too; its range is
+    # checked as read, before the map is scored
+    cfg, _, result, classes_path = trained
+    path = read_manifest(cfg.manifest)[0].segments_path
+    labels = np.kron(read_tensor(path)["labels"], np.ones((8, 8), dtype=np.int32))
+    labels[31, 31] = 9
+    write_tensor(path, {"labels": labels})
+    args = ["--checkpoint", result.checkpoint_path, "--manifest", cfg.manifest,
+            "--classes", classes_path]
+    assert run_cli(["eval-seg"] + args) == 1
+    assert capsys.readouterr().err == (f"error: {path}: section 'labels' holds label 9, "
+                                       "outside the class file's [0, 3)\n")
 
 
 @pytest.mark.parametrize("key,name", [("image_path", "image"), ("segments_path", "labels")])

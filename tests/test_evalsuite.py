@@ -289,10 +289,27 @@ def ndimage_regions(labels):
     return out
 
 
-@pytest.mark.parametrize("kind", ["random", "blocky"])
-def test_regions_from_labels_match_ndimage(kind):
-    rng = np.random.default_rng(17 if kind == "random" else 18)
-    total = 0
+def serpentine(side):
+    """A side x side map whose 1s are one path through every even row, the
+    rows joined at alternate ends; the 0s between the rows are its walls."""
+    labels = np.zeros((side, side), dtype=np.int64)
+    labels[::2] = 1
+    labels[1::4, -1] = 1
+    labels[3::4, 0] = 1
+    return labels
+
+
+def label_maps(kind):
+    """150 random or blocky maps up to 47 x 47, or the fill's longest paths:
+    a 35 x 35 serpentine (the paper-shape token grid) by rows and by columns
+    (which climbs back up), and 1 x N and N x 1 maps of one, two and three
+    values."""
+    rng = np.random.default_rng({"random": 17, "blocky": 18, "paths": 19}[kind])
+    if kind == "paths":
+        lines = [rng.integers(0, k, n) for k in (1, 2, 3) for n in (1, 47)]
+        paths = [serpentine(35), serpentine(35).T]
+        return paths + [line[None] for line in lines] + [line[:, None] for line in lines]
+    maps = []
     for _ in range(150):
         h, w = (int(v) for v in rng.integers(1, 48, 2))
         k = int(rng.integers(1, 6))
@@ -302,6 +319,14 @@ def test_regions_from_labels_match_ndimage(kind):
             block = int(rng.integers(2, 12))
             coarse = rng.integers(0, k, (-(-h // block), -(-w // block)))
             labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:h, :w]
+        maps.append(labels)
+    return maps
+
+
+@pytest.mark.parametrize("kind", ["random", "blocky", "paths"])
+def test_regions_from_labels_match_ndimage(kind):
+    total = 0
+    for labels in label_maps(kind):
         got, want = regions_from_labels(labels), ndimage_regions(labels)
         assert len(got) == len(want)
         for (box, lab, mask), (box2, lab2, mask2) in zip(got, want):
@@ -309,7 +334,7 @@ def test_regions_from_labels_match_ndimage(kind):
             assert lab == lab2 and type(lab) is int
             assert mask.dtype == mask2.dtype and np.array_equal(mask, mask2)
         total += len(got)
-    assert total > 1000
+    assert total > (1000 if kind != "paths" else 30)
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)

@@ -1415,6 +1415,25 @@ def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
         prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
 
 
+def test_segments_file_of_the_right_size_but_not_the_grid_rejected_before_any_step(
+        tmp_path, capsys, monkeypatch):
+    # 16 labels for a 4 x 4 provider grid, as a (16,) map: the SD stack is
+    # synthesised from a 2-D map, so only the last record's step would fail
+    cfg = desk_cfg(tmp_path, batch_size=1, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    recs = read_manifest(manifest)
+    seg_path = str(tmp_path / "flat.dten")
+    write_tensor(seg_path, {"labels": read_tensor(recs[1].segments_path)["labels"].reshape(-1)})
+    (tmp_path / "man.txt").write_text(
+        f"image={recs[0].image_path} segments={recs[0].segments_path}\n"
+        f"image={recs[1].image_path} segments={seg_path}\n")
+    named = (rf"{re.escape(seg_path)}: section 'labels' has shape \(16,\), "
+             rf"expected \(4, 4\) for 16 provider tokens")
+    with pytest.raises(ConfigError, match=named):
+        prepare_record(read_manifest(cfg.manifest)[1], Distiller(cfg).vfm, cfg, 1)
+    _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named)
+
+
 def _nan_tokens():
     tokens = np.ones((16, 12))
     tokens[3, 4] = np.nan

@@ -318,9 +318,9 @@ def test_capture_runs_each_block_below_the_deepest_layer_once(monkeypatch):
     one_by_one = [vit.capture_attention(img, p, [layer])[0] for layer in (2, 0, 3)]
     block, ran = vit.attention_block, []
 
-    def counted(x, params, layer, queries=None):
+    def counted(x, params, layer):
         ran.append(layer)
-        return block(x, params, layer, queries)
+        return block(x, params, layer)
 
     monkeypatch.setattr(vit, "attention_block", counted)
     maps = vit.capture_attention(img, p, [2, 0, 3])
@@ -905,14 +905,32 @@ def test_no_grad_lanes_hold_one_workspace_each_at_paper_shape(monkeypatch):
 
 # --- frozen forward on plain arrays ---------------------------------------------
 
-def tensor_path(img, p, queries=None):
-    """The Tensor-op forward of encode_cls (queries=1) or the standard
-    encode_dense tokens, on unfrozen params."""
+def cls_block(x, p, layer):
+    """attention_block's Tensor ops for the CLS row alone: its query,
+    residual and FFN, with keys and values over every row."""
+    b = p.blocks[layer]
+    h = vit.layer_norm_rows(x, b.ln1_s, b.ln1_o)
+    x, hq = T.slice_rows(x, 0, 1), T.slice_rows(h, 0, 1)
+    q = T.add(T.matmul(hq, b.wq), b.bq)
+    k = T.add(T.matmul(h, b.wk), b.bk)
+    v = T.add(T.matmul(h, b.wv), b.bv)
+    y = T.add(x, T.add(T.matmul(vit._multi_head(q, k, v, p.heads), b.wo), b.bo))
+    h2 = vit.layer_norm_rows(y, b.ln2_s, b.ln2_o)
+    return T.add(y, T.add(T.matmul(T.gelu(T.add(T.matmul(h2, b.w1), b.b1)), b.w2), b.b2))
+
+
+def tensor_path(img, p, cls=False):
+    """The Tensor-op forward of encode_cls (cls=True) or the standard
+    encode_dense tokens, on unfrozen params. The CLS row of the full final
+    block is not bitwise the CLS-only row, so encode_cls's reference runs
+    cls_block."""
     seq = vit.patch_embed(img, p)
     for layer in range(p.depth - 1):
         seq = vit.attention_block(seq, p, layer)
-    out = vit.attention_block(seq, p, p.depth - 1, queries=queries)
-    out = out if queries else T.slice_rows(out, 1, out.shape[0])
+    if cls:
+        out = cls_block(seq, p, p.depth - 1)
+    else:
+        out = T.slice_rows(vit.attention_block(seq, p, p.depth - 1), 1, seq.shape[0])
     return (T.matmul(out, p.w_vl) if p.w_vl is not None else out).data
 
 
@@ -935,7 +953,7 @@ def test_frozen_forward_matches_tensor_path_bitwise(shape, dtype):
     frozen = p.clone().freeze()
     img = rand_image(np.random.default_rng(18), kw["res"])
     cls = vit.encode_cls(img, frozen)
-    ref_cls = tensor_path(img, p, queries=1)[0]
+    ref_cls = tensor_path(img, p, cls=True)[0]
     assert cls.dtype == ref_cls.dtype and cls.tobytes() == ref_cls.tobytes()
     tokens = vit.encode_dense(img, frozen, "standard").tokens.data
     ref_tokens = tensor_path(img, p)
@@ -1004,9 +1022,9 @@ def test_frozen_forward_raises_where_tensor_path_raises(case):
                 assert np.isposinf(s).all()
             else:
                 assert np.isfinite(s.max(axis=1)).all() and np.isneginf(s).any()
-        for queries in (None, 1):
+        for cls in (False, True):
             with pytest.raises(EvaluationError):
-                tensor_path(img, p, queries)
+                tensor_path(img, p, cls)
         with pytest.raises(EvaluationError):
             vit.encode_cls(img, frozen)
         with pytest.raises(EvaluationError):
