@@ -75,8 +75,8 @@ def _eval_records(args):
     """The class embeddings, and per manifest record the image, its segment
     map and the checkpoint student's decoupled dense features; an image or a
     segment map (eval-seg also takes one at image resolution) whose shape
-    does not fit the student, or a label outside the class file's range, is
-    refused naming its file."""
+    does not fit the student, or a label that is not a whole number in the
+    class file's range, is refused naming its file."""
     from .evalsuite import load_class_embeddings
     from .trainer import image_section, load_student, read_manifest, section
     from .vit import encode_dense
@@ -99,10 +99,11 @@ def _eval_records(args):
             if segments.shape not in fits:
                 raise ShapeError(f"{rec.segments_path}: section 'labels' has shape "
                                  f"{segments.shape}, expected {' or '.join(map(str, fits))}")
-            bad = segments[(segments < 0) | (segments >= k)]
+            bad = segments[~((segments >= 0) & (segments < k) & (np.floor(segments) == segments))]
             if bad.size:
+                what = "outside" if np.floor(bad[0]) == bad[0] else "expected a whole number in"
                 raise ConfigError(f"{rec.segments_path}: section 'labels' holds label {bad[0]}, "
-                                  f"outside the class file's [0, {k})")
+                                  f"{what} the class file's [0, {k})")
             yield image, segments, encode_dense(image, student, "decoupled")
 
     return classes, encoded()

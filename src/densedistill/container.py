@@ -15,13 +15,14 @@ File layout, little-endian throughout, payloads row-major:
     payloads, contiguous after the table
 
 All writes are atomic: temp file in the target directory, then rename.
+Each payload moves straight between its array and the file.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -46,14 +47,22 @@ MAX_NAME_BYTES = 64
 _MAX_DIM = int(np.iinfo(np.intp).max)
 
 
-def atomic_write_bytes(path, payload):
-    """Write bytes to ``path`` via a same-directory temp file and rename."""
+def atomic_write_bytes(path, *chunks):
+    """Write byte chunks to ``path`` via a same-directory temp file and
+    rename; the file gets mode 0o666 less the umask, as ``open`` would."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dten-")
+    while True:
+        tmp = os.path.join(directory, f".tmp-dten-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,7 +93,8 @@ def _check_name(name):
 
 def write_tensor(path, sections):
     """Serialize named arrays to ``path``. ``sections`` is a dict or an
-    iterable of (name, array) pairs; order is preserved in the file."""
+    iterable of (name, array) pairs; order is preserved in the file. Each
+    payload is written from its own C-contiguous little-endian array."""
     pairs = list(sections.items()) if isinstance(sections, dict) else list(sections)
     seen = set()
     encoded = []
@@ -94,96 +104,75 @@ def write_tensor(path, sections):
             raise DuplicateNameError(f"duplicate section name {name!r}")
         seen.add(name)
         arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)  # keeps rank-0 as rank-0 when already contiguous
         code = _dtype_code(arr)
-        encoded.append((raw, code, arr.astype(_CODE_TO_DTYPE[code], copy=False)))
+        encoded.append((raw, code, np.asarray(arr, dtype=_CODE_TO_DTYPE[code], order="C")))
 
-    table_size = sum(2 + len(raw) + 1 + 1 + 8 * arr.ndim + 8 for raw, _, arr in encoded)
-    offset = 12 + table_size
-    table = bytearray()
-    payload = bytearray()
+    offset = 12 + sum(2 + len(raw) + 1 + 1 + 8 * arr.ndim + 8 for raw, _, arr in encoded)
+    head = bytearray(MAGIC + struct.pack("<II", VERSION, len(encoded)))
     for raw, code, arr in encoded:
-        table += struct.pack("<H", len(raw)) + raw
-        table += struct.pack("<BB", code, arr.ndim)
-        for dim in arr.shape:
-            table += struct.pack("<Q", dim)
-        table += struct.pack("<Q", offset)
-        blob = arr.tobytes()
-        payload += blob
-        offset += len(blob)
-    header = MAGIC + struct.pack("<II", VERSION, len(encoded))
-    atomic_write_bytes(path, bytes(header) + bytes(table) + bytes(payload))
-
-
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n, what):
-        if self.pos + n > len(self.blob):
-            raise TruncationError(f"file ends inside {what}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+        head += struct.pack(f"<H{len(raw)}sBB{arr.ndim + 1}Q",
+                            len(raw), raw, code, arr.ndim, *arr.shape, offset)
+        offset += arr.nbytes
+    atomic_write_bytes(path, head, *(arr for _, _, arr in encoded))
 
 
 def read_tensor(path):
     """Parse a container; the whole table is validated before any payload is
-    materialized, so corrupt files never yield partial results."""
+    read, so corrupt files never yield partial results. Each payload is read
+    straight into its own new array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
-    if r.take(4, "magic") != MAGIC:
-        raise MagicError(f"{path}: bad magic bytes")
-    version = r.u32("version")
-    if version != VERSION:
-        raise VersionError(f"{path}: unsupported version {version}")
-    count = r.u32("section count")
-    entries = []
-    for index in range(count):
-        name_len = r.u16("section name length")
-        if name_len > MAX_NAME_BYTES:
-            raise OffsetError(f"{path}: section name length {name_len} exceeds {MAX_NAME_BYTES}")
-        try:
-            name = r.take(name_len, "section name").decode("ascii")
-        except UnicodeDecodeError:
-            raise SectionNameError(f"{path}: name of section entry {index} is not ASCII") from None
-        code = r.take(1, "dtype")[0]
-        if code not in _CODE_TO_DTYPE:
-            raise OffsetError(f"{path}: unknown dtype code {code} in section {name!r}")
-        rank = r.take(1, "rank")[0]
-        shape = tuple(r.u64(f"dims of {name!r}") for _ in range(rank))
-        if any(dim > _MAX_DIM for dim in shape):
-            raise DimensionError(f"{path}: section {name!r} has dims {shape}, above the "
-                                 f"largest index {_MAX_DIM} of this platform")
-        offset = r.u64(f"offset of {name!r}")
-        entries.append((name, code, shape, offset))
-    payload_start = r.pos
-    out = {}
-    for name, code, shape, offset in entries:
-        if name in out:
-            raise DuplicateNameError(f"{path}: duplicate section {name!r}")
-        dtype = _CODE_TO_DTYPE[code]
-        n_items = 1
-        for dim in shape:
-            n_items *= dim
-        nbytes = n_items * dtype.itemsize
-        if offset < payload_start or offset > len(blob):
-            raise OffsetError(f"{path}: section {name!r} offset {offset} outside payload area")
-        if offset + nbytes > len(blob):
-            raise TruncationError(f"{path}: section {name!r} payload truncated")
-        out[name] = np.frombuffer(blob, dtype=dtype, count=n_items, offset=offset).reshape(shape).copy()
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n, what):
+            raw = fh.read(n)
+            if len(raw) < n:
+                raise TruncationError(f"file ends inside {what}")
+            return raw
+
+        def unpack(fmt, what):
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+        if take(4, "magic") != MAGIC:
+            raise MagicError(f"{path}: bad magic bytes")
+        version, = unpack("<I", "version")
+        if version != VERSION:
+            raise VersionError(f"{path}: unsupported version {version}")
+        count, = unpack("<I", "section count")
+        entries = []
+        for index in range(count):
+            name_len, = unpack("<H", "section name length")
+            if name_len > MAX_NAME_BYTES:
+                raise OffsetError(f"{path}: section name length {name_len} exceeds {MAX_NAME_BYTES}")
+            try:
+                name = take(name_len, "section name").decode("ascii")
+            except UnicodeDecodeError:
+                raise SectionNameError(f"{path}: name of section entry {index} is not ASCII") from None
+            code, = take(1, "dtype")
+            if code not in _CODE_TO_DTYPE:
+                raise OffsetError(f"{path}: unknown dtype code {code} in section {name!r}")
+            rank, = take(1, "rank")
+            shape = unpack(f"<{rank}Q", f"dims of {name!r}")
+            if any(dim > _MAX_DIM for dim in shape):
+                raise DimensionError(f"{path}: section {name!r} has dims {shape}, above the "
+                                     f"largest index {_MAX_DIM} of this platform")
+            offset, = unpack("<Q", f"offset of {name!r}")
+            entries.append((name, _CODE_TO_DTYPE[code], shape, offset))
+        payload_start = fh.tell()
+        names = set()
+        for name, dtype, shape, offset in entries:
+            if name in names:
+                raise DuplicateNameError(f"{path}: duplicate section {name!r}")
+            names.add(name)
+            if offset < payload_start or offset > size:
+                raise OffsetError(f"{path}: section {name!r} offset {offset} outside payload area")
+            if offset + math.prod(shape) * dtype.itemsize > size:
+                raise TruncationError(f"{path}: section {name!r} payload truncated")
+        out = {}
+        for name, dtype, shape, offset in entries:
+            out[name] = np.empty(shape, dtype)
+            fh.seek(offset)
+            if fh.readinto(out[name]) != out[name].nbytes:
+                raise TruncationError(f"{path}: section {name!r} payload truncated")
     return out
 
 
@@ -196,4 +185,4 @@ def write_pgm(path, values):
     scaled = np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo)
     data = np.round(scaled * 255.0).astype(np.uint8)
     header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + data.tobytes())
+    atomic_write_bytes(path, header, data)

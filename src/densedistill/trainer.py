@@ -260,7 +260,8 @@ def read_record(rec, vfm, cfg):
     n, grid = vfm.grid_side ** 2, (vfm.grid_side,) * 2
     vfm_tokens = sd_stack = None
     if rec.vfm_path:
-        vfm_tokens = section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens").astype(np.float64)
+        vfm_tokens = np.asarray(section(rec.vfm_path, read_tensor(rec.vfm_path), "tokens"),
+                                dtype=np.float64)
         if vfm_tokens.ndim != 2 or vfm_tokens.shape[0] != n or vfm_tokens.shape[1] < 1:
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' has shape {vfm_tokens.shape}, "
                               f"expected ({n}, D) for the provider's {n}-token grid, D >= 1")
@@ -269,11 +270,12 @@ def read_record(rec, vfm, cfg):
         if not vfm_tokens.any(axis=1).all():
             raise ConfigError(f"{rec.vfm_path}: section 'tokens' holds an all-zero row")
     if rec.sd_path:
-        maps = section(rec.sd_path, read_tensor(rec.sd_path), "maps").astype(np.float64)
+        maps = np.asarray(section(rec.sd_path, read_tensor(rec.sd_path), "maps"), dtype=np.float64)
         if maps.ndim != 3 or maps.shape[1:] != (n, n) or maps.shape[0] < 1:
             raise ConfigError(f"{rec.sd_path}: section 'maps' has shape {maps.shape}, "
                               f"expected (maps, {n}, {n}) for {n} provider tokens, maps >= 1")
-        if not np.isfinite(maps).all():
+        # min and max propagate NaN and reach +-inf without a (maps,) mask
+        if not (np.isfinite(maps.min()) and np.isfinite(maps.max())):
             raise ConfigError(f"{rec.sd_path}: section 'maps' holds non-finite values")
         try:
             sd_stack = SdAttentionStack(maps=maps)

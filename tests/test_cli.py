@@ -261,6 +261,20 @@ def test_out_of_range_segment_label_exits_one(trained, capsys, bad):
                                        "outside the class file's [0, 3)\n") * 3
 
 
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_segment_label_that_is_not_a_whole_number_exits_one(trained, capsys, bad):
+    # a float labels file is scored only when every label is a whole number;
+    # NaN fails every comparison, so it is refused with the rest
+    cfg, _, result, classes_path = trained
+    path = read_manifest(cfg.manifest)[0].segments_path
+    labels = read_tensor(path)["labels"].astype(np.float64)
+    labels[1, 2] = bad
+    write_tensor(path, {"labels": labels})
+    assert _eval_exit_codes(cfg, result, classes_path) == [1, 1, 1]
+    assert capsys.readouterr().err == (f"error: {path}: section 'labels' holds label {bad}, "
+                                       "expected a whole number in the class file's [0, 3)\n") * 3
+
+
 def test_out_of_range_label_at_image_resolution_exits_one_naming_its_file(trained, capsys):
     # eval-seg takes a map at the image's resolution too; its range is
     # checked as read, before the map is scored

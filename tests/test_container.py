@@ -3,13 +3,15 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedistill.container import atomic_write_bytes, read_tensor, write_pgm, write_tensor
+from densedistill.container import (atomic_write_bytes, atomic_write_text, read_tensor,
+                                    write_pgm, write_tensor)
 from densedistill.errors import (
     DimensionError,
     DuplicateNameError,
@@ -77,6 +79,76 @@ def test_write_then_write_is_byte_identical(tmp_path):
     write_tensor(p1, sections)
     write_tensor(p2, read_tensor(p1))
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_golden_bytes_of_mixed_inputs(tmp_path):
+    # a 0-d f32, an empty f64, a transposed view, a big-endian input and an
+    # i32 vector, against the layout assembled by hand
+    sections = [("s", np.array(1.5, dtype=np.float32)), ("e", np.zeros((0, 3))),
+                ("t", np.arange(12.0).reshape(3, 4).T), ("b", np.array([1.0, -2.5], dtype=">f8")),
+                ("i", np.array([7, -1, 2**31 - 1], dtype=np.int32))]
+    path = str(tmp_path / "g.dten")
+    write_tensor(path, sections)
+    entries = [(b"s", 0, ()), (b"e", 1, (0, 3)), (b"t", 1, (4, 3)), (b"b", 1, (2,)), (b"i", 2, (3,))]
+    payloads = [struct.pack("<f", 1.5), b"", struct.pack("<12d", 0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11),
+                struct.pack("<2d", 1.0, -2.5), struct.pack("<3i", 7, -1, 2**31 - 1)]
+    offset = 12 + sum(2 + len(name) + 1 + 1 + 8 * len(dims) + 8 for name, _, dims in entries)
+    expected = b"DTEN" + struct.pack("<II", 1, len(entries))
+    for (name, code, dims), payload in zip(entries, payloads):
+        expected += struct.pack(f"<H{len(name)}sBB", len(name), name, code, len(dims))
+        expected += struct.pack(f"<{len(dims) + 1}Q", *dims, offset)
+        offset += len(payload)
+    assert (tmp_path / "g.dten").read_bytes() == expected + b"".join(payloads)
+    out = read_tensor(path)
+    assert list(out) == [name for name, _ in sections]
+    for name, arr in sections:
+        got = out[name]
+        assert got.dtype == arr.dtype.newbyteorder("<") and got.shape == arr.shape
+        np.testing.assert_array_equal(got, arr)
+        assert got.flags.owndata and got.flags.writeable and got.flags.aligned
+
+
+def _peak_above_start(fn):
+    """fn's result, and its traced allocation peak above what was live."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_section_is_written_without_a_copy(tmp_path):
+    path = str(tmp_path / "big.dten")
+    arr = np.random.default_rng(0).standard_normal((1024, 1025))  # just over 8 MiB
+    _, peak = _peak_above_start(lambda: write_tensor(path, {"x": arr}))
+    assert peak <= 2**20, peak
+    assert os.path.getsize(path) == 12 + (2 + 1 + 1 + 1 + 16 + 8) + arr.nbytes
+
+
+def test_a_large_section_is_read_into_its_one_array(tmp_path):
+    path = str(tmp_path / "big.dten")
+    arr = np.random.default_rng(0).standard_normal((1024, 1025))
+    write_tensor(path, {"x": arr})
+    out, peak = _peak_above_start(lambda: read_tensor(path))
+    assert peak <= arr.nbytes + 2**20, peak
+    assert out["x"].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_tensor(path, {"x": np.ones(2)}),
+    lambda path: write_pgm(path, np.eye(2)),
+    lambda path: atomic_write_text(path, "text\n"),
+], ids=["dten", "pgm", "text"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, write):
+    path = str(tmp_path / "out")
+    old = os.umask(0o022)
+    try:
+        write(path)
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o644
 
 
 def test_corrupted_magic(tmp_path):

@@ -33,6 +33,7 @@ from densedistill.trainer import (
     load_student,
     prepare_record,
     read_manifest,
+    read_record,
     resolution_pair,
     restore_into,
     save_checkpoint,
@@ -1464,6 +1465,40 @@ def test_malformed_vfm_tokens_rejected_naming_the_file(tmp_path, capsys, tokens,
     capsys.readouterr()
     assert run_cli(["distill", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {vfm_path}: section 'tokens'")
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_sd_file_with_infinite_maps_rejected_as_non_finite(tmp_path, value):
+    cfg = desk_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg)
+    maps = np.full((3, 16, 16), 1.0 / 16)
+    maps[2, 0, 5] = value
+    sd_path = str(tmp_path / "sd0.dten")
+    write_tensor(sd_path, {"maps": maps})
+    rec = replace(read_manifest(manifest)[0], sd_path=sd_path)
+    with pytest.raises(ConfigError, match=f"{re.escape(sd_path)}: section 'maps' holds non-finite"):
+        read_record(rec, Distiller(cfg).vfm, cfg)
+
+
+def test_read_record_keeps_no_copy_beside_the_arrays_it_returns(tmp_path):
+    # an 8 MiB SD stack and the provider tokens are read into the very
+    # arrays read_record returns; neither is copied on the way
+    cfg = desk_cfg(tmp_path, student_res=128, vfm_res=64)  # 256 tokens
+    _, manifest = desk_suite(tmp_path, cfg)
+    vfm_path, sd_path = str(tmp_path / "vfm0.dten"), str(tmp_path / "sd0.dten")
+    write_tensor(vfm_path, {"tokens": np.random.default_rng(0).standard_normal((256, 12))})
+    write_tensor(sd_path, {"maps": np.full((16, 256, 256), 1.0 / 256)})
+    rec = replace(read_manifest(manifest)[0], vfm_path=vfm_path, sd_path=sd_path)
+    vfm = Distiller(cfg).vfm
+    tracemalloc.start()
+    try:
+        image, segments, tokens, stack = read_record(rec, vfm, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = image.nbytes + segments.nbytes + tokens.nbytes + stack.maps.nbytes
+    assert stack.maps.nbytes >= 8 * 2**20
+    assert peak <= returned + 2**20, (peak, returned)
 
 
 @pytest.mark.parametrize("key,name", [("image", "image"), ("segments", "labels"),
