@@ -14,8 +14,7 @@ import numpy as np
 from .affinity import dump_attention_analysis
 from .config import parse_config
 from .container import read_tensor
-from .errors import (ConfigError, ContainerError, EvaluationError, ModeError, ParameterError,
-                     ShapeError)
+from .errors import ContainerError, EvaluationError, ModeError, ParameterError, ShapeError
 from .gradcheck import run_gradcheck_suite
 
 # every other validation error class derives from ValueError
@@ -78,7 +77,7 @@ def _eval_records(args):
     does not fit the student, or a label that is not a whole number in the
     class file's range, is refused naming its file."""
     from .evalsuite import load_class_embeddings
-    from .trainer import image_section, load_student, read_manifest, section
+    from .trainer import image_section, labels_section, load_student, read_manifest
     from .vit import encode_dense
 
     student, _ = load_student(args.checkpoint)
@@ -95,15 +94,7 @@ def _eval_records(args):
     def encoded():
         for rec in records:
             image = image_section(rec.image_path, read_tensor(rec.image_path), res)
-            segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
-            if segments.shape not in fits:
-                raise ShapeError(f"{rec.segments_path}: section 'labels' has shape "
-                                 f"{segments.shape}, expected {' or '.join(map(str, fits))}")
-            bad = segments[~((segments >= 0) & (segments < k) & (np.floor(segments) == segments))]
-            if bad.size:
-                what = "outside" if np.floor(bad[0]) == bad[0] else "expected a whole number in"
-                raise ConfigError(f"{rec.segments_path}: section 'labels' holds label {bad[0]}, "
-                                  f"{what} the class file's [0, {k})")
+            segments = labels_section(rec.segments_path, read_tensor(rec.segments_path), fits, k)
             yield image, segments, encode_dense(image, student, "decoupled")
 
     return classes, encoded()

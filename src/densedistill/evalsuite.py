@@ -199,13 +199,10 @@ def top1_macc(pred, gt):
 
 
 def _expanded_labels(segments, grid, out_res):
-    if segments.shape == (out_res, out_res):
+    if segments.shape != grid:
         return segments
-    if segments.shape == grid:
-        return np.kron(segments, np.ones((out_res // grid[0], out_res // grid[1]),
-                                         dtype=segments.dtype))
-    raise ShapeError(f"segment map {segments.shape} fits neither the token grid "
-                     f"{grid} nor the image ({out_res})")
+    return np.kron(segments, np.ones((out_res // grid[0], out_res // grid[1]),
+                                     dtype=segments.dtype))
 
 
 def add_confusion(cm, dense, classes, segments, out_res):

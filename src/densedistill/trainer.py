@@ -251,12 +251,11 @@ class PreparedRecord:
 
 
 def read_record(rec, vfm, cfg):
-    """A manifest record's files, each checked against the student or the
-    provider: the image, the segment labels (on the provider's grid when the
-    SD stack is synthesised from them), and the provider tokens and SD stack
-    when the record names their files (else None)."""
+    """A manifest record's files in the order they are checked against the
+    student or the provider: the image, the provider tokens and SD stack when
+    the record names their files (else None), then the labels by
+    ``labels_section``, on the provider's grid or, with ``sd=``, the image's."""
     image = image_section(rec.image_path, read_tensor(rec.image_path), cfg.student_res)
-    segments = section(rec.segments_path, read_tensor(rec.segments_path), "labels")
     n, grid = vfm.grid_side ** 2, (vfm.grid_side,) * 2
     vfm_tokens = sd_stack = None
     if rec.vfm_path:
@@ -282,9 +281,8 @@ def read_record(rec, vfm, cfg):
         except DistributionError:
             raise ConfigError(f"{rec.sd_path}: section 'maps' holds a map that is not "
                               f"row-stochastic") from None
-    elif segments.shape != grid:
-        raise ConfigError(f"{rec.segments_path}: section 'labels' has shape {segments.shape}, "
-                          f"expected {grid} for {n} provider tokens")
+    segments = labels_section(rec.segments_path, read_tensor(rec.segments_path),
+                              [grid] if sd_stack is None else [grid, image.shape[1:]])
     return image, segments, vfm_tokens, sd_stack
 
 
@@ -427,6 +425,23 @@ def image_section(path, sections, res):
     if not np.isfinite(image).all():
         raise ConfigError(f"{path}: section 'image' holds non-finite values")
     return image
+
+
+def labels_section(path, sections, shapes, classes=None):
+    """Section 'labels' of the file read from ``path``, refused naming the file
+    unless its shape is one of ``shapes`` and every label is a whole number in
+    [0, classes), in [0, inf) without a class file; NaN and +-inf fail."""
+    labels = section(path, sections, "labels")
+    if labels.shape not in shapes:
+        raise ConfigError(f"{path}: section 'labels' has shape {labels.shape}, "
+                          f"expected {' or '.join(map(str, shapes))}")
+    top = np.inf if classes is None else classes
+    bad = labels[~((labels >= 0) & (labels < top) & (np.floor(labels) == labels))]
+    if bad.size:
+        what = "outside" if np.floor(bad[0]) == bad[0] else "expected a whole number in"
+        span = "[0, inf)" if classes is None else f"the class file's [0, {classes})"
+        raise ConfigError(f"{path}: section 'labels' holds label {bad[0]}, {what} {span}")
+    return labels
 
 
 def _student_fields(student):

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports (``__init__`` is
 exempt: its imports are the package's re-exports), every engine op has a
 caller, every config field has a reader, only ``vit`` imports a thread
-library, and the runtime needs numpy alone."""
+library, only ``trainer.labels_section`` reads a labels section, and the
+runtime needs numpy alone."""
 
 import ast
 import os
@@ -136,6 +137,54 @@ def test_only_vit_starts_threads():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
     assert thread_importers(sources) == ["vit.py"]
+
+
+def labels_readers(sources):
+    """Where in ``sources`` (file name -> source text) a "labels" section is
+    read, as ``module.function`` (the innermost def; ``module`` alone at top
+    level): the constant "labels" as a subscript key that is read, a call
+    argument or a comparison operand (``"labels" in sections``). A dict key
+    or an assigned subscript, the ways a file is written, is no read."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            keys = [node.slice]
+        elif isinstance(node, ast.Call):
+            keys = node.args + [k.value for k in node.keywords]
+        elif isinstance(node, ast.Compare):
+            keys = [node.left, *node.comparators]
+        else:
+            keys = []
+        if any(isinstance(k, ast.Constant) and k.value == "labels" for k in keys):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name.removesuffix(".py"))
+    return sorted(found)
+
+
+def test_labels_reader_finder():
+    sources = {"a.py": "def f(s):\n    return s['labels']\n",
+               "b.py": "def g(p):\n    return section(p, read(p), key='labels')\n",
+               "c.py": "def h(s):\n    def inner():\n        return 'labels' in s\n    return inner\n",
+               "d.py": ("def w(p, x, s):\n    write(p, {'labels': x})\n    s['labels'] = x\n"
+                        "    return f\"section 'labels' of {p}\", 'labels.txt'\n"),
+               "e.py": "x = read(p).get('labels')\n"}
+    assert labels_readers(sources) == ["a.f", "b.g", "c.inner", "e"]
+
+
+def test_only_labels_section_reads_a_labels_section():
+    """``trainer.labels_section`` is the one labels check of every command
+    (distill, eval-seg, eval-region), so no other function reads the
+    section and skips the check."""
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
+    assert labels_readers(sources) == ["trainer.labels_section"]
 
 
 def unread_fields(names, sources):

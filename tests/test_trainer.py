@@ -1412,7 +1412,8 @@ def test_segments_file_sized_for_another_token_count_rejected(tmp_path):
     seg_path = str(tmp_path / "seg0.dten")
     write_tensor(seg_path, {"labels": np.zeros((3, 3), dtype=np.int32)})
     (tmp_path / "man.txt").write_text(f"image={rec.image_path} segments={seg_path}\n")
-    with pytest.raises(ConfigError, match=f"{re.escape(seg_path)}: .*16 provider tokens"):
+    with pytest.raises(ConfigError, match=(rf"{re.escape(seg_path)}: section 'labels' has "
+                                           rf"shape \(3, 3\), expected \(4, 4\)$")):
         prepare_record(read_manifest(cfg.manifest)[0], Distiller(cfg).vfm, cfg, 0)
 
 
@@ -1428,11 +1429,65 @@ def test_segments_file_of_the_right_size_but_not_the_grid_rejected_before_any_st
     (tmp_path / "man.txt").write_text(
         f"image={recs[0].image_path} segments={recs[0].segments_path}\n"
         f"image={recs[1].image_path} segments={seg_path}\n")
-    named = (rf"{re.escape(seg_path)}: section 'labels' has shape \(16,\), "
-             rf"expected \(4, 4\) for 16 provider tokens")
+    named = rf"{re.escape(seg_path)}: section 'labels' has shape \(16,\), expected \(4, 4\)$"
     with pytest.raises(ConfigError, match=named):
         prepare_record(read_manifest(cfg.manifest)[1], Distiller(cfg).vfm, cfg, 1)
     _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named)
+
+
+def _second_record_with_labels(tmp_path, labels, sd=False):
+    """A batch-1 desk config whose manifest's second record reads ``labels``
+    from its own file, with a uniform ``sd=`` stack if ``sd``; returns the
+    config and that file's path."""
+    cfg = desk_cfg(tmp_path, batch_size=1, manifest=str(tmp_path / "man.txt"))
+    _, manifest = desk_suite(tmp_path, cfg)
+    recs = read_manifest(manifest)
+    seg_path = str(tmp_path / "labels1.dten")
+    write_tensor(seg_path, {"labels": labels})
+    extra = ""
+    if sd:
+        extra = f" sd={tmp_path / 'sd1.dten'}"
+        write_tensor(str(tmp_path / "sd1.dten"), {"maps": np.full((3, 16, 16), 1.0 / 16)})
+    (tmp_path / "man.txt").write_text(
+        f"image={recs[0].image_path} segments={recs[0].segments_path}\n"
+        f"image={recs[1].image_path} segments={seg_path}{extra}\n")
+    return cfg, seg_path
+
+
+@pytest.mark.parametrize("sd", [False, True], ids=["synthesised", "sd-file"])
+@pytest.mark.parametrize("bad,held", [
+    (np.nan, "nan, expected a whole number in"), (1.5, "1.5, expected a whole number in"),
+    (-1, "-1.0, outside"), (np.inf, "inf, outside"),
+], ids=["nan", "half", "negative", "inf"])
+def test_segments_file_holding_a_label_eval_refuses_rejected_before_any_step(
+        tmp_path, capsys, monkeypatch, bad, held, sd):
+    # distill refuses what eval-seg and eval-region refuse; with no class
+    # file, a label is a whole number in [0, inf)
+    labels = np.zeros((4, 4))
+    labels[1, 2] = bad
+    cfg, seg_path = _second_record_with_labels(tmp_path, labels, sd)
+    named = re.escape(f"{seg_path}: section 'labels' holds label {held} [0, inf)")
+    _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named + "$")
+
+
+def test_sd_record_with_a_flat_labels_map_rejected_before_any_step(tmp_path, capsys,
+                                                                   monkeypatch):
+    # an sd= record takes its labels on the provider's grid or at the image's
+    # resolution, the two shapes eval-seg scores
+    cfg, seg_path = _second_record_with_labels(tmp_path, np.zeros(16, dtype=np.int32), sd=True)
+    named = re.escape(f"{seg_path}: section 'labels' has shape (16,), "
+                      "expected (4, 4) or (32, 32)")
+    _refused_before_any_step(tmp_path, capsys, monkeypatch, cfg, named + "$")
+
+
+def test_sd_record_with_labels_at_image_resolution_trains(tmp_path, capsys):
+    cfg, _ = _second_record_with_labels(tmp_path, np.ones((32, 32), dtype=np.int32), sd=True)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(echo_config(cfg))
+    assert run_cli(["distill", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, sections = load_student(os.path.join(cfg.checkpoint_dir, trainer.CHECKPOINT_NAME))
+    assert int(sections["step"][0]) == 2
 
 
 def _nan_tokens():
