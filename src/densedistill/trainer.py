@@ -10,10 +10,12 @@ reproducible, metrics log included. A teacher crop target depends only on
 the image, the box and the frozen teacher, so each record keeps the ones it
 has computed, keyed by (teacher fingerprint, box), and a step encodes only
 the boxes its record has not seen under that teacher. Those are encoded one
-crop at a time, on pool threads beside the student's forward or on the
-calling thread (``vit._beside``, sized by ``_pool_threads``, as is a
-record's provider forward beside its SD synthesis), and every target is read
-back in box order, so neither the memo nor the pool size changes a bit.
+crop at a time by ``vit._beside``: on helper threads beside the student's
+forward and on the calling thread, which is one of the workers and takes the
+crops no helper has started once its student side is done. ``_pool_threads``
+sizes it, as it does a record's provider forward beside its SD synthesis, at
+min(tasks, CPUs) - 1 helpers. Every target is read back in box order, so
+neither the memo nor the thread a crop runs on changes a bit.
 ``train`` is the one training loop; every caller goes through it.
 
 ``distill_run`` checks every record's files before step 0 and keeps nothing
@@ -58,8 +60,9 @@ CONFIG_ECHO_NAME = "effective_config.txt"
 STUDENT_PIXEL = (0.5, 0.5)
 PROVIDER_PIXEL = (0.45, 0.27)
 
-# Grids from this many tokens run their work on a thread pool: a step's
-# teacher crops, and a record's provider forward beside its SD synthesis. A
+# Grids from this many tokens share their work between helper threads and
+# the calling thread: a step's teacher crops, and a record's provider forward
+# beside its SD synthesis; smaller grids run it all on the calling thread. A
 # forward releases the GIL only inside numpy calls on large enough operands:
 # on a 2-core host two threads ran 16 width-48 crops 0.85-1.16x as fast as
 # one at 64-256 tokens, and 1.5-1.9x from 400 tokens up.
@@ -143,11 +146,11 @@ def context_teacher(vfm_tokens, sd_stack, cfg):
 
 
 def _pool_threads(tasks, params):
-    """Pool threads for independent tasks that each run a forward of
-    ``params``: min(tasks, CPUs this process may use), or 0 (the calling
-    thread runs them) when that is under two or below POOL_MIN_TOKENS tokens."""
-    threads = 0 if params.grid_side ** 2 < POOL_MIN_TOKENS else min(tasks, vit.usable_cpus())
-    return threads if threads > 1 else 0
+    """Helper threads for independent tasks that each run a forward of
+    ``params``, beside the calling thread, which is one of the workers:
+    min(tasks, CPUs this process may use) - 1, or 0 (the calling thread runs
+    them all) below POOL_MIN_TOKENS tokens."""
+    return 0 if params.grid_side ** 2 < POOL_MIN_TOKENS else max(min(tasks, vit.usable_cpus()) - 1, 0)
 
 
 # the training variants, in the order the ablation trains them, and the
@@ -172,8 +175,9 @@ def distill_forward(distiller, prepared, rng):
     def teacher_cls(box):
         return encode_cls(crop_resize(image, box, teacher.input_res), teacher)
 
-    # the crops are independent of each other and of the student, so on a
-    # pool they run while the student side runs here, read back in box order
+    # the crops are independent of each other and of the student, so helpers
+    # run them while the student side runs here, and reading them back in box
+    # order this thread takes the crops no helper has started
     with _beside(teacher_cls, misses, _pool_threads(len(misses), teacher)) as crops:
         if prepared.context_target is None:
             # the target depends on the record alone; the stack is not read
@@ -291,10 +295,10 @@ def prepare_record(rec, vfm, cfg, index):
     provider tokens and the SD stack its files do not give are computed."""
     image, segments, vfm_tokens, sd_stack = read_record(rec, vfm, cfg)
     # the two read disjoint inputs, so when both are computed the provider
-    # forward may run on a pool thread while the stack is synthesised here
+    # forward may run on a helper while the stack is synthesised here
     both = vfm_tokens is None and sd_stack is None
     with _beside(lambda im: provider_tokens(vfm, im), [image] if vfm_tokens is None else [],
-                 min(1, _pool_threads(2, vfm)) if both else 0) as provider:
+                 _pool_threads(2, vfm) if both else 0) as provider:
         if sd_stack is None:
             sd_stack = synth_sd_attention(
                 segments, cfg.sd_sharpness,

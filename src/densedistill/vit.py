@@ -14,7 +14,7 @@ import contextlib
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -241,18 +241,38 @@ def usable_cpus():
 
 @contextlib.contextmanager
 def _beside(fn, items, threads):
-    """Map ``fn`` over ``items`` on ``threads`` pool threads beside the
-    ``with`` block, which reads the results in item order; with 0 threads each
-    item runs on the calling thread when it is read. Leaving the block, also
-    by a raise, drops the items not yet started and joins every thread."""
+    """Map ``fn`` over ``items`` on ``threads`` helper threads and the calling
+    thread, which is one of the workers: the ``with`` block reads the results
+    in item order, and while the item it reads is not done the calling thread
+    takes the last item no helper has started and runs it, keeping its result
+    or raise for that item's read. With 0 threads each item runs on the
+    calling thread when it is read. Leaving the block, also by a raise, drops
+    the items not yet started and joins every thread."""
     if not threads:
         yield map(fn, items)
         return
     pool = ThreadPoolExecutor(threads)
     try:
-        yield pool.map(fn, items)
+        items = list(items)
+        yield _shared(fn, items, [pool.submit(fn, item) for item in items])
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _shared(fn, items, futures):
+    """``_beside``'s results in item order, the calling thread taking the
+    unstarted items from the back while the one it reads is not done."""
+    tail = len(futures)
+    for i, future in enumerate(futures):
+        while i < tail and not future.done():
+            tail -= 1
+            if futures[tail].cancel():  # no helper has started it
+                futures[tail] = Future()
+                try:
+                    futures[tail].set_result(fn(items[tail]))
+                except Exception as exc:
+                    futures[tail].set_exception(exc)
+        yield futures[i].result()
 
 
 def _multi_head(q, k, v, heads):
@@ -260,12 +280,12 @@ def _multi_head(q, k, v, heads):
     group on its column block of q, k and v, its scores written and
     softmaxed in place in its lane's (group*m, n) workspace. When no operand
     needs a gradient the groups run on min(groups, usable_cpus()) lanes: lane
-    j takes groups j, j+lanes, ..., lane 0 on the calling thread and the
-    others _beside it, every workspace allocated here before any lane starts.
-    With a gradient one lane runs every group (in training the crop pool
-    holds the other CPUs). Only each group's output array is kept; the groups
-    are joined in order into one graph record over (q, k, v) whose rule
-    recomputes the probabilities."""
+    j takes groups j, j+lanes, ..., and the lanes are _beside's items on
+    lanes - 1 helpers and the calling thread, every workspace allocated here
+    before any lane starts. With a gradient one lane runs every group (in
+    training the crop helpers hold the other CPUs). Only each group's output
+    array is kept; the groups are joined in order into one graph record over
+    (q, k, v) whose rule recomputes the probabilities."""
     m, n = q.shape[0], k.shape[0]
     group = _head_group(heads, m, n, q.data.itemsize)
     d = q.shape[1] // heads
@@ -284,9 +304,8 @@ def _multi_head(q, k, v, heads):
             p = T.softmax_rows(T.head_scores(qh, kh, group, out=work[j]), out=work[j])
             parts[i] = T.head_mix(p, vh, group).data
 
-    with _beside(lane, range(1, lanes), lanes - 1) as others:
-        lane(0)
-        list(others)  # a lane's raise surfaces here
+    with _beside(lane, range(lanes), lanes - 1) as done:
+        list(done)  # a lane's raise surfaces here
     return T.from_op(np.concatenate(parts, axis=1), (q, k, v),
                      _attention_back(q.data, k.data, v.data, heads))
 

@@ -217,12 +217,19 @@ def pool_cfg(tmp_path, **over):
     return desk_cfg(tmp_path, student_res=192, vfm_res=96, grid_lo=3, grid_hi=3, **over)
 
 
-def record_crop_threads(monkeypatch):
-    threads = []
+def record_crop_threads(monkeypatch, share=False):
+    """The thread of each crop encoding, in call order. With ``share`` a
+    helper's first crop waits until the calling thread has taken one."""
+    threads, here, took = [], threading.get_ident(), threading.Event()
     real = trainer.encode_cls
 
     def recording(crop, params):
-        threads.append(threading.get_ident())
+        me = threading.get_ident()
+        threads.append(me)
+        if me == here:
+            took.set()
+        elif share and threads.count(me) == 1:
+            assert took.wait(10)
         return real(crop, params)
 
     monkeypatch.setattr(trainer, "encode_cls", recording)
@@ -231,21 +238,21 @@ def record_crop_threads(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["decoupled", "coupled", "content"])
 def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, variant):
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the pool needs two CPUs")
     cfg = pool_cfg(tmp_path, lam=0.5)
     _, manifest = desk_suite(tmp_path, cfg, n_images=1)
     distiller = Distiller(cfg, variant)
     assert distiller.teacher.grid_side ** 2 >= trainer.POOL_MIN_TOKENS
     prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
     stack = prepared.sd_stack  # the step replaces it by the target it completes
-    threads = record_crop_threads(monkeypatch)
+    # one helper, held on its first crop until the calling thread takes one
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    threads = record_crop_threads(monkeypatch, share=True)
 
     total, report_a = distiller.loss_for(prepared, np.random.default_rng(5))
     T.backward(total)
     grads_a = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
                if p.grad is not None}
-    assert len(threads) == 9 and len(set(threads)) > 1
+    assert len(threads) == 9 and len(set(threads)) == 2 and threading.get_ident() in threads
 
     # one crop after another on this thread
     monkeypatch.undo()
@@ -291,6 +298,35 @@ def test_small_teacher_grid_encodes_crops_on_the_calling_thread(tmp_path, monkey
     before = threading.active_count()
     distiller.loss_for(prepared, np.random.default_rng(5))
     assert threads == [threading.get_ident()] * 4
+    assert threading.active_count() == before
+
+
+def counted_pools(monkeypatch):
+    """Sizes of the pools vit constructs from here on, in order."""
+    sizes = []
+    pool = vit.ThreadPoolExecutor
+
+    def counted(workers):
+        sizes.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(vit, "ThreadPoolExecutor", counted)
+    return sizes
+
+
+def test_a_step_at_two_cpus_encodes_its_crops_on_one_helper_and_the_caller(tmp_path,
+                                                                           monkeypatch):
+    cfg = pool_cfg(tmp_path)
+    _, manifest = desk_suite(tmp_path, cfg, n_images=1)
+    distiller = Distiller(cfg)
+    prepared = prepare_record(read_manifest(manifest)[0], distiller.vfm, cfg, 0)
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    pools = counted_pools(monkeypatch)
+    threads = record_crop_threads(monkeypatch)
+    before = threading.active_count()
+    distiller.loss_for(prepared, np.random.default_rng(5))
+    assert pools == [1]
+    assert len(threads) == 9 and len(set(threads)) <= 2
     assert threading.active_count() == before
 
 
@@ -434,17 +470,27 @@ def test_step_whose_boxes_all_hit_starts_no_pool(tmp_path, monkeypatch):
 
 # --- a record's provider forward beside its SD synthesis -------------------------------------
 
-def record_provider_threads(monkeypatch, fail=False):
-    threads = []
-    real = trainer.provider_tokens
+def record_provider_threads(monkeypatch, fail=False, hold_synthesis=False):
+    """The thread of each provider forward, in call order. With
+    ``hold_synthesis`` and two CPUs the SD synthesis waits until the provider
+    forward has started, so that the helper, not the calling thread, runs it."""
+    threads, began = [], threading.Event()
+    real, real_synth = trainer.provider_tokens, trainer.synth_sd_attention
 
     def recording(vfm, image):
         threads.append(threading.get_ident())
+        began.set()
         if fail:
             raise EvaluationError("planted provider failure")
         return real(vfm, image)
 
+    def synthesis(*args, **kwargs):
+        if hold_synthesis and vit.usable_cpus() > 1:
+            assert began.wait(10)
+        return real_synth(*args, **kwargs)
+
     monkeypatch.setattr(trainer, "provider_tokens", recording)
+    monkeypatch.setattr(trainer, "synth_sd_attention", synthesis)
     return threads
 
 
@@ -454,17 +500,21 @@ def test_provider_beside_the_synthesis_prepares_the_same_bytes(tmp_path, monkeyp
     vfm = trainer.build_models(cfg)[2]
     assert vfm.grid_side ** 2 >= trainer.POOL_MIN_TOKENS
     record = read_manifest(manifest)[0]
-    threads = record_provider_threads(monkeypatch)
+    threads = record_provider_threads(monkeypatch, hold_synthesis=True)
+    pools = counted_pools(monkeypatch)
     prepared = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 4):
         monkeypatch.setattr(vit, "usable_cpus", lambda cpus=cpus: cpus)
         prepared.append(prepare_record(record, vfm, cfg, 0))
-    # one CPU: on the calling thread; two: on a pool thread
-    assert threads[0] == threading.get_ident() != threads[1]
-    one, two = prepared
-    for a, b in [(one.image, two.image), (one.vfm_tokens, two.vfm_tokens),
-                 (one.sd_stack.maps, two.sd_stack.maps)]:
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    # one CPU: on the calling thread; two and four: on one helper
+    here = threading.get_ident()
+    assert threads[0] == here and here not in threads[1:]
+    assert pools == [1, 1]
+    one = prepared[0]
+    for other in prepared[1:]:
+        for a, b in [(one.image, other.image), (one.vfm_tokens, other.vfm_tokens),
+                     (one.sd_stack.maps, other.sd_stack.maps)]:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_provider_failure_beside_the_synthesis_surfaces_and_leaves_no_thread(tmp_path,
@@ -474,7 +524,7 @@ def test_provider_failure_beside_the_synthesis_surfaces_and_leaves_no_thread(tmp
     vfm = trainer.build_models(cfg)[2]
     record = read_manifest(manifest)[0]
     monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
-    threads = record_provider_threads(monkeypatch, fail=True)
+    threads = record_provider_threads(monkeypatch, fail=True, hold_synthesis=True)
     before = threading.active_count()
     with pytest.raises(EvaluationError, match="planted provider failure"):
         prepare_record(record, vfm, cfg, 0)

@@ -744,14 +744,12 @@ class Planted(Exception):
     pass
 
 
-def _recorded(started, hold=0.0, raising=None):
+def _recorded(started, hold):
     """An item function that records each item as it starts, then sleeps
-    ``hold`` seconds, raises Planted at item ``raising`` and returns item^2."""
+    ``hold`` seconds and returns item^2."""
 
     def fn(i):
         started.append(i)
-        if i == raising:
-            raise Planted(f"planted failure of item {i}")
         time.sleep(hold)
         return i * i
 
@@ -785,14 +783,85 @@ def test_beside_with_no_thread_runs_each_item_here_when_it_is_read():
 
 @pytest.mark.parametrize("threads", [0, 1, 2])
 def test_beside_surfaces_an_item_raise_and_never_starts_the_items_queued_behind_it(threads):
-    # item 0 raises at once and frees its thread, which may take the next
-    # queued item and hold it; the items queued behind those are dropped
-    before, started = threading.active_count(), []
+    # item 0 raises at once on a helper, which then takes the next queued item
+    # and holds it. The calling thread may find item 0 not yet done and take
+    # the last item, 7, but that item returns only once item 0's helper has
+    # moved on, so item 0 is done and the caller starts no other item. The
+    # items queued behind those are dropped
+    before, here, started = threading.active_count(), threading.get_ident(), []
+    first, freed = [], threading.Event()
+
+    def fn(i):
+        me = threading.get_ident()
+        started.append((i, me))
+        if i == 0:
+            first.append(me)
+            raise Planted("planted failure of item 0")
+        if me == here:
+            assert freed.wait(10)
+        else:
+            if first == [me]:
+                freed.set()
+            time.sleep(0.2)
+        return i * i
+
     with pytest.raises(Planted, match="item 0"):
-        with vit._beside(_recorded(started, hold=0.2, raising=0), range(8), threads) as results:
+        with vit._beside(fn, range(8), threads) as results:
             list(results)
     assert threading.active_count() == before
-    assert 0 in started and set(started) <= set(range(threads + 1))
+    items = {i for i, _ in started}
+    assert 0 in items and items <= set(range(threads + 1)) | {7}
+    assert {i for i, me in started if me == here} <= ({7} if threads else {0})
+
+
+def test_beside_runs_the_unstarted_items_on_the_calling_thread_from_the_back():
+    # the one helper holds item 0 until the calling thread has run item 1:
+    # reading item 0, the caller takes the last unstarted item, 4, then 3, 2
+    # and 1, and waits for item 0; the block reads every result in item order
+    before, here = threading.active_count(), threading.get_ident()
+    ran, held, taken = [], threading.Event(), threading.Event()
+
+    def fn(i):
+        ran.append((i, threading.get_ident() == here))
+        if i == 0:
+            held.set()
+            assert taken.wait(10)
+        elif i == 1:
+            taken.set()
+        return i * i
+
+    with vit._beside(fn, range(5), 1) as results:
+        assert held.wait(10)
+        assert list(results) == [0, 1, 4, 9, 16]
+    assert threading.active_count() == before
+    assert ran == [(0, False), (4, True), (3, True), (2, True), (1, True)]
+
+
+def test_beside_surfaces_the_raise_of_an_item_the_calling_thread_ran_at_its_read():
+    # the caller runs items 3, 2 (which raises) and 1 while the helper holds
+    # item 0; the raise waits for item 2's read, after items 0 and 1
+    before, here = threading.active_count(), threading.get_ident()
+    ran, held, taken, got = [], threading.Event(), threading.Event(), []
+
+    def fn(i):
+        ran.append((i, threading.get_ident() == here))
+        if i == 0:
+            held.set()
+            assert taken.wait(10)
+        elif i == 1:
+            taken.set()
+        elif i == 2:
+            raise Planted("planted failure of item 2")
+        return i * i
+
+    with pytest.raises(Planted, match="item 2"):
+        with vit._beside(fn, range(4), 1) as results:
+            assert held.wait(10)
+            for result in results:
+                got.append(result)
+    assert threading.active_count() == before
+    assert got == [0, 1]
+    assert ran == [(0, False), (3, True), (2, True), (1, True)]
 
 
 @pytest.mark.parametrize("threads", [0, 1, 2])
