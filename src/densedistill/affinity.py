@@ -16,7 +16,7 @@ import numpy as np
 from .container import write_pgm, write_tensor
 from .errors import DistributionError, EvaluationError, ParameterError, ShapeError
 from .regions import FULL_BOX, crop_resize
-from .tensor import _softmax, _unit_rows
+from .tensor import ROW_SUM_TOL, _softmax, _unit_rows
 from .vit import capture_attention
 
 
@@ -32,7 +32,8 @@ class SdAttentionStack:
             raise ShapeError(f"stack {shape} is not (L, N, N)")
         # stated as what must hold, so that a NaN, which fails every
         # comparison, fails it too
-        if not (self.maps.min() >= 0.0 and np.abs(self.maps.sum(axis=2) - 1.0).max() <= 1e-6):
+        if not (self.maps.min() >= 0.0
+                and np.abs(self.maps.sum(axis=2) - 1.0).max() <= ROW_SUM_TOL):
             raise DistributionError("every stack slice must be finite and row-stochastic")
 
 
@@ -56,11 +57,11 @@ def fuse_sd_attention(stack):
     """Chain product of the stack slices in index order, 64-bit accumulation.
 
     A product of row-stochastic matrices is row-stochastic, but each slice
-    is only checked to 1e-6, so the product's row sums are checked again."""
+    is only checked to ROW_SUM_TOL, so the product's row sums are checked again."""
     fused = stack.maps[0]
     for i in range(1, stack.maps.shape[0]):
         fused = fused @ stack.maps[i]
-    if np.abs(fused.sum(axis=1) - 1.0).max() > 1e-6:
+    if np.abs(fused.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise DistributionError("fused attention rows do not sum to 1")
     return fused
 

@@ -21,7 +21,6 @@ class RunConfig:
     tau: float = 1.0
     grid_lo: int = 1
     grid_hi: int = 6
-    roi_n: int = 4
     lr: float = 1e-5
     weight_decay: float = 0.1
     epochs: int = 6
@@ -39,7 +38,6 @@ class RunConfig:
     vfm_depth: int = 3
     vfm_width: int = 48
     vfm_heads: int = 4
-    sd_maps: int = 3
     sd_sharpness: float = 4.0
     sd_noise: float = 0.5
     use_sd_completion: bool = True
@@ -97,7 +95,6 @@ def validate(cfg):
     need(cfg.lam >= 0, f"lambda must be >= 0, got {cfg.lam}")
     need(cfg.tau > 0, f"tau must be > 0, got {cfg.tau}")
     need(1 <= cfg.grid_lo <= cfg.grid_hi, f"invalid grid range [{cfg.grid_lo}, {cfg.grid_hi}]")
-    need(cfg.roi_n >= 1, "roi_n must be >= 1")
     need(cfg.lr > 0, f"lr must be > 0, got {cfg.lr}")
     need(cfg.weight_decay >= 0, "weight_decay must be >= 0")
     need(cfg.epochs >= 0, "epochs must be >= 0")
@@ -106,7 +103,7 @@ def validate(cfg):
     need(cfg.batch_size >= 1, "batch_size must be >= 1")
     need(cfg.dtype in ("f32", "f64"), f"dtype must be f32 or f64, got {cfg.dtype!r}")
     # the encoders' own rules, with the role named
-    for role, embed_dim in (("student", cfg.embed_dim), ("vfm", None)):
+    for role, embed_dim in (("student", cfg.embed_dim), ("vfm", 0)):
         try:
             param_shapes(*(getattr(cfg, f"{role}_{name}") for name in (
                 "patch", "depth", "width", "heads", "res")), embed_dim)
@@ -116,7 +113,6 @@ def validate(cfg):
     v_tokens = (cfg.vfm_res // cfg.vfm_patch) ** 2
     need(s_tokens == v_tokens,
          f"token counts differ: student {s_tokens} vs provider {v_tokens}")
-    need(cfg.sd_maps >= 1, "sd_maps must be >= 1")
     need(cfg.sd_sharpness >= 0, "sd_sharpness must be >= 0")
     need(cfg.sd_noise >= 0, "sd_noise must be >= 0")
     return cfg

@@ -18,7 +18,8 @@ from .regions import FULL_BOX, CropBox, crop_resize, roi_align
 from .affinity import synth_sd_attention
 from .synthdata import make_suite, pure_canvas
 from .tensor import Tensor, _unit_rows
-from .trainer import STREAM_SD, VARIANTS, Distiller, PreparedRecord, provider_tokens, train
+from .trainer import (SD_MAPS, STREAM_SD, VARIANTS, Distiller, PreparedRecord,
+                      provider_tokens, train)
 from .config import RunConfig
 from .vit import encode_cls, encode_dense
 
@@ -214,9 +215,9 @@ def add_confusion(cm, dense, classes, segments, out_res):
     return cm + confusion_matrix(seg.upsampled, gt, cm.shape[0])
 
 
-def add_region_confusion(cm, dense, classes, regions, labels, n=4):
+def add_region_confusion(cm, dense, classes, regions, labels):
     """``cm`` plus one image's region-classification confusion counts."""
-    pred = region_classify(dense, regions, classes, n=n)
+    pred = region_classify(dense, regions, classes)
     return cm + confusion_matrix(pred, np.asarray(labels, dtype=np.int64), cm.shape[0])
 
 
@@ -260,7 +261,7 @@ def prepare_suite(suite, distiller, cfg):
         vfm_tokens = provider_tokens(distiller.vfm, sample.image)
         sd = synth_sd_attention(sample.segments, cfg.sd_sharpness,
                                 np.random.default_rng([cfg.seed, STREAM_SD, i]),
-                                num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
+                                num_maps=SD_MAPS, noise_std=cfg.sd_noise)
         records.append(PreparedRecord(image=sample.image, vfm_tokens=vfm_tokens, sd_stack=sd))
     return records
 

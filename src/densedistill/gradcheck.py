@@ -87,7 +87,7 @@ def finite_diff_check(f, inputs, h=DEFAULT_H, tol=DEFAULT_TOL, name="f"):
     return report
 
 
-def run_gradcheck_suite(seed=0):
+def run_gradcheck_suite(seed):
     """Finite-difference checks over every differentiable operation, on
     seeded random instances small enough (<= 9 tokens, width <= 8) to keep
     the whole sweep under a minute."""

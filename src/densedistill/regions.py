@@ -34,7 +34,7 @@ class CropBox:
 FULL_BOX = CropBox(0.0, 0.0, 1.0, 1.0)
 
 
-def sample_grid(rng, range_lo=1, range_hi=6):
+def sample_grid(rng, range_lo, range_hi):
     """Draw m, n uniformly in [lo, hi] and return the m x n partition of the
     unit square: k = m*n disjoint covering boxes, row-major."""
     if not (isinstance(range_lo, int) and isinstance(range_hi, int) and 1 <= range_lo <= range_hi):

@@ -71,8 +71,7 @@ def make_classes(rng, num_classes):
     return best
 
 
-def make_sample(rng, side, patch, colors, noise=0.08, gray_rate=0.04,
-                flip_rate=0.06, rects=6):
+def make_sample(rng, side, patch, colors, noise, gray_rate, flip_rate, rects):
     """One image with its token-grid labels and rectangle annotations, from
     (K, 3) class colors with K >= 2."""
     num_classes = colors.shape[0]

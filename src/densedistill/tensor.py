@@ -33,6 +33,7 @@ from .errors import (
 _DTYPES = (np.float32, np.float64)
 
 KL_EPS = 1e-8  # lower clamp on the second KL argument before the log
+ROW_SUM_TOL = 1e-6  # how far a row-stochastic input's row sums may stray from 1
 
 
 class Tensor:
@@ -715,7 +716,7 @@ def kl_rows(p, q):
     from a row-stochastic tensor ``q``; only ``q`` is differentiated.
 
     (1/r) * sum_ij p_ij * (log p_ij - log max(q_ij, KL_EPS)), with
-    0*log 0 := 0. Both inputs must be row-stochastic within 1e-6.
+    0*log 0 := 0. Both inputs must be row-stochastic within ROW_SUM_TOL.
     """
     qd = q.data
     if p.shape != qd.shape or p.ndim != 2:
@@ -727,7 +728,7 @@ def kl_rows(p, q):
     for x, side in ((p, "first"), (qd, "second")):
         if not (x >= 0).all():
             raise DistributionError(f"negative or NaN entries in {side} argument")
-        if not np.abs(x.sum(axis=1) - 1.0).max() <= 1e-6:
+        if not np.abs(x.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
             raise DistributionError(f"rows of {side} argument do not sum to 1")
     r = p.shape[0]
     pos = p > 0

@@ -59,6 +59,8 @@ CONFIG_ECHO_NAME = "effective_config.txt"
 # paper takes each fixed from its pretrained model
 STUDENT_PIXEL = (0.5, 0.5)
 PROVIDER_PIXEL = (0.45, 0.27)
+ROI_N = 4  # RoI-align grid side of the training losses' region features
+SD_MAPS = 3  # synthetic SD attention maps of a record that no sd= file gives
 
 # Grids from this many tokens share their work between helper threads and
 # the calling thread: a step's teacher crops, and a record's provider forward
@@ -91,10 +93,10 @@ def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):
 class AdamW:
     """Optimizer over named parameters; moments mirror parameter shapes."""
 
-    def __init__(self, named_params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params, lr, weight_decay):
         self.params = [(name, p) for name, p in named_params if p.requires_grad]
         self.lr, self.weight_decay = lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -119,12 +121,12 @@ def build_models(cfg):
     student = VitParams(
         patch_size=cfg.student_patch, depth=cfg.student_depth, width=cfg.student_width,
         heads=cfg.student_heads, input_res=cfg.student_res,
-        embed_dim=cfg.embed_dim or None, pixel_mean=STUDENT_PIXEL[0],
+        embed_dim=cfg.embed_dim, pixel_mean=STUDENT_PIXEL[0],
         pixel_std=STUDENT_PIXEL[1], seed=[cfg.seed, STREAM_STUDENT], dtype=dtype)
     teacher = student.clone().freeze()
     vfm = VitParams(
         patch_size=cfg.vfm_patch, depth=cfg.vfm_depth, width=cfg.vfm_width,
-        heads=cfg.vfm_heads, input_res=cfg.vfm_res, embed_dim=None,
+        heads=cfg.vfm_heads, input_res=cfg.vfm_res, embed_dim=0,
         pixel_mean=PROVIDER_PIXEL[0], pixel_std=PROVIDER_PIXEL[1],
         seed=[cfg.seed, STREAM_PROVIDER], dtype=dtype).freeze()
     return student, teacher, vfm
@@ -187,7 +189,7 @@ def distill_forward(distiller, prepared, rng):
         enc = encode_dense(image, student, VARIANTS[variant])
         ctx_stream = enc.tokens if variant == "coupled" else enc.context
         content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
-        region_students = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+        region_students = [roi_align(content_map, box, ROI_N) for box in boxes]
         l_ctx = context_loss(ctx_stream, prepared.context_target, cfg.tau)
         memo.update(((key, box), cls) for box, cls in zip(misses, crops))
     region_teacher = [memo[key, box] for box in boxes]
@@ -198,7 +200,7 @@ def distill_forward(distiller, prepared, rng):
         side, d = student.grid_side, vfm_tokens.shape[1]
         vfm_map = np.ascontiguousarray(vfm_tokens.T.reshape(d, side, side), dtype=dtype)
         l_rcc = rcc_loss(region_students,
-                         [_roi_align(vfm_map, box, cfg.roi_n)[0] for box in boxes], cfg.tau)
+                         [_roi_align(vfm_map, box, ROI_N)[0] for box in boxes], cfg.tau)
     else:
         # no RCC outside the full pipeline
         l_rcc = Tensor(np.zeros((), dtype=dtype))
@@ -303,7 +305,7 @@ def prepare_record(rec, vfm, cfg, index):
             sd_stack = synth_sd_attention(
                 segments, cfg.sd_sharpness,
                 np.random.default_rng([cfg.seed, STREAM_SD, index]),
-                num_maps=cfg.sd_maps, noise_std=cfg.sd_noise)
+                num_maps=SD_MAPS, noise_std=cfg.sd_noise)
         vfm_tokens = next(provider, vfm_tokens)
     return PreparedRecord(image=image, vfm_tokens=vfm_tokens, sd_stack=sd_stack)
 
@@ -451,7 +453,6 @@ def labels_section(path, sections, shapes, classes=None):
 def _student_fields(student):
     """The student's meta and pixel fields by name, as a checkpoint holds them."""
     held = student._meta()
-    held["embed_dim"] = held["embed_dim"] or 0
     held["dtype"] = T._DTYPES.index(held["dtype"])
     return held
 
@@ -516,7 +517,6 @@ def load_student(path):
     sections = read_tensor(path)
     held = _stored_fields(path, sections)
     dtype = T._DTYPES[held.pop("dtype")]
-    held["embed_dim"] = held["embed_dim"] or None
     try:
         shapes = param_shapes(**{name: value for name, value in held.items()
                                  if name not in _PIXEL_FIELDS})

@@ -39,9 +39,9 @@ _META = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dty
 
 
 # what a constructor field must hold for an encoder to be built from it; the
-# integer fields not named here are >= 1 (embed_dim 0 or None: no projection)
+# integer fields not named here are >= 1 (embed_dim 0: no projection)
 _FIELD_RANGES = {
-    "embed_dim": (">= 0", lambda v: v is None or v >= 0),
+    "embed_dim": (">= 0", lambda v: v is not None and v >= 0),
     "pixel_mean": ("finite", math.isfinite),
     "pixel_std": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
 }
@@ -60,7 +60,7 @@ def check_fields(**held):
             raise ParameterError(f"{name} = {value!r}, expected {want}")
 
 
-def param_shapes(patch_size, depth, width, heads, input_res, embed_dim=None):
+def param_shapes(patch_size, depth, width, heads, input_res, embed_dim):
     """The name -> shape table of an encoder's parameters, in the order
     ``VitParams`` draws, keeps and lists them; the one place a parameter is
     named. Building it allocates no parameter; fields no encoder can be
@@ -100,7 +100,7 @@ class VitParams:
     one name -> Tensor table in ``param_shapes`` order. ``blocks[i]`` and the
     embedding attributes are views holding the table's own Tensors."""
 
-    def __init__(self, patch_size, depth, width, heads, input_res, embed_dim=None,
+    def __init__(self, patch_size, depth, width, heads, input_res, embed_dim=0,
                  pixel_mean=0.5, pixel_std=0.5, seed=0, dtype=np.float64):
         rng = np.random.default_rng(seed)
         self._build(lambda name, shape, dt: _initial(name, shape, rng, dt), True, patch_size,
@@ -415,7 +415,7 @@ def _encode_array(image, params, queries=None):
     return x @ params.w_vl.data if params.w_vl is not None else x
 
 
-def encode_dense(image, params, mode="standard"):
+def encode_dense(image, params, mode):
     """Dense per-image features: depth-1 standard blocks then the final block
     per mode. Tokens pass through the V-L projection when configured; in
     decoupled mode the projected stream is the content one, and the raw

@@ -1,11 +1,14 @@
-"""Config grammar: defaults, validation, echo round-trip, the README's key table."""
+"""Config grammar: defaults, validation, echo round-trip, the README's key and
+fixed-value tables."""
 
+import ast
 import itertools
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from densedistill import trainer
 from densedistill.cli import run_cli
 from densedistill.config import (RunConfig, echo_config, parse_config, parse_config_text,
                                  validate)
@@ -35,10 +38,11 @@ def test_unknown_key_rejected():
 
 
 # fixed in the code (AdamW's betas and eps, the two pixel normalisations,
-# every block trains); lam is the field's name, whose key is lambda
+# every block trains, the RoI grid side, the synthetic SD map count); lam is
+# the field's name, whose key is lambda
 @pytest.mark.parametrize("key", [
     "beta1", "beta2", "eps", "student_pixel_mean", "student_pixel_std", "vfm_pixel_mean",
-    "vfm_pixel_std", "trainable_layers", "lam"])
+    "vfm_pixel_std", "trainable_layers", "lam", "roi_n", "sd_maps"])
 def test_a_key_the_config_does_not_hold_is_refused_as_unknown(key):
     with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
         parse_config_text(f"{key} = 0.3\n")
@@ -46,7 +50,7 @@ def test_a_key_the_config_does_not_hold_is_refused_as_unknown(key):
 
 @pytest.mark.parametrize("field,value,kind", [
     ("epochs", 1.5, "int"), ("batch_size", 1.5, "int"), ("student_depth", 3.0, "int"),
-    ("roi_n", True, "int"), ("lr", True, "float"), ("tau", "1.0", "float"),
+    ("grid_lo", True, "int"), ("lr", True, "float"), ("tau", "1.0", "float"),
     ("use_sd_completion", 1, "bool"), ("dtype", None, "str"), ("manifest", 3, "str")])
 def test_a_config_built_in_code_refuses_a_value_of_another_type(field, value, kind):
     with pytest.raises(ConfigError, match=rf"^{field} must be {kind}, got {value!r}$"):
@@ -150,3 +154,22 @@ def test_the_readme_config_table_lists_every_key_with_its_default():
         assert meaning, key
         rows.append(f"{key.strip('`')} = {default.strip('`')}\n")
     assert "".join(rows) == echo_config(RunConfig())
+
+
+def test_the_readme_fixed_value_table_matches_the_code():
+    # a constant re-valued or renamed without its README line fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    _, table = readme.split("| constant | value | meaning |\n|---|---|---|\n", 1)
+    optimizer = trainer.AdamW([], lr=1.0, weight_decay=0.0)
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()):
+        name, value, meaning = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        assert meaning, name
+        owner, _, attr = name.removeprefix("trainer.").rpartition(".")
+        rows[name] = (getattr(optimizer if owner == "AdamW" else trainer, attr),
+                      ast.literal_eval(value))
+    assert list(rows) == ["trainer.ROI_N", "trainer.SD_MAPS", "trainer.STUDENT_PIXEL",
+                          "trainer.PROVIDER_PIXEL", "trainer.AdamW.beta1",
+                          "trainer.AdamW.beta2", "trainer.AdamW.eps"]
+    for name, (held, listed) in rows.items():
+        assert type(held) is type(listed) and held == listed, name

@@ -309,7 +309,7 @@ def test_crop_resize_matches_full_image_contraction():
              CropBox(0.0, 0.9, 1.0, 1.0), CropBox(0.9, 0.0, 1.0, 1.0),
              CropBox(0.3, 0.4, 0.3125, 0.45)]
     for _ in range(4):
-        boxes += sample_grid(rng)
+        boxes += sample_grid(rng, 1, 6)
     for box in boxes:
         for out_res in (1, 7, 16):
             got = crop_resize(img, box, out_res)

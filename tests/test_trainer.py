@@ -157,8 +157,8 @@ def test_lambda_zero_matches_content_plus_rcc_gradient(tmp_path):
     content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
     side = distiller.student.grid_side
     vfm_map = Tensor(prepared.vfm_tokens.T.reshape(-1, side, side).copy())
-    f_s = [roi_align(content_map, boxes[0], cfg.roi_n)]
-    f_v = [roi_align(vfm_map, boxes[0], cfg.roi_n).data]
+    f_s = [roi_align(content_map, boxes[0], trainer.ROI_N)]
+    f_v = [roi_align(vfm_map, boxes[0], trainer.ROI_N).data]
     f_t = [encode_cls(crop_resize(prepared.image, boxes[0], cfg.student_res),
                       distiller.teacher)]
     manual, _ = total_loss(content_cos_loss(f_s, f_t), rcc_loss(f_s, f_v, cfg.tau),
@@ -193,7 +193,7 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     ctx = enc.tokens if variant == "coupled" else enc.context
     boxes = sample_grid(np.random.default_rng(7), cfg.grid_lo, cfg.grid_hi)
     content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
-    f_s = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+    f_s = [roi_align(content_map, box, trainer.ROI_N) for box in boxes]
     f_t = [encode_cls(crop_resize(prepared.image, box, cfg.student_res), distiller.teacher)
            for box in boxes]
     s_hat = context_teacher(prepared.vfm_tokens, stack, cfg)
@@ -266,11 +266,11 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
         f_t.append(encode_cls(crop_resize(prepared.image, box, cfg.student_res),
                               distiller.teacher))
     content_map = T.tokens_to_chw(enc.tokens, *enc.grid)
-    f_s = [roi_align(content_map, box, cfg.roi_n) for box in boxes]
+    f_s = [roi_align(content_map, box, trainer.ROI_N) for box in boxes]
     if variant == "decoupled":
         side = distiller.student.grid_side
         vfm_map = Tensor(prepared.vfm_tokens.T.reshape(-1, side, side).copy())
-        l_rcc = rcc_loss(f_s, [roi_align(vfm_map, box, cfg.roi_n).data for box in boxes],
+        l_rcc = rcc_loss(f_s, [roi_align(vfm_map, box, trainer.ROI_N).data for box in boxes],
                          cfg.tau)
     else:
         l_rcc = Tensor(np.zeros(()))

@@ -18,7 +18,7 @@ from densedistill.gradcheck import finite_diff_check
 from densedistill.vit import VitParams
 
 
-def tiny_params(depth=1, width=8, heads=1, res=8, patch=4, embed=None, seed=0):
+def tiny_params(depth=1, width=8, heads=1, res=8, patch=4, embed=0, seed=0):
     return VitParams(patch_size=patch, depth=depth, width=width, heads=heads,
                      input_res=res, embed_dim=embed, seed=seed)
 
@@ -105,7 +105,8 @@ def test_params_validation():
 
 @pytest.mark.parametrize("name,value,want", [
     ("heads", 0, ">= 1"), ("patch_size", 0, ">= 1"), ("depth", 0, ">= 1"), ("width", 0, ">= 1"),
-    ("input_res", -8, ">= 1"), ("embed_dim", -1, ">= 0"), ("pixel_std", 0.0, "finite and > 0"),
+    ("input_res", -8, ">= 1"), ("embed_dim", -1, ">= 0"), ("embed_dim", None, ">= 0"),
+    ("pixel_std", 0.0, "finite and > 0"),
     ("pixel_std", float("nan"), "finite and > 0"), ("pixel_mean", float("inf"), "finite")])
 def test_params_refuse_a_field_no_encoder_can_be_built_from(name, value, want):
     fields = dict(patch_size=4, depth=1, width=8, heads=2, input_res=8)
@@ -1017,7 +1018,7 @@ FROZEN_SHAPES = {
 def test_frozen_forward_matches_tensor_path_bitwise(shape, dtype):
     kw = FROZEN_SHAPES[shape]
     p = VitParams(patch_size=kw["patch"], depth=kw["depth"], width=kw["width"],
-                  heads=kw["heads"], input_res=kw["res"], embed_dim=kw.get("embed"),
+                  heads=kw["heads"], input_res=kw["res"], embed_dim=kw.get("embed", 0),
                   seed=17, dtype=dtype)
     frozen = p.clone().freeze()
     img = rand_image(np.random.default_rng(18), kw["res"])
