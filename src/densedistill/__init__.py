@@ -8,7 +8,8 @@ from .vit import DenseFeatures, VitParams, encode_cls, encode_dense
 from .affinity import (SdAttentionStack, complete_affinity, fuse_sd_attention,
                        synth_sd_attention, vfm_affinity)
 from .regions import CropBox, crop_resize, roi_align, sample_grid, weighted_region_pool
-from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
+from .losses import (LossReport, content_cos_loss, context_loss, context_target, rcc_loss,
+                     total_loss)
 from .config import RunConfig, parse_config
 from .trainer import AdamW, Distiller, distill_run, resolution_pair
 from .evalsuite import (ClassEmbeddings, SegResult, ablation_coupled_vs_decoupled,
@@ -20,8 +21,8 @@ __all__ = [
     "DenseFeatures", "Distiller", "LossReport", "RunConfig",
     "SdAttentionStack", "SegResult", "Tensor",
     "VitParams", "ablation_coupled_vs_decoupled", "backward",
-    "complete_affinity", "content_cos_loss", "context_loss", "cosine_matrix",
-    "crop_resize", "distill_run", "encode_cls", "encode_dense",
+    "complete_affinity", "content_cos_loss", "context_loss", "context_target",
+    "cosine_matrix", "crop_resize", "distill_run", "encode_cls", "encode_dense",
     "finite_diff_check", "fuse_sd_attention", "kl_rows", "matmul", "miou",
     "parse_config", "rcc_loss", "read_tensor", "region_classify",
     "resolution_pair", "roi_align", "run_gradcheck_suite", "sample_grid",

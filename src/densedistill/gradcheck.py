@@ -92,7 +92,7 @@ def run_gradcheck_suite(seed):
     seeded random instances small enough (<= 9 tokens, width <= 8) to keep
     the whole sweep under a minute."""
     from . import tensor as T
-    from .losses import content_cos_loss, context_loss, rcc_loss, total_loss
+    from .losses import content_cos_loss, context_loss, context_target, rcc_loss, total_loss
     from .regions import CropBox, roi_align, weighted_region_pool
     from .vit import VitParams, attention_block, decoupled_block, layer_norm_rows
 
@@ -152,19 +152,19 @@ def run_gradcheck_suite(seed):
                                     weighted_region_pool(s, pool_t))),
           [t(4, 3)])
 
-    s_hat = np.clip(rng.uniform(-1, 1, (4, 4)), -1, 1)
-    check("context_loss", lambda x: context_loss(x, s_hat, 0.7), [t(4, 5)])
+    ctx_target = context_target(np.clip(rng.uniform(-1, 1, (4, 4)), -1, 1), 0.7, np.float64)
+    check("context_loss", lambda x: context_loss(x, ctx_target, 0.7), [t(4, 5)])
     cls_t = rng.standard_normal(5)
     check("content_cos_loss", lambda s: content_cos_loss([s], [cls_t]), [t(4, 5)])
     vfm_t = rng.standard_normal((4, 6))
     check("rcc_loss", lambda s: rcc_loss([s], [vfm_t], 0.7), [t(4, 5)])
 
-    toy_hat = np.clip(rng.uniform(-1, 1, (2, 2)), -1, 1)
+    toy_target = context_target(np.clip(rng.uniform(-1, 1, (2, 2)), -1, 1), 0.7, np.float64)
     toy_cls, toy_vfm = rng.standard_normal(5), rng.standard_normal((2, 5))
 
     def toy_total(ctx, s):
         total, _ = total_loss(content_cos_loss([s], [toy_cls]), rcc_loss([s], [toy_vfm], 0.7),
-                              context_loss(ctx, toy_hat, 0.7), lam=0.25)
+                              context_loss(ctx, toy_target, 0.7), lam=0.25)
         return total
 
     check("l_total_two_token_toy", toy_total, [t(2, 5), t(2, 5)])

@@ -1,6 +1,6 @@
-"""The four training objectives: context KL against the completed affinity,
-similarity-weighted content cosine alignment, the region-correlation
-constraint, and their weighted combination.
+"""The four training objectives: context KL against the softmaxed completed
+affinity, similarity-weighted content cosine alignment, the
+region-correlation constraint, and their weighted combination.
 
 Teacher-side operands (completed affinity, teacher summary vectors,
 provider region features) are plain arrays, and the context and RCC
@@ -34,18 +34,23 @@ class LossReport:
                 f"l_total={self.l_total:.17g}")
 
 
-def context_loss(x_context, s_hat_vfm, tau):
-    """KL(teacher || student) between row-softmaxed affinities: the student
-    side is the pairwise cosine matrix of the context stream; the teacher is
-    the (N, N) float64 array of the completed affinity."""
-    teacher = T._finite(np.ascontiguousarray(s_hat_vfm, dtype=x_context.data.dtype))
+def context_target(s_hat_vfm, tau, dtype):
+    """The context KL target, a plain array: the row softmax at tau of the
+    (N, N) completed affinity, cast to the student's dtype."""
+    teacher = T._finite(np.ascontiguousarray(s_hat_vfm, dtype=dtype))
+    return T._finite(T._softmax_rows(teacher, tau))
+
+
+def context_loss(x_context, target, tau):
+    """KL(target || student): the student side is the row softmax at tau of
+    the pairwise cosine matrix of the context stream; the target is
+    context_target's row-stochastic (N, N) array."""
     hw = x_context.shape[0]
-    if teacher.shape != (hw, hw):
-        raise ShapeError(f"teacher affinity {teacher.shape} vs {hw} tokens")
+    if target.shape != (hw, hw):
+        raise ShapeError(f"softmaxed teacher affinity {target.shape} vs {hw} tokens")
     s_clip = T.cosine_matrix(x_context, x_context)
-    p = T._finite(T._softmax_rows(teacher, tau))
     # the cosine op's record keeps only the unit rows, so its array is free
-    return T.kl_rows(p, T.softmax_rows(s_clip, tau, out=s_clip.data))
+    return T.kl_rows(target, T.softmax_rows(s_clip, tau, out=s_clip.data))
 
 
 def content_cos_loss(region_students, teacher_vectors):

@@ -38,7 +38,8 @@ from .affinity import SdAttentionStack, complete_affinity, fuse_sd_attention, sy
 from .config import echo_config, validate
 from .container import atomic_write_text, read_tensor, write_tensor
 from .errors import ConfigError, DistributionError, ParameterError, ShapeError
-from .losses import LossReport, content_cos_loss, context_loss, rcc_loss, total_loss
+from .losses import (LossReport, content_cos_loss, context_loss, context_target, rcc_loss,
+                     total_loss)
 from .regions import FULL_BOX, _roi_align, crop_resize, roi_align, sample_grid
 from . import tensor as T
 from . import vit
@@ -184,7 +185,8 @@ def distill_forward(distiller, prepared, rng):
         if prepared.context_target is None:
             # the target depends on the record alone; the stack is not read
             # again, so it is dropped before the student's graph is built
-            prepared.context_target = context_teacher(vfm_tokens, prepared.sd_stack, cfg)
+            prepared.context_target = context_target(
+                context_teacher(vfm_tokens, prepared.sd_stack, cfg), cfg.tau, student.dtype)
             prepared.sd_stack = None
         enc = encode_dense(image, student, VARIANTS[variant])
         ctx_stream = enc.tokens if variant == "coupled" else enc.context
@@ -252,7 +254,8 @@ class PreparedRecord:
     # frozen-teacher crop embeddings, (teacher fingerprint, CropBox) -> (E,)
     # CLS array; at most (sum of n over [grid_lo, grid_hi])^2 boxes per teacher
     crop_targets: dict = field(default_factory=dict)
-    # context_teacher(vfm_tokens, sd_stack, cfg), stored by the first step
+    # losses.context_target of context_teacher(vfm_tokens, sd_stack, cfg), in
+    # the student's dtype, stored by the first step
     context_target: np.ndarray | None = None
 
 

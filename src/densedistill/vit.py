@@ -27,21 +27,34 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
-# largest score map an attention builds at once. Both sides write a head
-# group's scores and softmax them in place in one workspace that the next
-# group overwrites (faulted in once, not per head): one per call on the array
-# side (_head_maps), one per lane on the student's Tensor side (_multi_head)
+# largest (heads*m, n) score map whose heads share one map (_head_group)
 HEAD_GROUP_BYTES = 16 * 2 ** 20
+# a forward builds a head group's map in query-row blocks of about this many
+# bytes, near a core's 2 MiB L2 (_row_blocks). Both sides write a block's
+# scores and softmax them in place in one workspace that the next block
+# overwrites: one per call on the array side (_head_maps), one per lane on the
+# student's Tensor side (_multi_head)
+TILE_BYTES = 2 * 2 ** 20
+# a split map's blocks start at multiples of r rows, r a multiple of
+# TILE_ALIGN, and hold at least r: gemm then gives each row the bits the whole
+# map does (OpenBLAS fills rows in groups of 24, and products of under about
+# 10^6 multiply-adds take another kernel)
+TILE_ALIGN = 96
 # VitParams' constructor arguments but the seed, in the order a checkpoint
 # stores them and the fingerprint digests them
 _META = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dtype",
          "pixel_mean", "pixel_std")
 
 
+def _int(v):
+    """Whether v is an int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 # what a constructor field must hold for an encoder to be built from it; the
-# integer fields not named here are >= 1 (embed_dim 0: no projection)
+# fields not named here are ints >= 1 (embed_dim 0: no projection)
 _FIELD_RANGES = {
-    "embed_dim": (">= 0", lambda v: v is not None and v >= 0),
+    "embed_dim": (">= 0", lambda v: _int(v) and v >= 0),
     "pixel_mean": ("finite", math.isfinite),
     "pixel_std": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
 }
@@ -49,7 +62,7 @@ _FIELD_RANGES = {
 
 def field_range(name):
     """(what constructor field ``name`` must hold, the test of a value)."""
-    return _FIELD_RANGES.get(name, (">= 1", lambda v: v >= 1))
+    return _FIELD_RANGES.get(name, (">= 1", lambda v: _int(v) and v >= 1))
 
 
 def check_fields(**held):
@@ -230,6 +243,19 @@ def _head_group(heads, m, n, itemsize):
     return heads if heads * m * n * itemsize <= HEAD_GROUP_BYTES else 1
 
 
+def _row_blocks(group, m, n, itemsize):
+    """Query-row blocks (start, stop) of a head group's (group*m, n) score
+    map: all m rows while the map fits TILE_BYTES, else blocks starting at
+    multiples of r, the largest multiple of TILE_ALIGN whose block fits (at
+    least TILE_ALIGN), the short remainder joining the last block."""
+    row = group * n * itemsize
+    if m * row <= TILE_BYTES:
+        return [(0, m)]
+    r = max(TILE_BYTES // row // TILE_ALIGN, 1) * TILE_ALIGN
+    edges = [*range(0, r * max(m // r, 1), r), m]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def usable_cpus():
     """The CPUs this process may run on: its affinity mask where the platform
     has one, else the CPU count (at least 1)."""
@@ -277,55 +303,66 @@ def _shared(fn, items, futures):
 
 def _multi_head(q, k, v, heads):
     """Multi-head attention over head groups of _head_group's size, each
-    group on its column block of q, k and v, its scores written and
-    softmaxed in place in its lane's (group*m, n) workspace. When no operand
-    needs a gradient the groups run on min(groups, usable_cpus()) lanes: lane
-    j takes groups j, j+lanes, ..., and the lanes are _beside's items on
-    lanes - 1 helpers and the calling thread, every workspace allocated here
-    before any lane starts. With a gradient one lane runs every group (in
-    training the crop helpers hold the other CPUs). Only each group's output
-    array is kept; the groups are joined in order into one graph record over
-    (q, k, v) whose rule recomputes the probabilities."""
+    group on its column block of q, k and v and in _row_blocks' query-row
+    blocks, a block's scores written and softmaxed in place in its lane's
+    workspace of the largest block. When no operand needs a gradient the
+    groups run on min(groups, usable_cpus()) lanes: lane j takes groups j,
+    j+lanes, ..., and the lanes are _beside's items on lanes - 1 helpers and
+    the calling thread, every workspace allocated here before any lane
+    starts. With a gradient one lane runs every group (in training the crop
+    helpers hold the other CPUs). Only each block's output array is kept,
+    written into the output, which is one graph record over (q, k, v) whose
+    rule recomputes the probabilities."""
     m, n = q.shape[0], k.shape[0]
     group = _head_group(heads, m, n, q.data.itemsize)
+    blocks = _row_blocks(group, m, n, q.data.itemsize)
     d = q.shape[1] // heads
     groups = heads // group
     grad = q.requires_grad or k.requires_grad or v.requires_grad
     lanes = 1 if grad else min(groups, usable_cpus())
-    work = [np.empty((group * m, n), q.data.dtype) for _ in range(lanes)]
-    parts = [None] * groups
+    rows = max(stop - start for start, stop in blocks)
+    work = [np.empty((group * rows, n), q.data.dtype) for _ in range(lanes)]
+    out = np.empty((m, v.shape[1]), v.data.dtype)
 
     def lane(j):
         for i in range(j, groups, lanes):
+            cols = slice(i * group * d, (i + 1) * group * d)
             qh, kh, vh = q, k, v
             if group < heads:
-                qh, kh, vh = (T.slice_cols(a, i * group * d, (i + 1) * group * d)
-                              for a in (q, k, v))
-            p = T.softmax_rows(T.head_scores(qh, kh, group, out=work[j]), out=work[j])
-            parts[i] = T.head_mix(p, vh, group).data
+                qh, kh, vh = (T.slice_cols(a, cols.start, cols.stop) for a in (q, k, v))
+            for start, stop in blocks:
+                qb = qh if len(blocks) == 1 else T.slice_rows(qh, start, stop)
+                w = work[j][:group * (stop - start)]
+                p = T.softmax_rows(T.head_scores(qb, kh, group, out=w), out=w)
+                out[start:stop, cols] = T.head_mix(p, vh, group).data
 
     with _beside(lane, range(lanes), lanes - 1) as done:
         list(done)  # a lane's raise surfaces here
-    return T.from_op(np.concatenate(parts, axis=1), (q, k, v),
-                     _attention_back(q.data, k.data, v.data, heads))
+    return T.from_op(out, (q, k, v), _attention_back(q.data, k.data, v.data, heads))
 
 
-def _head_maps(q, k, heads):
-    """Per head group of _head_group's size: its head count, column slice,
-    contiguous scaled-query and key blocks (the student's slice_cols
-    operands) and its (group*m, n) probabilities, softmaxed in place in one
-    workspace that the next group overwrites. A map is checked through its
-    minimum (-inf) and row maxima (NaN, +inf); a finite row's softmax is finite."""
+def _head_maps(q, k, heads, tiled=False):
+    """Per head group of _head_group's size and, when ``tiled``, per query-row
+    block of _row_blocks (else all rows): its head count, column slice, row
+    slice, the group's contiguous scaled-query and key blocks (the student's
+    slice_cols operands) and the block's (group*rows, n) probabilities,
+    softmaxed in place in one workspace that the next block overwrites. A map
+    is checked through its minimum (-inf) and row maxima (NaN, +inf); a
+    finite row's softmax is finite."""
+    m, n = q.shape[0], k.shape[0]
     d = q.shape[1] // heads
-    group = _head_group(heads, q.shape[0], k.shape[0], q.itemsize)
+    group = _head_group(heads, m, n, q.itemsize)
+    blocks = _row_blocks(group, m, n, q.itemsize) if tiled else [(0, m)]
     qs = q * T._head_scale(q, heads)
-    p = np.empty((group * q.shape[0], k.shape[0]), q.dtype)
+    work = np.empty((group * max(stop - start for start, stop in blocks), n), q.dtype)
     for h in range(0, heads, group):
         cols = slice(h * d, (h + group) * d)
         qh, kh = np.ascontiguousarray(qs[:, cols]), np.ascontiguousarray(k[:, cols])
-        T._head_scores(qh, kh, group, out=p)
-        T._finite(p.min())
-        yield group, cols, qh, kh, T._softmax(p, T._finite(p.max(axis=1, keepdims=True)), p)
+        for start, stop in blocks:
+            p = T._head_scores(qh[start:stop], kh, group, out=work[:group * (stop - start)])
+            T._finite(p.min())
+            yield (group, cols, slice(start, stop), qh, kh,
+                   T._softmax(p, T._finite(p.max(axis=1, keepdims=True)), p))
 
 
 def _attention_back(q, k, v, heads):
@@ -335,7 +372,7 @@ def _attention_back(q, k, v, heads):
 
     def back(g):
         grads, w = [], None  # the first group's _head_mix_back allocates w
-        for group, cols, qh, kh, p in _head_maps(q, k, heads):
+        for group, cols, _, qh, kh, p in _head_maps(q, k, heads):
             vh, gh = np.ascontiguousarray(v[:, cols]), np.ascontiguousarray(g[:, cols])
             w, dv = T._head_mix_back(gh, p, vh, group, out=w)
             grads.append((*T._head_scores_back(T._softmax_back(w, p, out=w), qh, kh, group), dv))
@@ -380,10 +417,12 @@ def _layer_norm_array(x, scale, offset):
 
 
 def _attention_array(q, k, v, heads):
-    """_multi_head on plain arrays, over _head_maps' groups."""
+    """_multi_head on plain arrays, over _head_maps' groups and row blocks."""
     out = np.empty_like(q)
-    for group, cols, _, _, p in _head_maps(q, k, heads):
-        out[:, cols] = T._head_mix(p, np.ascontiguousarray(v[:, cols]), group)
+    for group, cols, rows, _, _, p in _head_maps(q, k, heads, tiled=True):
+        if rows.start == 0:  # a head group's first block
+            vh = np.ascontiguousarray(v[:, cols])
+        out[rows, cols] = T._head_mix(p, vh, group)
     return T._finite(out)
 
 
@@ -474,7 +513,7 @@ def capture_attention(image, params, layers):
             k = T.add(T.matmul(h, b.wk), b.bk).data
             maps[i] = np.empty((len(q), len(k), params.heads), q.dtype)
             d = q.shape[1] // params.heads
-            for group, cols, _, _, p in _head_maps(q, k, params.heads):
+            for group, cols, _, _, _, p in _head_maps(q, k, params.heads):
                 maps[i][:, :, cols.start // d:cols.stop // d] = (
                     p.reshape(group, len(q), len(k)).transpose(1, 2, 0))
         if i < deepest:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from densedistill import trainer
+from densedistill import trainer, vit
 from densedistill.cli import run_cli
 from densedistill.config import (RunConfig, echo_config, parse_config, parse_config_text,
                                  validate)
@@ -160,16 +160,17 @@ def test_the_readme_fixed_value_table_matches_the_code():
     # a constant re-valued or renamed without its README line fails here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     _, table = readme.split("| constant | value | meaning |\n|---|---|---|\n", 1)
-    optimizer = trainer.AdamW([], lr=1.0, weight_decay=0.0)
+    owners = {"trainer": trainer, "vit": vit,
+              "trainer.AdamW": trainer.AdamW([], lr=1.0, weight_decay=0.0)}
     rows = {}
     for line in itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()):
         name, value, meaning = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
         assert meaning, name
-        owner, _, attr = name.removeprefix("trainer.").rpartition(".")
-        rows[name] = (getattr(optimizer if owner == "AdamW" else trainer, attr),
-                      ast.literal_eval(value))
+        owner, _, attr = name.rpartition(".")
+        rows[name] = (getattr(owners[owner], attr), ast.literal_eval(value))
     assert list(rows) == ["trainer.ROI_N", "trainer.SD_MAPS", "trainer.STUDENT_PIXEL",
                           "trainer.PROVIDER_PIXEL", "trainer.AdamW.beta1",
-                          "trainer.AdamW.beta2", "trainer.AdamW.eps"]
+                          "trainer.AdamW.beta2", "trainer.AdamW.eps", "vit.HEAD_GROUP_BYTES",
+                          "vit.TILE_BYTES", "vit.TILE_ALIGN"]
     for name, (held, listed) in rows.items():
         assert type(held) is type(listed) and held == listed, name

@@ -11,6 +11,7 @@ from densedistill.gradcheck import finite_diff_check
 from densedistill.losses import (
     content_cos_loss,
     context_loss,
+    context_target,
     rcc_loss,
     total_loss,
 )
@@ -37,13 +38,13 @@ def test_context_zero_when_distributions_match():
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.standard_normal((4, 3)))
     s_clip = T.cosine_matrix(x, x).data
-    assert abs(context_loss(x, s_clip, tau=1.0).item()) <= 1e-9
+    assert abs(context_loss(x, context_target(s_clip, 1.0, np.float64), tau=1.0).item()) <= 1e-9
 
 
 def test_context_two_token_closed_form():
     x = T.Tensor([[1.0, 0.0], [0.0, 1.0]])  # cosine matrix [[1,0],[0,1]]
     teacher = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    got = context_loss(x, teacher, tau=1.0).item()
+    got = context_loss(x, context_target(teacher, 1.0, np.float64), tau=1.0).item()
     p = softmax_list([1.0, -1.0])
     q = softmax_list([1.0, 0.0])
     assert abs(got - kl_list(p, q)) < 1e-9
@@ -55,7 +56,7 @@ def test_context_gradient_finite_differences():
     teacher = np.clip(rng.uniform(-1, 1, (3, 3)), -1, 1)
 
     def f(t):
-        return context_loss(t, teacher, tau=0.7)
+        return context_loss(t, context_target(teacher, 0.7, np.float64), tau=0.7)
 
     assert finite_diff_check(f, [x], name="context_loss").passed
 
@@ -65,7 +66,7 @@ def test_context_teacher_detached():
     x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     teacher = np.clip(rng.uniform(-1, 1, (3, 3)), -1, 1)
     before = teacher.copy()
-    loss = context_loss(x, teacher, tau=1.0)
+    loss = context_loss(x, context_target(teacher, 1.0, np.float64), tau=1.0)
     assert [p.requires_grad for p in loss._parents] == [True]
     T.backward(loss)
     assert x.grad is not None
@@ -81,7 +82,7 @@ def test_context_loss_matches_the_composed_ops_bitwise():
     def run(in_place):
         x = T.Tensor(x0.copy(), requires_grad=True)
         if in_place:
-            loss = context_loss(x, teacher, tau=0.5)
+            loss = context_loss(x, context_target(teacher, 0.5, np.float64), tau=0.5)
         else:
             q = T.softmax_rows(T.cosine_matrix(x, x), 0.5)
             loss = T.kl_rows(T._softmax_rows(teacher, 0.5), q)
@@ -257,7 +258,8 @@ def test_mismatched_operands_raise_shape_error(loss, message):
         elif loss == "rcc":
             rcc_loss(students, [rng.standard_normal((4, 3)) for _ in range(3)], 1.0)
         else:
-            context_loss(T.Tensor(rng.standard_normal((4, 3))), np.eye(3), 1.0)
+            context_loss(T.Tensor(rng.standard_normal((4, 3))),
+                         context_target(np.eye(3), 1.0, np.float64), 1.0)
 
 
 def test_teacher_operands_keep_their_error_classes():
@@ -279,11 +281,11 @@ def test_teacher_operands_keep_their_error_classes():
         with pytest.raises(ParameterError):
             rcc_loss([student], [rows], tau)
         with pytest.raises(ParameterError):
-            context_loss(student, np.eye(4), tau)
+            context_loss(student, context_target(np.eye(4), tau, np.float64), tau)
     affinity = np.eye(4)
     affinity[0, 1] = np.nan
     with pytest.raises(EvaluationError):
-        context_loss(student, affinity, 1.0)
+        context_loss(student, context_target(affinity, 1.0, np.float64), 1.0)
 
 
 # --- composed step objective ------------------------------------------------------------
@@ -302,7 +304,7 @@ def make_batch(rng, hw=4, c=3, k=2, n2=4, d=3):
 def step_objective(batch, lam, tau):
     """content + rcc + lam * context, the components computed in training order."""
     x_ctx, s_hat, students, teachers, providers = batch
-    l_ctx = context_loss(x_ctx, s_hat, tau)
+    l_ctx = context_loss(x_ctx, context_target(s_hat, tau, x_ctx.data.dtype), tau)
     l_cos = content_cos_loss(students, teachers)
     l_rcc = rcc_loss(students, providers, tau)
     return total_loss(l_cos, l_rcc, l_ctx, lam)

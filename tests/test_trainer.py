@@ -21,7 +21,8 @@ from densedistill.errors import ConfigError, EvaluationError, ParameterError
 from densedistill.evalsuite import (ablation_coupled_vs_decoupled, class_prototypes,
                                     prepare_suite, save_class_embeddings,
                                     shipped_ablation_config)
-from densedistill.losses import content_cos_loss, context_loss, rcc_loss, total_loss
+from densedistill.losses import (content_cos_loss, context_loss, context_target, rcc_loss,
+                                 total_loss)
 from densedistill.regions import FULL_BOX, crop_resize, roi_align, sample_grid
 from densedistill.tensor import Tensor
 from densedistill.trainer import (
@@ -196,9 +197,10 @@ def test_single_stream_variants_match_hand_composition(tmp_path, variant):
     f_s = [roi_align(content_map, box, trainer.ROI_N) for box in boxes]
     f_t = [encode_cls(crop_resize(prepared.image, box, cfg.student_res), distiller.teacher)
            for box in boxes]
-    s_hat = context_teacher(prepared.vfm_tokens, stack, cfg)
+    target = context_target(context_teacher(prepared.vfm_tokens, stack, cfg), cfg.tau,
+                            ctx.data.dtype)
     manual, report_b = total_loss(content_cos_loss(f_s, f_t), Tensor(np.zeros(())),
-                                  context_loss(ctx, s_hat, cfg.tau),
+                                  context_loss(ctx, target, cfg.tau),
                                   lam=cfg.lam if variant == "coupled" else 0.0)
     T.backward(manual)
     grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
@@ -274,9 +276,10 @@ def test_pooled_crops_match_sequential_loop_bitwise(tmp_path, monkeypatch, varia
                          cfg.tau)
     else:
         l_rcc = Tensor(np.zeros(()))
-    s_hat = context_teacher(prepared.vfm_tokens, stack, cfg)
+    target = context_target(context_teacher(prepared.vfm_tokens, stack, cfg), cfg.tau,
+                            ctx.data.dtype)
     manual, report_b = total_loss(content_cos_loss(f_s, f_t), l_rcc,
-                                  context_loss(ctx, s_hat, cfg.tau),
+                                  context_loss(ctx, target, cfg.tau),
                                   lam=0.0 if variant == "content" else cfg.lam)
     T.backward(manual)
     grads_b = {name: p.grad.copy() for name, p in distiller.student.named_parameters()
@@ -571,7 +574,9 @@ def test_first_step_stores_the_context_target_in_place_of_the_stack(tmp_path, mo
     stack = prepared.sd_stack
     _, first = distiller.loss_for(prepared, np.random.default_rng(5))
     assert prepared.sd_stack is None
-    want = context_teacher(prepared.vfm_tokens, stack, cfg)
+    want = context_target(context_teacher(prepared.vfm_tokens, stack, cfg), cfg.tau,
+                          distiller.student.dtype)
+    assert prepared.context_target.dtype == want.dtype
     assert prepared.context_target.tobytes() == want.tobytes()
 
     calls = []

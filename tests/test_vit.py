@@ -106,6 +106,8 @@ def test_params_validation():
 @pytest.mark.parametrize("name,value,want", [
     ("heads", 0, ">= 1"), ("patch_size", 0, ">= 1"), ("depth", 0, ">= 1"), ("width", 0, ">= 1"),
     ("input_res", -8, ">= 1"), ("embed_dim", -1, ">= 0"), ("embed_dim", None, ">= 0"),
+    ("depth", None, ">= 1"), ("depth", "4", ">= 1"), ("depth", 2.5, ">= 1"),
+    ("depth", True, ">= 1"), ("heads", 2.0, ">= 1"), ("embed_dim", False, ">= 0"),
     ("pixel_std", 0.0, "finite and > 0"),
     ("pixel_std", float("nan"), "finite and > 0"), ("pixel_mean", float("inf"), "finite")])
 def test_params_refuse_a_field_no_encoder_can_be_built_from(name, value, want):
@@ -488,19 +490,30 @@ def _decoupled_graph(monkeypatch):
     return p, loss, maps, held
 
 
+def _blocks_per_attention(p):
+    """Score maps one attention of p's encoder builds: its row blocks per head
+    group, times its groups."""
+    n = p.grid_side ** 2 + 1
+    group = vit._head_group(p.heads, n, n, p.dtype.itemsize)
+    return p.heads // group * len(vit._row_blocks(group, n, n, p.dtype.itemsize))
+
+
 def test_graph_holds_no_score_map(monkeypatch):
+    # 577 tokens: all 4 heads in one map, built in 6 row blocks
     p, loss, maps, _ = _decoupled_graph(monkeypatch)
     scores = maps["head_scores"]
-    assert loss.requires_grad and len(scores) == p.depth
+    assert _blocks_per_attention(p) == 6
+    assert loss.requires_grad and len(scores) == p.depth * _blocks_per_attention(p)
     assert [m() for m in scores if m() is not None] == []  # no backward rule reads them
 
 
 def test_graph_holds_no_probability_map(monkeypatch):
     # each attention is one record over (q, k, v) whose backward recomputes
-    # its probabilities, so no softmax_rows output outlives the forward
+    # its probabilities, so no row block's softmax_rows output outlives the
+    # forward
     p, loss, maps, _ = _decoupled_graph(monkeypatch)
     probs = maps["softmax_rows"]
-    assert loss.requires_grad and len(probs) == p.depth
+    assert loss.requires_grad and len(probs) == p.depth * _blocks_per_attention(p)
     assert [m() for m in probs if m() is not None] == []
 
 
@@ -609,13 +622,16 @@ def test_each_head_group_frees_its_probability_map_before_the_next(monkeypatch, 
     monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
     p = tiny_params(width=8, heads=4, seed=23)
     x = T.Tensor(np.random.default_rng(24).standard_normal((5, 8)), requires_grad=True)
-    maps, shared = [], []
+    maps, works, shared = [], [], []
 
     def spy(op):
         def spied(*args, **kwargs):
             out = op(*args, **kwargs)
+            # a map is a row block's view of its lane's workspace
+            work = out.data if out.data.base is None else out.data.base
             maps.append(weakref.ref(out.data))
-            shared.append(np.shares_memory(out.data, maps[0]()))
+            works.append(weakref.ref(work))
+            shared.append(work is works[0]())
             return out
         return spied
 
@@ -624,7 +640,7 @@ def test_each_head_group_frees_its_probability_map_before_the_next(monkeypatch, 
     outs = (vit.attention_block(x, p, 0),) if block == "standard" else vit.decoupled_block(x, p)
     assert all(out.requires_grad for out in outs)
     assert len(shared) == 2 * p.heads and all(shared)
-    assert [m() for m in maps if m() is not None] == []
+    assert [m() for m in maps + works if m() is not None] == []
 
 
 def _composed_attention(q, k, v, heads, group, weights):
@@ -688,16 +704,82 @@ def test_recomputing_attention_rule_matches_the_composed_ops_bitwise(monkeypatch
         assert g.dtype == dtype and g.tobytes() == ref.tobytes(), name
 
 
-@pytest.mark.parametrize("n,width,heads,group", [(65, 48, 4, 4), (1226, 64, 4, 1)],
-                         ids=["desk", "paper"])
-def test_array_and_tensor_attention_pick_the_same_groups(monkeypatch, n, width, heads, group):
+def _spy_blocks(monkeypatch):
+    """(heads per score map, query rows) of every score-map kernel call."""
+    blocks = []
+    kernel = T._head_scores
+
+    def spy(qs, k, heads, out=None):
+        blocks.append((heads, qs.shape[0]))
+        return kernel(qs, k, heads, out=out)
+
+    monkeypatch.setattr(T, "_head_scores", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("n,width,heads,group,rows", [
+    (65, 48, 4, 4, [65]), (1226, 64, 4, 1, [192] * 5 + [266])], ids=["desk", "paper"])
+def test_array_and_tensor_attention_pick_the_same_groups(monkeypatch, n, width, heads, group,
+                                                         rows):
+    # the same head groups and, in each, the same row blocks (the student's
+    # lanes may interleave them)
     q, k, v = np.random.default_rng(27).standard_normal((3, n, width))
-    groups = _spy_groups(monkeypatch)
+    blocks = _spy_blocks(monkeypatch)
     frozen = vit._attention_array(q, k, v, heads)
-    assert groups == [group] * (heads // group)
+    assert blocks == [(group, r) for _ in range(heads // group) for r in rows]
     student = vit._multi_head(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads).data
-    assert groups == [group] * (2 * heads // group)
+    assert sorted(blocks[len(blocks) // 2:]) == sorted(blocks[:len(blocks) // 2])
     assert student.tobytes() == frozen.tobytes()
+
+
+# --- row blocks ------------------------------------------------------------------
+
+@pytest.mark.parametrize("group,m,n,itemsize", [
+    (4, 65, 65, 8), (4, 65, 65, 4), (1, 1, 1226, 8), (4, 1, 1226, 4)],
+    ids=["desk-f64", "desk-f32", "paper-cls-only", "paper-cls-only-all-heads-f32"])
+def test_a_map_that_fits_the_tile_budget_is_one_row_block(group, m, n, itemsize):
+    # every desk attention, and the CLS-only query of the final block
+    assert group * m * n * itemsize <= vit.TILE_BYTES
+    assert vit._row_blocks(group, m, n, itemsize) == [(0, m)]
+
+
+@pytest.mark.parametrize("itemsize,r", [(8, 192), (4, 384)], ids=["f64", "f32"])
+def test_paper_shape_row_blocks_start_on_aligned_multiples_and_hold_r_rows(itemsize, r):
+    # r is the largest multiple of TILE_ALIGN whose block fits TILE_BYTES;
+    # the short remainder joins the last block
+    row = 1226 * itemsize
+    assert r % vit.TILE_ALIGN == 0 and r * row <= vit.TILE_BYTES < (r + vit.TILE_ALIGN) * row
+    blocks = vit._row_blocks(1, 1226, 1226, itemsize)
+    assert blocks[0][0] == 0 and blocks[-1][1] == 1226
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    assert all(start % r == 0 for start, _ in blocks)
+    assert [stop - start for start, stop in blocks[:-1]] == [r] * (len(blocks) - 1)
+    assert r <= blocks[-1][1] - blocks[-1][0] < 2 * r
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("path", ["frozen", "lanes", "grad", "q-is-k"])
+def test_row_blocks_give_the_whole_map_output_bitwise_at_paper_shape(monkeypatch, path, dtype):
+    # 1226 tokens, 4 heads, one head per map: the frozen path, the student's
+    # no-grad lanes and its grad forward (q is k in the decoupled block),
+    # with the map built in row blocks and whole
+    q, k, v = np.random.default_rng(47).standard_normal((3, 1226, 64)).astype(dtype)
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+
+    def attend():
+        if path == "frozen":
+            return vit._attention_array(q, k, v, 4)
+        qt, kt, vt = (T.Tensor(a, requires_grad=path != "lanes") for a in (q, k, v))
+        return vit._multi_head(qt, qt if path == "q-is-k" else kt, vt, 4).data
+
+    blocks = _spy_blocks(monkeypatch)
+    tiled = attend()
+    assert len(blocks) == 4 * len(vit._row_blocks(1, 1226, 1226, q.itemsize)) > 4
+    monkeypatch.setattr(vit, "TILE_BYTES", 2 ** 40)
+    blocks.clear()
+    whole = attend()
+    assert blocks == [(1, 1226)] * 4
+    assert tiled.dtype == whole.dtype == dtype and tiled.tobytes() == whole.tobytes()
 
 
 def test_paper_shape_blocks_stay_within_their_memory_bound():
@@ -722,12 +804,19 @@ def test_paper_shape_blocks_stay_within_their_memory_bound():
     assert peak < 60 * 2 ** 20, peak / 2 ** 20
 
 
+def _tile_bytes(m, n, itemsize):
+    """Bytes of the largest row block of a one-head (m, n) score map."""
+    return max(stop - start for start, stop in vit._row_blocks(1, m, n, itemsize)) * n * itemsize
+
+
 def test_frozen_attention_holds_one_score_map_at_paper_shape():
-    # one (1226, 1226) f64 map is 12,024,608 B; one head per map at this
-    # shape, so a fresh map per head peaks near two maps, one workspace
-    # for the call near one
+    # one (1226, 1226) f64 map is 11.5 MiB; one head per map at this shape,
+    # built in row blocks in one 2.5 MiB workspace for the call. Beside it
+    # the scaled queries, the output and a group's column blocks come to
+    # about 3.3 (1226, 64) token arrays, so the peak reads 0.39 maps; a
+    # second block-sized buffer would reach 0.6, and a whole map 1.2
     q, k, v = np.random.default_rng(30).standard_normal((3, 1226, 64))
-    score_map = 1226 * 1226 * 8
+    score_map, tokens = 1226 * 1226 * 8, q.nbytes
     assert vit._head_group(4, 1226, 1226, 8) == 1
     gc.collect()
     tracemalloc.start()
@@ -736,7 +825,7 @@ def test_frozen_attention_holds_one_score_map_at_paper_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * score_map, peak / score_map
+    assert peak < _tile_bytes(1226, 1226, 8) + 5 * tokens, peak / score_map
 
 
 # --- work beside the calling thread ------------------------------------------------
@@ -952,11 +1041,11 @@ def test_a_lane_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
 
 def test_no_grad_lanes_hold_one_workspace_each_at_paper_shape(monkeypatch):
     # 2 lanes of one head per map at 1226 tokens hold two caller-allocated
-    # workspaces. Beside them: the block's q, k, v and layer norm (0.2 map)
-    # and, per lane, its column blocks and a 1.5 MB finiteness mask (0.18
-    # map), so the peak reads 2.47-2.59 maps as the lanes' masks overlap or
-    # not. Any third map (a workspace per group, or fresh score and
-    # probability maps per lane) reaches 3
+    # workspaces of one row block each (0.22 map each). Beside them: the block's
+    # q, k, v, layer norm and MLP and, per lane, its column blocks and a
+    # block's finiteness mask, about 7.7 (1226, 64) token arrays, so the
+    # peak reads 0.82-0.84 maps. A third block-sized buffer (a workspace per
+    # group, or fresh score and probability blocks per lane) reaches 1.04
     monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
     pools = _counted_pools(monkeypatch)
     p = _no_grad(VitParams(patch_size=16, depth=1, width=64, heads=4, input_res=560, seed=45))
@@ -970,7 +1059,7 @@ def test_no_grad_lanes_hold_one_workspace_each_at_paper_shape(monkeypatch):
     finally:
         tracemalloc.stop()
     assert pools == [1]
-    assert peak < 2.75 * score_map, peak / score_map
+    assert peak < 2 * _tile_bytes(1226, 1226, 8) + 10 * x.data.nbytes, peak / score_map
 
 
 # --- frozen forward on plain arrays ---------------------------------------------
