@@ -36,9 +36,10 @@ HEAD_GROUP_BYTES = 16 * 2 ** 20
 # student's Tensor side (_multi_head)
 TILE_BYTES = 2 * 2 ** 20
 # a split map's blocks start at multiples of r rows, r a multiple of
-# TILE_ALIGN, and hold at least r: gemm then gives each row the bits the whole
-# map does (OpenBLAS fills rows in groups of 24, and products of under about
-# 10^6 multiply-adds take another kernel)
+# TILE_ALIGN, and hold at least r: at one BLAS thread gemm then gives each row
+# the bits the whole map does (OpenBLAS fills rows in groups of 24, and
+# products of under about 10^6 multiply-adds take another kernel); at more,
+# a few f64 entries may move by under an eps
 TILE_ALIGN = 96
 # VitParams' constructor arguments but the seed, in the order a checkpoint
 # stores them and the fingerprint digests them

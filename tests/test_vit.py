@@ -2,7 +2,10 @@
 
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -757,12 +760,11 @@ def test_paper_shape_row_blocks_start_on_aligned_multiples_and_hold_r_rows(items
     assert r <= blocks[-1][1] - blocks[-1][0] < 2 * r
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("path", ["frozen", "lanes", "grad", "q-is-k"])
-def test_row_blocks_give_the_whole_map_output_bitwise_at_paper_shape(monkeypatch, path, dtype):
-    # 1226 tokens, 4 heads, one head per map: the frozen path, the student's
-    # no-grad lanes and its grad forward (q is k in the decoupled block),
-    # with the map built in row blocks and whole
+def _attend_tiled_and_whole(monkeypatch, path, dtype):
+    """A 1226-token, 4-head attention (one head per map) on ``path``: the
+    frozen path, the student's no-grad lanes or its grad forward (q is k in
+    the decoupled block), its map built in row blocks and whole. Returns both
+    outputs and the (heads per map, rows) of each one's score-map calls."""
     q, k, v = np.random.default_rng(47).standard_normal((3, 1226, 64)).astype(dtype)
     monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
 
@@ -773,13 +775,60 @@ def test_row_blocks_give_the_whole_map_output_bitwise_at_paper_shape(monkeypatch
         return vit._multi_head(qt, qt if path == "q-is-k" else kt, vt, 4).data
 
     blocks = _spy_blocks(monkeypatch)
-    tiled = attend()
-    assert len(blocks) == 4 * len(vit._row_blocks(1, 1226, 1226, q.itemsize)) > 4
+    tiled, tiled_blocks = attend(), list(blocks)
     monkeypatch.setattr(vit, "TILE_BYTES", 2 ** 40)
     blocks.clear()
-    whole = attend()
-    assert blocks == [(1, 1226)] * 4
+    return tiled, attend(), tiled_blocks, blocks
+
+
+# runs _attend_tiled_and_whole in a fresh process: argv is this directory,
+# the path, the dtype and the .npz file to write
+_ATTEND_IN_CHILD = """
+import sys
+import numpy as np
+import pytest
+sys.path.insert(0, sys.argv[1])
+from test_vit import _attend_tiled_and_whole
+with pytest.MonkeyPatch.context() as mp:
+    tiled, whole, tiled_blocks, whole_blocks = _attend_tiled_and_whole(mp, sys.argv[2], sys.argv[3])
+np.savez(sys.argv[4], tiled=tiled, whole=whole, tiled_blocks=tiled_blocks, whole_blocks=whole_blocks)
+"""
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("path", ["frozen", "lanes", "grad", "q-is-k"])
+def test_row_blocks_give_the_whole_map_output_bitwise_at_paper_shape(tmp_path, path, dtype):
+    # at one BLAS thread, as the benchmark runs, so in a child process that
+    # sets it before numpy loads. With two, a few f64 entries in the map's
+    # last columns differ by under an eps (next test): OpenBLAS splits a
+    # gemm's rows among its threads by that gemm's row count, so a block and
+    # the whole map need not give a row the same kernel
+    src = os.path.dirname(os.path.dirname(vit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")})
+    npz = tmp_path / "attend.npz"
+    proc = subprocess.run([sys.executable, "-c", _ATTEND_IN_CHILD, os.path.dirname(__file__),
+                           path, np.dtype(dtype).name, str(npz)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = np.load(npz)
+    tiled, whole = got["tiled"], got["whole"]
+    assert len(got["tiled_blocks"]) == 4 * len(vit._row_blocks(1, 1226, 1226, tiled.itemsize)) > 4
+    assert got["whole_blocks"].tolist() == [[1, 1226]] * 4
     assert tiled.dtype == whole.dtype == dtype and tiled.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("path", ["frozen", "lanes", "grad", "q-is-k"])
+def test_row_blocks_stay_within_an_eps_of_the_whole_map_at_any_blas_thread_count(
+        monkeypatch, path, dtype):
+    # at this process's BLAS threads, whatever they are; at two, 6 of the
+    # f64 output's 78,464 entries differ here, by 0.04 eps of its scale
+    tiled, whole, _, whole_blocks = _attend_tiled_and_whole(monkeypatch, path, dtype)
+    assert whole_blocks == [(1, 1226)] * 4
+    assert tiled.dtype == whole.dtype == dtype
+    assert np.abs(tiled - whole).max() <= np.finfo(dtype).eps * np.abs(whole).max()
 
 
 def test_paper_shape_blocks_stay_within_their_memory_bound():
