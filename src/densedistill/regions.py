@@ -37,7 +37,7 @@ FULL_BOX = CropBox(0.0, 0.0, 1.0, 1.0)
 def sample_grid(rng, range_lo, range_hi):
     """Draw m, n uniformly in [lo, hi] and return the m x n partition of the
     unit square: k = m*n disjoint covering boxes, row-major."""
-    if not (isinstance(range_lo, int) and isinstance(range_hi, int) and 1 <= range_lo <= range_hi):
+    if not (T._int(range_lo) and T._int(range_hi) and 1 <= range_lo <= range_hi):
         raise ParameterError(f"invalid grid range [{range_lo}, {range_hi}]")
     m = int(rng.integers(range_lo, range_hi + 1))
     n = int(rng.integers(range_lo, range_hi + 1))
@@ -73,7 +73,7 @@ def _roi_axis_weights(lo, hi, n_out, size):
 
 def _roi_align(features, box, n):
     """Array kernel of roi_align: the (n*n, C) rows and the (n*n, H*W) sampling matrix."""
-    if not isinstance(n, int) or n < 1:
+    if not T._int(n) or n < 1:
         raise ParameterError(f"pool grid side must be a positive int, got {n}")
     if features.ndim != 3:
         raise ShapeError("roi_align needs a (C, H, W) feature tensor")
@@ -114,7 +114,7 @@ def crop_resize(image, box, out_res):
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"expected (C, h, w) planes, got {arr.shape}")
-    if not isinstance(out_res, int) or out_res < 1:
+    if not T._int(out_res) or out_res < 1:
         raise ParameterError(f"out_res must be a positive int, got {out_res}")
     _, h, w = arr.shape
     if (box.x1 - box.x0) * w <= 0.0 or (box.y1 - box.y0) * h <= 0.0:

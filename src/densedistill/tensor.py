@@ -88,6 +88,11 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _int(v):
+    """Whether v is an int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _finite(data):
     # the array method skips np.all's Python-level dispatch, which dominates
     # on the small arrays of most calls
@@ -587,7 +592,7 @@ def _merge_heads(a):
 def _check_heads(a, b, heads, name):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"{name} needs 2-D operands, got {a.shape} and {b.shape}")
-    if not isinstance(heads, int) or heads < 1:
+    if not _int(heads) or heads < 1:
         raise ParameterError(f"heads must be a positive int, got {heads}")
     _check_same_dtype(a, b)
 

@@ -27,13 +27,12 @@ from .tensor import Tensor
 LN_EPS = 1e-5
 INIT_STD = 0.02
 MLP_RATIO = 2
-# largest (heads*m, n) score map whose heads share one map (_head_group)
-HEAD_GROUP_BYTES = 16 * 2 ** 20
-# a forward builds a head group's map in query-row blocks of about this many
-# bytes, near a core's 2 MiB L2 (_row_blocks). Both sides write a block's
-# scores and softmax them in place in one workspace that the next block
-# overwrites: one per call on the array side (_head_maps), one per lane on the
-# student's Tensor side (_multi_head)
+# an attention's score map is built in query-row blocks of about this many
+# bytes, near a core's 2 MiB L2 (_tiles): all heads in one map while it fits,
+# else one head per map. Both sides write a block's scores and softmax them in
+# place in one workspace that the next block overwrites: one per call on the
+# array side (_head_maps), one per lane on the student's Tensor side
+# (_multi_head)
 TILE_BYTES = 2 * 2 ** 20
 # a split map's blocks start at multiples of r rows, r a multiple of
 # TILE_ALIGN, and hold at least r: at one BLAS thread gemm then gives each row
@@ -47,15 +46,10 @@ _META = ("depth", "width", "heads", "patch_size", "input_res", "embed_dim", "dty
          "pixel_mean", "pixel_std")
 
 
-def _int(v):
-    """Whether v is an int, and not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 # what a constructor field must hold for an encoder to be built from it; the
 # fields not named here are ints >= 1 (embed_dim 0: no projection)
 _FIELD_RANGES = {
-    "embed_dim": (">= 0", lambda v: _int(v) and v >= 0),
+    "embed_dim": (">= 0", lambda v: T._int(v) and v >= 0),
     "pixel_mean": ("finite", math.isfinite),
     "pixel_std": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
 }
@@ -63,7 +57,7 @@ _FIELD_RANGES = {
 
 def field_range(name):
     """(what constructor field ``name`` must hold, the test of a value)."""
-    return _FIELD_RANGES.get(name, (">= 1", lambda v: _int(v) and v >= 1))
+    return _FIELD_RANGES.get(name, (">= 1", lambda v: T._int(v) and v >= 1))
 
 
 def check_fields(**held):
@@ -238,23 +232,17 @@ def patch_embed(image, params):
     return T.add(seq, params.pos_embed)
 
 
-def _head_group(heads, m, n, itemsize):
-    """Heads per score map: all of them when their (heads*m, n) map fits
-    HEAD_GROUP_BYTES, else one."""
-    return heads if heads * m * n * itemsize <= HEAD_GROUP_BYTES else 1
-
-
-def _row_blocks(group, m, n, itemsize):
-    """Query-row blocks (start, stop) of a head group's (group*m, n) score
-    map: all m rows while the map fits TILE_BYTES, else blocks starting at
+def _tiles(heads, m, n, itemsize):
+    """The cut of an attention's (heads*m, n) score maps: (heads per map,
+    its query-row blocks (start, stop)). All heads and all m rows while the
+    whole map fits TILE_BYTES; else one head per map, in blocks starting at
     multiples of r, the largest multiple of TILE_ALIGN whose block fits (at
     least TILE_ALIGN), the short remainder joining the last block."""
-    row = group * n * itemsize
-    if m * row <= TILE_BYTES:
-        return [(0, m)]
-    r = max(TILE_BYTES // row // TILE_ALIGN, 1) * TILE_ALIGN
+    if heads * m * n * itemsize <= TILE_BYTES:
+        return heads, [(0, m)]
+    r = max(TILE_BYTES // (n * itemsize) // TILE_ALIGN, 1) * TILE_ALIGN
     edges = [*range(0, r * max(m // r, 1), r), m]
-    return list(zip(edges[:-1], edges[1:]))
+    return 1, list(zip(edges[:-1], edges[1:]))
 
 
 def usable_cpus():
@@ -303,20 +291,19 @@ def _shared(fn, items, futures):
 
 
 def _multi_head(q, k, v, heads):
-    """Multi-head attention over head groups of _head_group's size, each
-    group on its column block of q, k and v and in _row_blocks' query-row
-    blocks, a block's scores written and softmaxed in place in its lane's
-    workspace of the largest block. When no operand needs a gradient the
-    groups run on min(groups, usable_cpus()) lanes: lane j takes groups j,
-    j+lanes, ..., and the lanes are _beside's items on lanes - 1 helpers and
-    the calling thread, every workspace allocated here before any lane
-    starts. With a gradient one lane runs every group (in training the crop
-    helpers hold the other CPUs). Only each block's output array is kept,
-    written into the output, which is one graph record over (q, k, v) whose
-    rule recomputes the probabilities."""
+    """Multi-head attention in _tiles' cut: each head group on its column
+    block of q, k and v and in its query-row blocks, a block's scores
+    written and softmaxed in place in its lane's workspace of the largest
+    block. When no operand needs a gradient the groups run on
+    min(groups, usable_cpus()) lanes: lane j takes groups j, j+lanes, ...,
+    and the lanes are _beside's items on lanes - 1 helpers and the calling
+    thread, every workspace allocated here before any lane starts. With a
+    gradient one lane runs every group (in training the crop helpers hold
+    the other CPUs). Only each block's output array is kept, written into
+    the output, which is one graph record over (q, k, v) whose rule
+    recomputes the probabilities."""
     m, n = q.shape[0], k.shape[0]
-    group = _head_group(heads, m, n, q.data.itemsize)
-    blocks = _row_blocks(group, m, n, q.data.itemsize)
+    group, blocks = _tiles(heads, m, n, q.data.itemsize)
     d = q.shape[1] // heads
     groups = heads // group
     grad = q.requires_grad or k.requires_grad or v.requires_grad
@@ -343,17 +330,17 @@ def _multi_head(q, k, v, heads):
 
 
 def _head_maps(q, k, heads, tiled=False):
-    """Per head group of _head_group's size and, when ``tiled``, per query-row
-    block of _row_blocks (else all rows): its head count, column slice, row
-    slice, the group's contiguous scaled-query and key blocks (the student's
-    slice_cols operands) and the block's (group*rows, n) probabilities,
-    softmaxed in place in one workspace that the next block overwrites. A map
-    is checked through its minimum (-inf) and row maxima (NaN, +inf); a
-    finite row's softmax is finite."""
+    """Per head group of _tiles' cut and, when ``tiled``, per query-row block
+    of it (else all rows): its head count, column slice, row slice, the
+    group's contiguous scaled-query and key blocks (the student's slice_cols
+    operands) and the block's (group*rows, n) probabilities, softmaxed in
+    place in one workspace that the next block overwrites. A map is checked
+    through its minimum (-inf) and row maxima (NaN, +inf); a finite row's
+    softmax is finite."""
     m, n = q.shape[0], k.shape[0]
     d = q.shape[1] // heads
-    group = _head_group(heads, m, n, q.itemsize)
-    blocks = _row_blocks(group, m, n, q.itemsize) if tiled else [(0, m)]
+    group, blocks = _tiles(heads, m, n, q.itemsize)
+    blocks = blocks if tiled else [(0, m)]
     qs = q * T._head_scale(q, heads)
     work = np.empty((group * max(stop - start for start, stop in blocks), n), q.dtype)
     for h in range(0, heads, group):

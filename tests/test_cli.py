@@ -137,7 +137,8 @@ def test_dump_attn_subcommand(tmp_path, trained, capsys):
 
 
 @pytest.mark.parametrize("layers,message", [("0,0", "layer 0 requested more than once"),
-                                            ("0,5", "layer 5 outside [0, 2)")])
+                                            ("0,5", "layer 5 outside [0, 2)"),
+                                            (",", "need at least one layer index")])
 def test_dump_attn_refuses_bad_layers_before_writing(tmp_path, trained, capsys, layers, message):
     cfg, suite, result, _ = trained
     image_path = str(tmp_path / "img.dten")

@@ -32,6 +32,11 @@ def test_lambda_range_error():
         parse_config_text("lambda = -1\n")
 
 
+def test_a_line_without_an_equals_sign_is_rejected_by_its_number():
+    with pytest.raises(ConfigError, match=r"^line 2: expected 'key = value', got 'lambda 0\.5'$"):
+        parse_config_text("tau = 0.25\nlambda 0.5   # no '='\n")
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("lamda = 0.25\n")
@@ -170,7 +175,7 @@ def test_the_readme_fixed_value_table_matches_the_code():
         rows[name] = (getattr(owners[owner], attr), ast.literal_eval(value))
     assert list(rows) == ["trainer.ROI_N", "trainer.SD_MAPS", "trainer.STUDENT_PIXEL",
                           "trainer.PROVIDER_PIXEL", "trainer.AdamW.beta1",
-                          "trainer.AdamW.beta2", "trainer.AdamW.eps", "vit.HEAD_GROUP_BYTES",
-                          "vit.TILE_BYTES", "vit.TILE_ALIGN"]
+                          "trainer.AdamW.beta2", "trainer.AdamW.eps", "vit.TILE_BYTES",
+                          "vit.TILE_ALIGN"]
     for name, (held, listed) in rows.items():
         assert type(held) is type(listed) and held == listed, name

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedistill.container import (atomic_write_bytes, atomic_write_text, read_tensor,
-                                    write_pgm, write_tensor)
+from densedistill.container import (MAX_NAME_BYTES, atomic_write_bytes, atomic_write_text,
+                                    read_tensor, write_pgm, write_tensor)
 from densedistill.errors import (
     DimensionError,
     DuplicateNameError,
@@ -218,6 +218,41 @@ def test_non_ascii_section_name_names_the_file_and_entry(tmp_path):
     blob[second_name] = 0xE9
     open(path, "wb").write(bytes(blob))
     with pytest.raises(SectionNameError, match=rf"^{re.escape(path)}: name of section entry 1 "):
+        read_tensor(path)
+
+
+def test_a_section_name_longer_than_the_limit_names_the_file(tmp_path):
+    path = str(tmp_path / "l.dten")
+    write_tensor(path, {"x": np.ones(1)})
+    blob = bytearray(open(path, "rb").read())
+    blob[12:14] = struct.pack("<H", MAX_NAME_BYTES + 1)
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(OffsetError, match=rf"^{re.escape(path)}: section name length "
+                                          rf"{MAX_NAME_BYTES + 1} exceeds {MAX_NAME_BYTES}$"):
+        read_tensor(path)
+
+
+def test_an_unknown_dtype_code_names_the_file_and_section(tmp_path):
+    path = str(tmp_path / "c.dten")
+    write_tensor(path, {"x": np.ones(1)})
+    blob = bytearray(open(path, "rb").read())
+    blob[12 + 2 + 1] = 255  # the code byte after the one-byte name
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(OffsetError,
+                       match=rf"^{re.escape(path)}: unknown dtype code 255 in section 'x'$"):
+        read_tensor(path)
+
+
+def test_a_repeated_table_entry_names_the_file_and_section(tmp_path):
+    # the writer refuses a repeat, so the second entry's name is rewritten
+    path = str(tmp_path / "r.dten")
+    write_tensor(path, {"a": np.ones(1), "b": np.ones(1)})
+    blob = bytearray(open(path, "rb").read())
+    second_name = 12 + (2 + 1 + 1 + 1 + 8 + 8) + 2
+    assert blob[second_name] == ord("b")
+    blob[second_name] = ord("a")
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(DuplicateNameError, match=rf"^{re.escape(path)}: duplicate section 'a'$"):
         read_tensor(path)
 
 

@@ -471,6 +471,7 @@ MALFORMED_CLASS_FILES = {
     "unequal-widths": ({"class.a": np.eye(3)[0], "class.b": np.eye(4)[1]}, "unequal widths"),
     "non-unit": ({"class.a": np.full(3, 2.0), "class.b": np.eye(3)[1]}, "unit-normalized"),
     "single-vector": ({"class.a": np.eye(3)[0]}, "need >= 2"),
+    "unnamed-section": ({"class.a": np.eye(3)[0], "a": np.eye(3)[1]}, "unexpected section 'a'"),
 }
 
 

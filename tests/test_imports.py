@@ -139,17 +139,32 @@ def test_only_vit_starts_threads():
     assert thread_importers(sources) == ["vit.py"]
 
 
-def labels_readers(sources):
-    """Where in ``sources`` (file name -> source text) a "labels" section is
-    read, as ``module.function`` (the innermost def; ``module`` alone at top
-    level): the constant "labels" as a subscript key that is read, a call
-    argument or a comparison operand (``"labels" in sections``). A dict key
-    or an assigned subscript, the ways a file is written, is no read."""
+def readers(sources, reads):
+    """Where in ``sources`` (file name -> source text) a node that ``reads``
+    accepts sits, as ``module.function`` (the innermost def; ``module``
+    alone at top level)."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.split('.')[0]}.{node.name}"
+        if reads(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name.removesuffix(".py"))
+    return sorted(found)
+
+
+def labels_readers(sources):
+    """Where in ``sources`` a "labels" section is read (``readers``): the
+    constant "labels" as a subscript key that is read, a call argument or a
+    comparison operand (``"labels" in sections``). A dict key or an
+    assigned subscript, the ways a file is written, is no read."""
+
+    def reads(node):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
             keys = [node.slice]
         elif isinstance(node, ast.Call):
@@ -158,14 +173,9 @@ def labels_readers(sources):
             keys = [node.left, *node.comparators]
         else:
             keys = []
-        if any(isinstance(k, ast.Constant) and k.value == "labels" for k in keys):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
+        return any(isinstance(k, ast.Constant) and k.value == "labels" for k in keys)
 
-    for name, source in sources.items():
-        visit(ast.parse(source), name.removesuffix(".py"))
-    return sorted(found)
+    return readers(sources, reads)
 
 
 def test_labels_reader_finder():
@@ -185,6 +195,43 @@ def test_only_labels_section_reads_a_labels_section():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
     assert labels_readers(sources) == ["trainer.labels_section"]
+
+
+TILE_NAMES = ("TILE_BYTES", "TILE_ALIGN")
+
+
+def tile_readers(sources):
+    """Where in ``sources`` TILE_BYTES or TILE_ALIGN is read (``readers``): a
+    name or an attribute (``vit.TILE_BYTES``) that is loaded, or the name as
+    a string constant (``getattr(vit, "TILE_BYTES")``). The assignment that
+    defines it is no read."""
+
+    def reads(node):
+        if isinstance(node, ast.Constant):
+            return node.value in TILE_NAMES
+        name = getattr(node, "id", getattr(node, "attr", None))
+        return name in TILE_NAMES and isinstance(node.ctx, ast.Load)
+
+    return readers(sources, reads)
+
+
+def test_tile_reader_finder():
+    sources = {"a.py": "TILE_BYTES = 2\ndef f(n):\n    return n * TILE_BYTES\n",
+               "b.py": "def g():\n    def inner():\n        return vit.TILE_ALIGN\n    return inner\n",
+               "c.py": "def h(vit):\n    return getattr(vit, 'TILE_BYTES')\n",
+               "d.py": ("def w(vit):\n    vit.TILE_BYTES = 0\n"
+                        "    return 'TILE_BYTES is 2 MiB', TILE_BYTESX\n"),
+               "e.py": "r = TILE_ALIGN * 2\n"}
+    assert tile_readers(sources) == ["a.f", "b.inner", "c.h", "e"]
+
+
+def test_only_tiles_reads_the_tile_budget():
+    """``vit._tiles`` is the one cut of every attention's score maps, so no
+    other function reads TILE_BYTES or TILE_ALIGN and cuts a map its own
+    way."""
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in pathlib.Path(densedistill.__file__).parent.glob("*.py")}
+    assert tile_readers(sources) == ["vit._tiles"]
 
 
 def unread_fields(names, sources):

@@ -92,6 +92,9 @@ def test_sample_grid_range_validation():
         sample_grid(np.random.default_rng(0), 3, 2)
     with pytest.raises(ParameterError):
         sample_grid(np.random.default_rng(0), 0, 2)
+    # a bool is no grid side, though True == 1
+    with pytest.raises(ParameterError, match="grid range"):
+        sample_grid(np.random.default_rng(0), True, True)
 
 
 def test_sample_grid_uniformity_chi_square():
@@ -194,8 +197,9 @@ def test_roi_axis_weights_are_cached_read_only_and_equal_a_fresh_build():
 
 
 def test_roi_validation():
-    with pytest.raises(ParameterError):
-        roi_align(T.Tensor(np.ones((1, 2, 2))), FULL_BOX, 0)
+    for n in (0, True):
+        with pytest.raises(ParameterError, match="pool grid side"):
+            roi_align(T.Tensor(np.ones((1, 2, 2))), FULL_BOX, n)
     for features in (np.ones((1, 2, 2)), T.Tensor(np.ones((2, 2)))):
         with pytest.raises(ShapeError, match="feature tensor"):
             roi_align(features, FULL_BOX, 2)
@@ -271,7 +275,7 @@ def test_crop_resize_identity():
 def test_crop_resize_validation():
     with pytest.raises(ShapeError, match="planes"):
         crop_resize(np.ones((4, 4)), FULL_BOX, 2)
-    for out_res in (0, 2.0):
+    for out_res in (0, 2.0, True):
         with pytest.raises(ParameterError, match="out_res"):
             crop_resize(np.ones((1, 4, 4)), FULL_BOX, out_res)
     for shape in ((1, 0, 4), (1, 4, 0)):

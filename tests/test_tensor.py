@@ -196,6 +196,11 @@ def test_head_ops_reject_bad_shapes():
         T.head_scores(a, a, 4)
     with pytest.raises(ParameterError):
         T.head_scores(a, a, 0)
+    # a bool is no head count, though True == 1
+    with pytest.raises(ParameterError, match="^heads must be a positive int, got True$"):
+        T.head_scores(a, a, True)
+    with pytest.raises(ParameterError, match="^heads must be a positive int, got True$"):
+        T.head_mix(T.Tensor(np.ones((2, 2))), a, True)
     with pytest.raises(ShapeError):
         T.head_mix(T.Tensor(np.ones((3, 2))), a, 2)
     with pytest.raises(ShapeError):

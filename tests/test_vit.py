@@ -16,7 +16,9 @@ import pytest
 
 from densedistill import tensor as T
 from densedistill import vit
+from densedistill.config import RunConfig
 from densedistill.errors import EvaluationError, ModeError, ParameterError, ShapeError
+from densedistill.evalsuite import shipped_ablation_config
 from densedistill.gradcheck import finite_diff_check
 from densedistill.vit import VitParams
 
@@ -119,6 +121,13 @@ def test_params_refuse_a_field_no_encoder_can_be_built_from(name, value, want):
     with pytest.raises(ParameterError, match=rf"^{name} = {re.escape(repr(value))}, "
                                              rf"expected {re.escape(want)}$"):
         VitParams(**fields)
+
+
+@pytest.mark.parametrize("name,least", [("heads", 1), ("embed_dim", 0)])
+def test_field_range_refuses_a_bool_count(name, least):
+    # what load_student checks a checkpoint's integer fields with
+    _, ok = vit.field_range(name)
+    assert ok(least) and not ok(True) and not ok(False)
 
 
 # --- attention_block ----------------------------------------------------------
@@ -371,7 +380,7 @@ def test_capture_equals_the_all_heads_map_bitwise(monkeypatch, res, patch, width
                   dtype=dtype)
     img = rand_image(np.random.default_rng(32), res)
     n = (res // patch) ** 2 + 1
-    assert vit._head_group(heads, n, n, np.dtype(dtype).itemsize) == group
+    assert vit._tiles(heads, n, n, np.dtype(dtype).itemsize)[0] == group
     groups = _spy_groups(monkeypatch)
     for op in ("head_scores", "softmax_rows"):
         monkeypatch.setattr(T, op, lambda *args, op=op: pytest.fail(f"capture called {op}"))
@@ -497,15 +506,15 @@ def _blocks_per_attention(p):
     """Score maps one attention of p's encoder builds: its row blocks per head
     group, times its groups."""
     n = p.grid_side ** 2 + 1
-    group = vit._head_group(p.heads, n, n, p.dtype.itemsize)
-    return p.heads // group * len(vit._row_blocks(group, n, n, p.dtype.itemsize))
+    group, blocks = vit._tiles(p.heads, n, n, p.dtype.itemsize)
+    return p.heads // group * len(blocks)
 
 
 def test_graph_holds_no_score_map(monkeypatch):
-    # 577 tokens: all 4 heads in one map, built in 6 row blocks
+    # 577 tokens: one head per map, each built in one row block
     p, loss, maps, _ = _decoupled_graph(monkeypatch)
     scores = maps["head_scores"]
-    assert _blocks_per_attention(p) == 6
+    assert _blocks_per_attention(p) == 4
     assert loss.requires_grad and len(scores) == p.depth * _blocks_per_attention(p)
     assert [m() for m in scores if m() is not None] == []  # no backward rule reads them
 
@@ -587,7 +596,7 @@ def test_head_groups_match_the_all_heads_map(monkeypatch, block):
     groups = _spy_groups(monkeypatch)
     ref_outs, ref_grads = _block_outputs_and_grads(p, x0, block)
     assert groups == [4, 4]  # the forward's map, then backward's recompute
-    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
     outs, grads = _block_outputs_and_grads(p, x0, block)
     assert groups == [4, 4, 1, 1, 1, 1, 1, 1, 1, 1]
     assert [o.tobytes() for o in outs] == [o.tobytes() for o in ref_outs]
@@ -599,7 +608,7 @@ def test_head_groups_match_the_all_heads_map(monkeypatch, block):
 
 
 def test_head_groups_pass_finite_differences(monkeypatch):
-    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
     p = tiny_params(width=4, heads=2, seed=25)
     x = T.Tensor(np.random.default_rng(26).standard_normal((3, 4)))
 
@@ -622,7 +631,7 @@ def test_each_head_group_frees_its_probability_map_before_the_next(monkeypatch, 
     # a grad call runs every group on one lane: each group's scores and
     # probabilities overwrite the one workspace of the call, which no graph
     # record keeps, so no map outlives the call
-    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
     p = tiny_params(width=8, heads=4, seed=23)
     x = T.Tensor(np.random.default_rng(24).standard_normal((5, 8)), requires_grad=True)
     maps, works, shared = [], [], []
@@ -691,8 +700,8 @@ def test_recomputing_attention_rule_matches_the_composed_ops_bitwise(monkeypatch
     # meet in q in the same order as at the composition's head_scores
     heads, n, width = 4, 9, 8
     if group == 1:
-        monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
-    assert vit._head_group(heads, m, n, np.dtype(dtype).itemsize) == group
+        monkeypatch.setattr(vit, "TILE_BYTES", 0)
+    assert vit._tiles(heads, m, n, np.dtype(dtype).itemsize)[0] == group
     rng = np.random.default_rng(32)
     arrays = [rng.standard_normal((rows, width)).astype(dtype) for rows in (n if shared else m,
                                                                             n, n)]
@@ -737,13 +746,14 @@ def test_array_and_tensor_attention_pick_the_same_groups(monkeypatch, n, width, 
 
 # --- row blocks ------------------------------------------------------------------
 
-@pytest.mark.parametrize("group,m,n,itemsize", [
+@pytest.mark.parametrize("heads,m,n,itemsize", [
     (4, 65, 65, 8), (4, 65, 65, 4), (1, 1, 1226, 8), (4, 1, 1226, 4)],
     ids=["desk-f64", "desk-f32", "paper-cls-only", "paper-cls-only-all-heads-f32"])
-def test_a_map_that_fits_the_tile_budget_is_one_row_block(group, m, n, itemsize):
-    # every desk attention, and the CLS-only query of the final block
-    assert group * m * n * itemsize <= vit.TILE_BYTES
-    assert vit._row_blocks(group, m, n, itemsize) == [(0, m)]
+def test_a_map_that_fits_the_tile_budget_is_one_row_block(heads, m, n, itemsize):
+    # every desk attention, and the CLS-only query of the final block: all
+    # heads in one map of one block
+    assert heads * m * n * itemsize <= vit.TILE_BYTES
+    assert vit._tiles(heads, m, n, itemsize) == (heads, [(0, m)])
 
 
 @pytest.mark.parametrize("itemsize,r", [(8, 192), (4, 384)], ids=["f64", "f32"])
@@ -752,19 +762,55 @@ def test_paper_shape_row_blocks_start_on_aligned_multiples_and_hold_r_rows(items
     # the short remainder joins the last block
     row = 1226 * itemsize
     assert r % vit.TILE_ALIGN == 0 and r * row <= vit.TILE_BYTES < (r + vit.TILE_ALIGN) * row
-    blocks = vit._row_blocks(1, 1226, 1226, itemsize)
-    assert blocks[0][0] == 0 and blocks[-1][1] == 1226
+    group, blocks = vit._tiles(4, 1226, 1226, itemsize)
+    assert group == 1 and blocks[0][0] == 0 and blocks[-1][1] == 1226
     assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
     assert all(start % r == 0 for start, _ in blocks)
     assert [stop - start for start, stop in blocks[:-1]] == [r] * (len(blocks) - 1)
     assert r <= blocks[-1][1] - blocks[-1][0] < 2 * r
 
 
+def _tokens_and_heads(cfg):
+    """(tokens, heads) of a config's student (and teacher) and provider."""
+    return [((res // patch) ** 2 + 1, heads) for res, patch, heads in (
+        (cfg.student_res, cfg.student_patch, cfg.student_heads),
+        (cfg.vfm_res, cfg.vfm_patch, cfg.vfm_heads))]
+
+
+def test_the_tiled_shapes_are_the_shipped_ones():
+    # the shapes of the next test: the shipped ablation's desk encoders and
+    # the default config's paper encoders (560/16 and 490/14)
+    desk, _ = shipped_ablation_config()
+    assert _tokens_and_heads(desk) == [(65, 4), (65, 2)]
+    assert _tokens_and_heads(RunConfig()) == [(1226, 4), (1226, 4)]
+
+
+# (heads per map, row blocks) in f64 and in f32 that each benchmark and
+# shipped attention got from the two budgets _tiles replaced: all heads in one
+# map while it fit 16 MiB, that map cut into blocks above 2 MiB. The shapes
+# are the desk student, teacher and provider (65 tokens), the paper ones
+# (1,226), the teachers' CLS-only final query, and the tiny benchmark
+# encoders (17 tokens, 2 heads); the tests' 577-token grid is the one shape
+# whose cut changed (all heads in 6 blocks to one head per map)
+@pytest.mark.parametrize("heads,m,n,f64,f32", [
+    (4, 65, 65, (4, 1), (4, 1)), (2, 65, 65, (2, 1), (2, 1)), (4, 1, 65, (4, 1), (4, 1)),
+    (4, 1226, 1226, (1, 6), (1, 3)), (4, 1, 1226, (4, 1), (4, 1)),
+    (2, 17, 17, (2, 1), (2, 1)), (2, 1, 17, (2, 1), (2, 1))],
+    ids=["desk", "desk-provider", "desk-cls-only", "paper", "paper-cls-only", "tiny",
+         "tiny-cls-only"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tiles_keep_the_cut_of_every_shipped_and_benchmark_shape(heads, m, n, f64, f32, dtype):
+    group, blocks = vit._tiles(heads, m, n, np.dtype(dtype).itemsize)
+    assert (group, len(blocks)) == (f64 if dtype == np.float64 else f32)
+    assert blocks[0][0] == 0 and blocks[-1][1] == m
+
+
 def _attend_tiled_and_whole(monkeypatch, path, dtype):
-    """A 1226-token, 4-head attention (one head per map) on ``path``: the
-    frozen path, the student's no-grad lanes or its grad forward (q is k in
-    the decoupled block), its map built in row blocks and whole. Returns both
-    outputs and the (heads per map, rows) of each one's score-map calls."""
+    """A 1226-token, 4-head attention on ``path``: the frozen path, the
+    student's no-grad lanes or its grad forward (q is k in the decoupled
+    block), its maps built as _tiles cuts them (one head per map, in row
+    blocks) and as one all-heads map. Returns both outputs and the (heads
+    per map, rows) of each one's score-map calls."""
     q, k, v = np.random.default_rng(47).standard_normal((3, 1226, 64)).astype(dtype)
     monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
 
@@ -814,8 +860,8 @@ def test_row_blocks_give_the_whole_map_output_bitwise_at_paper_shape(tmp_path, p
     assert proc.returncode == 0, proc.stderr
     got = np.load(npz)
     tiled, whole = got["tiled"], got["whole"]
-    assert len(got["tiled_blocks"]) == 4 * len(vit._row_blocks(1, 1226, 1226, tiled.itemsize)) > 4
-    assert got["whole_blocks"].tolist() == [[1, 1226]] * 4
+    assert len(got["tiled_blocks"]) == 4 * len(vit._tiles(4, 1226, 1226, tiled.itemsize)[1]) > 4
+    assert got["whole_blocks"].tolist() == [[4, 1226]]
     assert tiled.dtype == whole.dtype == dtype and tiled.tobytes() == whole.tobytes()
 
 
@@ -826,7 +872,7 @@ def test_row_blocks_stay_within_an_eps_of_the_whole_map_at_any_blas_thread_count
     # at this process's BLAS threads, whatever they are; at two, 6 of the
     # f64 output's 78,464 entries differ here, by 0.04 eps of its scale
     tiled, whole, _, whole_blocks = _attend_tiled_and_whole(monkeypatch, path, dtype)
-    assert whole_blocks == [(1, 1226)] * 4
+    assert whole_blocks == [(4, 1226)]
     assert tiled.dtype == whole.dtype == dtype
     assert np.abs(tiled - whole).max() <= np.finfo(dtype).eps * np.abs(whole).max()
 
@@ -853,9 +899,10 @@ def test_paper_shape_blocks_stay_within_their_memory_bound():
     assert peak < 60 * 2 ** 20, peak / 2 ** 20
 
 
-def _tile_bytes(m, n, itemsize):
-    """Bytes of the largest row block of a one-head (m, n) score map."""
-    return max(stop - start for start, stop in vit._row_blocks(1, m, n, itemsize)) * n * itemsize
+def _tile_bytes(heads, m, n, itemsize):
+    """Bytes of the largest row block of a heads-head attention's score maps."""
+    group, blocks = vit._tiles(heads, m, n, itemsize)
+    return group * max(stop - start for start, stop in blocks) * n * itemsize
 
 
 def test_frozen_attention_holds_one_score_map_at_paper_shape():
@@ -866,7 +913,7 @@ def test_frozen_attention_holds_one_score_map_at_paper_shape():
     # second block-sized buffer would reach 0.6, and a whole map 1.2
     q, k, v = np.random.default_rng(30).standard_normal((3, 1226, 64))
     score_map, tokens = 1226 * 1226 * 8, q.nbytes
-    assert vit._head_group(4, 1226, 1226, 8) == 1
+    assert vit._tiles(4, 1226, 1226, 8)[0] == 1
     gc.collect()
     tracemalloc.start()
     try:
@@ -874,7 +921,7 @@ def test_frozen_attention_holds_one_score_map_at_paper_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _tile_bytes(1226, 1226, 8) + 5 * tokens, peak / score_map
+    assert peak < _tile_bytes(4, 1226, 1226, 8) + 5 * tokens, peak / score_map
 
 
 # --- work beside the calling thread ------------------------------------------------
@@ -1039,7 +1086,7 @@ def _counted_pools(monkeypatch):
 
 
 def test_head_group_lanes_leave_no_grad_outputs_bitwise_unchanged(monkeypatch):
-    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
     p = _no_grad(tiny_params(depth=2, width=16, heads=4, res=16, patch=4, embed=8, seed=40))
     img = rand_image(np.random.default_rng(41), 16)
     pools = _counted_pools(monkeypatch)
@@ -1062,7 +1109,7 @@ def test_head_group_lanes_leave_no_grad_outputs_bitwise_unchanged(monkeypatch):
 
 
 def test_grad_forward_runs_one_lane(monkeypatch):
-    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
     monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
     monkeypatch.setattr(vit, "ThreadPoolExecutor",
                         lambda workers: pytest.fail("a grad forward built a pool"))
@@ -1078,7 +1125,7 @@ def test_a_lane_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
                                                                           bad_head):
     # on 2 lanes, lane 0 runs heads 0 and 2 and lane 1 heads 1 and 3; scores
     # of 1e200 * 1e200 overflow in the bad head alone
-    monkeypatch.setattr(vit, "HEAD_GROUP_BYTES", 0)
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
     monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
     q, k, v = np.random.default_rng(44).standard_normal((3, 6, 8))
     q[:, 2 * bad_head:2 * bad_head + 2] = k[:, 2 * bad_head:2 * bad_head + 2] = 1e200
@@ -1108,7 +1155,7 @@ def test_no_grad_lanes_hold_one_workspace_each_at_paper_shape(monkeypatch):
     finally:
         tracemalloc.stop()
     assert pools == [1]
-    assert peak < 2 * _tile_bytes(1226, 1226, 8) + 10 * x.data.nbytes, peak / score_map
+    assert peak < 2 * _tile_bytes(4, 1226, 1226, 8) + 10 * x.data.nbytes, peak / score_map
 
 
 # --- frozen forward on plain arrays ---------------------------------------------
