@@ -32,7 +32,7 @@ MLP_RATIO = 2
 # else one head per map. Both sides write a block's scores and softmax them in
 # place in one workspace that the next block overwrites: one per call on the
 # array side (_head_maps), one per lane on the student's Tensor side
-# (_multi_head)
+# (_multi_head), and two per lane in its backward (_attention_back)
 TILE_BYTES = 2 * 2 ** 20
 # a split map's blocks start at multiples of r rows, r a multiple of
 # TILE_ALIGN, and hold at least r: at one BLAS thread gemm then gives each row
@@ -329,23 +329,25 @@ def _multi_head(q, k, v, heads):
     return T.from_op(out, (q, k, v), _attention_back(q.data, k.data, v.data, heads))
 
 
-def _head_maps(q, k, heads, tiled=False):
-    """Per head group of _tiles' cut and, when ``tiled``, per query-row block
-    of it (else all rows): its head count, column slice, row slice, the
-    group's contiguous scaled-query and key blocks (the student's slice_cols
+def _head_maps(q, k, heads, tiled=False, lane=slice(None), work=None):
+    """Per head group of _tiles' cut that ``lane`` picks (a slice of the
+    groups, all by default) and, when ``tiled``, per query-row block of it
+    (else all rows): its head count, column slice, row slice, the group's
+    contiguous scaled-query and key blocks (the student's slice_cols
     operands) and the block's (group*rows, n) probabilities, softmaxed in
-    place in one workspace that the next block overwrites. A map is checked
-    through its minimum (-inf) and row maxima (NaN, +inf); a finite row's
-    softmax is finite."""
+    place in one workspace that the next block overwrites: ``work`` when
+    given, else one allocated here. A map is checked through its minimum
+    (-inf) and row maxima (NaN, +inf); a finite row's softmax is finite."""
     m, n = q.shape[0], k.shape[0]
     d = q.shape[1] // heads
     group, blocks = _tiles(heads, m, n, q.itemsize)
     blocks = blocks if tiled else [(0, m)]
-    qs = q * T._head_scale(q, heads)
-    work = np.empty((group * max(stop - start for start, stop in blocks), n), q.dtype)
-    for h in range(0, heads, group):
+    scale = T._head_scale(q, heads)
+    if work is None:
+        work = np.empty((group * max(stop - start for start, stop in blocks), n), q.dtype)
+    for h in range(0, heads, group)[lane]:
         cols = slice(h * d, (h + group) * d)
-        qh, kh = np.ascontiguousarray(qs[:, cols]), np.ascontiguousarray(k[:, cols])
+        qh, kh = q[:, cols] * scale, np.ascontiguousarray(k[:, cols])
         for start, stop in blocks:
             p = T._head_scores(qh[start:stop], kh, group, out=work[:group * (stop - start)])
             T._finite(p.min())
@@ -354,17 +356,40 @@ def _head_maps(q, k, heads, tiled=False):
 
 
 def _attention_back(q, k, v, heads):
-    """Gradient rule of _multi_head: each head group's probabilities are
-    recomputed by _head_maps, and the backward of head_mix, softmax_rows and
-    head_scores runs in place in a second workspace."""
+    """Gradient rule of _multi_head, in its forward's cut: per head group
+    and query-row block, _head_maps recomputes the probabilities P_b in one
+    workspace, head_mix's backward forms dP_b = g_b V_h^T in a second and
+    softmax_rows' backward runs there in place; the block writes its rows
+    of dq and adds dS_b^T Qs_b to dk and P_b^T g_b to dv. The groups run on
+    min(groups, usable_cpus()) lanes as _multi_head's no-grad forward does,
+    each lane's two workspaces allocated here before any lane starts, and
+    each group writes only its own columns of dq, dk and dv."""
 
     def back(g):
-        grads, w = [], None  # the first group's _head_mix_back allocates w
-        for group, cols, _, qh, kh, p in _head_maps(q, k, heads):
-            vh, gh = np.ascontiguousarray(v[:, cols]), np.ascontiguousarray(g[:, cols])
-            w, dv = T._head_mix_back(gh, p, vh, group, out=w)
-            grads.append((*T._head_scores_back(T._softmax_back(w, p, out=w), qh, kh, group), dv))
-        return [np.concatenate(blocks, axis=1) for blocks in zip(*grads)]
+        m, n = q.shape[0], k.shape[0]
+        group, blocks = _tiles(heads, m, n, q.itemsize)
+        lanes = min(heads // group, usable_cpus())
+        largest = group * max(stop - start for start, stop in blocks)
+        work = [np.empty((2, largest, n), q.dtype) for _ in range(lanes)]
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+
+        def lane(j):
+            maps = _head_maps(q, k, heads, tiled=True, lane=slice(j, None, lanes), work=work[j][0])
+            for _, cols, rows, qh, kh, p in maps:
+                if rows.start == 0:  # a head group's first block
+                    vh, gh = np.ascontiguousarray(v[:, cols]), np.ascontiguousarray(g[:, cols])
+                w, dvb = T._head_mix_back(gh[rows], p, vh, group, out=work[j][1][:len(p)])
+                dq[rows, cols], dkb = T._head_scores_back(T._softmax_back(w, p, out=w),
+                                                          qh[rows], kh, group)
+                if rows.start == 0:
+                    dk[:, cols], dv[:, cols] = dkb, dvb
+                else:
+                    dk[:, cols] += dkb
+                    dv[:, cols] += dvb
+
+        with _beside(lane, range(lanes), lanes - 1) as done:
+            list(done)  # a lane's raise surfaces here
+        return [dq, dk, dv]
 
     return back
 

@@ -716,6 +716,59 @@ def test_recomputing_attention_rule_matches_the_composed_ops_bitwise(monkeypatch
         assert g.dtype == dtype and g.tobytes() == ref.tobytes(), name
 
 
+# the row blocks of one head's map at 232 tokens under a byte budget of 0
+_TWO_BLOCKS = (1, [(0, 96), (96, 232)])
+
+
+@pytest.mark.parametrize("shared,dtype", [
+    (False, np.float64), (True, np.float64), (False, np.float32), (True, np.float32)],
+    ids=["f64", "f64-q-is-k", "f32", "f32-q-is-k"])
+def test_row_blocked_attention_rule_matches_the_composed_ops(monkeypatch, shared, dtype):
+    # one head per map in two row blocks, forward and backward: each block
+    # gives its rows of dq the whole map's bits, while dk and dv sum over the
+    # blocks in another order than the whole map's gemm. That moved them by
+    # at most 1.1e-15 (f64) and 4e-7 (f32) of their scale here; the bounds
+    # are 1e-12 and 32 f32 eps. With shared keys q's gradient is dq + dk
+    heads, n, width = 2, 232, 8
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
+    assert vit._tiles(heads, n, n, np.dtype(dtype).itemsize) == _TWO_BLOCKS
+    rng = np.random.default_rng(33)
+    arrays = [rng.standard_normal((n, width)).astype(dtype) for _ in range(3)]
+    weights = rng.standard_normal((n, width)).astype(dtype)
+    blocks = _spy_blocks(monkeypatch)
+    out, grads = _attention_grads(lambda q, k, v: _multi_head_loss(q, k, v, heads, weights),
+                                  arrays, shared)
+    # the forward's blocks, then the backward's recompute of the same cut (its
+    # lanes may interleave them)
+    assert blocks[:2 * heads] == [(1, 96), (1, 136)] * heads
+    assert sorted(blocks[2 * heads:]) == sorted(blocks[:2 * heads])
+    ref_out, ref_grads = _attention_grads(
+        lambda q, k, v: _composed_attention(q, k, v, heads, 1, weights), arrays, shared)
+    assert out.dtype == ref_out.dtype == dtype and out.tobytes() == ref_out.tobytes()
+    tol = 1e-12 if dtype == np.float64 else 32 * np.finfo(np.float32).eps
+    for name, g, ref in zip("qv" if shared else "qkv", grads, ref_grads):
+        assert g.dtype == dtype, name
+        if name == "q" and not shared:
+            assert g.tobytes() == ref.tobytes()
+        assert np.abs(g - ref).max() <= tol * np.abs(ref).max(), name
+
+
+def test_row_blocked_attention_passes_finite_differences(monkeypatch):
+    # the decoupled block's q is its k: both halves of its gradient sum over
+    # the two row blocks of each head
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
+    assert vit._tiles(2, 232, 232, 8) == _TWO_BLOCKS
+    p = tiny_params(width=4, heads=2, seed=34)
+    x = T.Tensor(np.random.default_rng(35).standard_normal((232, 4)))
+
+    def f_dec(t):
+        context, content = vit.decoupled_block(t, p)
+        return T.add(T.sum_all(T.mul(content, content)),
+                     T.sum_all(T.mul(context, context)))
+
+    assert finite_diff_check(f_dec, [x], name="row-blocked-decoupled-block").passed
+
+
 def _spy_blocks(monkeypatch):
     """(heads per score map, query rows) of every score-map kernel call."""
     blocks = []
@@ -879,10 +932,11 @@ def test_row_blocks_stay_within_an_eps_of_the_whole_map_at_any_blas_thread_count
 
 def test_paper_shape_blocks_stay_within_their_memory_bound():
     # one attention block and the decoupled block at 1226 tokens, forward and
-    # backward: one (1226, 1226) f64 map is 11.5 MiB. One head per map, each
-    # group's maps freed before the next, peaks at 43.1 MiB; a forward that
-    # holds every group's probability map until the join peaks at 74.3 MiB,
-    # and a graph that keeps them near 134 MiB
+    # backward: one (1226, 1226) f64 map is 11.5 MiB. One head per map in
+    # row blocks, forward and backward, peaks at 29.4 MiB on two lanes (a
+    # backward on whole-group maps read 42.5); a forward that holds every
+    # group's probability map until the join peaks at 74.3 MiB, and a graph
+    # that keeps them near 134 MiB
     p = VitParams(patch_size=16, depth=2, width=64, heads=4, input_res=560, seed=28)
     x0 = np.random.default_rng(29).standard_normal((1226, 64))
     gc.collect()
@@ -908,9 +962,9 @@ def _tile_bytes(heads, m, n, itemsize):
 def test_frozen_attention_holds_one_score_map_at_paper_shape():
     # one (1226, 1226) f64 map is 11.5 MiB; one head per map at this shape,
     # built in row blocks in one 2.5 MiB workspace for the call. Beside it
-    # the scaled queries, the output and a group's column blocks come to
-    # about 3.3 (1226, 64) token arrays, so the peak reads 0.39 maps; a
-    # second block-sized buffer would reach 0.6, and a whole map 1.2
+    # the output and a group's column blocks come to about 2.3 (1226, 64)
+    # token arrays, so the peak reads 0.33 maps; a second block-sized buffer
+    # would reach 0.55, and a whole map 1.2
     q, k, v = np.random.default_rng(30).standard_normal((3, 1226, 64))
     score_map, tokens = 1226 * 1226 * 8, q.nbytes
     assert vit._tiles(4, 1226, 1226, 8)[0] == 1
@@ -1156,6 +1210,87 @@ def test_no_grad_lanes_hold_one_workspace_each_at_paper_shape(monkeypatch):
         tracemalloc.stop()
     assert pools == [1]
     assert peak < 2 * _tile_bytes(4, 1226, 1226, 8) + 10 * x.data.nbytes, peak / score_map
+
+
+def test_paper_shape_gradients_are_bitwise_the_same_on_one_and_two_lanes(monkeypatch):
+    # every group writes only its own columns of dq, dk and dv, in the same
+    # blocks on whichever lane runs it; the grad forwards run one lane, so
+    # the two pools are the two attentions' backward
+    p = VitParams(patch_size=16, depth=2, width=64, heads=4, input_res=560, seed=48)
+    x0 = np.random.default_rng(49).standard_normal((1226, 64))
+    pools = _counted_pools(monkeypatch)
+
+    def grads(cpus):
+        monkeypatch.setattr(vit, "usable_cpus", lambda: cpus)
+        for _, t in p.named_parameters():
+            t.grad = None
+        x = T.Tensor(x0.copy(), requires_grad=True)
+        context, content = vit.decoupled_block(vit.attention_block(x, p, 0), p)
+        T.backward(T.add(T.sum_all(T.mul(content, content)),
+                         T.sum_all(T.mul(context, context))))
+        held = {name: t.grad.tobytes() for name, t in p.named_parameters() if t.grad is not None}
+        return {**held, "x": x.grad.tobytes()}
+
+    one = grads(1)
+    assert pools == []
+    assert grads(2) == one
+    assert pools == [1, 1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad_head", [0, 1], ids=["lane-0", "lane-1"])
+def test_a_backward_lane_error_reaches_the_caller_and_no_thread_outlives_back(monkeypatch,
+                                                                              bad_head):
+    # the rule recomputes its maps from q and k alone: planted scores of
+    # 1e200 * 1e200 overflow in the bad head's recompute, on its lane
+    monkeypatch.setattr(vit, "TILE_BYTES", 0)
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    pools = _counted_pools(monkeypatch)
+    q, k, v, g = np.random.default_rng(50).standard_normal((4, 6, 8))
+    q[:, 2 * bad_head:2 * bad_head + 2] = k[:, 2 * bad_head:2 * bad_head + 2] = 1e200
+    back = vit._attention_back(q, k, v, 4)
+    threads = threading.active_count()
+    with pytest.raises(EvaluationError):
+        back(g)
+    assert pools == [1]
+    assert threading.active_count() == threads
+
+
+def test_a_paper_shape_backward_holds_one_block_pair_per_lane(monkeypatch):
+    # one head per map in row blocks: each of 2 lanes holds its recomputed
+    # probabilities and its dP block, two workspaces of one block each (0.22
+    # map each). Beside them: dq, dk and dv and, per lane, the group's
+    # column blocks of q, k, v and g and the block's partial products,
+    # about 7.1 (1226, 64) token arrays. A third block-sized buffer per lane
+    # adds 8.3, and the whole-group maps of one lane read 27.1 MiB
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    pools = _counted_pools(monkeypatch)
+    q, k, v, g = np.random.default_rng(51).standard_normal((4, 1226, 64))
+    back = vit._attention_back(q, k, v, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pools == [1]
+    assert peak < 2 * 2 * _tile_bytes(4, 1226, 1226, 8) + 10 * q.nbytes, peak / q.nbytes
+
+
+def test_a_desk_shape_backward_starts_no_thread(monkeypatch):
+    # 65 tokens: all heads in one map of one block, so one group on one lane
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(vit, "ThreadPoolExecutor",
+                        lambda workers: pytest.fail("a desk-shape backward built a pool"))
+    p = tiny_params(width=48, heads=4, seed=52)
+    assert vit._tiles(4, 65, 65, 8) == (4, [(0, 65)])
+    x0 = np.random.default_rng(53).standard_normal((65, 48))
+    threads = threading.active_count()
+    for block in ("standard", "decoupled"):
+        _, grads = _block_outputs_and_grads(p, x0, block)
+        assert grads["x"] is not None
+    assert threading.active_count() == threads
 
 
 # --- frozen forward on plain arrays ---------------------------------------------
