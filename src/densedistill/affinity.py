@@ -16,7 +16,7 @@ import numpy as np
 from .container import write_pgm, write_tensor
 from .errors import DistributionError, EvaluationError, ParameterError, ShapeError
 from .regions import FULL_BOX, crop_resize
-from .tensor import ROW_SUM_TOL, _softmax, _unit_rows
+from .tensor import ROW_SUM_TOL, _int, _softmax, _unit_rows
 from .vit import capture_attention
 
 
@@ -115,14 +115,14 @@ def dump_attention_analysis(params, image, layers, query_index, out_dir):
     res = arr.shape[-1]
     side = params.grid_side
     hw = side * side
-    if isinstance(query_index, str):
-        if query_index.lower() != "cls":
-            raise ParameterError(f"query must be a token index or 'cls', got {query_index!r}")
+    if isinstance(query_index, str) and query_index.lower() == "cls":
         row_idx = 0
+    elif not _int(query_index):
+        raise ParameterError(f"query must be a token index or 'cls', got {query_index!r}")
+    elif not 0 <= query_index < hw:
+        raise ParameterError(f"query index {query_index} outside [0, {hw})")
     else:
-        if not 0 <= int(query_index) < hw:
-            raise ParameterError(f"query index {query_index} outside [0, {hw})")
-        row_idx = 1 + int(query_index)
+        row_idx = 1 + query_index
     maps = capture_attention(arr, params, layers)
     os.makedirs(out_dir, exist_ok=True)
     written = []

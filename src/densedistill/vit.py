@@ -29,10 +29,9 @@ INIT_STD = 0.02
 MLP_RATIO = 2
 # an attention's score map is built in query-row blocks of about this many
 # bytes, near a core's 2 MiB L2 (_tiles): all heads in one map while it fits,
-# else one head per map. Both sides write a block's scores and softmax them in
-# place in one workspace that the next block overwrites: one per call on the
-# array side (_head_maps), one per lane on the student's Tensor side
-# (_multi_head), and two per lane in its backward (_attention_back)
+# else one head per map. A block's scores are written and softmaxed in place
+# in its lane's workspace, which the next block overwrites; _lanes allocates
+# one per lane, and a second for the backward's dP (_attention_back)
 TILE_BYTES = 2 * 2 ** 20
 # a split map's blocks start at multiples of r rows, r a multiple of
 # TILE_ALIGN, and hold at least r: at one BLAS thread gemm then gives each row
@@ -290,95 +289,85 @@ def _shared(fn, items, futures):
         yield futures[i].result()
 
 
-def _multi_head(q, k, v, heads):
-    """Multi-head attention in _tiles' cut: each head group on its column
-    block of q, k and v and in its query-row blocks, a block's scores
-    written and softmaxed in place in its lane's workspace of the largest
-    block. When no operand needs a gradient the groups run on
-    min(groups, usable_cpus()) lanes: lane j takes groups j, j+lanes, ...,
-    and the lanes are _beside's items on lanes - 1 helpers and the calling
-    thread, every workspace allocated here before any lane starts. With a
-    gradient one lane runs every group (in training the crop helpers hold
-    the other CPUs). Only each block's output array is kept, written into
-    the output, which is one graph record over (q, k, v) whose rule
-    recomputes the probabilities."""
+def _lanes(run, q, k, heads, lanes, planes):
+    """Run _tiles' cut of the score maps of arrays ``q`` and ``k`` as
+    ``run(cut, work)`` per lane: ``cut`` the lane's (heads per map, column
+    slice, row slice) entries, a head group's row blocks in order, and
+    ``work`` its (planes, group*rows, n) workspace of the largest block,
+    allocated here before any lane starts. When ``lanes`` is true and the
+    cut has more than one head group, min(groups, usable_cpus()) lanes run
+    as _beside's items on lanes - 1 helpers and the calling thread, lane j
+    taking groups j, j+lanes, ...; else the calling thread runs them all."""
     m, n = q.shape[0], k.shape[0]
-    group, blocks = _tiles(heads, m, n, q.data.itemsize)
-    d = q.shape[1] // heads
+    group, blocks = _tiles(heads, m, n, q.itemsize)
     groups = heads // group
-    grad = q.requires_grad or k.requires_grad or v.requires_grad
-    lanes = 1 if grad else min(groups, usable_cpus())
+    lanes = min(groups, usable_cpus()) if lanes and groups > 1 else 1
+    w = q.shape[1] // groups  # a group's columns
+    cuts = [[(group, slice(i * w, (i + 1) * w), slice(*block))
+             for i in range(j, groups, lanes) for block in blocks] for j in range(lanes)]
     rows = max(stop - start for start, stop in blocks)
-    work = [np.empty((group * rows, n), q.data.dtype) for _ in range(lanes)]
+    work = [np.empty((planes, group * rows, n), q.dtype) for _ in range(lanes)]
+    with _beside(lambda j: run(cuts[j], work[j]), range(lanes), lanes - 1) as done:
+        list(done)  # a lane's raise surfaces here
+
+
+def _multi_head(q, k, v, heads):
+    """Multi-head attention over _lanes' cut, each block's scores written
+    and softmaxed in place in its lane's workspace; on lanes when no
+    operand needs a gradient, else on one (in training the crop helpers
+    hold the other CPUs). Only each block's output array is kept, written
+    into the output: one graph record over (q, k, v), whose rule
+    recomputes the probabilities."""
+    m = q.shape[0]
+    grad = q.requires_grad or k.requires_grad or v.requires_grad
     out = np.empty((m, v.shape[1]), v.data.dtype)
 
-    def lane(j):
-        for i in range(j, groups, lanes):
-            cols = slice(i * group * d, (i + 1) * group * d)
-            qh, kh, vh = q, k, v
-            if group < heads:
-                qh, kh, vh = (T.slice_cols(a, cols.start, cols.stop) for a in (q, k, v))
-            for start, stop in blocks:
-                qb = qh if len(blocks) == 1 else T.slice_rows(qh, start, stop)
-                w = work[j][:group * (stop - start)]
-                p = T.softmax_rows(T.head_scores(qb, kh, group, out=w), out=w)
-                out[start:stop, cols] = T.head_mix(p, vh, group).data
+    def lane(cut, work):
+        for group, cols, rows in cut:
+            if rows.start == 0:  # a head group's first block
+                qh, kh, vh = q, k, v
+                if group < heads:
+                    qh, kh, vh = (T.slice_cols(a, cols.start, cols.stop) for a in (q, k, v))
+            qb = qh if rows.stop - rows.start == m else T.slice_rows(qh, rows.start, rows.stop)
+            w = work[0][:group * (rows.stop - rows.start)]
+            p = T.softmax_rows(T.head_scores(qb, kh, group, out=w), out=w)
+            out[rows, cols] = T.head_mix(p, vh, group).data
 
-    with _beside(lane, range(lanes), lanes - 1) as done:
-        list(done)  # a lane's raise surfaces here
+    _lanes(lane, q.data, k.data, heads, not grad, 1)
     return T.from_op(out, (q, k, v), _attention_back(q.data, k.data, v.data, heads))
 
 
-def _head_maps(q, k, heads, tiled=False, lane=slice(None), work=None):
-    """Per head group of _tiles' cut that ``lane`` picks (a slice of the
-    groups, all by default) and, when ``tiled``, per query-row block of it
-    (else all rows): its head count, column slice, row slice, the group's
-    contiguous scaled-query and key blocks (the student's slice_cols
-    operands) and the block's (group*rows, n) probabilities, softmaxed in
-    place in one workspace that the next block overwrites: ``work`` when
-    given, else one allocated here. A map is checked through its minimum
-    (-inf) and row maxima (NaN, +inf); a finite row's softmax is finite."""
-    m, n = q.shape[0], k.shape[0]
-    d = q.shape[1] // heads
-    group, blocks = _tiles(heads, m, n, q.itemsize)
-    blocks = blocks if tiled else [(0, m)]
+def _head_maps(q, k, heads, cut, work):
+    """Per entry (heads per map, column slice, row slice) of ``cut``: the
+    entry, its group's contiguous scaled-query and key blocks (the
+    student's slice_cols operands, taken at the group's block at row 0)
+    and the block's probabilities, softmaxed in place in ``work``, which
+    the next block overwrites. A map is checked through its minimum (-inf)
+    and row maxima (NaN, +inf); a finite row's softmax is finite."""
     scale = T._head_scale(q, heads)
-    if work is None:
-        work = np.empty((group * max(stop - start for start, stop in blocks), n), q.dtype)
-    for h in range(0, heads, group)[lane]:
-        cols = slice(h * d, (h + group) * d)
-        qh, kh = q[:, cols] * scale, np.ascontiguousarray(k[:, cols])
-        for start, stop in blocks:
-            p = T._head_scores(qh[start:stop], kh, group, out=work[:group * (stop - start)])
-            T._finite(p.min())
-            yield (group, cols, slice(start, stop), qh, kh,
-                   T._softmax(p, T._finite(p.max(axis=1, keepdims=True)), p))
+    for group, cols, rows in cut:
+        if rows.start == 0:  # a head group's first block
+            qh, kh = q[:, cols] * scale, np.ascontiguousarray(k[:, cols])
+        p = T._head_scores(qh[rows], kh, group, out=work[:group * (rows.stop - rows.start)])
+        T._finite(p.min())
+        yield group, cols, rows, qh, kh, T._softmax(p, T._finite(p.max(axis=1, keepdims=True)), p)
 
 
 def _attention_back(q, k, v, heads):
-    """Gradient rule of _multi_head, in its forward's cut: per head group
-    and query-row block, _head_maps recomputes the probabilities P_b in one
-    workspace, head_mix's backward forms dP_b = g_b V_h^T in a second and
-    softmax_rows' backward runs there in place; the block writes its rows
-    of dq and adds dS_b^T Qs_b to dk and P_b^T g_b to dv. The groups run on
-    min(groups, usable_cpus()) lanes as _multi_head's no-grad forward does,
-    each lane's two workspaces allocated here before any lane starts, and
-    each group writes only its own columns of dq, dk and dv."""
+    """Gradient rule of _multi_head, over _lanes' cut on lanes: per block,
+    _head_maps recomputes P_b in the lane's first workspace, head_mix's
+    backward forms dP_b = g_b V_h^T in its second and softmax_rows' runs
+    there in place; the block writes its rows of dq and adds dS_b^T Qs_b
+    to dk and P_b^T g_b to dv, in its group's own columns."""
 
     def back(g):
-        m, n = q.shape[0], k.shape[0]
-        group, blocks = _tiles(heads, m, n, q.itemsize)
-        lanes = min(heads // group, usable_cpus())
-        largest = group * max(stop - start for start, stop in blocks)
-        work = [np.empty((2, largest, n), q.dtype) for _ in range(lanes)]
         dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
 
-        def lane(j):
-            maps = _head_maps(q, k, heads, tiled=True, lane=slice(j, None, lanes), work=work[j][0])
-            for _, cols, rows, qh, kh, p in maps:
+        def lane(cut, work):
+            for group, cols, rows, qh, kh, p in _head_maps(q, k, heads, cut, work[0]):
                 if rows.start == 0:  # a head group's first block
                     vh, gh = np.ascontiguousarray(v[:, cols]), np.ascontiguousarray(g[:, cols])
-                w, dvb = T._head_mix_back(gh[rows], p, vh, group, out=work[j][1][:len(p)])
+                w, dvb = T._head_mix_back(gh[rows], p, vh, group, out=work[1][:len(p)])
                 dq[rows, cols], dkb = T._head_scores_back(T._softmax_back(w, p, out=w),
                                                           qh[rows], kh, group)
                 if rows.start == 0:
@@ -387,8 +376,7 @@ def _attention_back(q, k, v, heads):
                     dk[:, cols] += dkb
                     dv[:, cols] += dvb
 
-        with _beside(lane, range(lanes), lanes - 1) as done:
-            list(done)  # a lane's raise surfaces here
+        _lanes(lane, q, k, heads, True, 2)
         return [dq, dk, dv]
 
     return back
@@ -430,12 +418,17 @@ def _layer_norm_array(x, scale, offset):
 
 
 def _attention_array(q, k, v, heads):
-    """_multi_head on plain arrays, over _head_maps' groups and row blocks."""
+    """_multi_head on plain arrays, on one lane of _lanes' cut: the frozen
+    forward runs beside the crop helpers and starts no lane."""
     out = np.empty_like(q)
-    for group, cols, rows, _, _, p in _head_maps(q, k, heads, tiled=True):
-        if rows.start == 0:  # a head group's first block
-            vh = np.ascontiguousarray(v[:, cols])
-        out[rows, cols] = T._head_mix(p, vh, group)
+
+    def lane(cut, work):
+        for group, cols, rows, _, _, p in _head_maps(q, k, heads, cut, work[0]):
+            if rows.start == 0:  # a head group's first block
+                vh = np.ascontiguousarray(v[:, cols])
+            out[rows, cols] = T._head_mix(p, vh, group)
+
+    _lanes(lane, q, k, heads, False, 1)
     return T._finite(out)
 
 
@@ -511,6 +504,9 @@ def capture_attention(image, params, layers):
     map at a time. A map comes from its block's queries and keys alone; no
     block above the deepest requested one runs, nor its values, projection or FFN."""
     for layer in layers:
+        if not T._int(layer):
+            raise ParameterError(f"layer must be an int, got {layer!r}")
+    for layer in layers:
         if not 0 <= layer < params.depth:
             raise ParameterError(f"layer {layer} outside [0, {params.depth})")
         if layers.count(layer) > 1:
@@ -524,11 +520,14 @@ def capture_attention(image, params, layers):
             h = layer_norm_rows(seq, b.ln1_s, b.ln1_o)
             q = T.add(T.matmul(h, b.wq), b.bq).data
             k = T.add(T.matmul(h, b.wk), b.bk).data
-            maps[i] = np.empty((len(q), len(k), params.heads), q.dtype)
-            d = q.shape[1] // params.heads
-            for group, cols, _, _, _, p in _head_maps(q, k, params.heads):
-                maps[i][:, :, cols.start // d:cols.stop // d] = (
-                    p.reshape(group, len(q), len(k)).transpose(1, 2, 0))
+            m, n = len(q), len(k)
+            maps[i] = np.empty((m, n, params.heads), q.dtype)
+            group = _tiles(params.heads, m, n, q.itemsize)[0]
+            w = q.shape[1] * group // params.heads  # a group's columns
+            cut = [(group, slice(c, c + w), slice(0, m)) for c in range(0, q.shape[1], w)]
+            whole = _head_maps(q, k, params.heads, cut, np.empty((group * m, n), q.dtype))
+            for j, (*_, p) in enumerate(whole):
+                maps[i][:, :, j * group:(j + 1) * group] = p.reshape(group, m, n).transpose(1, 2, 0)
         if i < deepest:
             seq = attention_block(seq, params, i)
     return [maps[layer] for layer in layers]

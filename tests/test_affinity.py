@@ -351,3 +351,17 @@ def test_dump_invalid_query():
     image = np.zeros((3, 8, 8))
     with pytest.raises(ParameterError):
         dump_attention_analysis(params, image, layers=[0], query_index=99, out_dir="/tmp/x")
+
+
+@pytest.mark.parametrize("layers,query,named", [
+    ([0], True, "got True"), ([0], 2.7, "got 2.7"), ([0], "2", "got '2'"),
+    ([True], "cls", "got True"), ([1.0], 0, "got 1.0")])
+def test_dump_refuses_an_index_that_is_not_an_int_before_writing(tmp_path, layers, query, named):
+    # a bool or a float is no index: query True would read token 1 and
+    # layer True name its files layerTrue_*
+    params = VitParams(patch_size=4, depth=2, width=4, heads=1, input_res=8, seed=2)
+    out_dir = tmp_path / "dumps"
+    with pytest.raises(ParameterError, match=named):
+        dump_attention_analysis(params, np.zeros((3, 8, 8)), layers=layers, query_index=query,
+                                out_dir=str(out_dir))
+    assert not out_dir.exists()

@@ -234,6 +234,32 @@ def test_only_tiles_reads_the_tile_budget():
     assert tile_readers(sources) == ["vit._tiles"]
 
 
+def callers(sources, name):
+    """Where in ``sources`` a function is called by the plain name ``name``
+    (``readers``)."""
+    return readers(sources, lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id == name)
+
+
+def test_caller_finder():
+    sources = {"a.py": "def f(x):\n    with _beside(g, x, 0) as done:\n        return list(done)\n",
+               "b.py": "def g():\n    def inner():\n        return _beside\n    return inner()\n",
+               "c.py": "def h():\n    return vit._beside(f, [], 0), _besidex(), '_beside'\n",
+               "d.py": "x = _beside(f, [], 0)\n"}
+    assert callers(sources, "_beside") == ["a.f", "d"]
+
+
+def test_only_lanes_drives_attention_lanes():
+    """``vit._lanes`` is the one place an attention's cut becomes lanes and
+    workspaces, so in ``vit.py`` no other function calls ``_beside``, and
+    only it and ``capture_attention`` (whole per-group maps) call
+    ``_tiles``."""
+    sources = {"vit.py": (pathlib.Path(densedistill.__file__).parent / "vit.py").read_text(
+        encoding="utf-8")}
+    assert callers(sources, "_beside") == ["vit._lanes"]
+    assert callers(sources, "_tiles") == ["vit._lanes", "vit.capture_attention"]
+
+
 def unread_fields(names, sources):
     """The names among ``names`` that no source text of ``sources`` reads as
     an attribute (``cfg.lam``) or holds as a string constant (``getattr(cfg,

@@ -350,6 +350,14 @@ def test_capture_refuses_an_absent_or_repeated_layer(layers):
         vit.capture_attention(rand_image(np.random.default_rng(16), 8), p, layers)
 
 
+@pytest.mark.parametrize("layers,named", [([True], "True"), ([1.0], "1.0"), ([1, True], "True")])
+def test_capture_refuses_a_layer_that_is_not_an_int(layers, named):
+    # a bool is no layer index, also beside the layer it equals
+    p = tiny_params(depth=4, width=8, heads=2, res=8, patch=4)
+    with pytest.raises(ParameterError, match=f"layer must be an int, got {named}"):
+        vit.capture_attention(rand_image(np.random.default_rng(16), 8), p, layers)
+
+
 def test_capture_matches_qk_recomputation():
     p = tiny_params(depth=1, width=8, heads=2, res=8, patch=4)
     img = rand_image(np.random.default_rng(14), 8)
@@ -1290,6 +1298,36 @@ def test_a_desk_shape_backward_starts_no_thread(monkeypatch):
     for block in ("standard", "decoupled"):
         _, grads = _block_outputs_and_grads(p, x0, block)
         assert grads["x"] is not None
+    assert threading.active_count() == threads
+
+
+def test_a_desk_shape_attention_never_asks_for_the_cpu_count(monkeypatch):
+    # 65 tokens: one group of all heads in one block leaves nothing to put on
+    # lanes, so neither the backward nor the no-grad forward reads the
+    # affinity mask
+    monkeypatch.setattr(vit, "usable_cpus",
+                        lambda: pytest.fail("a desk-shape attention asked for the CPU count"))
+    p = tiny_params(width=48, heads=4, seed=52)
+    x0 = np.random.default_rng(54).standard_normal((65, 48))
+    for block in ("standard", "decoupled"):
+        _, grads = _block_outputs_and_grads(p, x0, block)
+        assert grads["x"] is not None
+    loaded = _no_grad(p)
+    assert not vit.attention_block(T.Tensor(x0), loaded, 0).requires_grad
+    assert not vit.decoupled_block(T.Tensor(x0), loaded)[1].requires_grad
+
+
+def test_a_frozen_paper_shape_attention_starts_no_thread(monkeypatch):
+    # four one-head groups, which a no-grad student forward puts on two
+    # lanes; the frozen forward runs beside the crop helpers, where lanes of
+    # its own would oversubscribe the CPUs
+    monkeypatch.setattr(vit, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(vit, "ThreadPoolExecutor",
+                        lambda workers: pytest.fail("a frozen attention built a pool"))
+    q, k, v = np.random.default_rng(55).standard_normal((3, 1226, 64))
+    assert vit._tiles(4, 1226, 1226, 8)[0] == 1
+    threads = threading.active_count()
+    assert np.isfinite(vit._attention_array(q, k, v, 4)).all()
     assert threading.active_count() == threads
 
 
